@@ -83,7 +83,9 @@
 //! mean queueing delay, preemptions, migrations, utilization, and
 //! p50/p95/p99 sojourn and queue-wait tails from the quantile sketches).
 //! Runs are deterministic: same `--seed` ⇒ bit-identical decision log,
-//! sharded or `--sequential`.
+//! sharded or `--sequential`.  `sched`, `frontier` and `timeline` exit 2
+//! on any argument outside their flag list and on a `--quantum` that is
+//! not finite or is finer than the clock's 1 µs tick.
 //!
 //! `repro frontier` is the capacity-planning sweep: per policy, it feeds
 //! the online scheduler a cluster-wide Poisson arrival stream and climbs
@@ -300,6 +302,43 @@ fn flag_value(args: &[String], name: &str) -> Option<String> {
         Some(v) if !v.starts_with("--") => Some(v.clone()),
         _ => {
             eprintln!("{name} requires a value");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// Exit 2 unless every argument is one of `cmd`'s flags, given as
+/// `(name, takes a value)`: a typo'd flag must not silently run the
+/// defaults.  A missing value is left to [`flag_value`] to report.
+fn check_flags(cmd: &str, args: &[String], flags: &[(&str, bool)]) {
+    let mut i = 0;
+    while i < args.len() {
+        match flags.iter().find(|(name, _)| *name == args[i]) {
+            Some(&(_, takes_value)) => i += 1 + usize::from(takes_value),
+            None => {
+                let known: Vec<&str> = flags.iter().map(|(name, _)| *name).collect();
+                eprintln!(
+                    "repro {cmd}: unknown argument {:?} (accepted: {})",
+                    args[i],
+                    known.join(" ")
+                );
+                std::process::exit(2);
+            }
+        }
+    }
+}
+
+/// `--quantum SECS` (default 10): the scheduler's barrier spacing must be
+/// a finite number of seconds no finer than the clock's 1 µs resolution,
+/// or the run exits 2.
+fn quantum_flag(args: &[String]) -> f64 {
+    let Some(v) = flag_value(args, "--quantum") else {
+        return 10.0;
+    };
+    match v.parse::<f64>() {
+        Ok(quantum) if quantum.is_finite() && quantum >= 1e-6 => quantum,
+        _ => {
+            eprintln!("--quantum wants finite seconds, at least 1e-6 (one clock tick), got {v}");
             std::process::exit(2);
         }
     }
@@ -881,6 +920,22 @@ fn run_sched_cmd(args: &[String]) {
     use flowcon_dl::workload::WorkloadPlan;
     use flowcon_sim::time::SimDuration;
 
+    check_flags(
+        "sched",
+        args,
+        &[
+            ("--policy", true),
+            ("--compare", false),
+            ("--workers", true),
+            ("--jobs", true),
+            ("--seed", true),
+            ("--quantum", true),
+            ("--slots", true),
+            ("--sequential", false),
+            ("--trace-out", true),
+        ],
+    );
+
     let parse_num = |name: &str, default: u64| {
         flag_value(args, name).map_or(default, |v| {
             v.parse::<u64>().unwrap_or_else(|_| {
@@ -893,12 +948,7 @@ fn run_sched_cmd(args: &[String]) {
     let jobs = parse_num("--jobs", 4 * workers as u64) as usize;
     let seed = parse_num("--seed", perf::CLUSTER_BENCH_PLAN_SEED);
     let slots = parse_num("--slots", 2) as usize;
-    let quantum = flag_value(args, "--quantum").map_or(10.0, |v| {
-        v.parse::<f64>().unwrap_or_else(|_| {
-            eprintln!("--quantum wants seconds, got {v}");
-            std::process::exit(2);
-        })
-    });
+    let quantum = quantum_flag(args);
     let sequential = args.iter().any(|a| a == "--sequential");
     let compare = args.iter().any(|a| a == "--compare");
     let trace_out = flag_value(args, "--trace-out");
@@ -908,10 +958,6 @@ fn run_sched_cmd(args: &[String]) {
     }
     if jobs == 0 {
         eprintln!("--jobs must be at least 1: an empty workload schedules nothing");
-        std::process::exit(2);
-    }
-    if quantum <= 0.0 {
-        eprintln!("--quantum must be positive");
         std::process::exit(2);
     }
     if slots == 0 {
@@ -1033,6 +1079,22 @@ fn run_frontier(args: &[String]) {
     use flowcon_cluster::SchedPolicyKind;
     use flowcon_sim::time::SimDuration;
 
+    check_flags(
+        "frontier",
+        args,
+        &[
+            ("--policy", true),
+            ("--compare", false),
+            ("--workers", true),
+            ("--jobs", true),
+            ("--seed", true),
+            ("--quantum", true),
+            ("--slots", true),
+            ("--rates", true),
+            ("--emit", true),
+        ],
+    );
+
     let parse_num = |name: &str, default: u64| {
         flag_value(args, name).map_or(default, |v| {
             v.parse::<u64>().unwrap_or_else(|_| {
@@ -1045,22 +1107,13 @@ fn run_frontier(args: &[String]) {
     let jobs = parse_num("--jobs", 16 * workers as u64) as usize;
     let seed = parse_num("--seed", perf::CLUSTER_BENCH_PLAN_SEED);
     let slots = parse_num("--slots", 2) as usize;
-    let quantum = flag_value(args, "--quantum").map_or(10.0, |v| {
-        v.parse::<f64>().unwrap_or_else(|_| {
-            eprintln!("--quantum wants seconds, got {v}");
-            std::process::exit(2);
-        })
-    });
+    let quantum = quantum_flag(args);
     if workers == 0 {
         eprintln!("--workers must be at least 1: a cluster with no workers cannot run jobs");
         std::process::exit(2);
     }
     if jobs == 0 {
         eprintln!("--jobs must be at least 1: a zero-job rung measures nothing");
-        std::process::exit(2);
-    }
-    if quantum <= 0.0 {
-        eprintln!("--quantum must be positive");
         std::process::exit(2);
     }
     if slots == 0 {
@@ -1201,6 +1254,23 @@ fn run_timeline(args: &[String]) {
     use flowcon_sim::time::SimDuration;
     use flowcon_sim::trace::{FlightRecorder, DEFAULT_CAPACITY};
 
+    check_flags(
+        "timeline",
+        args,
+        &[
+            ("--policy", true),
+            ("--workers", true),
+            ("--jobs", true),
+            ("--seed", true),
+            ("--quantum", true),
+            ("--slots", true),
+            ("--sequential", false),
+            ("--capacity", true),
+            ("--out", true),
+            ("--summary", false),
+        ],
+    );
+
     let parse_num = |name: &str, default: u64| {
         flag_value(args, name).map_or(default, |v| {
             v.parse::<u64>().unwrap_or_else(|_| {
@@ -1214,12 +1284,7 @@ fn run_timeline(args: &[String]) {
     let seed = parse_num("--seed", perf::CLUSTER_BENCH_PLAN_SEED);
     let slots = parse_num("--slots", 2) as usize;
     let capacity = parse_num("--capacity", DEFAULT_CAPACITY as u64) as usize;
-    let quantum = flag_value(args, "--quantum").map_or(10.0, |v| {
-        v.parse::<f64>().unwrap_or_else(|_| {
-            eprintln!("--quantum wants seconds, got {v}");
-            std::process::exit(2);
-        })
-    });
+    let quantum = quantum_flag(args);
     let sequential = args.iter().any(|a| a == "--sequential");
     let summary = args.iter().any(|a| a == "--summary");
     let out = flag_value(args, "--out");
@@ -1229,10 +1294,6 @@ fn run_timeline(args: &[String]) {
     }
     if jobs == 0 {
         eprintln!("--jobs must be at least 1: an empty workload traces nothing");
-        std::process::exit(2);
-    }
-    if quantum <= 0.0 {
-        eprintln!("--quantum must be positive");
         std::process::exit(2);
     }
     if slots == 0 {

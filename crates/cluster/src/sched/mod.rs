@@ -20,9 +20,22 @@
 //!
 //! Step 3 is embarrassingly parallel: each `NodeSim` advance is
 //! a pure function of that node's state, so the engine can run it
-//! sequentially or over the sharded executor and get bit-identical
+//! sequentially or spread over shard threads and get bit-identical
 //! results — the same determinism contract the closed-loop cluster path
-//! has, pinned by `crates/cluster/tests/sched_determinism.rs`.
+//! has, pinned by `crates/cluster/tests/sched_determinism.rs`.  The
+//! shard threads are spawned once per run: at each barrier every shard
+//! receives a contiguous chunk of nodes over a channel while the engine
+//! thread advances the first chunk itself.
+//!
+//! # Per-barrier cost
+//!
+//! A barrier costs O(actions · log nodes + queue + nodes): the admission
+//! queue removes a placed job by id in O(1), the disciplines find the
+//! freest node in a tournament tree (O(log nodes) per slot taken or
+//! freed), and Tiresias ranks by a linear-time selection at the slot
+//! count, sorting only the jobs that win a slot or lose one.  The
+//! remaining linear terms are building the view (one pass over the queue
+//! and the nodes) and advancing the nodes.
 //!
 //! # Quantum invariants
 //!
@@ -44,7 +57,8 @@ pub use policy::{
     SchedAction, SchedPolicyKind, TiresiasPolicy,
 };
 
-use std::collections::VecDeque;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::thread::Scope;
 
 use flowcon_core::config::NodeConfig;
 use flowcon_dl::ModelId;
@@ -54,7 +68,7 @@ use flowcon_metrics::summary::{makespan_over, Completion};
 use flowcon_sim::time::{SimDuration, SimTime};
 use flowcon_sim::trace::{TraceKind, Tracer};
 
-use crate::executor::map_sharded;
+use crate::executor::shard_count;
 use crate::policy_kind::PolicyKind;
 use node::NodeSim;
 use policy::NodeSpan;
@@ -67,8 +81,8 @@ pub struct SchedConfig {
     /// Concurrent job slots per node (FlowCon shares the node's capacity
     /// among the jobs in its slots).
     pub slots_per_node: usize,
-    /// Advance nodes on the caller's thread instead of the sharded
-    /// executor.  Results are bit-identical either way; the sequential
+    /// Advance nodes on the caller's thread instead of the run's shard
+    /// threads.  Results are bit-identical either way; the sequential
     /// mode exists for determinism tests and tiny clusters.
     pub sequential: bool,
 }
@@ -172,6 +186,172 @@ struct EngineJob {
     queued_since: SimTime,
 }
 
+/// The global admission queue: FIFO order with O(1) removal by job id.
+///
+/// Jobs sit in a slab indexed by their dense id, and `order` lists
+/// `(id, visit)` stamps in push order.  Taking a job empties its slab
+/// entry and leaves a dead stamp that iteration skips; a re-pushed job
+/// gets a new visit number, so the stale stamp of an earlier visit never
+/// resurrects it.  Dead stamps are compacted away once they outnumber
+/// live ones, which keeps iteration O(len).
+#[derive(Debug)]
+struct AdmissionQueue {
+    slab: Vec<QueueSlot>,
+    order: Vec<(u32, u32)>,
+    live: usize,
+}
+
+#[derive(Debug, Clone, Copy, Default)]
+struct QueueSlot {
+    visit: u32,
+    job: Option<EngineJob>,
+}
+
+impl AdmissionQueue {
+    /// An empty queue for jobs with ids `0..ids`.
+    fn new(ids: usize) -> Self {
+        Self {
+            slab: vec![QueueSlot::default(); ids],
+            order: Vec::new(),
+            live: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.live
+    }
+
+    fn is_empty(&self) -> bool {
+        self.live == 0
+    }
+
+    /// Append `job` at the back.  Panics if the job is already queued.
+    fn push_back(&mut self, job: EngineJob) {
+        let slot = &mut self.slab[job.id as usize];
+        assert!(slot.job.is_none(), "job {} is already queued", job.id);
+        slot.visit = slot.visit.wrapping_add(1);
+        slot.job = Some(job);
+        self.order.push((job.id, slot.visit));
+        self.live += 1;
+    }
+
+    /// Remove job `id` wherever it stands; `None` if it is not queued.
+    fn take(&mut self, id: u32) -> Option<EngineJob> {
+        let job = self.slab.get_mut(id as usize)?.job.take()?;
+        self.live -= 1;
+        if self.order.len() > 2 * self.live {
+            let slab = &self.slab;
+            self.order
+                .retain(|&stamp| Self::stamped(slab, stamp).is_some());
+        }
+        Some(job)
+    }
+
+    /// The queued job a stamp names, unless the stamp is dead.
+    fn stamped(slab: &[QueueSlot], (id, visit): (u32, u32)) -> Option<&EngineJob> {
+        let slot = &slab[id as usize];
+        if slot.visit == visit {
+            slot.job.as_ref()
+        } else {
+            None
+        }
+    }
+
+    /// Queued jobs, head first.
+    fn iter(&self) -> impl Iterator<Item = &EngineJob> + '_ {
+        self.order
+            .iter()
+            .filter_map(|&stamp| Self::stamped(&self.slab, stamp))
+    }
+}
+
+/// The run's nodes in contiguous chunks.  Chunk 0 is advanced on the
+/// engine thread and chunk `k > 0` by the shard thread behind `lanes[k - 1]`,
+/// which lives for the whole run; a sequential run has one chunk and no
+/// shards.
+struct ShardedNodes<T: Tracer> {
+    chunks: Vec<Vec<NodeSim<T>>>,
+    /// Nodes per chunk (the last chunk may hold fewer).
+    per: usize,
+    lanes: Vec<Lane<T>>,
+}
+
+/// A shard thread's channel pair: a chunk goes out with its barrier and
+/// comes back advanced.  Both channels are bounded, so sending never
+/// allocates.
+struct Lane<T: Tracer> {
+    out: SyncSender<(Vec<NodeSim<T>>, SimTime)>,
+    back: Receiver<Vec<NodeSim<T>>>,
+}
+
+impl<T: Tracer + Send> ShardedNodes<T> {
+    /// Split `nodes` into at most `shards` chunks and spawn one thread in
+    /// `scope` per chunk after the first.  The threads exit once `self` is
+    /// dropped.
+    fn new<'scope>(nodes: Vec<NodeSim<T>>, shards: usize, scope: &'scope Scope<'scope, '_>) -> Self
+    where
+        T: 'scope,
+    {
+        let per = nodes.len().div_ceil(shards);
+        let mut rest = nodes.into_iter();
+        let mut chunks = Vec::new();
+        loop {
+            let chunk: Vec<NodeSim<T>> = rest.by_ref().take(per).collect();
+            if chunk.is_empty() {
+                break;
+            }
+            chunks.push(chunk);
+        }
+        let lanes = (1..chunks.len())
+            .map(|_| {
+                let (out, inbox) = sync_channel::<(Vec<NodeSim<T>>, SimTime)>(1);
+                let (done, back) = sync_channel(1);
+                scope.spawn(move || {
+                    for (mut chunk, barrier) in inbox {
+                        for node in &mut chunk {
+                            node.advance_to(barrier);
+                        }
+                        if done.send(chunk).is_err() {
+                            return;
+                        }
+                    }
+                });
+                Lane { out, back }
+            })
+            .collect();
+        Self { chunks, per, lanes }
+    }
+
+    fn node_mut(&mut self, i: usize) -> &mut NodeSim<T> {
+        &mut self.chunks[i / self.per][i % self.per]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &NodeSim<T>> {
+        self.chunks.iter().flatten()
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut NodeSim<T>> {
+        self.chunks.iter_mut().flatten()
+    }
+
+    /// Advance every node to `barrier`: the shards take their chunks while
+    /// this thread advances chunk 0, then the chunks come home in order.
+    fn advance_to(&mut self, barrier: SimTime) {
+        let (own, shipped) = self.chunks.split_at_mut(1);
+        for (lane, chunk) in self.lanes.iter().zip(shipped.iter_mut()) {
+            lane.out
+                .send((std::mem::take(chunk), barrier))
+                .expect("shard thread exited early");
+        }
+        for node in &mut own[0] {
+            node.advance_to(barrier);
+        }
+        for (lane, chunk) in self.lanes.iter().zip(shipped.iter_mut()) {
+            *chunk = lane.back.recv().expect("shard thread panicked");
+        }
+    }
+}
+
 /// Run the scheduling engine to completion over a materialized arrival
 /// list (already sorted by arrival time).
 ///
@@ -185,7 +365,7 @@ struct EngineJob {
 pub(crate) fn run_sched<T: Tracer + Send>(
     node_cfgs: &[NodeConfig],
     worker_policy: PolicyKind,
-    mut policy: Box<dyn ClusterPolicy>,
+    policy: Box<dyn ClusterPolicy>,
     config: SchedConfig,
     arrivals: Vec<ArrivalSpec>,
     tracer: &mut T,
@@ -195,8 +375,7 @@ pub(crate) fn run_sched<T: Tracer + Send>(
         config.quantum > SimDuration::ZERO,
         "the scheduler quantum must be positive"
     );
-    let quantum = config.quantum;
-    let mut nodes: Vec<NodeSim<T>> = node_cfgs
+    let nodes: Vec<NodeSim<T>> = node_cfgs
         .iter()
         .enumerate()
         .map(|(i, cfg)| {
@@ -209,8 +388,28 @@ pub(crate) fn run_sched<T: Tracer + Send>(
             )
         })
         .collect();
+    let shards = if config.sequential {
+        1
+    } else {
+        shard_count(nodes.len())
+    };
+    std::thread::scope(|scope| {
+        let nodes = ShardedNodes::new(nodes, shards, scope);
+        drive(node_cfgs, nodes, policy, config.quantum, &arrivals, tracer)
+    })
+}
 
-    let mut queue: VecDeque<EngineJob> = VecDeque::new();
+/// The barrier loop of [`run_sched`], over nodes already spread across
+/// the run's shard threads.
+fn drive<T: Tracer + Send>(
+    node_cfgs: &[NodeConfig],
+    mut nodes: ShardedNodes<T>,
+    mut policy: Box<dyn ClusterPolicy>,
+    quantum: SimDuration,
+    arrivals: &[ArrivalSpec],
+    tracer: &mut T,
+) -> SchedOutcome {
+    let mut queue = AdmissionQueue::new(arrivals.len());
     // gid → node currently running the job (None: queued or done).
     let mut location: Vec<Option<usize>> = vec![None; arrivals.len()];
     let mut next_arrival = 0usize;
@@ -257,7 +456,7 @@ pub(crate) fn run_sched<T: Tracer + Send>(
             while t < upcoming {
                 t += quantum;
             }
-            for node in &mut nodes {
+            for node in nodes.iter_mut() {
                 node.advance_to(t);
             }
             continue;
@@ -273,7 +472,7 @@ pub(crate) fn run_sched<T: Tracer + Send>(
         }));
         spans.clear();
         running.clear();
-        for node in &nodes {
+        for node in nodes.iter() {
             let start = running.len();
             node.fill_views(&mut running);
             spans.push(NodeSpan {
@@ -298,16 +497,14 @@ pub(crate) fn run_sched<T: Tracer + Send>(
             decisions.push(Decision { at: t, action });
             match action {
                 SchedAction::Place { job, node } => {
-                    let pos = queue
-                        .iter()
-                        .position(|j| j.id == job)
-                        .expect("Place must target a queued job");
-                    let j = queue.remove(pos).expect("position found above");
+                    let j = queue.take(job).expect("Place must target a queued job");
                     let wait = t.saturating_since(j.queued_since).as_secs_f64();
                     total_queue_wait_secs += wait;
                     tails.queue_wait.insert(wait);
                     location[j.id as usize] = Some(node);
-                    nodes[node].admit(j.id, j.model, j.work_scale, j.arrival, j.attained);
+                    nodes
+                        .node_mut(node)
+                        .admit(j.id, j.model, j.work_scale, j.arrival, j.attained);
                     if T::ENABLED {
                         tracer.instant(t, TraceKind::SchedPlace, job, node as u32);
                         tracer.span_begin(t, TraceKind::JobRun, job, node as u32);
@@ -317,7 +514,7 @@ pub(crate) fn run_sched<T: Tracer + Send>(
                     let at = location[job as usize]
                         .take()
                         .expect("Preempt must target a running job");
-                    let p = nodes[at].preempt(job);
+                    let p = nodes.node_mut(at).preempt(job);
                     preemptions += 1;
                     queue.push_back(EngineJob {
                         id: job,
@@ -337,8 +534,8 @@ pub(crate) fn run_sched<T: Tracer + Send>(
                     if at == node {
                         continue; // logged no-op
                     }
-                    let p = nodes[at].preempt(job);
-                    nodes[node].admit(
+                    let p = nodes.node_mut(at).preempt(job);
+                    nodes.node_mut(node).admit(
                         job,
                         p.model,
                         p.remaining_scale,
@@ -360,24 +557,10 @@ pub(crate) fn run_sched<T: Tracer + Send>(
             tracer.counter(t, TraceKind::QueueDepth, 0, queue.len() as f64);
         }
 
-        // 3. Advance every node to the next barrier — sequentially or on
-        //    the sharded executor, bit-identically.
+        // 3. Advance every node to the next barrier — on this thread or
+        //    spread over the shard threads, bit-identically.
         let barrier = t + quantum;
-        if config.sequential || nodes.len() == 1 {
-            for node in &mut nodes {
-                node.advance_to(barrier);
-            }
-        } else {
-            let owned = std::mem::take(&mut nodes);
-            nodes = map_sharded(
-                owned,
-                || (),
-                |(), mut node| {
-                    node.advance_to(barrier);
-                    node
-                },
-            );
-        }
+        nodes.advance_to(barrier);
         for (ni, node) in nodes.iter_mut().enumerate() {
             if T::ENABLED {
                 // Merge this node's per-shard recorder in node-index
@@ -435,6 +618,67 @@ mod tests {
     use super::*;
     use flowcon_core::config::FlowConConfig;
     use flowcon_dl::WorkloadPlan;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
+
+    fn engine_job(id: u32) -> EngineJob {
+        EngineJob {
+            id,
+            model: ModelId::MnistTorch,
+            arrival: SimTime::ZERO,
+            work_scale: 1.0,
+            attained: 0.0,
+            queued_since: SimTime::ZERO,
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn admission_queue_iterates_like_a_vecdeque(
+            rounds in prop::collection::vec(
+                prop::collection::vec((0u8..3, 0usize..64), 0..24),
+                1..12,
+            ),
+        ) {
+            const IDS: usize = 48;
+            let mut queue = AdmissionQueue::new(IDS);
+            let mut model: VecDeque<u32> = VecDeque::new();
+            let mut fresh = 0u32;
+            for round in rounds {
+                // Jobs taken earlier in this round, eligible for a re-push
+                // (a preempted job re-enters the queue it just left).
+                let mut taken: Vec<u32> = Vec::new();
+                for (op, pick) in round {
+                    match op {
+                        0 if (fresh as usize) < IDS => {
+                            queue.push_back(engine_job(fresh));
+                            model.push_back(fresh);
+                            fresh += 1;
+                        }
+                        1 if !model.is_empty() => {
+                            let id = model.remove(pick % model.len()).expect("index in range");
+                            prop_assert_eq!(queue.take(id).map(|j| j.id), Some(id));
+                            prop_assert!(queue.take(id).is_none(), "job {} taken twice", id);
+                            taken.push(id);
+                        }
+                        2 if !taken.is_empty() => {
+                            let id = taken.swap_remove(pick % taken.len());
+                            queue.push_back(engine_job(id));
+                            model.push_back(id);
+                        }
+                        _ => {}
+                    }
+                    let ids: Vec<u32> = queue.iter().map(|j| j.id).collect();
+                    prop_assert_eq!(&ids, &Vec::from(model.clone()));
+                    prop_assert_eq!(queue.len(), model.len());
+                    prop_assert_eq!(queue.is_empty(), model.is_empty());
+                    // Compaction keeps dead stamps at most as many as live ones.
+                    prop_assert!(queue.order.len() <= 2 * queue.len());
+                }
+            }
+            prop_assert!(queue.take(IDS as u32).is_none(), "ids past the slab are never queued");
+        }
+    }
 
     fn arrivals_of(plan: &WorkloadPlan) -> Vec<ArrivalSpec> {
         plan.jobs

@@ -225,20 +225,72 @@ impl SchedPolicyKind {
     }
 }
 
-/// Index of the node with the most free slots (ties break toward the
-/// lowest index, so decision logs are stable).
-fn most_free(free: &[usize]) -> Option<usize> {
-    let mut best: Option<usize> = None;
-    for (idx, &f) in free.iter().enumerate() {
-        if f == 0 {
-            continue;
-        }
-        match best {
-            Some(b) if free[b] >= f => {}
-            _ => best = Some(idx),
+/// Max tournament tree over per-node free slots.
+///
+/// [`best`](Self::best) names the node with the most free slots, ties
+/// broken toward the lowest index (so decision logs are stable), in O(1);
+/// [`take`](Self::take) and [`give`](Self::give) move one node's count by
+/// one slot and replay its path to the root in O(log nodes).
+#[derive(Debug, Default)]
+struct FreeSlotTree {
+    /// Free slots per leaf, zero-padded to a power of two.
+    free: Vec<usize>,
+    /// `win[i]` is the leaf that wins subtree `i`: the root is 1 and the
+    /// leaves sit at `free.len()..2 * free.len()`.
+    win: Vec<u32>,
+}
+
+impl FreeSlotTree {
+    /// Rebuild the tree from the view's free slots.
+    fn reset(&mut self, view: &ClusterView<'_>) {
+        let n = view.node_count();
+        let leaves = n.next_power_of_two();
+        self.free.clear();
+        self.free.extend((0..n).map(|node| view.free_slots(node)));
+        self.free.resize(leaves, 0);
+        self.win.clear();
+        self.win.resize(leaves, 0);
+        self.win.extend(0..leaves as u32);
+        for i in (1..leaves).rev() {
+            self.win[i] = self.play(self.win[2 * i], self.win[2 * i + 1]);
         }
     }
-    best
+
+    /// The winner of two subtrees: the right one only on strictly more
+    /// free slots, because every left leaf has a lower index.
+    fn play(&self, left: u32, right: u32) -> u32 {
+        if self.free[right as usize] > self.free[left as usize] {
+            right
+        } else {
+            left
+        }
+    }
+
+    /// The freest node, or `None` when every slot is taken.
+    fn best(&self) -> Option<usize> {
+        let top = self.win[1] as usize;
+        (self.free[top] > 0).then_some(top)
+    }
+
+    /// Occupy one slot on `node`.
+    fn take(&mut self, node: usize) {
+        self.free[node] -= 1;
+        self.replay(node);
+    }
+
+    /// Release one slot on `node`.
+    fn give(&mut self, node: usize) {
+        self.free[node] += 1;
+        self.replay(node);
+    }
+
+    fn replay(&mut self, node: usize) {
+        let mut i = (self.free.len() + node) / 2;
+        while i > 0 {
+            self.win[i] = self.play(self.win[2 * i], self.win[2 * i + 1]);
+            i /= 2;
+        }
+    }
 }
 
 /// Arrival-order placement without preemption.
@@ -249,7 +301,7 @@ fn most_free(free: &[usize]) -> Option<usize> {
 /// the head-of-line behaviour the preemptive disciplines exist to beat.
 #[derive(Debug, Default)]
 pub struct FifoPolicy {
-    free: Vec<usize>,
+    free: FreeSlotTree,
 }
 
 impl FifoPolicy {
@@ -265,15 +317,13 @@ impl ClusterPolicy for FifoPolicy {
     }
 
     fn schedule(&mut self, view: &ClusterView<'_>, actions: &mut Vec<SchedAction>) {
-        self.free.clear();
-        self.free
-            .extend((0..view.node_count()).map(|n| view.free_slots(n)));
+        self.free.reset(view);
         for job in view.queue {
-            let Some(node) = most_free(&self.free) else {
+            let Some(node) = self.free.best() else {
                 break;
             };
             actions.push(SchedAction::Place { job: job.id, node });
-            self.free[node] -= 1;
+            self.free.take(node);
         }
     }
 }
@@ -291,9 +341,10 @@ impl ClusterPolicy for FifoPolicy {
 #[derive(Debug)]
 pub struct GandivaPolicy {
     slice: SimDuration,
-    free: Vec<usize>,
+    free: FreeSlotTree,
     waiting: Vec<u32>,
-    victims: Vec<u32>,
+    /// Running jobs whose slice has expired: `(placed_at, id, node)`.
+    expired: Vec<(SimTime, u32, usize)>,
 }
 
 impl GandivaPolicy {
@@ -310,9 +361,9 @@ impl GandivaPolicy {
     pub fn with_slice(slice: SimDuration) -> Self {
         Self {
             slice,
-            free: Vec::new(),
+            free: FreeSlotTree::default(),
             waiting: Vec::new(),
-            victims: Vec::new(),
+            expired: Vec::new(),
         }
     }
 }
@@ -329,47 +380,37 @@ impl ClusterPolicy for GandivaPolicy {
     }
 
     fn schedule(&mut self, view: &ClusterView<'_>, actions: &mut Vec<SchedAction>) {
-        self.free.clear();
-        self.free
-            .extend((0..view.node_count()).map(|n| view.free_slots(n)));
+        self.free.reset(view);
         self.waiting.clear();
-        self.victims.clear();
 
         // 1. Fill free slots in arrival order.
         for job in view.queue {
-            match most_free(&self.free) {
+            match self.free.best() {
                 Some(node) => {
                     actions.push(SchedAction::Place { job: job.id, node });
-                    self.free[node] -= 1;
+                    self.free.take(node);
                 }
                 None => self.waiting.push(job.id),
             }
         }
 
         // 2. Rotate: each still-waiting job displaces the longest-held
-        //    running job whose slice has expired.
-        for &job in &self.waiting {
-            let mut victim: Option<(usize, RunningJobView)> = None;
+        //    running job whose slice has expired (oldest placement first,
+        //    lowest id on ties), until the expired jobs run out.
+        if !self.waiting.is_empty() {
+            self.expired.clear();
             for node in 0..view.node_count() {
                 for r in view.running_on(node) {
-                    if self.victims.contains(&r.id) {
-                        continue;
-                    }
-                    if view.now.saturating_since(r.placed_at) < self.slice {
-                        continue;
-                    }
-                    match victim {
-                        Some((_, v)) if (v.placed_at, v.id) <= (r.placed_at, r.id) => {}
-                        _ => victim = Some((node, *r)),
+                    if view.now.saturating_since(r.placed_at) >= self.slice {
+                        self.expired.push((r.placed_at, r.id, node));
                     }
                 }
             }
-            let Some((node, v)) = victim else {
-                break;
-            };
-            self.victims.push(v.id);
-            actions.push(SchedAction::Preempt { job: v.id });
-            actions.push(SchedAction::Place { job, node });
+            self.expired.sort_unstable();
+            for (&job, &(_, victim, node)) in self.waiting.iter().zip(&self.expired) {
+                actions.push(SchedAction::Preempt { job: victim });
+                actions.push(SchedAction::Place { job, node });
+            }
         }
 
         // 3. Balance: with no queue pressure, close ≥2-slot occupancy
@@ -420,8 +461,13 @@ enum JobLoc {
 #[derive(Debug, Default)]
 pub struct TiresiasPolicy {
     order: Vec<(f64, u32, JobLoc)>,
-    should_run: Vec<u32>,
-    free: Vec<usize>,
+    free: FreeSlotTree,
+}
+
+/// Tiresias rank order: least attained service first, then the older
+/// (lower) job id.  Ids are unique, so no two keys compare equal.
+fn by_rank(a: &(f64, u32, JobLoc), b: &(f64, u32, JobLoc)) -> std::cmp::Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
 }
 
 impl TiresiasPolicy {
@@ -448,35 +494,45 @@ impl ClusterPolicy for TiresiasPolicy {
                     .push((r.attained_cpu_secs, r.id, JobLoc::Running(node)));
             }
         }
-        self.order
-            .sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
 
-        let total = view.total_slots();
-        self.should_run.clear();
-        self.should_run
-            .extend(self.order.iter().take(total).map(|&(_, id, _)| id));
-        self.should_run.sort_unstable();
+        // Split the ranking at the slot count: the first `total` entries
+        // (in any order) deserve the slots.  Only the winners and the
+        // running losers emit actions, so only they are sorted; with
+        // unique keys that reproduces a full sort's actions exactly.
+        let total = view.total_slots().min(self.order.len());
+        if total > 0 && total < self.order.len() {
+            self.order.select_nth_unstable_by(total - 1, by_rank);
+        }
+        let (winners, losers) = self.order.split_at_mut(total);
+        winners.sort_unstable_by(by_rank);
+        let mut evicted = 0;
+        for i in 0..losers.len() {
+            if matches!(losers[i].2, JobLoc::Running(_)) {
+                losers.swap(evicted, i);
+                evicted += 1;
+            }
+        }
+        let evicted = &mut losers[..evicted];
+        evicted.sort_unstable_by(by_rank);
 
         // Preempt running jobs that lost their slot.
-        self.free.clear();
-        self.free
-            .extend((0..view.node_count()).map(|n| view.free_slots(n)));
-        for &(_, id, loc) in &self.order {
+        self.free.reset(view);
+        for &(_, id, loc) in evicted.iter() {
             if let JobLoc::Running(node) = loc {
-                if self.should_run.binary_search(&id).is_err() {
-                    actions.push(SchedAction::Preempt { job: id });
-                    self.free[node] += 1;
-                }
+                actions.push(SchedAction::Preempt { job: id });
+                self.free.give(node);
             }
         }
 
         // Place queued winners, least-attained first.
-        for &(_, id, loc) in self.order.iter().take(total) {
+        for &(_, id, loc) in winners.iter() {
             if loc == JobLoc::Queued {
-                let node = most_free(&self.free)
+                let node = self
+                    .free
+                    .best()
                     .expect("preemptions freed at least as many slots as queued winners");
                 actions.push(SchedAction::Place { job: id, node });
-                self.free[node] -= 1;
+                self.free.take(node);
             }
         }
     }
@@ -485,6 +541,133 @@ impl ClusterPolicy for TiresiasPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The linear scan [`FreeSlotTree`] replaced: the node with the most
+    /// free slots, lowest index on ties.
+    fn most_free(free: &[usize]) -> Option<usize> {
+        let mut best: Option<usize> = None;
+        for (idx, &f) in free.iter().enumerate() {
+            if f == 0 {
+                continue;
+            }
+            match best {
+                Some(b) if free[b] >= f => {}
+                _ => best = Some(idx),
+            }
+        }
+        best
+    }
+
+    /// The full-sort Tiresias ranking the top-k selection replaced.
+    fn full_sort_tiresias(view: &ClusterView<'_>) -> Vec<SchedAction> {
+        let mut order: Vec<(f64, u32, JobLoc)> = view
+            .queue
+            .iter()
+            .map(|j| (j.attained_cpu_secs, j.id, JobLoc::Queued))
+            .collect();
+        for node in 0..view.node_count() {
+            for r in view.running_on(node) {
+                order.push((r.attained_cpu_secs, r.id, JobLoc::Running(node)));
+            }
+        }
+        order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let total = view.total_slots();
+        let mut should_run: Vec<u32> = order.iter().take(total).map(|&(_, id, _)| id).collect();
+        should_run.sort_unstable();
+        let mut free: Vec<usize> = (0..view.node_count()).map(|n| view.free_slots(n)).collect();
+        let mut actions = Vec::new();
+        for &(_, id, loc) in &order {
+            if let JobLoc::Running(node) = loc {
+                if should_run.binary_search(&id).is_err() {
+                    actions.push(SchedAction::Preempt { job: id });
+                    free[node] += 1;
+                }
+            }
+        }
+        for &(_, id, loc) in order.iter().take(total) {
+            if loc == JobLoc::Queued {
+                let node = most_free(&free).expect("a slot was freed for every winner");
+                actions.push(SchedAction::Place { job: id, node });
+                free[node] -= 1;
+            }
+        }
+        actions
+    }
+
+    proptest! {
+        #[test]
+        fn free_slot_tree_picks_the_linear_scans_node(
+            start in prop::collection::vec(0usize..4, 1..40),
+            steps in prop::collection::vec((0usize..64, 0u8..2), 0..80),
+        ) {
+            // Only `free_slots` is read, so the spans need no running arena.
+            let spans: Vec<NodeSpan> = start
+                .iter()
+                .map(|&f| NodeSpan { slots: 4, start: 0, len: 4 - f })
+                .collect();
+            let mut tree = FreeSlotTree::default();
+            tree.reset(&ClusterView::new(SimTime::ZERO, &[], &spans[..1], &[]));
+            tree.reset(&ClusterView::new(SimTime::ZERO, &[], &spans, &[]));
+            let mut free = start.clone();
+            prop_assert_eq!(tree.best(), most_free(&free));
+            for (pick, up) in steps {
+                let node = pick % free.len();
+                if up == 1 || free[node] == 0 {
+                    free[node] += 1;
+                    tree.give(node);
+                } else {
+                    free[node] -= 1;
+                    tree.take(node);
+                }
+                prop_assert_eq!(tree.best(), most_free(&free), "free slots {:?}", free);
+            }
+        }
+
+        #[test]
+        fn top_k_tiresias_emits_the_full_sorts_actions(
+            nodes in prop::collection::vec((1usize..4, 0usize..4), 1..10),
+            queued in 0usize..30,
+            service in prop::collection::vec(0u32..5, 64),
+            salt in 0u32..1_000_000,
+        ) {
+            // Five service levels make attained-service ties common, and
+            // scrambled ids make id order differ from position order.
+            let id = |i: usize| (i as u32).wrapping_mul(0x9E37_79B1) ^ salt;
+            let attained = |i: usize| f64::from(service[i % service.len()]) * 12.5;
+            let mut spans = Vec::new();
+            let mut running = Vec::new();
+            for &(slots, busy) in &nodes {
+                let len = busy.min(slots);
+                spans.push(NodeSpan { slots, start: running.len(), len });
+                for _ in 0..len {
+                    let i = running.len();
+                    running.push(RunningJobView {
+                        id: id(i),
+                        attained_cpu_secs: attained(i),
+                        placed_at: SimTime::ZERO,
+                    });
+                }
+            }
+            let queue: Vec<QueuedJobView> = (running.len()..running.len() + queued)
+                .map(|i| QueuedJobView {
+                    id: id(i),
+                    arrival: SimTime::ZERO,
+                    attained_cpu_secs: attained(i),
+                    queued_since: SimTime::ZERO,
+                })
+                .collect();
+            let view = ClusterView::new(SimTime::from_secs(100), &queue, &spans, &running);
+            let want = full_sort_tiresias(&view);
+            // Twice through one instance: recycled scratch must not leak.
+            let mut policy = TiresiasPolicy::new();
+            for _ in 0..2 {
+                let mut actions = Vec::new();
+                policy.schedule(&view, &mut actions);
+                prop_assert_eq!(&actions, &want);
+            }
+        }
+    }
 
     fn queued(id: u32, attained: f64) -> QueuedJobView {
         QueuedJobView {

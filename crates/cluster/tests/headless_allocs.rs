@@ -12,11 +12,15 @@
 //! The budget is asserted on the *marginal* cost between two cluster sizes
 //! so fixed per-run overhead (shard thread spawns, result vectors, the
 //! allocator's warm-up) cancels out; counting is process-wide because the
-//! executor's shard threads do the actual work.
+//! executor's shard threads do the actual work.  The scheduler tests run
+//! `.sequential(true)`, so all of their work happens on the test's own
+//! thread and they count only that thread: the test harness's other
+//! threads allocate at will and must not bill an exact comparison.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use flowcon_cluster::{
     ClusterSession, ClusterSessionBuilder, Horizon, PolicyKind, SchedPolicyKind,
@@ -43,15 +47,39 @@ const DENSE_ALLOCS_PER_WORKER_BUDGET: f64 = 10.0;
 /// counting window.
 static COUNT_WINDOW: Mutex<()> = Mutex::new(());
 
+/// Take [`COUNT_WINDOW`], even from a test that failed while holding it:
+/// one failure must not cascade into every later test.
+fn count_window() -> MutexGuard<'static, ()> {
+    COUNT_WINDOW.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static COUNTING: AtomicBool = AtomicBool::new(false);
 
+thread_local! {
+    /// Allocations by this thread inside [`allocs_on_this_thread`].
+    static THREAD_ALLOCATIONS: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
 fn count_if_enabled() {
     if COUNTING.load(Ordering::Relaxed) {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
     }
+    let _ = THREAD_ALLOCATIONS.try_with(|n| {
+        if let Some(count) = n.get() {
+            n.set(Some(count + 1));
+        }
+    });
+}
+
+/// Run `f` and count the allocations it makes on the calling thread only.
+fn allocs_on_this_thread<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    THREAD_ALLOCATIONS.with(|n| n.set(Some(0)));
+    let out = f();
+    let allocs = THREAD_ALLOCATIONS.with(|n| n.replace(None)).unwrap_or(0);
+    (allocs, out)
 }
 
 unsafe impl GlobalAlloc for CountingAllocator {
@@ -95,7 +123,7 @@ fn allocs_of_headless_run(workers: usize, plan: WorkloadPlan) -> u64 {
 
 #[test]
 fn headless_cluster_run_stays_within_the_allocs_per_worker_budget() {
-    let _window = COUNT_WINDOW.lock().unwrap();
+    let _window = count_window();
     const SMALL: usize = 64;
     const LARGE: usize = 320;
     let small_plan = WorkloadPlan::random_n(SMALL * 2, 0xC1A5);
@@ -147,7 +175,7 @@ fn allocs_of_source_run(workers: usize, jobs_per_worker: usize) -> u64 {
 
 #[test]
 fn plan_source_driven_cluster_stays_within_the_same_budget() {
-    let _window = COUNT_WINDOW.lock().unwrap();
+    let _window = count_window();
     const SMALL: usize = 64;
     const LARGE: usize = 320;
 
@@ -186,7 +214,7 @@ fn allocs_of_open_loop_run(workers: usize) -> u64 {
 
 #[test]
 fn open_loop_cluster_stays_within_the_same_budget() {
-    let _window = COUNT_WINDOW.lock().unwrap();
+    let _window = count_window();
     const SMALL: usize = 64;
     const LARGE: usize = 320;
 
@@ -208,7 +236,7 @@ fn open_loop_cluster_stays_within_the_same_budget() {
 
 #[test]
 fn ten_k_worker_trace_replay_stays_within_budget() {
-    let _window = COUNT_WINDOW.lock().unwrap();
+    let _window = count_window();
     // The ISSUE-4 acceptance configuration: a 10240-worker headless
     // cluster driven by one shared (unlabeled) arrival trace through a
     // `TraceSource`.  The budget is asserted on the marginal cost between
@@ -253,7 +281,7 @@ fn ten_k_worker_trace_replay_stays_within_budget() {
 
 #[test]
 fn headless_memory_is_o_completions() {
-    let _window = COUNT_WINDOW.lock().unwrap();
+    let _window = count_window();
     // 512 workers × 2 jobs: the retained result is one `Completion` (3
     // words) per job plus one `usize` placement per job — no series, no
     // labels.  This asserts the *shape*, the budget test above asserts the
@@ -267,29 +295,30 @@ fn headless_memory_is_o_completions() {
     assert_eq!(retained, workers * 2);
 }
 
-/// Process-wide allocations of one sequential FIFO scheduler run: the
+/// This thread's allocations in one sequential FIFO scheduler run: the
 /// engine's per-quantum decision loop recycles its view buffers and each
 /// node recycles its measurement/waterfill scratch, so the cost must
 /// scale with the *jobs* (admissions, decisions, completions — plus the
 /// labeled plan built inside the window), not with the number of quantum
 /// barriers crossed on the way.
 fn allocs_of_sched_run(jobs: usize) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let out = ClusterSession::builder()
-        .nodes(4, NodeConfig::default().with_seed(0xF10C))
-        .policy(PolicyKind::FlowCon(FlowConConfig::default()))
-        .plan(WorkloadPlan::random_n(jobs, 0xC1A5))
-        .scheduler(SchedPolicyKind::Fifo)
-        .sequential(true)
-        .build()
-        .run();
+    let (allocs, out) = allocs_on_this_thread(|| {
+        ClusterSession::builder()
+            .nodes(4, NodeConfig::default().with_seed(0xF10C))
+            .policy(PolicyKind::FlowCon(FlowConConfig::default()))
+            .plan(WorkloadPlan::random_n(jobs, 0xC1A5))
+            .scheduler(SchedPolicyKind::Fifo)
+            .sequential(true)
+            .build()
+            .run()
+    });
     assert_eq!(out.completed_jobs(), jobs, "jobs conserved");
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    allocs
 }
 
 #[test]
 fn warm_sketch_inserts_are_allocation_free() {
-    let _window = COUNT_WINDOW.lock().unwrap();
+    let _window = count_window();
     // The ISSUE-8 acceptance invariant: once a sketch has seen the value
     // range of its workload, `insert` is a key computation plus a counter
     // bump — zero heap traffic.  This is what lets every worker feed its
@@ -319,23 +348,24 @@ fn allocs_of_traced_sched_run<T: flowcon_sim::trace::Tracer + Send>(
     jobs: usize,
     tracer: T,
 ) -> (u64, T) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let (out, tracer) = ClusterSession::builder()
-        .nodes(4, NodeConfig::default().with_seed(0xF10C))
-        .policy(PolicyKind::FlowCon(FlowConConfig::default()))
-        .plan(WorkloadPlan::random_n(jobs, 0xC1A5))
-        .scheduler(SchedPolicyKind::Fifo)
-        .sequential(true)
-        .tracer(tracer)
-        .build()
-        .run_traced();
+    let (allocs, (out, tracer)) = allocs_on_this_thread(|| {
+        ClusterSession::builder()
+            .nodes(4, NodeConfig::default().with_seed(0xF10C))
+            .policy(PolicyKind::FlowCon(FlowConConfig::default()))
+            .plan(WorkloadPlan::random_n(jobs, 0xC1A5))
+            .scheduler(SchedPolicyKind::Fifo)
+            .sequential(true)
+            .tracer(tracer)
+            .build()
+            .run_traced()
+    });
     assert_eq!(out.completed_jobs(), jobs, "jobs conserved");
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, tracer)
+    (allocs, tracer)
 }
 
 #[test]
 fn noop_tracer_is_allocation_neutral_on_the_sched_path() {
-    let _window = COUNT_WINDOW.lock().unwrap();
+    let _window = count_window();
     // `NoopTracer` is the *default* tracer type, so `.tracer(NoopTracer)`
     // selects the very same monomorphization as the plain `.run()` the
     // budget tests above gate — the two must allocate identically, which
@@ -345,10 +375,8 @@ fn noop_tracer_is_allocation_neutral_on_the_sched_path() {
     const JOBS: usize = 64;
     allocs_of_sched_run(JOBS); // warm-up (OnceLock, thread-locals)
 
-    COUNTING.store(true, Ordering::Relaxed);
     let plain = allocs_of_sched_run(JOBS);
     let (noop, _) = allocs_of_traced_sched_run(JOBS, flowcon_sim::trace::NoopTracer);
-    COUNTING.store(false, Ordering::Relaxed);
 
     assert_eq!(
         plain, noop,
@@ -358,20 +386,18 @@ fn noop_tracer_is_allocation_neutral_on_the_sched_path() {
 
 #[test]
 fn flight_recorder_costs_only_its_preallocation() {
-    let _window = COUNT_WINDOW.lock().unwrap();
+    let _window = count_window();
     // Recording into the ring is plain stores into preallocated storage:
     // the whole traced run may add only the recorder's own ring, the
     // per-node forked rings (4 nodes here), and nothing per event.
     const JOBS: usize = 64;
     allocs_of_sched_run(JOBS); // warm-up (OnceLock, thread-locals)
 
-    COUNTING.store(true, Ordering::Relaxed);
     let plain = allocs_of_sched_run(JOBS);
     let (traced, recorder) = allocs_of_traced_sched_run(
         JOBS,
         flowcon_sim::trace::FlightRecorder::with_capacity(1 << 16),
     );
-    COUNTING.store(false, Ordering::Relaxed);
 
     assert!(!recorder.is_empty(), "the run must actually be recorded");
     assert_eq!(recorder.dropped(), 0, "capacity covers the whole run");
@@ -385,16 +411,14 @@ fn flight_recorder_costs_only_its_preallocation() {
 
 #[test]
 fn sched_engine_marginal_cost_scales_with_jobs_not_barriers() {
-    let _window = COUNT_WINDOW.lock().unwrap();
+    let _window = count_window();
     const SMALL: usize = 32;
     const LARGE: usize = 128;
 
     allocs_of_sched_run(SMALL); // warm-up (OnceLock, thread-locals)
 
-    COUNTING.store(true, Ordering::Relaxed);
     let small = allocs_of_sched_run(SMALL);
     let large = allocs_of_sched_run(LARGE);
-    COUNTING.store(false, Ordering::Relaxed);
 
     let marginal = (large.saturating_sub(small)) as f64 / (LARGE - SMALL) as f64;
     eprintln!("sched marginal cost: {marginal:.2} allocs/job");

@@ -1,8 +1,9 @@
 //! Determinism and edge cases of the online cluster scheduler
 //! (ISSUE-7 satellite): same seed + same trace ⇒ bit-identical decision
 //! log and completion list, whether node advances run sequentially or on
-//! the sharded executor, and across repeated runs — for every built-in
-//! discipline.  Plus the preemption corners a discipline can reach:
+//! the run's shard threads, and across repeated runs — for every built-in
+//! discipline, with golden digests pinning each discipline's schedule
+//! against drift.  Plus the preemption corners a discipline can reach:
 //! preempting at the very first barrier, migrating a job to the node it
 //! already occupies, and scheduling rounds with an empty admission queue.
 
@@ -40,6 +41,87 @@ fn decision_logs_are_bit_identical_across_advance_modes() {
         // completion times, and the stream accounting — full bit-compare.
         assert_eq!(seq, shard, "{} diverged across advance modes", kind.name());
         assert_eq!(seq.completed_jobs(), 24, "{} lost jobs", kind.name());
+    }
+}
+
+/// FNV-1a over the little-endian bytes of a stream of words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+}
+
+/// One word-stream digest of everything a run decides and produces: the
+/// decision log, the exact completion list, the stream accounting and the
+/// counters.
+fn fingerprint(out: &SchedOutcome) -> u64 {
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    for d in &out.decisions {
+        h.word(d.at.as_micros());
+        let (tag, job, node) = match d.action {
+            SchedAction::Place { job, node } => (0, job, node),
+            SchedAction::Preempt { job } => (1, job, 0),
+            SchedAction::Migrate { job, node } => (2, job, node),
+        };
+        h.word(tag);
+        h.word(u64::from(job));
+        h.word(node as u64);
+    }
+    for c in &out.completions {
+        h.word(c.arrival.as_micros());
+        h.word(c.finished.as_micros());
+        h.word(c.exit_code as u64);
+    }
+    let s = &out.stream;
+    h.word(s.submitted);
+    h.word(s.completed);
+    for v in [
+        s.duration_secs,
+        s.busy_cpu_secs,
+        s.queue_job_secs,
+        s.capacity_cpu_secs,
+        out.total_queue_wait_secs,
+    ] {
+        h.word(v.to_bits());
+    }
+    h.word(out.preemptions);
+    h.word(out.migrations);
+    h.word(out.algorithm_runs);
+    h.0
+}
+
+#[test]
+fn decision_logs_match_their_golden_digests() {
+    // Digests of one fixed 64-node x 4,096-job run per discipline, taken
+    // from the full-sort, linear-scan scheduler these runs must keep
+    // reproducing bit for bit.  A changed digest means a changed schedule.
+    let golden = [
+        (SchedPolicyKind::Fifo, 0x2b87_e328_4e6c_7a95),
+        (SchedPolicyKind::Gandiva, 0xac86_a066_8f8e_733b),
+        (SchedPolicyKind::Tiresias, 0xd5b6_3e07_0465_5312),
+    ];
+    for (kind, want) in golden {
+        for sequential in [true, false] {
+            let out = base(64)
+                .plan(WorkloadPlan::random_n(4096, 0xC1A5))
+                .scheduler(kind)
+                .sequential(sequential)
+                .build()
+                .run();
+            assert_eq!(out.completed_jobs(), 4096, "{} lost jobs", kind.name());
+            let got = fingerprint(&out);
+            assert_eq!(
+                got,
+                want,
+                "{} (sequential: {sequential}) schedule drifted: digest {got:#018x}",
+                kind.name()
+            );
+        }
     }
 }
 
