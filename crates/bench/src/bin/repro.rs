@@ -29,7 +29,7 @@
 //!   table1 fig1 fig3 fig4 fig5 fig6 table2 fig7 fig8 fig9 fig10 fig11
 //!   fig12 fig13 fig14 fig15 fig16 fig17
 //!   ablation-backoff ablation-beta ablation-kappa ablation-policies
-//!   all (default)
+//!   ablation-resource all (default)
 //!
 //! `repro bench` runs the fixed allocator/engine/policy/cluster micro-suite
 //! and writes a machine-readable `BENCH_<date>.json` (see BENCHMARKS.md).
@@ -83,9 +83,11 @@
 //! mean queueing delay, preemptions, migrations, utilization, and
 //! p50/p95/p99 sojourn and queue-wait tails from the quantile sketches).
 //! Runs are deterministic: same `--seed` ⇒ bit-identical decision log,
-//! sharded or `--sequential`.  `sched`, `frontier` and `timeline` exit 2
-//! on any argument outside their flag list and on a `--quantum` that is
-//! not finite or is finer than the clock's 1 µs tick.
+//! sharded or `--sequential`.  Every subcommand exits 2 on any argument
+//! outside its flag list, and `repro` exits 2 on an unknown experiment
+//! name before running any; `sched`, `frontier` and `timeline` also exit
+//! 2 on a `--quantum` that is not finite or is finer than the clock's
+//! 1 µs tick.
 //!
 //! `repro frontier` is the capacity-planning sweep: per policy, it feeds
 //! the online scheduler a cluster-wide Poisson arrival stream and climbs
@@ -185,108 +187,89 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("bench") {
-        run_bench(&args[1..]);
-        return;
+    let rest = args.get(1..).unwrap_or_default();
+    match args.first().map(String::as_str) {
+        Some("bench") => run_bench(rest),
+        Some("cluster") => run_cluster(rest),
+        Some("profile") => run_profile(rest),
+        Some("trace") => run_trace(rest),
+        Some("stream") => run_stream(rest),
+        Some("sched") => run_sched_cmd(rest),
+        Some("frontier") => run_frontier(rest),
+        Some("timeline") => run_timeline(rest),
+        Some("fidelity") => run_fidelity(rest),
+        _ => run_experiments(&args),
     }
-    if args.first().map(String::as_str) == Some("cluster") {
-        run_cluster(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("profile") {
-        run_profile(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("trace") {
-        run_trace(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("stream") {
-        run_stream(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("sched") {
-        run_sched_cmd(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("frontier") {
-        run_frontier(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("timeline") {
-        run_timeline(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("fidelity") {
-        run_fidelity(&args[1..]);
-        return;
-    }
-    let wanted: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
-        // fig7/fig10/fig13/fig15 each also print their paired figure.
-        vec![
-            "table1",
-            "fig1",
-            "fig3",
-            "fig4",
-            "fig5",
-            "fig6",
-            "table2",
-            "fig7",
-            "fig9",
-            "fig10",
-            "fig12",
-            "fig13",
-            "fig15",
-            "fig17",
-            "ablation-backoff",
-            "ablation-beta",
-            "ablation-kappa",
-            "ablation-policies",
-            "ablation-resource",
-        ]
-    } else {
-        args.iter().map(|s| s.as_str()).collect()
-    };
+}
 
-    for exp in wanted {
-        match exp {
-            "table1" => table1(),
-            "fig1" => run_fig1(),
-            "fig3" => fixed_sweep(
-                "Fig. 3 (alpha=5%, itval sweep)",
-                fixed::fig3(default_node()),
-                "fig3",
-            ),
-            "fig4" => fixed_sweep(
-                "Fig. 4 (alpha=10%, itval sweep)",
-                fixed::fig4(default_node()),
-                "fig4",
-            ),
-            "fig5" => fixed_sweep(
-                "Fig. 5 (itval=20, alpha sweep)",
-                fixed::fig5(default_node()),
-                "fig5",
-            ),
-            "fig6" => fixed_sweep(
-                "Fig. 6 (itval=30, alpha sweep)",
-                fixed::fig6(default_node()),
-                "fig6",
-            ),
-            "table2" => table2(),
-            "fig7" | "fig8" => fig7_fig8(),
-            "fig9" => fig9(),
-            "fig10" | "fig11" => fig10_fig11(),
-            "fig12" => fig12_fig15_fig16(false),
-            "fig15" | "fig16" => fig12_fig15_fig16(true),
-            "fig13" | "fig14" => fig13_fig14(),
-            "fig17" => fig17(),
-            "ablation-backoff" => ablation_backoff(),
-            "ablation-beta" => ablation_beta(),
-            "ablation-kappa" => ablation_kappa(),
-            "ablation-policies" => ablation_policies(),
-            "ablation-resource" => ablation_resource(),
-            other => eprintln!("unknown experiment: {other}"),
+/// Every paper table and figure `repro` regenerates, as `(name, run by
+/// all, run)`.  A figure printed together with its partner (`fig8` with
+/// `fig7`) runs by name but not a second time under `all`.
+const EXPERIMENTS: &[(&str, bool, fn())] = &[
+    ("table1", true, table1),
+    ("fig1", true, run_fig1),
+    ("fig3", true, || {
+        let sweep = fixed::fig3(default_node());
+        fixed_sweep("Fig. 3 (alpha=5%, itval sweep)", sweep, "fig3")
+    }),
+    ("fig4", true, || {
+        let sweep = fixed::fig4(default_node());
+        fixed_sweep("Fig. 4 (alpha=10%, itval sweep)", sweep, "fig4")
+    }),
+    ("fig5", true, || {
+        let sweep = fixed::fig5(default_node());
+        fixed_sweep("Fig. 5 (itval=20, alpha sweep)", sweep, "fig5")
+    }),
+    ("fig6", true, || {
+        let sweep = fixed::fig6(default_node());
+        fixed_sweep("Fig. 6 (itval=30, alpha sweep)", sweep, "fig6")
+    }),
+    ("table2", true, table2),
+    ("fig7", true, fig7_fig8),
+    ("fig8", false, fig7_fig8),
+    ("fig9", true, fig9),
+    ("fig10", true, fig10_fig11),
+    ("fig11", false, fig10_fig11),
+    ("fig12", true, || fig12_fig15_fig16(false)),
+    ("fig13", true, fig13_fig14),
+    ("fig14", false, fig13_fig14),
+    ("fig15", true, || fig12_fig15_fig16(true)),
+    ("fig16", false, || fig12_fig15_fig16(true)),
+    ("fig17", true, fig17),
+    ("ablation-backoff", true, ablation_backoff),
+    ("ablation-beta", true, ablation_beta),
+    ("ablation-kappa", true, ablation_kappa),
+    ("ablation-policies", true, ablation_policies),
+    ("ablation-resource", true, ablation_resource),
+];
+
+/// `repro [experiment ...]`: run the named experiments in order, or every
+/// one for `all` or no argument.  Every name is checked before anything
+/// runs, so a typo exits 2 instead of costing a partial run first.
+fn run_experiments(args: &[String]) {
+    let mut wanted = Vec::new();
+    for name in args.iter().filter(|a| *a != "all") {
+        match EXPERIMENTS.iter().find(|(known, _, _)| known == name) {
+            Some(&(_, _, run)) => wanted.push(run),
+            None => {
+                let valid: Vec<&str> = EXPERIMENTS.iter().map(|&(known, _, _)| known).collect();
+                eprintln!(
+                    "repro: unknown experiment {name:?} (valid: {} all)",
+                    valid.join(" ")
+                );
+                std::process::exit(2);
+            }
         }
+    }
+    if args.is_empty() || args.iter().any(|a| a == "all") {
+        wanted = EXPERIMENTS
+            .iter()
+            .filter(|&&(_, in_all, _)| in_all)
+            .map(|&(_, _, run)| run)
+            .collect();
+    }
+    for run in wanted {
+        run();
     }
 }
 
@@ -348,6 +331,8 @@ fn quantum_flag(args: &[String]) -> f64 {
 /// print a table, write the machine-readable trajectory file, and — with
 /// `--check` — gate the fresh numbers against a committed baseline.
 fn run_bench(args: &[String]) {
+    check_flags("bench", args, &[("--out", true), ("--check", true)]);
+
     let out_path =
         flag_value(args, "--out").unwrap_or_else(|| format!("BENCH_{}.json", perf::today_utc()));
     // Resolve (and stat) the baseline up front: a bad gate invocation must
@@ -468,6 +453,18 @@ fn run_cluster(args: &[String]) {
     use flowcon_core::recorder::FullRecorder;
     use flowcon_dl::workload::WorkloadPlan;
     use flowcon_metrics::summary::makespan_over;
+
+    check_flags(
+        "cluster",
+        args,
+        &[
+            ("--workers", true),
+            ("--jobs", true),
+            ("--seed", true),
+            ("--headless", false),
+            ("--queue", true),
+        ],
+    );
 
     let parse_num = |name: &str| {
         flag_value(args, name).map(|v| {
@@ -609,6 +606,17 @@ fn run_profile(args: &[String]) {
     use flowcon_dl::workload::WorkloadPlan;
     use std::time::Instant;
 
+    check_flags(
+        "profile",
+        args,
+        &[
+            ("--workers", true),
+            ("--jobs", true),
+            ("--seed", true),
+            ("--queue", true),
+        ],
+    );
+
     let parse_num = |name: &str| {
         flag_value(args, name).map(|v| {
             v.parse::<u64>().unwrap_or_else(|_| {
@@ -721,6 +729,23 @@ fn run_trace(args: &[String]) {
     use flowcon_cluster::PolicyKind;
     use flowcon_core::config::{FlowConConfig, NodeConfig};
     use flowcon_workload::{ArrivalTrace, BoundTrace, SyntheticSource, TraceCatalog, TraceSource};
+
+    check_flags(
+        "trace",
+        args,
+        &[
+            ("--file", true),
+            ("--synthetic", true),
+            ("--jobs", true),
+            ("--rate", true),
+            ("--seed", true),
+            ("--workers", true),
+            ("--policy", true),
+            ("--thin", true),
+            ("--compress", true),
+            ("--emit", true),
+        ],
+    );
 
     let file = flag_value(args, "--file");
     let synthetic = flag_value(args, "--synthetic");
@@ -1396,6 +1421,25 @@ fn run_stream(args: &[String]) {
     use flowcon_sim::time::SimTime;
     use flowcon_workload::{ArrivalTrace, TraceCatalog};
 
+    check_flags(
+        "stream",
+        args,
+        &[
+            ("--synthetic", true),
+            ("--file", true),
+            ("--cycle", false),
+            ("--until", true),
+            ("--jobs", true),
+            ("--rate", true),
+            ("--seed", true),
+            ("--workers", true),
+            ("--policy", true),
+            ("--headless", false),
+            ("--hints", false),
+            ("--trace-out", true),
+        ],
+    );
+
     let file = flag_value(args, "--file");
     let synthetic = flag_value(args, "--synthetic");
     if file.is_some() == synthetic.is_some() {
@@ -1996,6 +2040,19 @@ fn run_fidelity(args: &[String]) {
     use flowcon_bench::experiments::fidelity::{self, ChaosKind, FidelityConfig};
     use flowcon_metrics::export::JsonValue;
     use flowcon_metrics::fidelity::FidelityTolerance;
+
+    check_flags(
+        "fidelity",
+        args,
+        &[
+            ("--workers", true),
+            ("--jobs", true),
+            ("--seed", true),
+            ("--dilation", true),
+            ("--chaos", true),
+            ("--emit", true),
+        ],
+    );
 
     let parse_num = |name: &str, default: u64| {
         flag_value(args, name).map_or(default, |v| {

@@ -5,7 +5,7 @@
 //! evaluation-function value FlowCon's Container Monitor samples.
 
 use flowcon_container::workload::{Workload, WorkloadStatus};
-use flowcon_sim::rng::SimRng;
+use flowcon_sim::rng::{box_muller, SimRng};
 use flowcon_sim::time::SimTime;
 
 use crate::models::ModelSpec;
@@ -25,8 +25,10 @@ pub struct TrainingJob {
     done: f64,
     /// Per-instance noise stream.
     rng: SimRng,
-    /// Cached noisy evaluation value, refreshed on advance.
-    last_eval: Option<f64>,
+    /// The uniforms of the current measurement's noise, drawn on every
+    /// post-warm-up advance and turned into the noisy evaluation value
+    /// only when [`Workload::eval`] reads it.  `None` until warm-up ends.
+    noise: Option<(f64, f64)>,
     failed: Option<i32>,
 }
 
@@ -63,7 +65,7 @@ impl TrainingJob {
             total_work,
             done: 0.0,
             rng,
-            last_eval: None,
+            noise: None,
             failed: None,
         }
     }
@@ -104,19 +106,23 @@ impl TrainingJob {
         self.failed = Some(code);
     }
 
-    /// Refresh the cached noisy measurement.
+    /// The noisy measurement at the current progress, from the noise
+    /// uniforms the last advance drew.
     ///
     /// Noise is multiplicative on the *remaining distance to convergence*
     /// (training noise shrinks as the model converges) plus a small absolute
     /// jitter so converged jobs still wiggle — FlowCon's α threshold has to
-    /// filter exactly that wiggle in practice.
-    fn remeasure(&mut self) {
+    /// filter exactly that wiggle in practice.  Only `advance` moves the
+    /// progress or the draw, so evaluating on read yields the value an
+    /// eager per-advance measurement would have cached, bit for bit.
+    fn measure(&self, noise: (f64, f64)) -> f64 {
         let truth = self.true_eval();
         let converged = self.spec.eval.converged;
         let distance = truth - converged;
-        let rel = 1.0 + self.spec.noise * self.rng.normal();
-        let abs = 0.002 * self.spec.eval.magnitude() * self.rng.normal();
-        self.last_eval = Some(converged + distance * rel + abs);
+        let (z_rel, z_abs) = box_muller(noise);
+        let rel = 1.0 + self.spec.noise * z_rel;
+        let abs = 0.002 * self.spec.eval.magnitude() * z_abs;
+        converged + distance * rel + abs
     }
 }
 
@@ -133,12 +139,12 @@ impl Workload for TrainingJob {
         debug_assert!(cpu_seconds >= 0.0);
         self.done = (self.done + cpu_seconds).min(self.total_work);
         if self.progress() >= WARMUP_FRACTION {
-            self.remeasure();
+            self.noise = Some(self.rng.normal_pair_uniforms());
         }
     }
 
     fn eval(&self, _now: SimTime) -> Option<f64> {
-        self.last_eval
+        self.noise.map(|noise| self.measure(noise))
     }
 
     fn status(&self) -> WorkloadStatus {

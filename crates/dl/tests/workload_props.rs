@@ -12,6 +12,59 @@ fn arb_model() -> impl Strategy<Value = ModelSpec> {
     (0..ALL_MODELS.len()).prop_map(|i| ModelSpec::of(ALL_MODELS[i]))
 }
 
+/// The eager measurement `TrainingJob` is pinned against: the job's
+/// constructor physics, then one fresh noisy value per post-warm-up
+/// advance from two `normal()` draws.
+struct EagerJob {
+    spec: ModelSpec,
+    total_work: f64,
+    done: f64,
+    rng: SimRng,
+    eval: Option<f64>,
+}
+
+impl EagerJob {
+    fn new(spec: ModelSpec, rng: &mut SimRng) -> Self {
+        let mut rng = rng.split();
+        let jitter = 1.0 + 0.03 * (2.0 * rng.f64() - 1.0);
+        EagerJob {
+            total_work: spec.total_work * jitter,
+            spec,
+            done: 0.0,
+            rng,
+            eval: None,
+        }
+    }
+
+    fn advance(&mut self, cpu_seconds: f64) {
+        self.done = (self.done + cpu_seconds).min(self.total_work);
+        let progress = (self.done / self.total_work).min(1.0);
+        if progress >= 0.005 {
+            let truth = self
+                .spec
+                .eval
+                .value_at(self.spec.eval_curve().level(progress));
+            let converged = self.spec.eval.converged;
+            let distance = truth - converged;
+            let rel = 1.0 + self.spec.noise * self.rng.normal();
+            let abs = 0.002 * self.spec.eval.magnitude() * self.rng.normal();
+            self.eval = Some(converged + distance * rel + abs);
+        }
+    }
+}
+
+/// One advance of an equivalence run, as a fraction of the model's
+/// nominal work: zero, below the 0.5% warm-up, a few percent, or a step
+/// that can overshoot the total.
+fn arb_step() -> impl Strategy<Value = f64> {
+    (0u8..4, 0.0f64..1.0).prop_map(|(kind, x)| match kind {
+        0 => 0.0,
+        1 => 0.004 * x,
+        2 => 0.05 * x,
+        _ => 0.6 * x,
+    })
+}
+
 proptest! {
     /// Quality (and hence accuracy) is monotone in consumed compute for
     /// every catalog model, whatever the step sizes.
@@ -106,6 +159,41 @@ proptest! {
         let fp = job.footprint();
         prop_assert!(fp.is_valid());
         prop_assert!(fp.get(flowcon_sim::ResourceKind::Cpu) == 0.0, "cpu is the allocator's");
+    }
+
+    /// Evaluating on read is bit-identical to measuring eagerly on every
+    /// advance, however the advances fall (zero-work steps, the warm-up
+    /// crossing, overshoot past the total) and however often the value is
+    /// read: twice, or not at all, changes no later value.
+    #[test]
+    fn lazy_eval_matches_eager_measurement_bit_for_bit(
+        spec in arb_model(),
+        steps in prop::collection::vec((arb_step(), 0u8..3), 1..80),
+        seed in 0u64..1000,
+    ) {
+        let mut rng = SimRng::new(seed);
+        let mut eager = EagerJob::new(spec.clone(), &mut rng.clone());
+        let mut every_step = TrainingJob::new(spec.clone(), &mut rng.clone());
+        let mut sometimes = TrainingJob::new(spec.clone(), &mut rng);
+        let bits = |v: Option<f64>| v.map(f64::to_bits);
+        for (i, &(fraction, reads)) in steps.iter().enumerate() {
+            let now = SimTime::from_secs(i as u64);
+            let work = fraction * spec.total_work;
+            eager.advance(work);
+            every_step.advance(now, work);
+            sometimes.advance(now, work);
+            let want = bits(eager.eval);
+            prop_assert_eq!(bits(every_step.eval(now)), want, "step {}", i);
+            for _ in 0..reads {
+                prop_assert_eq!(bits(sometimes.eval(now)), want, "step {} (sparse reads)", i);
+            }
+            prop_assert_eq!(
+                every_step.remaining_cpu_seconds().map(f64::to_bits),
+                Some((eager.total_work - eager.done).max(0.0).to_bits())
+            );
+        }
+        let end = SimTime::from_secs(steps.len() as u64);
+        prop_assert_eq!(bits(sometimes.eval(end)), bits(eager.eval));
     }
 
     /// Two jobs from the same spec and seed are identical; different seeds

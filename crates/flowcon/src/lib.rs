@@ -58,6 +58,6 @@ pub use dense::{run_headless_dense, DenseScratch, QueueKind};
 pub use lists::{ListKind, Lists};
 pub use metric::{growth_efficiency, progress_score, GrowthMeasurement};
 pub use policy::{FairSharePolicy, FlowConPolicy, ResourcePolicy, StaticEqualPolicy};
-pub use recorder::{CompletionsOnly, FullRecorder, Recorder, SamplingRecorder};
+pub use recorder::{CompletionsOnly, FullRecorder, Recorder};
 pub use session::{Session, SessionBuilder, SessionResult, StreamResult};
 pub use worker::{RunResult, WorkerScratch};

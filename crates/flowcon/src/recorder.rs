@@ -13,15 +13,14 @@
 //! short job's event volume along with every label clone and series
 //! allocation.
 //!
-//! Three recorders ship:
+//! Two recorders ship:
 //!
-//! * [`FullRecorder`] — today's behavior, bit-identical to the
-//!   pre-redesign `WorkerSim::run` output (asserted while the deprecated
-//!   shims lived; they are gone now).
+//! * [`FullRecorder`] — the paper's full [`RunSummary`], bit-identical to
+//!   the pre-redesign `WorkerSim::run` output.  The golden digests in the
+//!   workspace's `tests/determinism.rs` pin every completion and every
+//!   `cpu_usage`, `limits` and `growth_efficiency` point of a fixed run.
 //! * [`CompletionsOnly`] — headless: label-free [`CompletionStats`] only,
 //!   O(completions) memory, ≲20 allocations per simulated worker.
-//! * [`SamplingRecorder`] — every-k-th-tick decimation of any inner
-//!   recorder's traces (completions are never decimated).
 
 use flowcon_metrics::summary::{CompletionStats, RunSummary};
 use flowcon_sim::time::SimTime;
@@ -105,6 +104,11 @@ pub trait Recorder: Send {
 #[derive(Debug, Clone, Default)]
 pub struct FullRecorder {
     summary: RunSummary,
+    /// Where the next usage-series search starts; reset every sample tick
+    /// (see [`RunSummary::record_usage_sample`]).
+    usage_cursor: usize,
+    /// The same for the growth-efficiency series, reset every trace tick.
+    growth_cursor: usize,
 }
 
 impl FullRecorder {
@@ -130,12 +134,24 @@ impl Recorder for FullRecorder {
             .record_completion(label, arrival, finished, exit_code);
     }
 
+    fn sample_tick(&mut self, _now: SimTime) -> bool {
+        self.usage_cursor = 0;
+        true
+    }
+
     fn record_sample(&mut self, now: SimTime, label: &str, usage: f64, limit: f64) {
-        self.summary.record_usage_sample(now, label, usage, limit);
+        self.summary
+            .record_usage_sample(&mut self.usage_cursor, now, label, usage, limit);
+    }
+
+    fn growth_tick(&mut self, _now: SimTime) -> bool {
+        self.growth_cursor = 0;
+        true
     }
 
     fn record_growth(&mut self, now: SimTime, label: &str, growth: f64) {
-        self.summary.record_growth(now, label, growth);
+        self.summary
+            .record_growth(&mut self.growth_cursor, now, label, growth);
     }
 
     fn finish(mut self, meta: RunMeta<'_>) -> RunSummary {
@@ -195,89 +211,6 @@ impl Recorder for CompletionsOnly {
     }
 }
 
-/// Decimates an inner recorder's traces: only every `every_k`-th sample
-/// tick (and trace tick) is recorded.
-///
-/// The sampling *events* still fire — the simulation's dynamics and the
-/// recorded completions are bit-identical to the inner recorder running
-/// undecimated; only the retained trace volume shrinks by ~`every_k`.  Use
-/// it when a long cluster run needs representative traces without the full
-/// 1 Hz memory bill: `SamplingRecorder::every(10)` keeps every 10th point.
-#[derive(Debug, Clone)]
-pub struct SamplingRecorder<R: Recorder = FullRecorder> {
-    inner: R,
-    /// Keep one sample tick in `every_k`; private so the constructors'
-    /// ≥ 1 clamp cannot be bypassed into a division by zero.
-    every_k: u64,
-    sample_ticks: u64,
-    trace_ticks: u64,
-}
-
-impl SamplingRecorder<FullRecorder> {
-    /// Decimate a [`FullRecorder`] to every `every_k`-th tick.
-    pub fn every(every_k: u64) -> Self {
-        Self::over(FullRecorder::new(), every_k)
-    }
-}
-
-impl<R: Recorder> SamplingRecorder<R> {
-    /// Decimate `inner` to every `every_k`-th tick (clamped to ≥ 1).
-    pub fn over(inner: R, every_k: u64) -> Self {
-        SamplingRecorder {
-            inner,
-            every_k: every_k.max(1),
-            sample_ticks: 0,
-            trace_ticks: 0,
-        }
-    }
-
-    /// The decimation factor in effect.
-    pub fn every_k(&self) -> u64 {
-        self.every_k
-    }
-}
-
-impl<R: Recorder> Recorder for SamplingRecorder<R> {
-    type Output = R::Output;
-    const RECORDS_SAMPLES: bool = R::RECORDS_SAMPLES;
-    const RECORDS_GROWTH: bool = R::RECORDS_GROWTH;
-
-    fn record_completion(
-        &mut self,
-        label: &str,
-        arrival: SimTime,
-        finished: SimTime,
-        exit_code: i32,
-    ) {
-        self.inner
-            .record_completion(label, arrival, finished, exit_code);
-    }
-
-    fn sample_tick(&mut self, now: SimTime) -> bool {
-        let keep = self.sample_ticks % self.every_k == 0;
-        self.sample_ticks += 1;
-        keep && self.inner.sample_tick(now)
-    }
-
-    fn record_sample(&mut self, now: SimTime, label: &str, usage: f64, limit: f64) {
-        self.inner.record_sample(now, label, usage, limit);
-    }
-
-    fn growth_tick(&mut self, now: SimTime) -> bool {
-        let keep = self.trace_ticks % self.every_k == 0;
-        self.trace_ticks += 1;
-        keep && self.inner.growth_tick(now)
-    }
-
-    fn record_growth(&mut self, now: SimTime, label: &str, growth: f64) {
-        self.inner.record_growth(now, label, growth);
-    }
-
-    fn finish(self, meta: RunMeta<'_>) -> R::Output {
-        self.inner.finish(meta)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,19 +254,5 @@ mod tests {
         assert_eq!(stats.len(), 1);
         assert!((stats.completions[0].completion_secs() - 20.0).abs() < 1e-12);
         assert_eq!(stats.algorithm_runs, 3);
-    }
-
-    #[test]
-    fn sampling_recorder_keeps_every_kth_tick() {
-        let mut r = SamplingRecorder::every(3);
-        let kept: Vec<bool> = (0..7).map(|i| r.sample_tick(t(i))).collect();
-        assert_eq!(kept, [true, false, false, true, false, false, true]);
-        // Growth ticks decimate on their own counter.
-        assert!(r.growth_tick(t(0)));
-        assert!(!r.growth_tick(t(20)));
-        // every_k = 0 is clamped, not a division by zero.
-        let mut degenerate = SamplingRecorder::every(0);
-        assert!(degenerate.sample_tick(t(0)));
-        assert!(degenerate.sample_tick(t(1)));
     }
 }

@@ -45,7 +45,7 @@
 //! | `sim.run_recycling()` | `session.run_recycling()` |
 //! | `run_flowcon(node, &plan, config)` | `… .policy(FlowConPolicy::new(config)) …` |
 //! | `run_baseline(node, &plan)` | `… .policy(FairSharePolicy::new()) …` |
-//! | always-on `RunSummary` | `.recorder(FullRecorder::new())` (default), [`CompletionsOnly`], [`SamplingRecorder`] |
+//! | always-on `RunSummary` | `.recorder(FullRecorder::new())` (default), [`CompletionsOnly`] |
 //! | fresh `ImageRegistry` per worker | shared by default; override with `.images(arc_registry)` |
 //!
 //! The cluster layer builds one session per worker on the sharded
@@ -86,7 +86,6 @@
 //! [`RunSummary`]: flowcon_metrics::summary::RunSummary
 //! [`FullRecorder`]: crate::recorder::FullRecorder
 //! [`CompletionsOnly`]: crate::recorder::CompletionsOnly
-//! [`SamplingRecorder`]: crate::recorder::SamplingRecorder
 
 use std::sync::Arc;
 
@@ -376,7 +375,7 @@ mod tests {
     use super::*;
     use crate::config::FlowConConfig;
     use crate::policy::FlowConPolicy;
-    use crate::recorder::{CompletionsOnly, SamplingRecorder};
+    use crate::recorder::CompletionsOnly;
 
     #[test]
     fn default_session_is_an_empty_na_run() {
@@ -425,29 +424,6 @@ mod tests {
         // Same physics: makespan agrees to the engine's 1 µs margin.
         let diff = (headless.output.makespan_secs() - full.output.makespan_secs()).abs();
         assert!(diff < 1e-3, "makespan diverged by {diff}s");
-    }
-
-    #[test]
-    fn sampling_recorder_decimates_but_preserves_completions() {
-        let full = Session::builder()
-            .plan(WorkloadPlan::fixed_three())
-            .build()
-            .run();
-        let sampled = Session::builder()
-            .plan(WorkloadPlan::fixed_three())
-            .recorder(SamplingRecorder::every(5))
-            .build()
-            .run();
-        // Sample events still fire, so dynamics are bit-identical.
-        assert_eq!(full.output.completions, sampled.output.completions);
-        assert_eq!(full.events_processed, sampled.events_processed);
-        let full_pts = full.output.cpu_usage.get("VAE (Pytorch)").unwrap().len();
-        let sampled_pts = sampled.output.cpu_usage.get("VAE (Pytorch)").unwrap().len();
-        assert!(
-            sampled_pts <= full_pts / 4,
-            "expected ~5x decimation, got {sampled_pts} of {full_pts}"
-        );
-        assert!(sampled_pts > 0);
     }
 
     #[test]

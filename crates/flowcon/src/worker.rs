@@ -636,7 +636,10 @@ impl<R: Recorder> WorkerSim<R> {
         for (&id, &rate) in self.scratch.rate_ids.iter().zip(&self.scratch.rate_vals) {
             if let Some(c) = self.daemon.pool().get(id) {
                 // Borrow the label in place: a steady-state sample tick must
-                // not allocate (`series_mut` only clones for unseen labels).
+                // not allocate (a recorder clones a label only the first
+                // time it sees it).  Ids come in ascending order, which is
+                // the order `FullRecorder` created the series in, so its
+                // search finds each one at its cursor.
                 self.recorder.record_sample(
                     now,
                     c.workload().label(),

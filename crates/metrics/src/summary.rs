@@ -173,15 +173,36 @@ impl RunSummary {
 
     /// Record one usage/limit sample pair for `label` (recorder-facing
     /// construction): pushes onto the `cpu_usage` and `limits` traces.
-    pub fn record_usage_sample(&mut self, now: SimTime, label: &str, usage: f64, limit: f64) {
-        self.cpu_usage.series_mut(label).push(now, usage);
-        self.limits.series_mut(label).push(now, limit);
+    ///
+    /// `cursor` is where the series search starts, and is left just past
+    /// the series found.  Any value finds the same series
+    /// [`MultiSeries::series_mut`] would; resetting it to 0 at each sample
+    /// tick makes a tick that visits containers in series-creation order
+    /// find each label at the cursor.  `limits` is extended together with
+    /// `cpu_usage`, so its search starts at the index the usage series
+    /// was found at, which holds the same label unless the two traces
+    /// were built out of step.
+    pub fn record_usage_sample(
+        &mut self,
+        cursor: &mut usize,
+        now: SimTime,
+        label: &str,
+        usage: f64,
+        limit: f64,
+    ) {
+        let (index, usage_series) = self.cpu_usage.series_from(*cursor, label);
+        usage_series.push(now, usage);
+        self.limits.series_from(index, label).1.push(now, limit);
+        *cursor = index + 1;
     }
 
     /// Record one growth-efficiency point for `label` (recorder-facing
-    /// construction).
-    pub fn record_growth(&mut self, now: SimTime, label: &str, growth: f64) {
-        self.growth_efficiency.series_mut(label).push(now, growth);
+    /// construction); `cursor` works as in
+    /// [`RunSummary::record_usage_sample`].
+    pub fn record_growth(&mut self, cursor: &mut usize, now: SimTime, label: &str, growth: f64) {
+        let (index, series) = self.growth_efficiency.series_from(*cursor, label);
+        series.push(now, growth);
+        *cursor = index + 1;
     }
 
     /// The makespan: "the total length of the schedule for all the jobs"
@@ -351,9 +372,10 @@ mod tests {
     #[test]
     fn recorder_facing_construction_matches_manual() {
         let mut s = RunSummary::new("FlowCon");
-        s.record_usage_sample(SimTime::from_secs(1), "job", 0.5, 1.0);
-        s.record_usage_sample(SimTime::from_secs(2), "job", 0.25, 0.4);
-        s.record_growth(SimTime::from_secs(2), "job", 0.01);
+        let mut cursor = 0;
+        s.record_usage_sample(&mut cursor, SimTime::from_secs(1), "job", 0.5, 1.0);
+        s.record_usage_sample(&mut cursor, SimTime::from_secs(2), "job", 0.25, 0.4);
+        s.record_growth(&mut cursor, SimTime::from_secs(2), "job", 0.01);
         assert_eq!(
             s.cpu_usage.get("job").unwrap().points(),
             &[(1.0, 0.5), (2.0, 0.25)]

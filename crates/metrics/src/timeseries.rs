@@ -115,11 +115,29 @@ impl MultiSeries {
 
     /// Get (or create) the series with `label`.
     pub fn series_mut(&mut self, label: &str) -> &mut TimeSeries {
-        if let Some(pos) = self.series.iter().position(|(l, _)| l == label) {
-            return &mut self.series[pos].1;
-        }
-        self.series.push((label.to_string(), TimeSeries::new()));
-        &mut self.series.last_mut().expect("just pushed").1
+        self.series_from(0, label).1
+    }
+
+    /// The series with `label` and its index, created at the end if
+    /// absent.
+    ///
+    /// The search starts at index `from` and wraps around.  Labels are
+    /// unique, so every start finds the series a scan from 0 finds; a
+    /// caller that asks for labels in creation order and starts just past
+    /// its previous hit pays one comparison per lookup, plus one per
+    /// series it skips.
+    pub(crate) fn series_from(&mut self, from: usize, label: &str) -> (usize, &mut TimeSeries) {
+        let (head, tail) = self.series.split_at(from.min(self.series.len()));
+        let found = tail
+            .iter()
+            .position(|(l, _)| l == label)
+            .map(|i| head.len() + i)
+            .or_else(|| head.iter().position(|(l, _)| l == label));
+        let index = found.unwrap_or_else(|| {
+            self.series.push((label.to_string(), TimeSeries::new()));
+            self.series.len() - 1
+        });
+        (index, &mut self.series[index].1)
     }
 
     /// Borrow a series by label.
@@ -190,6 +208,23 @@ mod tests {
         let r = s.resample(1.0);
         let vals: Vec<f64> = r.points().iter().map(|&(_, v)| v).collect();
         assert_eq!(vals, vec![1.0, 1.0, 1.0, 2.0]);
+    }
+
+    #[test]
+    fn series_from_wraps_and_creates_once() {
+        let mut m = MultiSeries::new();
+        for label in ["a", "b", "c"] {
+            m.series_mut(label);
+        }
+        // Every start, including past the end, finds the one "a".
+        for from in 0..5 {
+            assert_eq!(m.series_from(from, "a").0, 0);
+            assert_eq!(m.series_from(from, "c").0, 2);
+        }
+        assert_eq!(m.series_from(2, "d").0, 3, "a new label is appended");
+        assert_eq!(m.series_from(1, "d").0, 3);
+        let labels: Vec<&str> = m.iter().map(|(l, _)| l).collect();
+        assert_eq!(labels, ["a", "b", "c", "d"]);
     }
 
     #[test]

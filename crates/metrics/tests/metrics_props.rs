@@ -8,6 +8,47 @@ use flowcon_sim::time::SimTime;
 use proptest::prelude::*;
 
 proptest! {
+    /// Recording through a search cursor builds exactly the summary that
+    /// plain `series_mut` lookups build: duplicate labels within a tick,
+    /// labels visited out of creation order, labels first seen mid-run,
+    /// cursors reset at each tick or carried over, and `limits` series
+    /// created out of step with `cpu_usage`.
+    #[test]
+    fn cursor_recording_matches_plain_series_lookup(
+        ticks in prop::collection::vec(
+            (prop::collection::vec(0usize..8, 0..12), 0u8..2, 0u8..3),
+            1..40,
+        ),
+        preseeded_limits in prop::collection::vec(0usize..8, 0..4),
+    ) {
+        let label = |i: usize| format!("Job-{i}");
+        let mut cursored = RunSummary::new("FlowCon");
+        let mut plain = RunSummary::new("FlowCon");
+        for &i in &preseeded_limits {
+            cursored.limits.series_mut(&label(i));
+            plain.limits.series_mut(&label(i));
+        }
+        let (mut usage_cursor, mut growth_cursor) = (0, 0);
+        for (t, (visits, reset, growth_tick)) in ticks.iter().enumerate() {
+            let now = SimTime::from_secs(t as u64);
+            if *reset == 1 {
+                usage_cursor = 0;
+                growth_cursor = 0;
+            }
+            for (k, &i) in visits.iter().enumerate() {
+                let (usage, limit) = (t as f64 + 0.01 * k as f64, i as f64 * 0.1);
+                cursored.record_usage_sample(&mut usage_cursor, now, &label(i), usage, limit);
+                plain.cpu_usage.series_mut(&label(i)).push(now, usage);
+                plain.limits.series_mut(&label(i)).push(now, limit);
+                if *growth_tick == 0 {
+                    cursored.record_growth(&mut growth_cursor, now, &label(i), usage);
+                    plain.growth_efficiency.series_mut(&label(i)).push(now, usage);
+                }
+            }
+            prop_assert_eq!(&cursored, &plain, "tick {}", t);
+        }
+    }
+
     /// Percentiles are monotone in p and bounded by min/max.
     #[test]
     fn percentiles_are_monotone_and_bounded(

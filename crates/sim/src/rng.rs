@@ -122,13 +122,23 @@ impl SimRng {
         if let Some(z) = self.spare_normal.take() {
             return z;
         }
+        let (first, second) = box_muller(self.normal_pair_uniforms());
+        self.spare_normal = Some(second);
+        first
+    }
+
+    /// The two uniforms one Box–Muller pair consumes, `(u, v)` with
+    /// `u ∈ (0, 1]` and `v ∈ [0, 1)`.
+    ///
+    /// Drawing these and deferring [`box_muller`] until the variates are
+    /// read consumes the stream exactly as one [`SimRng::normal`] pair does
+    /// (with no spare cached) and yields bit-identical variates.
+    #[inline]
+    pub fn normal_pair_uniforms(&mut self) -> (f64, f64) {
         // Avoid u == 0 so ln(u) is finite.
         let u = 1.0 - self.f64();
         let v = self.f64();
-        let r = (-2.0 * u.ln()).sqrt();
-        let theta = 2.0 * std::f64::consts::PI * v;
-        self.spare_normal = Some(r * theta.sin());
-        r * theta.cos()
+        (u, v)
     }
 
     /// Normal variate with the given mean and standard deviation.
@@ -156,6 +166,16 @@ impl SimRng {
         assert!(!xs.is_empty(), "choose from empty slice");
         &xs[self.below(xs.len() as u64) as usize]
     }
+}
+
+/// The Box–Muller transform: two independent standard normal variates
+/// from the uniforms [`SimRng::normal_pair_uniforms`] draws.  The first is
+/// what [`SimRng::normal`] returns, the second what it caches.
+#[inline]
+pub fn box_muller((u, v): (f64, f64)) -> (f64, f64) {
+    let r = (-2.0 * u.ln()).sqrt();
+    let theta = 2.0 * std::f64::consts::PI * v;
+    (r * theta.cos(), r * theta.sin())
 }
 
 #[cfg(test)]

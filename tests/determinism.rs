@@ -1,10 +1,20 @@
 //! Reproducibility: identical seeds give bit-identical experiment results,
-//! different seeds differ — across every layer.
+//! different seeds differ — across every layer.  Golden digests pin the
+//! exact output of the non-scheduler paths (the recorded object session,
+//! the dense headless cluster, and the open-loop stream), as
+//! `crates/cluster/tests/sched_determinism.rs` does for the scheduler.
 
 use flowcon_bench::experiments::{fixed, flowcon_run as run_flowcon, random, scale};
-use flowcon_cluster::{ClusterSession, PolicyKind, Spread};
+use flowcon_cluster::{ClusterSession, Horizon, PolicyKind, Spread, SyntheticStreamSource};
 use flowcon_core::config::{FlowConConfig, NodeConfig};
+use flowcon_core::policy::FlowConPolicy;
+use flowcon_core::session::Session;
 use flowcon_dl::workload::WorkloadPlan;
+use flowcon_metrics::sketch::QuantileSketch;
+use flowcon_metrics::summary::CompletionStats;
+use flowcon_metrics::timeseries::MultiSeries;
+use flowcon_sim::time::SimTime;
+use flowcon_workload::ArrivalProcess;
 
 fn node(seed: u64) -> NodeConfig {
     NodeConfig::default().with_seed(seed)
@@ -84,4 +94,161 @@ fn cluster_runs_reproduce() {
     };
     assert_eq!(run(5), run(5));
     assert_ne!(run(5), run(6));
+}
+
+/// FNV-1a over the little-endian bytes of a stream of words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn f64(&mut self, v: f64) {
+        self.word(v.to_bits());
+    }
+
+    fn label(&mut self, label: &str) {
+        self.word(label.len() as u64);
+        for b in label.bytes() {
+            self.word(u64::from(b));
+        }
+    }
+
+    fn time(&mut self, t: SimTime) {
+        self.word(t.as_micros());
+    }
+
+    fn series(&mut self, all: &MultiSeries) {
+        self.word(all.len() as u64);
+        for (label, series) in all.iter() {
+            self.label(label);
+            self.word(series.len() as u64);
+            for &(t, v) in series.points() {
+                self.f64(t);
+                self.f64(v);
+            }
+        }
+    }
+
+    fn stats(&mut self, stats: &CompletionStats) {
+        self.word(stats.len() as u64);
+        for c in &stats.completions {
+            self.time(c.arrival);
+            self.time(c.finished);
+            self.word(c.exit_code as u64);
+        }
+        self.word(stats.algorithm_runs);
+        self.word(stats.update_calls);
+    }
+
+    fn sketch(&mut self, sketch: &QuantileSketch) {
+        self.word(sketch.count());
+        for v in [sketch.min(), sketch.max()] {
+            self.f64(v.unwrap_or(f64::NAN));
+        }
+        for q in [0.0, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0] {
+            self.f64(sketch.quantile(q).unwrap_or(f64::NAN));
+        }
+    }
+}
+
+#[test]
+fn recorded_session_matches_its_golden_digest() {
+    // One node, 24 jobs, FlowCon and the default full recorder: every
+    // completion and every point of the 1 Hz usage and limit traces and
+    // the 20 s growth-efficiency traces.  A changed digest means changed
+    // dynamics, a changed eval-noise stream, or a changed recording.
+    let result = Session::builder()
+        .node(node(0xD161))
+        .plan(WorkloadPlan::random_n(24, 0xD1))
+        .policy(FlowConPolicy::new(FlowConConfig::default()))
+        .build()
+        .run();
+    let summary = &result.output;
+    assert_eq!(summary.completions.len(), 24);
+    let mut h = Fnv::new();
+    for c in &summary.completions {
+        h.label(&c.label);
+        h.time(c.arrival);
+        h.time(c.finished);
+        h.word(c.exit_code as u64);
+    }
+    h.series(&summary.cpu_usage);
+    h.series(&summary.limits);
+    h.series(&summary.growth_efficiency);
+    h.word(summary.algorithm_runs);
+    h.word(summary.update_calls);
+    h.word(result.events_processed);
+    let got = h.0;
+    assert_eq!(
+        got, 0x9104_22c2_d0a0_8724,
+        "recorded session drifted: digest {got:#018x}"
+    );
+}
+
+#[test]
+fn dense_headless_cluster_matches_its_golden_digest() {
+    let out = ClusterSession::builder()
+        .nodes(64, node(0xD162))
+        .policy(PolicyKind::FlowCon(FlowConConfig::default()))
+        .plan(WorkloadPlan::random_n(512, 0xD2))
+        .build()
+        .run();
+    assert_eq!(out.completed_jobs(), 512);
+    let mut h = Fnv::new();
+    for &p in &out.placements {
+        h.word(p as u64);
+    }
+    for w in &out.workers {
+        h.stats(&w.output);
+        h.word(w.events_processed);
+    }
+    let got = h.0;
+    assert_eq!(
+        got, 0x98bc_e14d_07d0_a6ba,
+        "dense headless cluster drifted: digest {got:#018x}"
+    );
+}
+
+#[test]
+fn open_loop_stream_matches_its_golden_digest() {
+    let source = SyntheticStreamSource::new(ArrivalProcess::poisson(0.01), 0xD3).unlabeled();
+    let out = ClusterSession::builder()
+        .nodes(32, node(0xD163))
+        .policy(PolicyKind::FlowCon(FlowConConfig::default()))
+        .stream(&source, Horizon::until(SimTime::from_secs(3_600)))
+        .build()
+        .run();
+    assert!(out.submitted_jobs() > 0);
+    assert_eq!(out.completed_jobs(), out.submitted_jobs());
+    let mut h = Fnv::new();
+    for ((w, st), tails) in out.workers.iter().zip(&out.streams).zip(&out.tails) {
+        h.stats(&w.output);
+        h.word(w.events_processed);
+        h.word(st.submitted);
+        h.word(st.completed);
+        for v in [
+            st.duration_secs,
+            st.busy_cpu_secs,
+            st.queue_job_secs,
+            st.capacity_cpu_secs,
+        ] {
+            h.f64(v);
+        }
+        h.sketch(&tails.sojourn);
+        h.sketch(&tails.queue_wait);
+    }
+    let got = h.0;
+    assert_eq!(
+        got, 0xd142_c6a1_e74c_bb12,
+        "open-loop stream drifted: digest {got:#018x}"
+    );
 }
