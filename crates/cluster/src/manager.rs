@@ -13,13 +13,13 @@
 //! per-worker results of driving it).
 
 use flowcon_core::config::NodeConfig;
-use flowcon_core::dense::{run_headless_dense, DenseScratch, QueueKind};
+use flowcon_core::dense::{run_headless_dense, QueueKind};
 use flowcon_core::session::SessionResult;
 use flowcon_dl::workload::JobRequest;
 use flowcon_metrics::summary::{makespan_over, CompletionStats};
 
-use crate::executor;
 use crate::policy_kind::PolicyKind;
+use crate::session::drive_dense;
 
 /// Result of a recorder-generic cluster run.
 ///
@@ -90,10 +90,9 @@ impl PlacedHeadless {
     /// headless path, with the given event-queue implementation.
     pub fn run(self, queue: QueueKind) -> ClusterRun<CompletionStats> {
         let policy = self.policy;
-        let work: Vec<(usize, NodeConfig)> = self.nodes.iter().copied().enumerate().collect();
         let flat = &self.flat[..];
         let offsets = &self.offsets[..];
-        let workers = executor::map_sharded(work, DenseScratch::new, |scratch, (idx, node)| {
+        let workers = drive_dense(&self.nodes, |scratch, idx, node| {
             let jobs = &flat[offsets[idx]..offsets[idx + 1]];
             run_headless_dense(node, jobs, policy.build(), queue, scratch)
         });

@@ -40,8 +40,8 @@ use std::sync::Arc;
 use flowcon_container::image::shared_dl_defaults;
 use flowcon_container::ImageRegistry;
 use flowcon_core::config::NodeConfig;
-use flowcon_core::dense::QueueKind;
-use flowcon_core::recorder::{CompletionsOnly, Recorder};
+use flowcon_core::dense::{run_headless_dense, run_stream_dense, DenseScratch, QueueKind};
+use flowcon_core::recorder::Recorder;
 use flowcon_core::session::{Session, SessionResult, StreamResult};
 use flowcon_core::worker::WorkerScratch;
 use flowcon_dl::workload::{JobRequest, WorkloadPlan};
@@ -142,8 +142,9 @@ enum WorkloadSpec<'w> {
 }
 
 /// Default mode: label-free completions only, O(completions) memory —
-/// the million-worker configuration.  Placed plans run on the dense path
-/// ([`flowcon_core::dense`]); pick the event queue with
+/// the million-worker configuration.  Every headless workload (placed
+/// plans, plan sources and open-loop streams) runs on the dense path
+/// ([`flowcon_core::dense`]); pick its event queue with
 /// [`ClusterSessionBuilder::queue`].
 #[derive(Debug, Clone, Copy)]
 pub struct Headless {
@@ -319,7 +320,8 @@ impl<'w, M> ClusterSessionBuilder<'w, M> {
 impl<'w> ClusterSessionBuilder<'w, Headless> {
     /// The event-queue implementation for the dense headless path (both
     /// dispatch in identical `(time, FIFO)` order, so results are
-    /// bit-identical; only applies to placed plans).
+    /// bit-identical).  Applies to every headless workload: plans, plan
+    /// sources and streams.
     pub fn queue(mut self, queue: QueueKind) -> Self {
         self.mode.queue = queue;
         self
@@ -488,14 +490,18 @@ impl ClusterOutcome<CompletionStats> {
 impl<'w> ClusterSession<'w, Headless> {
     /// Run headless: label-free completions and makespan only.
     ///
-    /// Placed plans run on the dense path within the < 10-allocation
-    /// per-worker budget pinned by `crates/cluster/tests/headless_allocs.rs`;
-    /// `source`/`stream` workloads run object-path sessions with
-    /// [`CompletionsOnly`] recorders.
+    /// Every workload runs on the dense path ([`flowcon_core::dense`]),
+    /// one recycled [`DenseScratch`] per executor shard, on the queue
+    /// chosen with [`ClusterSessionBuilder::queue`], within the
+    /// < 10-allocation per-worker budget pinned by
+    /// `crates/cluster/tests/headless_allocs.rs`.  Results are
+    /// bit-identical to object-path sessions with
+    /// [`CompletionsOnly`](flowcon_core::recorder::CompletionsOnly)
+    /// recorders — the [`Recorded`] mode with `|_| CompletionsOnly::new()`.
     pub fn run(self) -> ClusterOutcome<CompletionStats> {
+        let (queue, policy) = (self.mode.queue, self.policy);
         match self.workload {
             WorkloadSpec::Plan(_) => {
-                let queue = self.mode.queue;
                 let run = self.place().run(queue);
                 ClusterOutcome {
                     workers: run.workers,
@@ -505,21 +511,20 @@ impl<'w> ClusterSession<'w, Headless> {
                 }
             }
             WorkloadSpec::Source(source) => ClusterOutcome {
-                workers: drive_source(&self.nodes, self.policy, &self.images, source, &|_| {
-                    CompletionsOnly::new()
+                workers: drive_dense(&self.nodes, |scratch, idx, node| {
+                    let plan = source.next_plan(idx);
+                    run_headless_dense(node, &plan.jobs, policy.build(), queue, scratch)
                 }),
                 placements: Vec::new(),
                 streams: Vec::new(),
                 tails: Vec::new(),
             },
-            WorkloadSpec::Stream(source, horizon) => split_stream(drive_stream(
-                &self.nodes,
-                self.policy,
-                &self.images,
-                source,
-                horizon,
-                &|_| CompletionsOnly::new(),
-            )),
+            WorkloadSpec::Stream(source, horizon) => {
+                split_stream(drive_dense(&self.nodes, |scratch, idx, node| {
+                    let stream = source.dyn_stream_for(idx);
+                    run_stream_dense(node, stream, horizon, policy.build(), queue, scratch)
+                }))
+            }
         }
     }
 
@@ -776,7 +781,8 @@ where
 
 /// [`drive_plan`] off a streaming [`PlanSource`]: each shard pulls the
 /// plan of the worker it is about to simulate, so at no point do all
-/// per-worker plans exist at once.
+/// per-worker plans exist at once.  Recorded mode only; headless sources
+/// run through [`drive_dense`].
 fn drive_source<R, F>(
     nodes: &[NodeConfig],
     policy: PolicyKind,
@@ -810,7 +816,8 @@ where
 }
 
 /// The open-loop drive: every worker pulls its own stream off `source`
-/// and admits arrivals until `horizon` trips, then drains.
+/// and admits arrivals until `horizon` trips, then drains.  Recorded mode
+/// only; headless streams run through [`drive_dense`].
 fn drive_stream<R, F>(
     nodes: &[NodeConfig],
     policy: PolicyKind,
@@ -844,6 +851,19 @@ where
     )
 }
 
+/// Drive every worker through the dense headless path on the sharded
+/// executor: `run(scratch, worker, node)` with one [`DenseScratch`] per
+/// shard, recycled across every worker that shard simulates.
+pub(crate) fn drive_dense<O: Send>(
+    nodes: &[NodeConfig],
+    run: impl Fn(&mut DenseScratch, usize, NodeConfig) -> O + Sync,
+) -> Vec<O> {
+    let work: Vec<(usize, NodeConfig)> = nodes.iter().copied().enumerate().collect();
+    executor::map_sharded(work, DenseScratch::new, |scratch, (idx, node)| {
+        run(scratch, idx, node)
+    })
+}
+
 /// Split per-worker [`StreamResult`]s into the [`ClusterOutcome`] shape
 /// (session results + parallel stats vector).
 fn split_stream<T>(results: Vec<StreamResult<T>>) -> ClusterOutcome<T> {
@@ -872,7 +892,7 @@ mod tests {
     use super::*;
     use crate::placement::Spread;
     use flowcon_core::config::FlowConConfig;
-    use flowcon_core::recorder::FullRecorder;
+    use flowcon_core::recorder::{CompletionsOnly, FullRecorder};
     use flowcon_core::worker::RunResult;
     use flowcon_workload::stream::Horizon;
 

@@ -17,14 +17,38 @@
 //! completion stats need (budgeted well under 10 per worker by
 //! `crates/cluster/tests/headless_allocs.rs`).
 //!
+//! # Plans and streams
+//!
+//! One simulation serves both workload shapes.  [`run_headless_dense`]
+//! runs a placed plan: every job's arrival is queued up front.
+//! [`run_stream_dense`] runs **open-loop**: it pulls one job ahead of the
+//! clock from a [`JobStream`] (a single scheduled `StreamArrival`, exactly
+//! like the object path's `OpenLoopShell`), admits jobs until the
+//! [`Horizon`] trips, drains, and returns [`StreamStats`] and sojourn
+//! tails beside the completions.  Both go through one `DenseSim` and one
+//! dispatch loop; the open-loop state (the lookahead, the busy and queue
+//! integrals, the sojourn sketches) sits behind a monomorphized admission
+//! type, so a placed plan compiles it all away.
+//!
+//! # The live list
+//!
+//! Ids only grow, and exited slots stay in the arena until the worker
+//! ends.  The pool is therefore kept as an explicit ascending list of live
+//! ids (`DenseScratch::pool_ids`): admission pushes, exits `retain` the
+//! runnable slots, and the allocator inputs, the monitor and the listener
+//! all iterate the list — O(live) per event however many jobs a stream has
+//! admitted.  Ascending order is what `ContainerPool::ids_into` yields on
+//! the object path, so the list changes no result.
+//!
 //! **Bit-identity is the contract.**  For a given `NodeConfig` and job
-//! list, [`run_headless_dense`] produces exactly the
-//! [`SessionResult`] the object path produces with a
-//! [`CompletionsOnly`] recorder — same completions, same event count —
-//! because every floating-point operation, RNG draw, and event (time, FIFO
-//! sequence) is replicated in the same order.  The cluster test
-//! `source_run_matches_the_equivalent_placed_run` and the dense-vs-session
-//! tests below pin this.
+//! list (or stream and horizon), [`run_headless_dense`]
+//! ([`run_stream_dense`]) produces exactly the [`SessionResult`]
+//! ([`StreamResult`]) the object path produces with a [`CompletionsOnly`]
+//! recorder — same completions, same event count, same stream stats and
+//! tails — because every floating-point operation, RNG draw, and event
+//! (time, FIFO sequence) is replicated in the same order.  The cluster
+//! test `source_run_matches_the_equivalent_placed_run`, the dense-vs-session
+//! tests below and `crates/flowcon/tests/dense_stream.rs` pin this.
 //!
 //! The event queue is chosen per run ([`QueueKind`]): the engine's binary
 //! heap or the calendar queue from `flowcon_sim::calendar`, which both
@@ -34,21 +58,26 @@
 
 use flowcon_container::daemon::exit_code_for;
 use flowcon_container::{ContainerId, ResourceLimits, UpdateOptions, Workload};
+use flowcon_dl::models::ModelSpec;
 use flowcon_dl::workload::JobRequest;
 use flowcon_dl::TrainingJob;
+use flowcon_metrics::sojourn::SojournStats;
+use flowcon_metrics::stream::StreamStats;
 use flowcon_metrics::summary::CompletionStats;
 use flowcon_sim::alloc::{waterfill_soft_into, AllocRequest, WaterfillScratch};
 use flowcon_sim::calendar::CalendarQueue;
 use flowcon_sim::event::EventQueue;
 use flowcon_sim::rng::SimRng;
+use flowcon_sim::stats::TimeWeighted;
 use flowcon_sim::time::{SimDuration, SimTime};
 use flowcon_sim::{ResourceKind, ResourceVec, RESOURCE_KINDS};
+use flowcon_workload::stream::{Horizon, JobStream, StreamedJob};
 
 use crate::config::NodeConfig;
 use crate::metric::{progress_score, GrowthMeasurement};
 use crate::policy::ResourcePolicy;
 use crate::recorder::{CompletionsOnly, Recorder, RunMeta};
-use crate::session::SessionResult;
+use crate::session::{SessionResult, StreamResult};
 use crate::worker::WorkerEvent;
 
 /// Same run-away guard as `SimEngine`.
@@ -154,7 +183,8 @@ pub struct DenseScratch {
     requests: Vec<AllocRequest>,
     /// Growth-measurement buffer for policy reconfigurations.
     measures: Vec<GrowthMeasurement>,
-    /// Pool-membership buffer for listener notifications.
+    /// The live pool: ids of `runnable` slots in ascending order, pushed
+    /// on admission and retained on exit (see the module docs).
     pool_ids: Vec<ContainerId>,
     /// Policy-decision updates buffer.
     updates: Vec<(ContainerId, f64)>,
@@ -227,6 +257,102 @@ impl DenseQueue for CalendarQueue<WorkerEvent> {
     }
 }
 
+/// The admission side of a dense run beyond the plan's `Arrival` events.
+///
+/// Monomorphized: [`Placed`] keeps the defaults below, so a placed plan
+/// compiles every hook to nothing; [`OpenLoop`] adds the stream lookahead
+/// and the steady-state accounting.
+trait Admission {
+    /// A streamed arrival is scheduled, so the run is not done even while
+    /// the pool is empty.
+    fn pending(&self) -> bool {
+        false
+    }
+
+    /// Pull the next admissible streamed job into the lookahead and return
+    /// its arrival time.
+    fn pull_next(&mut self) -> Option<SimTime> {
+        None
+    }
+
+    /// Take the job whose `StreamArrival` is firing, counting it as
+    /// submitted.
+    fn take(&mut self) -> StreamedJob {
+        unreachable!("stream arrivals are only scheduled by an open-loop run")
+    }
+
+    /// One fluid step: the current `rates` held for `dt` seconds.
+    fn advanced(&mut self, _rates: &[f64], _dt: f64) {}
+
+    /// A container admitted at `created_at` exited at `now`.
+    fn exited(&mut self, _created_at: SimTime, _now: SimTime) {}
+}
+
+/// A placed plan: every arrival is a queued `Arrival` event.
+struct Placed;
+
+impl Admission for Placed {}
+
+/// Open-loop admission: the stream, its one-job lookahead, and the
+/// accounting the run's [`StreamStats`] and [`SojournStats`] come from —
+/// the dense mirror of `OpenLoopShell` plus `WorkerSim`'s open-loop
+/// fields.
+struct OpenLoop<J> {
+    stream: J,
+    horizon: Horizon,
+    /// The job whose `StreamArrival` is scheduled.
+    pending: Option<StreamedJob>,
+    submitted: u64,
+    exits: u64,
+    /// `∫ Σrates · dt`, the utilization numerator.
+    busy: TimeWeighted,
+    /// `∫ pool size · dt`, the mean-queue-depth numerator.
+    queue: TimeWeighted,
+    /// Sojourn and (always zero on one fluid node) queue-wait tails.
+    slo: SojournStats,
+}
+
+impl<J: JobStream> Admission for OpenLoop<J> {
+    fn pending(&self) -> bool {
+        self.pending.is_some()
+    }
+
+    /// One pull per admission: a job the horizon rejects is dropped, not
+    /// buffered — the run is over at that point by definition.
+    fn pull_next(&mut self) -> Option<SimTime> {
+        debug_assert!(self.pending.is_none(), "one lookahead job at a time");
+        let job = self
+            .stream
+            .next_job()
+            .filter(|job| self.horizon.admits(self.submitted as usize, job.arrival))?;
+        let at = job.arrival;
+        self.pending = Some(job);
+        Some(at)
+    }
+
+    /// The object path counts the submission after processing exits;
+    /// nothing in between reads the count, so counting here is the same.
+    fn take(&mut self) -> StreamedJob {
+        self.submitted += 1;
+        self.pending.take().expect("a streamed arrival is pending")
+    }
+
+    /// `rates.iter().sum()` is the object path's `rate_sum`: the same fold
+    /// over the same rates, which only change at a recompute.
+    fn advanced(&mut self, rates: &[f64], dt: f64) {
+        if dt > 0.0 {
+            self.busy.accumulate(rates.iter().sum(), dt);
+            self.queue.accumulate(rates.len() as f64, dt);
+        }
+    }
+
+    fn exited(&mut self, created_at: SimTime, now: SimTime) {
+        self.exits += 1;
+        self.slo
+            .record_exit(now.saturating_since(created_at).as_secs_f64(), 0.0);
+    }
+}
+
 /// Run one worker's plan headless over the dense arenas in `scratch`.
 ///
 /// `plan` must be the worker's jobs in plan order (ascending arrival; the
@@ -243,32 +369,102 @@ pub fn run_headless_dense(
     scratch: &mut DenseScratch,
 ) -> SessionResult<CompletionStats> {
     scratch.reset_for(plan.len());
+    run(node, plan, Placed, policy, queue, scratch).0
+}
+
+/// Run one worker **open-loop** over the dense arenas in `scratch`: admit
+/// jobs pulled from `stream` while `horizon` allows, then drain.
+///
+/// Returns exactly what
+/// `Session::builder()...recorder(CompletionsOnly::new()).build().run_stream(stream, horizon)`
+/// returns for the same inputs — completions, event count,
+/// [`StreamStats`] and sojourn tails.  Labels are dropped.
+///
+/// Panics, like the object path, on an unbounded `horizon` and on a
+/// stream whose arrivals go back in time.
+pub fn run_stream_dense<J: JobStream>(
+    node: NodeConfig,
+    stream: J,
+    horizon: Horizon,
+    policy: Box<dyn ResourcePolicy>,
+    queue: QueueKind,
+    scratch: &mut DenseScratch,
+) -> StreamResult<CompletionStats> {
+    assert!(
+        horizon.is_bounded(),
+        "an open-loop run needs a horizon (until and/or max jobs) — \
+         an unbounded stream would never terminate"
+    );
+    scratch.reset_for(0);
+    let open = OpenLoop {
+        stream,
+        horizon,
+        pending: None,
+        submitted: 0,
+        exits: 0,
+        busy: TimeWeighted::new(),
+        queue: TimeWeighted::new(),
+        slo: SojournStats::new(),
+    };
+    let (result, open, end) = run(node, &[], open, policy, queue, scratch);
+    let duration_secs = end.as_secs_f64();
+    StreamResult {
+        output: result.output,
+        events_processed: result.events_processed,
+        scheduler_overhead_cpu_secs: result.scheduler_overhead_cpu_secs,
+        stream: StreamStats {
+            submitted: open.submitted,
+            completed: open.exits,
+            duration_secs,
+            busy_cpu_secs: open.busy.area(),
+            queue_job_secs: open.queue.area(),
+            capacity_cpu_secs: node.capacity * duration_secs,
+        },
+        tails: open.slo,
+    }
+}
+
+/// A finished dense run: the session result, the admission state it ended
+/// with, and the time of its last event.
+type Finished<A> = (SessionResult<CompletionStats>, A, SimTime);
+
+/// Run on the recycled queue `queue` selects (the scratch must already be
+/// reset).
+fn run<A: Admission>(
+    node: NodeConfig,
+    plan: &[JobRequest],
+    admission: A,
+    policy: Box<dyn ResourcePolicy>,
+    queue: QueueKind,
+    scratch: &mut DenseScratch,
+) -> Finished<A> {
     match queue {
         QueueKind::Heap => {
             let mut q = std::mem::take(&mut scratch.heap);
             q.clear();
-            let (result, q) = run_with_queue(node, plan, policy, q, scratch);
+            let (finished, q) = run_with_queue(node, plan, admission, policy, q, scratch);
             scratch.heap = q;
-            result
+            finished
         }
         QueueKind::Calendar => {
             let mut q = std::mem::take(&mut scratch.calendar);
             q.clear();
-            let (result, q) = run_with_queue(node, plan, policy, q, scratch);
+            let (finished, q) = run_with_queue(node, plan, admission, policy, q, scratch);
             scratch.calendar = q;
-            result
+            finished
         }
     }
 }
 
-/// The dispatch loop, monomorphized over the queue.
-fn run_with_queue<Q: DenseQueue>(
+/// The dispatch loop, monomorphized over the queue and the admission.
+fn run_with_queue<Q: DenseQueue, A: Admission>(
     node: NodeConfig,
     plan: &[JobRequest],
+    admission: A,
     policy: Box<dyn ResourcePolicy>,
     mut queue: Q,
     scratch: &mut DenseScratch,
-) -> (SessionResult<CompletionStats>, Q) {
+) -> (Finished<A>, Q) {
     for (idx, job) in plan.iter().enumerate() {
         queue.schedule(job.arrival, WorkerEvent::Arrival(idx));
     }
@@ -282,13 +478,16 @@ fn run_with_queue<Q: DenseQueue>(
         completion_gen: 0,
         tick_gen: 0,
         arrivals_pending: plan.len(),
-        live: 0,
+        admission,
         recorder: CompletionsOnly::new(),
         update_calls: 0,
         algorithm_runs: 0,
         queue,
         s: scratch,
     };
+    if let Some(at) = sim.admission.pull_next() {
+        sim.queue.schedule(at, WorkerEvent::StreamArrival);
+    }
     // Replicates `SimEngine::run_until(.., SimTime::MAX)`: stale-generation
     // events still count toward `events_processed` (they are popped and
     // dispatched), and the budget guard trips at the same count.
@@ -312,15 +511,16 @@ fn run_with_queue<Q: DenseQueue>(
         events_processed,
         scheduler_overhead_cpu_secs: sim.algorithm_runs as f64 * sim.node.algo_cost_cpu_secs,
     };
-    (result, sim.queue)
+    ((result, sim.admission, sim.now), sim.queue)
 }
 
 /// One worker simulation over borrowed dense state.
 ///
-/// Method-for-method mirror of `WorkerSim` specialized to the headless
-/// recorder: same event protocol, same floating-point order, same RNG
-/// stream, minus the objects.
-struct DenseSim<'a, Q> {
+/// Method-for-method mirror of `WorkerSim` (and, for streams, its
+/// `OpenLoopShell`) specialized to the headless recorder: same event
+/// protocol, same floating-point order, same RNG stream, minus the
+/// objects.
+struct DenseSim<'a, Q, A> {
     node: NodeConfig,
     plan: &'a [JobRequest],
     policy: Box<dyn ResourcePolicy>,
@@ -330,8 +530,7 @@ struct DenseSim<'a, Q> {
     completion_gen: u64,
     tick_gen: u64,
     arrivals_pending: usize,
-    /// Live pool size (`runnable` slots).
-    live: usize,
+    admission: A,
     recorder: CompletionsOnly,
     update_calls: u64,
     algorithm_runs: u64,
@@ -339,9 +538,9 @@ struct DenseSim<'a, Q> {
     s: &'a mut DenseScratch,
 }
 
-impl<Q: DenseQueue> DenseSim<'_, Q> {
+impl<Q: DenseQueue, A: Admission> DenseSim<'_, Q, A> {
     fn is_done(&self) -> bool {
-        self.arrivals_pending == 0 && self.live == 0
+        self.arrivals_pending == 0 && !self.admission.pending() && self.s.pool_ids.is_empty()
     }
 
     /// Mirror of `Scheduler::at` (same cannot-schedule-into-the-past
@@ -368,6 +567,7 @@ impl<Q: DenseQueue> DenseSim<'_, Q> {
         let dt = now.saturating_since(self.last_advance).as_secs_f64();
         self.last_advance = now;
         self.s.exited.clear();
+        self.admission.advanced(&self.s.rate_vals, dt);
         if dt <= 0.0 || self.s.rate_ids.is_empty() {
             return;
         }
@@ -385,7 +585,6 @@ impl<Q: DenseQueue> DenseSim<'_, Q> {
             self.s.jobs[slot].advance(now, rate * efficiency * dt);
             if let Some(code) = exit_code_for(self.s.jobs[slot].status()) {
                 self.s.slots[slot].runnable = false;
-                self.live -= 1;
                 self.s.exited.push((id, code));
             }
         }
@@ -394,16 +593,12 @@ impl<Q: DenseQueue> DenseSim<'_, Q> {
     /// Mirror of `Daemon::alloc_inputs_into`: `(id, limit, demand)` rows in
     /// id order.
     fn alloc_inputs(&mut self) {
-        self.s.alloc_inputs.clear();
-        for slot in 0..self.s.slots.len() {
-            if !self.s.slots[slot].runnable {
-                continue;
-            }
-            self.s.alloc_inputs.push((
-                ContainerId::from_raw(slot as u32),
-                self.s.slots[slot].limits.cpu_limit(),
-                self.s.jobs[slot].demand(),
-            ));
+        let s = &mut *self.s;
+        s.alloc_inputs.clear();
+        for &id in &s.pool_ids {
+            let slot = id.index();
+            s.alloc_inputs
+                .push((id, s.slots[slot].limits.cpu_limit(), s.jobs[slot].demand()));
         }
     }
 
@@ -463,7 +658,8 @@ impl<Q: DenseQueue> DenseSim<'_, Q> {
         })
     }
 
-    /// Mirror of `WorkerSim::process_exits` over `s.exited`.
+    /// Mirror of `WorkerSim::process_exits` over `s.exited`; drops the
+    /// exited ids from the live list.
     fn process_exits(&mut self, now: SimTime) -> bool {
         if self.s.exited.is_empty() {
             return false;
@@ -472,30 +668,20 @@ impl<Q: DenseQueue> DenseSim<'_, Q> {
             let (id, code) = self.s.exited[k];
             self.s.mons[id.index()] = MonitorSlot::UNTRACKED;
             let created_at = self.s.slots[id.index()].created_at;
+            self.admission.exited(created_at, now);
             self.recorder.record_completion("", created_at, now, code);
         }
-        self.pool_ids();
+        let s = &mut *self.s;
+        s.pool_ids.retain(|id| s.slots[id.index()].runnable);
         self.policy.on_pool_change(now, &self.s.pool_ids)
     }
 
-    /// Mirror of `ContainerPool::ids_into`: live ids in ascending order.
-    fn pool_ids(&mut self) {
-        self.s.pool_ids.clear();
-        for slot in 0..self.s.slots.len() {
-            if self.s.slots[slot].runnable {
-                self.s.pool_ids.push(ContainerId::from_raw(slot as u32));
-            }
-        }
-    }
-
-    /// Mirror of `ContainerMonitor::measure_into` over the monitor slots.
+    /// Mirror of `ContainerMonitor::measure_into` over the live list.
     fn measure_into(&mut self, now: SimTime) {
         self.s.measures.clear();
-        for slot in 0..self.s.slots.len() {
-            if !self.s.slots[slot].runnable {
-                continue;
-            }
-            let id = ContainerId::from_raw(slot as u32);
+        for k in 0..self.s.pool_ids.len() {
+            let id = self.s.pool_ids[k];
+            let slot = id.index();
             let eval_now = self.s.jobs[slot].eval(now);
             let cumulative = self.s.slots[slot].cumulative;
             let limit = self.s.slots[slot].limits.cpu_limit();
@@ -594,11 +780,11 @@ impl<Q: DenseQueue> DenseSim<'_, Q> {
     }
 
     /// Mirror of `WorkerSim::admit_job` (headless: the label is dropped).
-    fn admit_job(&mut self, now: SimTime, idx: usize, interrupted_by_exit: bool) {
-        let spec = self.plan[idx].scaled_spec();
+    fn admit_job(&mut self, now: SimTime, spec: ModelSpec, interrupted_by_exit: bool) {
         // Same RNG protocol as `Daemon::run` + `TrainingJob::with_label`;
         // the empty label allocates nothing and is never read headless.
         let job = TrainingJob::with_label(spec, String::new(), &mut self.rng);
+        let id = ContainerId::from_raw(self.s.jobs.len() as u32);
         self.s.jobs.push(job);
         self.s.slots.push(ContainerSlot {
             created_at: now,
@@ -607,14 +793,14 @@ impl<Q: DenseQueue> DenseSim<'_, Q> {
             runnable: true,
         });
         self.s.mons.push(MonitorSlot::UNTRACKED);
-        self.live += 1;
+        // Ids only grow, so pushing keeps the live list ascending.
+        self.s.pool_ids.push(id);
 
-        self.pool_ids();
         let interrupt = self.policy.on_pool_change(now, &self.s.pool_ids);
         if interrupt || interrupted_by_exit {
             let next = self.run_reconfigure(now);
             self.schedule_tick(next);
-        } else if self.live == 1 {
+        } else if self.s.pool_ids.len() == 1 {
             let initial = self.policy.initial_interval();
             self.schedule_tick(initial);
         }
@@ -622,8 +808,8 @@ impl<Q: DenseQueue> DenseSim<'_, Q> {
         self.schedule_completion();
     }
 
-    /// Mirror of `WorkerSim::handle` restricted to the events a headless
-    /// plan-driven run can see.
+    /// Mirror of `WorkerSim::handle` (and `OpenLoopShell::handle`)
+    /// restricted to the events a headless run can see.
     fn handle(&mut self, event: WorkerEvent) {
         let now = self.now;
         match event {
@@ -631,7 +817,26 @@ impl<Q: DenseQueue> DenseSim<'_, Q> {
                 self.advance_to(now);
                 let interrupted_by_exit = self.process_exits(now);
                 self.arrivals_pending -= 1;
-                self.admit_job(now, idx, interrupted_by_exit);
+                self.admit_job(now, self.plan[idx].scaled_spec(), interrupted_by_exit);
+            }
+            WorkerEvent::StreamArrival => {
+                let job = self.admission.take();
+                debug_assert!(job.arrival == now, "stream arrival fired off schedule");
+                self.advance_to(now);
+                let interrupted_by_exit = self.process_exits(now);
+                // Schedule the lookahead *before* admitting: admission
+                // consults `is_done` (via tick scheduling), which must
+                // already know whether more arrivals are coming.  The
+                // order also fixes the FIFO sequence numbers that break
+                // ties between same-time events.
+                if let Some(at) = self.admission.pull_next() {
+                    assert!(
+                        at >= now,
+                        "job streams must yield monotone arrivals ({at} after {now})"
+                    );
+                    self.schedule_at(at, WorkerEvent::StreamArrival);
+                }
+                self.admit_job(now, job.scaled_spec(), interrupted_by_exit);
             }
             WorkerEvent::CompletionCheck(gen) => {
                 if gen != self.completion_gen {
@@ -657,10 +862,7 @@ impl<Q: DenseQueue> DenseSim<'_, Q> {
                 self.recompute_rates();
                 self.schedule_completion();
             }
-            WorkerEvent::StreamArrival
-            | WorkerEvent::SampleTick
-            | WorkerEvent::TraceTick
-            | WorkerEvent::InjectFailure(_) => {
+            WorkerEvent::SampleTick | WorkerEvent::TraceTick | WorkerEvent::InjectFailure(_) => {
                 unreachable!("never scheduled on the dense headless path")
             }
         }
