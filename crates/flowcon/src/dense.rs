@@ -304,6 +304,8 @@ struct OpenLoop<J> {
     pending: Option<StreamedJob>,
     submitted: u64,
     exits: u64,
+    /// When the latest container exited (the drain point).
+    last_exit: SimTime,
     /// `∫ Σrates · dt`, the utilization numerator.
     busy: TimeWeighted,
     /// `∫ pool size · dt`, the mean-queue-depth numerator.
@@ -348,6 +350,7 @@ impl<J: JobStream> Admission for OpenLoop<J> {
 
     fn exited(&mut self, created_at: SimTime, now: SimTime) {
         self.exits += 1;
+        self.last_exit = now;
         self.slo
             .record_exit(now.saturating_since(created_at).as_secs_f64(), 0.0);
     }
@@ -402,12 +405,13 @@ pub fn run_stream_dense<J: JobStream>(
         pending: None,
         submitted: 0,
         exits: 0,
+        last_exit: SimTime::ZERO,
         busy: TimeWeighted::new(),
         queue: TimeWeighted::new(),
         slo: SojournStats::new(),
     };
-    let (result, open, end) = run(node, &[], open, policy, queue, scratch);
-    let duration_secs = end.as_secs_f64();
+    let (result, open) = run(node, &[], open, policy, queue, scratch);
+    let duration_secs = open.last_exit.as_secs_f64();
     StreamResult {
         output: result.output,
         events_processed: result.events_processed,
@@ -424,9 +428,9 @@ pub fn run_stream_dense<J: JobStream>(
     }
 }
 
-/// A finished dense run: the session result, the admission state it ended
-/// with, and the time of its last event.
-type Finished<A> = (SessionResult<CompletionStats>, A, SimTime);
+/// A finished dense run: the session result and the admission state it
+/// ended with.
+type Finished<A> = (SessionResult<CompletionStats>, A);
 
 /// Run on the recycled queue `queue` selects (the scratch must already be
 /// reset).
@@ -511,7 +515,7 @@ fn run_with_queue<Q: DenseQueue, A: Admission>(
         events_processed,
         scheduler_overhead_cpu_secs: sim.algorithm_runs as f64 * sim.node.algo_cost_cpu_secs,
     };
-    ((result, sim.admission, sim.now), sim.queue)
+    ((result, sim.admission), sim.queue)
 }
 
 /// One worker simulation over borrowed dense state.

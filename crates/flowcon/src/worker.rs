@@ -228,6 +228,8 @@ pub(crate) struct WorkerSim<R: Recorder = FullRecorder> {
     queue: TimeWeighted,
     /// Containers that exited so far (open-loop completion counter).
     exits_total: u64,
+    /// When the latest container exited (the open-loop drain point).
+    last_exit: SimTime,
     /// Open-loop mode: a streamed arrival is still pending, so the run is
     /// not done even while the pool is empty.
     stream_active: bool,
@@ -291,6 +293,7 @@ impl<R: Recorder> WorkerSim<R> {
             busy: TimeWeighted::new(),
             queue: TimeWeighted::new(),
             exits_total: 0,
+            last_exit: SimTime::ZERO,
             stream_active: false,
             slo: SojournStats::new(),
             slo_enabled: false,
@@ -390,7 +393,7 @@ impl<R: Recorder> WorkerSim<R> {
         let OpenLoopShell {
             worker, submitted, ..
         } = shell;
-        let duration_secs = engine.now().as_secs_f64();
+        let duration_secs = worker.last_exit.as_secs_f64();
         let stream_stats = StreamStats {
             submitted,
             completed: worker.exits_total,
@@ -537,6 +540,7 @@ impl<R: Recorder> WorkerSim<R> {
             return false;
         }
         self.exits_total += exited.len() as u64;
+        self.last_exit = now;
         for &id in exited {
             self.policy_monitor.forget(id);
             self.trace_monitor.forget(id);

@@ -262,3 +262,33 @@ fn unbounded_horizons_are_rejected() {
         &mut DenseScratch::new(),
     );
 }
+
+#[test]
+fn duration_is_the_drain_point_on_both_paths() {
+    // The run ends when the last admitted job exits, not at the last
+    // event: FlowCon's tick scheduled before the pool drained still fires
+    // afterwards and must not stretch the window.
+    let source = synthetic(ArrivalProcess::poisson(0.01));
+    let horizon = Horizon::until(SimTime::from_secs(1_800));
+    for w in 0..4 {
+        let reference = object(node(w), source.stream_for(w), horizon, flowcon());
+        let dense = run_stream_dense(
+            node(w),
+            source.stream_for(w),
+            horizon,
+            flowcon(),
+            QueueKind::Heap,
+            &mut DenseScratch::new(),
+        );
+        for (path, r) in [("object", &reference), ("dense", &dense)] {
+            let last = r.output.completions.iter().map(|c| c.finished).max();
+            let drain = last.map_or(0.0, SimTime::as_secs_f64);
+            assert_eq!(r.stream.duration_secs, drain, "{path}, worker {w}");
+            assert_eq!(
+                r.stream.capacity_cpu_secs,
+                node(w).capacity * drain,
+                "{path}, worker {w}"
+            );
+        }
+    }
+}

@@ -26,8 +26,10 @@ pub struct StreamStats {
     pub submitted: u64,
     /// Jobs that exited (including injected failures).
     pub completed: u64,
-    /// Simulated end of the run in seconds (the drain point: when the last
-    /// admitted job exited).  After a merge: the latest worker's end.
+    /// Simulated end of the run in seconds: the drain point, when the last
+    /// admitted job exited (0 when nothing exited).  Policy ticks or
+    /// completion checks that fire after the pool drained do not extend
+    /// it.  After a merge: the latest worker's end.
     pub duration_secs: f64,
     /// `∫ Σ allocated CPU rates · dt` in CPU-seconds.
     pub busy_cpu_secs: f64,
