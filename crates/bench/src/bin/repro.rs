@@ -311,20 +311,41 @@ fn check_flags(cmd: &str, args: &[String], flags: &[(&str, bool)]) {
     }
 }
 
+/// What `--rate` wants, in `repro trace` and `repro stream` alike.
+const RATE_WANTS: &str = "a finite arrival rate > 0 (jobs/s)";
+
 /// `--quantum SECS` (default 10): the scheduler's barrier spacing must be
 /// a finite number of seconds no finer than the clock's 1 µs resolution,
 /// or the run exits 2.
 fn quantum_flag(args: &[String]) -> f64 {
-    let Some(v) = flag_value(args, "--quantum") else {
-        return 10.0;
-    };
+    float_flag(
+        args,
+        "--quantum",
+        "finite seconds, at least 1e-6 (one clock tick)",
+        |q| q.is_finite() && q >= 1e-6,
+    )
+    .unwrap_or(10.0)
+}
+
+/// `--NAME X`, if given, as a number `valid` accepts; anything else —
+/// unparsable, NaN, infinite, out of range — exits 2 with a message that
+/// names the flag and what it `wants`.  The simulation asserts the same
+/// bounds deep inside, so an unchecked value would panic or run a
+/// degenerate workload instead of a usage error.
+fn float_flag(args: &[String], name: &str, wants: &str, valid: fn(f64) -> bool) -> Option<f64> {
+    let v = flag_value(args, name)?;
     match v.parse::<f64>() {
-        Ok(quantum) if quantum.is_finite() && quantum >= 1e-6 => quantum,
+        Ok(x) if valid(x) => Some(x),
         _ => {
-            eprintln!("--quantum wants finite seconds, at least 1e-6 (one clock tick), got {v}");
+            eprintln!("{name} wants {wants}, got {v}");
             std::process::exit(2);
         }
     }
+}
+
+/// A rate, compression factor or time span: finite and `> 0`.
+fn finite_positive(x: f64) -> bool {
+    x.is_finite() && x > 0.0
 }
 
 /// `repro bench [--out FILE] [--check BASELINE]`: run the micro-suite,
@@ -763,14 +784,6 @@ fn run_trace(args: &[String]) {
             })
         })
     };
-    let parse_f64 = |name: &str| {
-        flag_value(args, name).map(|v| {
-            v.parse::<f64>().unwrap_or_else(|_| {
-                eprintln!("{name} wants a number, got {v}");
-                std::process::exit(2);
-            })
-        })
-    };
     let workers = parse_num("--workers", 1) as usize;
     let seed = parse_num("--seed", flowcon_bench::experiments::DEFAULT_SEED);
     let emit = flag_value(args, "--emit");
@@ -818,10 +831,12 @@ fn run_trace(args: &[String]) {
             }
         };
         let mut catalog = TraceCatalog::table1();
-        if let Some(keep) = parse_f64("--thin") {
+        let in_unit = |x: f64| x > 0.0 && x <= 1.0;
+        if let Some(keep) = float_flag(args, "--thin", "a keep probability in (0, 1]", in_unit) {
             catalog = catalog.thin(keep, seed);
         }
-        if let Some(factor) = parse_f64("--compress") {
+        if let Some(factor) = float_flag(args, "--compress", "a finite factor > 0", finite_positive)
+        {
             catalog = catalog.compress(factor);
         }
         if !labeled {
@@ -836,7 +851,7 @@ fn run_trace(args: &[String]) {
         }
     } else {
         let jobs = parse_num("--jobs", 50) as usize;
-        let rate = parse_f64("--rate").unwrap_or(0.1);
+        let rate = float_flag(args, "--rate", RATE_WANTS, finite_positive).unwrap_or(0.1);
         let name = synthetic.as_deref().expect("checked above");
         let Some(template) = exp::preset(name, rate, jobs, seed) else {
             eprintln!("--synthetic wants poisson, bursty or diurnal, got {name}");
@@ -1456,14 +1471,6 @@ fn run_stream(args: &[String]) {
             })
         })
     };
-    let parse_f64 = |name: &str| {
-        flag_value(args, name).map(|v| {
-            v.parse::<f64>().unwrap_or_else(|_| {
-                eprintln!("{name} wants a number, got {v}");
-                std::process::exit(2);
-            })
-        })
-    };
     let workers = parse_num("--workers", 1) as usize;
     if workers == 0 {
         eprintln!("--workers must be at least 1: a cluster with no workers cannot run jobs");
@@ -1492,7 +1499,14 @@ fn run_stream(args: &[String]) {
     // The horizon: --until (admission window, simulated seconds) and/or
     // --jobs (per-worker admission cap).  An unbounded open-loop run
     // would never terminate, so at least one is mandatory.
-    let until = parse_f64("--until");
+    // A NaN, negative or zero window admits nothing; an infinite one (or
+    // one past the clock's range) never closes.
+    let until = float_flag(
+        args,
+        "--until",
+        "finite simulated seconds > 0 within the clock's range",
+        |x| finite_positive(x) && SimTime::from_secs_f64(x) < SimTime::MAX,
+    );
     let max_jobs = flag_value(args, "--jobs").map(|v| {
         v.parse::<usize>().unwrap_or_else(|_| {
             eprintln!("--jobs wants a number, got {v}");
@@ -1533,7 +1547,8 @@ fn run_stream(args: &[String]) {
         Trace(TraceStreamSource),
     }
     let (what, source) = if let Some(name) = &synthetic {
-        let rate = parse_f64("--rate").unwrap_or(exp::DEFAULT_STREAM_RATE);
+        let rate = float_flag(args, "--rate", RATE_WANTS, finite_positive)
+            .unwrap_or(exp::DEFAULT_STREAM_RATE);
         let Some(mut src) = exp::stream_preset(name, rate, seed) else {
             eprintln!("--synthetic wants poisson, bursty or diurnal, got {name}");
             std::process::exit(2);
