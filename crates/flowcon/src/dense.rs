@@ -177,9 +177,7 @@ pub struct DenseScratch {
     efficiencies: Vec<f64>,
     /// Water-filling scratch.
     alloc: WaterfillScratch,
-    /// `(id, limit, demand)` allocator inputs.
-    alloc_inputs: Vec<(ContainerId, f64, f64)>,
-    /// Allocator requests derived from `alloc_inputs`.
+    /// Allocator requests, one per live container in id order.
     requests: Vec<AllocRequest>,
     /// Growth-measurement buffer for policy reconfigurations.
     measures: Vec<GrowthMeasurement>,
@@ -210,7 +208,6 @@ impl DenseScratch {
         self.rate_ids.clear();
         self.rate_vals.clear();
         self.efficiencies.clear();
-        self.alloc_inputs.clear();
         self.requests.clear();
         self.measures.clear();
         self.pool_ids.clear();
@@ -222,7 +219,6 @@ impl DenseScratch {
         self.rate_ids.reserve(max_jobs);
         self.rate_vals.reserve(max_jobs);
         self.efficiencies.reserve(max_jobs);
-        self.alloc_inputs.reserve(max_jobs);
         self.requests.reserve(max_jobs);
         self.measures.reserve(max_jobs);
         self.pool_ids.reserve(max_jobs);
@@ -594,50 +590,28 @@ impl<Q: DenseQueue, A: Admission> DenseSim<'_, Q, A> {
         }
     }
 
-    /// Mirror of `Daemon::alloc_inputs_into`: `(id, limit, demand)` rows in
-    /// id order.
-    fn alloc_inputs(&mut self) {
-        let s = &mut *self.s;
-        s.alloc_inputs.clear();
-        for &id in &s.pool_ids {
-            let slot = id.index();
-            s.alloc_inputs
-                .push((id, s.slots[slot].limits.cpu_limit(), s.jobs[slot].demand()));
-        }
-    }
-
-    /// Mirror of `WorkerSim::recompute_rates`.
+    /// Mirror of `WorkerSim::recompute_rates`, reading the allocator's
+    /// `(limit, demand)` inputs (`Daemon::alloc_inputs_into`) straight off
+    /// the live list.
     fn recompute_rates(&mut self) {
-        self.alloc_inputs();
-        let scratch = &mut *self.s;
-        scratch.requests.clear();
-        scratch
-            .requests
-            .extend(
-                scratch
-                    .alloc_inputs
-                    .iter()
-                    .map(|&(_, limit, demand)| AllocRequest {
-                        limit,
-                        demand,
-                        weight: 1.0,
-                    }),
-            );
-        waterfill_soft_into(&mut scratch.alloc, self.node.capacity, &scratch.requests);
-        scratch.rate_ids.clear();
-        scratch.rate_vals.clear();
-        scratch
-            .rate_ids
-            .extend(scratch.alloc_inputs.iter().map(|&(id, _, _)| id));
-        scratch.rate_vals.extend_from_slice(scratch.alloc.rates());
-        let n = scratch.rate_ids.len();
-        scratch.efficiencies.clear();
-        scratch
-            .efficiencies
-            .extend(scratch.alloc_inputs.iter().map(|&(_, limit, _)| {
-                let shaped = limit < 0.999;
-                self.node.contention.container_efficiency(n, shaped)
-            }));
+        let s = &mut *self.s;
+        s.requests.clear();
+        s.requests.extend(s.pool_ids.iter().map(|id| AllocRequest {
+            limit: s.slots[id.index()].limits.cpu_limit(),
+            demand: s.jobs[id.index()].demand(),
+            weight: 1.0,
+        }));
+        waterfill_soft_into(&mut s.alloc, self.node.capacity, &s.requests);
+        s.rate_ids.clear();
+        s.rate_ids.extend_from_slice(&s.pool_ids);
+        s.rate_vals.clear();
+        s.rate_vals.extend_from_slice(s.alloc.rates());
+        let n = s.rate_ids.len();
+        s.efficiencies.clear();
+        s.efficiencies.extend(s.requests.iter().map(|q| {
+            let shaped = q.limit < 0.999;
+            self.node.contention.container_efficiency(n, shaped)
+        }));
         self.completion_gen += 1;
     }
 
