@@ -493,7 +493,7 @@ impl<'w> ClusterSession<'w, Headless> {
     /// Every workload runs on the dense path ([`flowcon_core::dense`]),
     /// one recycled [`DenseScratch`] per executor shard, on the queue
     /// chosen with [`ClusterSessionBuilder::queue`], within the
-    /// < 10-allocation per-worker budget pinned by
+    /// 10-allocation per-worker budget pinned by
     /// `crates/cluster/tests/headless_allocs.rs`.  Results are
     /// bit-identical to object-path sessions with
     /// [`CompletionsOnly`](flowcon_core::recorder::CompletionsOnly)

@@ -478,6 +478,7 @@ fn run_with_queue<Q: DenseQueue, A: Admission>(
         completion_gen: 0,
         tick_gen: 0,
         arrivals_pending: plan.len(),
+        rates_stale: true,
         admission,
         recorder: CompletionsOnly::new(),
         update_calls: 0,
@@ -530,6 +531,8 @@ struct DenseSim<'a, Q, A> {
     completion_gen: u64,
     tick_gen: u64,
     arrivals_pending: usize,
+    /// The pool or a limit changed since the rates were last computed.
+    rates_stale: bool,
     admission: A,
     recorder: CompletionsOnly,
     update_calls: u64,
@@ -593,7 +596,17 @@ impl<Q: DenseQueue, A: Admission> DenseSim<'_, Q, A> {
     /// Mirror of `WorkerSim::recompute_rates`, reading the allocator's
     /// `(limit, demand)` inputs (`Daemon::alloc_inputs_into`) straight off
     /// the live list.
+    ///
+    /// Rates and efficiencies are a pure function of the live list and its
+    /// limits (demands are fixed per job), so they are only rebuilt when
+    /// one of those moved; the completion generation advances either way,
+    /// exactly as on the object path.
     fn recompute_rates(&mut self) {
+        self.completion_gen += 1;
+        if !self.rates_stale {
+            return;
+        }
+        self.rates_stale = false;
         let s = &mut *self.s;
         s.requests.clear();
         s.requests.extend(s.pool_ids.iter().map(|id| AllocRequest {
@@ -612,7 +625,6 @@ impl<Q: DenseQueue, A: Admission> DenseSim<'_, Q, A> {
             let shaped = q.limit < 0.999;
             self.node.contention.container_efficiency(n, shaped)
         }));
-        self.completion_gen += 1;
     }
 
     /// Mirror of `WorkerSim::next_completion`, including its early-abort on
@@ -651,6 +663,7 @@ impl<Q: DenseQueue, A: Admission> DenseSim<'_, Q, A> {
         }
         let s = &mut *self.s;
         s.pool_ids.retain(|id| s.slots[id.index()].runnable);
+        self.rates_stale = true;
         self.policy.on_pool_change(now, &self.s.pool_ids)
     }
 
@@ -734,6 +747,7 @@ impl<Q: DenseQueue, A: Admission> DenseSim<'_, Q, A> {
                 let opts = UpdateOptions::new().cpus(limit);
                 self.s.slots[slot].limits = opts.apply_to(self.s.slots[slot].limits);
                 self.update_calls += 1;
+                self.rates_stale = true;
             }
         }
         next_interval
@@ -773,6 +787,7 @@ impl<Q: DenseQueue, A: Admission> DenseSim<'_, Q, A> {
         self.s.mons.push(MonitorSlot::UNTRACKED);
         // Ids only grow, so pushing keeps the live list ascending.
         self.s.pool_ids.push(id);
+        self.rates_stale = true;
 
         let interrupt = self.policy.on_pool_change(now, &self.s.pool_ids);
         if interrupt || interrupted_by_exit {
