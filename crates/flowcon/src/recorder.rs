@@ -20,7 +20,8 @@
 //!   workspace's `tests/determinism.rs` pin every completion and every
 //!   `cpu_usage`, `limits` and `growth_efficiency` point of a fixed run.
 //! * [`CompletionsOnly`] — headless: label-free [`CompletionStats`] only,
-//!   O(completions) memory, ≲20 allocations per simulated worker.
+//!   O(completions) memory; the dense headless path
+//!   ([`crate::dense`]) records through it too.
 
 use flowcon_metrics::summary::{CompletionStats, RunSummary};
 use flowcon_sim::time::SimTime;
@@ -165,10 +166,11 @@ impl Recorder for FullRecorder {
 /// Headless: completion times and makespan only.
 ///
 /// No usage/limit traces, no growth series, no label clones, no policy-name
-/// `String` — the session holds O(completions) memory and a worker run
-/// stays within the ≲20 allocations/worker budget enforced by
-/// `crates/cluster/tests/headless_allocs.rs` and the committed
-/// `cluster/headless/*` bench rows.
+/// `String` — the session holds O(completions) memory.  The dense
+/// headless path ([`crate::dense`]) records through this type, and a
+/// headless cluster worker stays within the ≤ 10 allocations/worker
+/// budget enforced by `crates/cluster/tests/headless_allocs.rs` and the
+/// committed `cluster/headless/*` bench rows.
 #[derive(Debug, Clone, Default)]
 pub struct CompletionsOnly {
     stats: CompletionStats,

@@ -21,7 +21,7 @@
 //!     .run();
 //! assert_eq!(result.output.completions.len(), 3);
 //!
-//! // Headless: completions and makespan only, ≲20 allocs per worker.
+//! // Headless: completions and makespan only.
 //! let stats = Session::builder()
 //!     .plan(WorkloadPlan::fixed_three())
 //!     .recorder(CompletionsOnly::new())
@@ -348,7 +348,8 @@ impl<R: Recorder> Session<R> {
     }
 
     /// [`Session::run_stream`], handing the hot-path scratch back for the
-    /// next session (the sharded open-loop cluster path).
+    /// next session (the sharded open-loop cluster path in recorded mode;
+    /// headless clusters run [`crate::dense::run_stream_dense`]).
     pub fn run_stream_recycling<J: JobStream>(
         self,
         stream: J,

@@ -45,7 +45,7 @@ impl<F: Fn(usize) -> WorkloadPlan + Sync> PlanSource for F {
 /// no-op pass (it only reorders equal-arrival ties by label).  With an
 /// unlabeled bound trace
 /// ([`TraceCatalog::unlabeled`](crate::TraceCatalog::unlabeled)), a
-/// `next_plan` call allocates exactly one `Vec` — the ≤ 20 allocs/worker
+/// `next_plan` call allocates exactly one `Vec` — the ≤ 10 allocs/worker
 /// headless budget survives trace-driven runs.
 #[derive(Debug, Clone)]
 pub struct TraceSource {

@@ -58,8 +58,9 @@
 //!
 //! Headless budget: with an unlabeled source, pulling a job allocates
 //! nothing beyond the admission itself (labels are empty `String`s, the
-//! sampler state is inline), so open-loop cluster runs stay within the
-//! ≤ 20 allocs/worker headless budget pinned by
+//! sampler state is inline), so open-loop cluster runs — which run
+//! headless on the dense path, `flowcon_core::dense::run_stream_dense` —
+//! stay within the ≤ 10 allocs/worker headless budget pinned by
 //! `crates/cluster/tests/headless_allocs.rs` and the `stream/open_loop/*`
 //! bench rows.
 //!
