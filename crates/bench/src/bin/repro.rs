@@ -311,9 +311,6 @@ fn check_flags(cmd: &str, args: &[String], flags: &[(&str, bool)]) {
     }
 }
 
-/// What `--rate` wants, in `repro trace` and `repro stream` alike.
-const RATE_WANTS: &str = "a finite arrival rate > 0 (jobs/s)";
-
 /// `--quantum SECS` (default 10): the scheduler's barrier spacing must be
 /// a finite number of seconds no finer than the clock's 1 µs resolution,
 /// or the run exits 2.
@@ -347,6 +344,9 @@ fn float_flag(args: &[String], name: &str, wants: &str, valid: fn(f64) -> bool) 
 fn finite_positive(x: f64) -> bool {
     x.is_finite() && x > 0.0
 }
+
+/// What `--rate` wants, in `repro trace` and `repro stream` alike.
+const RATE_WANTS: &str = "a finite arrival rate > 0 (jobs/s)";
 
 /// `repro bench [--out FILE] [--check BASELINE]`: run the micro-suite,
 /// print a table, write the machine-readable trajectory file, and — with
