@@ -35,12 +35,11 @@ use flowcon_dl::workload::WorkloadPlan;
 use flowcon_sim::time::SimTime;
 use flowcon_workload::{ArrivalProcess, SyntheticSource, SyntheticStreamSource, TraceSource};
 
-/// The **dense**-path ceiling (the ISSUE-6 acceptance budget): every
-/// headless run goes through `flowcon_core::dense` — arena state recycled
-/// per shard, no daemon/pool/monitor objects — so the marginal cost per
-/// worker is just the policy box, its list buffers, the completion stats,
-/// and (sources and streams) the worker's plan or boxed stream and its
-/// tail sketches.
+/// The **dense**-path ceiling: every headless run goes through
+/// `flowcon_core::dense` — arena state recycled per shard, no
+/// daemon/pool/monitor objects — so the marginal cost per worker is just
+/// the policy box, its list buffers, the completion stats, and (sources
+/// and streams) the worker's plan or boxed stream and its tail sketches.
 const DENSE_ALLOCS_PER_WORKER_BUDGET: f64 = 10.0;
 
 /// Tests in this binary run on parallel threads, but the allocation
