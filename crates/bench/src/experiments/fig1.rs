@@ -61,7 +61,7 @@ pub fn run(node: NodeConfig) -> Fig1 {
         let mut cumulative = 0.0;
         let mut points = Vec::with_capacity(usage.len());
         let mut last_t = 0.0;
-        for &(t, rate) in usage.points() {
+        for (t, rate) in usage.points() {
             cumulative += rate * (t - last_t);
             last_t = t;
             // Effective progress ignores the contention factor here; the

@@ -2,9 +2,8 @@
 //!
 //! The pre-redesign worker hard-wired a full [`RunSummary`] — per-job label
 //! `String`s, 1 Hz usage/limit traces, growth-efficiency series — into the
-//! simulation hot path, whether or not the caller wanted any of it.  The
-//! PR-2 profile showed that fixed cost dominating cluster runs, and the
-//! retained series were the memory ceiling for 10k-worker clusters.
+//! simulation hot path, whether or not the caller wanted any of it, and
+//! that fixed cost dominated cluster runs.
 //!
 //! A [`Recorder`] makes observability a compile-time choice.  The worker is
 //! monomorphized over the recorder, so a headless run does not merely skip
@@ -19,6 +18,10 @@
 //!   the pre-redesign `WorkerSim::run` output.  The golden digests in the
 //!   workspace's `tests/determinism.rs` pin every completion and every
 //!   `cpu_usage`, `limits` and `growth_efficiency` point of a fixed run.
+//!   Its series store points by change of value, so a 1 Hz trace of a
+//!   step function costs memory per step, not per sample
+//!   (`crates/flowcon/tests/recorded_footprint.rs` holds a summary to
+//!   8 bytes per usage sample).
 //! * [`CompletionsOnly`] — headless: label-free [`CompletionStats`] only,
 //!   O(completions) memory; the dense headless path
 //!   ([`crate::dense`]) records through it too.

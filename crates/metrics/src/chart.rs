@@ -60,7 +60,7 @@ pub fn line_chart(
     let mut grid = vec![vec![' '; width]; height];
     for (si, (_, s)) in series.iter().enumerate() {
         let glyph = GLYPHS[si % GLYPHS.len()];
-        for &(t, v) in s.points() {
+        for (t, v) in s.points() {
             let col = ((t / t_max) * (width - 1) as f64).round() as usize;
             let row_from_bottom =
                 ((v / v_max).clamp(0.0, 1.0) * (height - 1) as f64).round() as usize;

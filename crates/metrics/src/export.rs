@@ -164,7 +164,7 @@ pub(crate) fn write_value(out: &mut String, value: &JsonValue) {
 pub fn series_csv(name: &str, series: &MultiSeries) -> String {
     let mut rows = Vec::new();
     for (label, s) in series.iter() {
-        for &(t, v) in s.points() {
+        for (t, v) in s.points() {
             rows.push(vec![
                 name.to_string(),
                 label.to_string(),

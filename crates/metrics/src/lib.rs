@@ -7,8 +7,8 @@
 //! provides the containers those metrics live in, plus the reporting
 //! machinery the experiment harness uses to regenerate every figure:
 //!
-//! * [`timeseries`] — append-only `(t, value)` series with resampling and
-//!   window averaging (CPU usage and growth-efficiency traces).
+//! * [`timeseries`] — append-only `(t, value)` series stored by change
+//!   point (CPU usage, limit and growth-efficiency traces).
 //! * [`summary`] — per-run summaries: completion times, makespan, overlap
 //!   accounting, and FlowCon-vs-NA comparisons (Table 2's reductions).
 //! * [`stats`] — descriptive statistics helpers.

@@ -124,6 +124,14 @@ impl CompletionStats {
 }
 
 /// Everything measured in one experiment run.
+///
+/// The three trace fields hold one [`TimeSeries`] per job label.  A series
+/// stores its points by change of value, so a 1 Hz usage or limit trace
+/// costs memory per change, not per sample; [`TimeSeries::points`]
+/// iterates the rebuilt points.
+///
+/// [`TimeSeries`]: crate::timeseries::TimeSeries
+/// [`TimeSeries::points`]: crate::timeseries::TimeSeries::points
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunSummary {
     /// Policy name (`FlowCon-5%-20`, `NA`, ...).
@@ -376,18 +384,12 @@ mod tests {
         s.record_usage_sample(&mut cursor, SimTime::from_secs(1), "job", 0.5, 1.0);
         s.record_usage_sample(&mut cursor, SimTime::from_secs(2), "job", 0.25, 0.4);
         s.record_growth(&mut cursor, SimTime::from_secs(2), "job", 0.01);
-        assert_eq!(
-            s.cpu_usage.get("job").unwrap().points(),
-            &[(1.0, 0.5), (2.0, 0.25)]
-        );
-        assert_eq!(
-            s.limits.get("job").unwrap().points(),
-            &[(1.0, 1.0), (2.0, 0.4)]
-        );
-        assert_eq!(
-            s.growth_efficiency.get("job").unwrap().points(),
-            &[(2.0, 0.01)]
-        );
+        let points = |series: &MultiSeries| -> Vec<(f64, f64)> {
+            series.get("job").unwrap().points().collect()
+        };
+        assert_eq!(points(&s.cpu_usage), [(1.0, 0.5), (2.0, 0.25)]);
+        assert_eq!(points(&s.limits), [(1.0, 1.0), (2.0, 0.4)]);
+        assert_eq!(points(&s.growth_efficiency), [(2.0, 0.01)]);
     }
 
     #[test]

@@ -1,11 +1,44 @@
 //! Time series of scalar measurements.
 
-use flowcon_sim::time::SimTime;
+use flowcon_sim::time::{SimDuration, SimTime};
 
-/// An append-only series of `(time, value)` points.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// Consecutive sample times `start, start + step, …`, `len` of them.
+#[derive(Debug, Clone, Copy)]
+struct TimeRun {
+    start: SimTime,
+    step: SimDuration,
+    len: usize,
+}
+
+impl TimeRun {
+    /// The run's `i`-th time; `i == len` is the time that would extend it.
+    fn at(&self, i: usize) -> SimTime {
+        self.start + self.step.saturating_mul(i as u64)
+    }
+}
+
+/// An append-only series of `(time, value)` points, stored by change.
+///
+/// The series a recorder keeps are step functions sampled on a fixed
+/// tick: a container's CPU usage is its water-fill rate, which moves only
+/// when the pool or a soft limit moves, and its limit moves only when the
+/// policy issues an update.  So the series stores each point exactly but
+/// pays per change, not per sample: times as arithmetic runs
+/// (`start`, `step`, `len`), and a `(sample index, value)` change point
+/// only where a value's bits differ from the sample before.  A series
+/// sampled at 1 Hz with a constant value costs the same at any length.
+///
+/// [`TimeSeries::points`] iterates the rebuilt points, and `==` compares
+/// them as a `Vec<(f64, f64)>` would (`-0.0 == 0.0`, NaN never equal).
+#[derive(Debug, Clone, Default)]
 pub struct TimeSeries {
-    points: Vec<(f64, f64)>,
+    /// Sample times, as arithmetic runs in push order.
+    runs: Vec<TimeRun>,
+    /// `(sample index, value)` wherever the value's bits differ from the
+    /// sample before; the first sample always opens one.
+    changes: Vec<(usize, f64)>,
+    /// Number of samples.
+    len: usize,
 }
 
 impl TimeSeries {
@@ -16,88 +49,86 @@ impl TimeSeries {
 
     /// Append a point; time must be non-decreasing.
     pub fn push(&mut self, at: SimTime, value: f64) {
-        let t = at.as_secs_f64();
         debug_assert!(
-            self.points.last().map_or(true, |&(lt, _)| t >= lt),
-            "time went backwards: {t} after {:?}",
-            self.points.last()
+            self.last_time().map_or(true, |last| at >= last),
+            "time went backwards: {at:?} after {:?}",
+            self.last_time()
         );
-        self.points.push((t, value));
+        match self.runs.last_mut() {
+            Some(run) if run.len == 1 && at >= run.start => {
+                run.step = at - run.start;
+                run.len = 2;
+            }
+            Some(run) if run.len > 1 && run.at(run.len) == at => run.len += 1,
+            _ => self.runs.push(TimeRun {
+                start: at,
+                step: SimDuration::ZERO,
+                len: 1,
+            }),
+        }
+        if self
+            .changes
+            .last()
+            .map_or(true, |&(_, last)| last.to_bits() != value.to_bits())
+        {
+            self.changes.push((self.len, value));
+        }
+        self.len += 1;
     }
 
-    /// Append a point with a raw seconds timestamp.
-    pub fn push_secs(&mut self, t: f64, value: f64) {
-        self.points.push((t, value));
-    }
-
-    /// All points as `(seconds, value)` pairs.
-    pub fn points(&self) -> &[(f64, f64)] {
-        &self.points
+    /// All points as `(seconds, value)` pairs, in push order; each is the
+    /// pushed `(at.as_secs_f64(), value)` bit for bit.
+    pub fn points(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
+        let times = self
+            .runs
+            .iter()
+            .flat_map(|run| (0..run.len).map(move |i| run.at(i)));
+        let mut changes = self.changes.iter().peekable();
+        // Sample 0 always opens a change point, so this is never yielded.
+        let mut value = f64::NAN;
+        times.enumerate().map(move |(i, at)| {
+            if let Some(&(_, v)) = changes.next_if(|&&(start, _)| start == i) {
+                value = v;
+            }
+            (at.as_secs_f64(), value)
+        })
     }
 
     /// Number of points.
     pub fn len(&self) -> usize {
-        self.points.len()
+        self.len
     }
 
     /// True if no points recorded.
     pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
+        self.len == 0
     }
 
     /// Latest value, if any.
     pub fn last(&self) -> Option<(f64, f64)> {
-        self.points.last().copied()
+        let at = self.last_time()?;
+        let &(_, value) = self.changes.last()?;
+        Some((at.as_secs_f64(), value))
     }
 
     /// Maximum value over the series.
     pub fn max_value(&self) -> Option<f64> {
-        self.points
+        // The change points hold every value minus bit-identical repeats,
+        // which `max` ignores.
+        self.changes
             .iter()
             .map(|&(_, v)| v)
             .fold(None, |acc, v| Some(acc.map_or(v, |m: f64| m.max(v))))
     }
 
-    /// Mean of values with `since < t <= until`.
-    pub fn mean_over(&self, since: f64, until: f64) -> Option<f64> {
-        let mut sum = 0.0;
-        let mut n = 0u32;
-        for &(t, v) in &self.points {
-            if t > since && t <= until {
-                sum += v;
-                n += 1;
-            }
-        }
-        (n > 0).then(|| sum / n as f64)
+    fn last_time(&self) -> Option<SimTime> {
+        self.runs.last().map(|run| run.at(run.len - 1))
     }
+}
 
-    /// Piecewise-constant integral (left-continuous) over the full span.
-    pub fn integral(&self) -> f64 {
-        self.points
-            .windows(2)
-            .map(|w| w[0].1 * (w[1].0 - w[0].0))
-            .sum()
-    }
-
-    /// Resample onto a fixed `step`-second grid by last-observation-carried-
-    /// forward; used when rendering CPU traces at uniform resolution.
-    pub fn resample(&self, step: f64) -> TimeSeries {
-        assert!(step > 0.0);
-        let mut out = TimeSeries::new();
-        let Some(&(t0, _)) = self.points.first() else {
-            return out;
-        };
-        let (tn, _) = *self.points.last().expect("non-empty");
-        let mut idx = 0;
-        let mut t = t0;
-        while t <= tn + 1e-9 {
-            while idx + 1 < self.points.len() && self.points[idx + 1].0 <= t {
-                idx += 1;
-            }
-            out.push_secs(t, self.points[idx].1);
-            t += step;
-        }
-        out
+impl PartialEq for TimeSeries {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.points().eq(other.points())
     }
 }
 
@@ -177,37 +208,6 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert_eq!(s.last(), Some((2.0, 0.7)));
         assert_eq!(s.max_value(), Some(0.7));
-    }
-
-    #[test]
-    fn mean_over_window() {
-        let mut s = TimeSeries::new();
-        for i in 1..=5 {
-            s.push(t(i), i as f64);
-        }
-        // (1, 4]: values at t=2,3,4 -> mean 3.
-        assert_eq!(s.mean_over(1.0, 4.0), Some(3.0));
-        assert_eq!(s.mean_over(10.0, 20.0), None);
-    }
-
-    #[test]
-    fn integral_is_piecewise_constant() {
-        let mut s = TimeSeries::new();
-        s.push(t(0), 1.0);
-        s.push(t(2), 0.5);
-        s.push(t(4), 0.0);
-        // 1.0 for 2s + 0.5 for 2s = 3.0.
-        assert!((s.integral() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn resample_carries_last_observation_forward() {
-        let mut s = TimeSeries::new();
-        s.push(t(0), 1.0);
-        s.push(t(3), 2.0);
-        let r = s.resample(1.0);
-        let vals: Vec<f64> = r.points().iter().map(|&(_, v)| v).collect();
-        assert_eq!(vals, vec![1.0, 1.0, 1.0, 2.0]);
     }
 
     #[test]

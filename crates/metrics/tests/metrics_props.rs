@@ -1,5 +1,6 @@
-//! Property tests for the metrics layer: statistics and time-series
-//! operations must be robust to arbitrary (finite) data.
+//! Property tests for the metrics layer: statistics must be robust to
+//! arbitrary (finite) data, and a time series must give back exactly what
+//! was pushed into it.
 
 use flowcon_metrics::stats;
 use flowcon_metrics::summary::{CompletionRecord, RunSummary};
@@ -7,7 +8,86 @@ use flowcon_metrics::timeseries::TimeSeries;
 use flowcon_sim::time::SimTime;
 use proptest::prelude::*;
 
+/// Values a generated series draws from: both zeros and NaN, where bit
+/// equality and `==` disagree, and two values one ulp apart.
+const PALETTE: [f64; 6] = [0.0, -0.0, f64::NAN, 0.25, 1.0, 1.0 + f64::EPSILON];
+
+/// A series and the plain `Vec` of the points pushed into it, from
+/// generated `(time move, micros, pick)` steps.  The time move is 0 for
+/// the same instant, 1–3 for one stride on, 4 for a new stride of
+/// `micros`, and 5 for a one-off gap of `micros`; a pick below 6 repeats
+/// the last value, otherwise it takes `PALETTE[pick - 6]`.
+fn build(start: u64, steps: &[(u8, u64, u8)]) -> (TimeSeries, Vec<(f64, f64)>) {
+    let mut series = TimeSeries::new();
+    let mut pushed = Vec::new();
+    let (mut at, mut stride, mut value) = (start, 1_000_000, 0.0);
+    for &(time_move, micros, pick) in steps {
+        match time_move {
+            0 => {}
+            1..=3 => at += stride,
+            4 => {
+                stride = micros;
+                at += stride;
+            }
+            _ => at += micros,
+        }
+        if pick >= 6 {
+            value = PALETTE[usize::from(pick - 6)];
+        }
+        let at = SimTime::from_micros(at);
+        series.push(at, value);
+        pushed.push((at.as_secs_f64(), value));
+    }
+    (series, pushed)
+}
+
+fn bits(points: &[(f64, f64)]) -> Vec<(u64, u64)> {
+    points
+        .iter()
+        .map(|&(t, v)| (t.to_bits(), v.to_bits()))
+        .collect()
+}
+
 proptest! {
+    /// The change-point encoding is exact: a series yields every pushed
+    /// `(seconds, value)` pair bit for bit, `len`, `last` and `max_value`
+    /// match the plain `Vec` of what was pushed, and `==` agrees with
+    /// comparing those vectors (an edited copy: one value or time move
+    /// changed, or the tail cut).
+    #[test]
+    fn series_yields_exactly_what_was_pushed(
+        start in 0u64..5_000_000,
+        steps in prop::collection::vec((0u8..6, 0u64..3_000_000, 0u8..12), 0..120),
+        edit in (0u8..4, 0usize..120, 0u8..12),
+    ) {
+        let (series, pushed) = build(start, &steps);
+        let got: Vec<(f64, f64)> = series.points().collect();
+        prop_assert_eq!(bits(&got), bits(&pushed));
+        prop_assert_eq!(series.len(), pushed.len());
+        prop_assert_eq!(series.is_empty(), pushed.is_empty());
+        prop_assert_eq!(
+            series.last().map(|p| bits(&[p])),
+            pushed.last().map(|&p| bits(&[p]))
+        );
+        let max = pushed
+            .iter()
+            .map(|&(_, v)| v)
+            .fold(None, |acc, v| Some(acc.map_or(v, |m: f64| m.max(v))));
+        prop_assert_eq!(series.max_value().map(f64::to_bits), max.map(f64::to_bits));
+
+        let (kind, at, pick) = edit;
+        let mut edited = steps.clone();
+        let i = at % steps.len().max(1);
+        match (kind, edited.get_mut(i)) {
+            (1, Some(step)) => step.2 = pick,
+            (2, Some(step)) => step.0 = pick % 6,
+            (3, _) => edited.truncate(i),
+            _ => {}
+        }
+        let (other, other_pushed) = build(start, &edited);
+        prop_assert_eq!(series == other, pushed == other_pushed);
+    }
+
     /// Recording through a search cursor builds exactly the summary that
     /// plain `series_mut` lookups build: duplicate labels within a tick,
     /// labels visited out of creation order, labels first seen mid-run,
@@ -71,42 +151,6 @@ proptest! {
         prop_assert!(m >= stats::min(&xs).unwrap() - 1e-6);
         prop_assert!(m <= stats::max(&xs).unwrap() + 1e-6);
         prop_assert!(stats::std_dev(&xs).unwrap() >= 0.0);
-    }
-
-    /// The piecewise-constant integral of a non-negative series is
-    /// non-negative and bounded by max·span.
-    #[test]
-    fn integral_bounds(values in prop::collection::vec(0.0f64..10.0, 2..100)) {
-        let mut s = TimeSeries::new();
-        for (i, v) in values.iter().enumerate() {
-            s.push(SimTime::from_secs(i as u64), *v);
-        }
-        let integral = s.integral();
-        let span = (values.len() - 1) as f64;
-        let max = stats::max(&values).unwrap();
-        prop_assert!(integral >= 0.0);
-        prop_assert!(integral <= max * span + 1e-9);
-    }
-
-    /// Resampling preserves first/last values and never invents values
-    /// outside the observed range.
-    #[test]
-    fn resample_stays_in_range(
-        values in prop::collection::vec(0.0f64..1.0, 2..60),
-        step in 1u64..5,
-    ) {
-        let mut s = TimeSeries::new();
-        for (i, v) in values.iter().enumerate() {
-            s.push(SimTime::from_secs(i as u64 * 2), *v);
-        }
-        let r = s.resample(step as f64);
-        prop_assert!(!r.is_empty());
-        let lo = stats::min(&values).unwrap();
-        let hi = stats::max(&values).unwrap();
-        for &(_, v) in r.points() {
-            prop_assert!((lo..=hi).contains(&v));
-        }
-        prop_assert_eq!(r.points()[0].1, values[0]);
     }
 
     /// Overlap accounting: overlap(k) is non-increasing in k, and

@@ -32,8 +32,8 @@ fn worker_runs_reproduce_bitwise() {
     // Full trace equality, not just summaries.
     for (label, series) in a.output.cpu_usage.iter() {
         assert_eq!(
-            Some(series.points()),
-            b.output.cpu_usage.get(label).map(|s| s.points()),
+            Some(series),
+            b.output.cpu_usage.get(label),
             "cpu trace of {label} diverged"
         );
     }
@@ -131,7 +131,7 @@ impl Fnv {
         for (label, series) in all.iter() {
             self.label(label);
             self.word(series.len() as u64);
-            for &(t, v) in series.points() {
+            for (t, v) in series.points() {
                 self.f64(t);
                 self.f64(v);
             }
