@@ -38,7 +38,7 @@
 //!
 //! `repro cluster` runs one sharded cluster simulation (default 1024
 //! workers, 2 jobs each) on at most `available_parallelism` OS threads and
-//! prints the scale numbers.  With `--headless` the workers run a
+//! prints the scale numbers, peak RSS (`VmHWM`) included.  With `--headless` the workers run a
 //! `CompletionsOnly` recorder — no usage/limit traces, no label clones,
 //! O(completions) memory — which is the supported way to drive 10k-worker
 //! clusters (`repro cluster --workers 10240 --headless`).  Headless runs
@@ -582,6 +582,7 @@ fn run_cluster(args: &[String]) {
             "events/s (wall)".to_string(),
             format!("{:.0}", events as f64 / wall.as_secs_f64()),
         ],
+        vec!["peak RSS (MiB)".to_string(), peak_rss_mib()],
     ];
     print!("{}", text_table(&["metric", "value"], &rows));
 }
@@ -611,6 +612,11 @@ fn peak_rss_kib() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
     line.split_whitespace().nth(1)?.parse().ok()
+}
+
+/// The `peak RSS (MiB)` table cell: [`peak_rss_kib`] in MiB, or `-`.
+fn peak_rss_mib() -> String {
+    peak_rss_kib().map_or("-".into(), |kib| format!("{:.1}", kib as f64 / 1024.0))
 }
 
 /// `repro profile [--workers N] [--jobs J] [--seed S] [--queue Q]`: the
@@ -735,10 +741,7 @@ fn run_profile(args: &[String]) {
             "allocs/worker (place + simulate)".to_string(),
             format!("{:.2}", per_worker(place_allocs + sim_allocs)),
         ],
-        vec![
-            "peak RSS (MiB)".to_string(),
-            peak_rss_kib().map_or("-".into(), |kib| format!("{:.1}", kib as f64 / 1024.0)),
-        ],
+        vec!["peak RSS (MiB)".to_string(), peak_rss_mib()],
     ];
     print!("{}", text_table(&["metric", "value"], &rows));
 }
@@ -785,6 +788,10 @@ fn run_trace(args: &[String]) {
         })
     };
     let workers = parse_num("--workers", 1) as usize;
+    if workers == 0 {
+        eprintln!("--workers must be at least 1: a cluster with no workers cannot run jobs");
+        std::process::exit(2);
+    }
     let seed = parse_num("--seed", flowcon_bench::experiments::DEFAULT_SEED);
     let emit = flag_value(args, "--emit");
     let policy = match flag_value(args, "--policy").as_deref() {
@@ -851,6 +858,10 @@ fn run_trace(args: &[String]) {
         }
     } else {
         let jobs = parse_num("--jobs", 50) as usize;
+        if jobs == 0 {
+            eprintln!("--jobs must be at least 1: an empty workload replays nothing");
+            std::process::exit(2);
+        }
         let rate = float_flag(args, "--rate", RATE_WANTS, finite_positive).unwrap_or(0.1);
         let name = synthetic.as_deref().expect("checked above");
         let Some(template) = exp::preset(name, rate, jobs, seed) else {

@@ -72,6 +72,20 @@ fn trace_rejects_compressions_and_thinnings_out_of_range() {
 }
 
 #[test]
+fn trace_rejects_zero_counts() {
+    let file = concat!(env!("CARGO_MANIFEST_DIR"), "/../../traces/paper_fixed.csv");
+    assert_usage_error(
+        &["trace", "--synthetic", "poisson", "--workers", "0"],
+        "--workers",
+    );
+    assert_usage_error(&["trace", "--file", file, "--workers", "0"], "--workers");
+    assert_usage_error(
+        &["trace", "--synthetic", "poisson", "--jobs", "0"],
+        "--jobs",
+    );
+}
+
+#[test]
 fn in_range_values_still_run() {
     let (code, stderr) = repro(&[
         "stream",
