@@ -38,10 +38,11 @@
 //!
 //! `repro cluster` runs one sharded cluster simulation (default 1024
 //! workers, 2 jobs each) on at most `available_parallelism` OS threads and
-//! prints the scale numbers, peak RSS (`VmHWM`) included.  With `--headless` the workers run a
-//! `CompletionsOnly` recorder — no usage/limit traces, no label clones,
-//! O(completions) memory — which is the supported way to drive 10k-worker
-//! clusters (`repro cluster --workers 10240 --headless`).  Headless runs
+//! prints the scale numbers, peak RSS (`VmHWM`) included.  With
+//! `--headless` the workers run a `CompletionsOnly` recorder — no
+//! usage/limit traces, no label clones, O(completions) memory — which is
+//! the supported way to drive 10k-worker clusters (`repro cluster
+//! --workers 10240 --headless`).  Headless runs
 //! go through the dense arena path; `--queue` picks its event-queue
 //! implementation (binary heap or calendar buckets — bit-identical
 //! results, different constants).
