@@ -9,6 +9,9 @@
 //! that drives 0 or 1 workers, shards that outnumber workers, and workers
 //! whose plans are empty.
 
+#[path = "../../../tests/support/fnv.rs"]
+mod fnv;
+
 use flowcon_cluster::{
     ClusterOutcome, ClusterSession, ClusterSessionBuilder, PolicyKind, QueueKind, TraceSource,
 };
@@ -91,6 +94,14 @@ fn single_worker_cluster_matches_a_single_session() {
     let reference = sequential_reference(1, &plan, &run.placements);
     assert_bit_identical(&run, &reference);
     assert_eq!(run.completed_jobs(), 6);
+    let mut h = fnv::Fnv::new();
+    h.stats(&run.workers[0].output);
+    h.word(run.workers[0].events_processed);
+    let got = h.0;
+    assert_eq!(
+        got, 0xed62_eb14_6c17_d0f0,
+        "single worker drifted: digest {got:#018x}"
+    );
 }
 
 #[test]

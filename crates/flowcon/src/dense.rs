@@ -901,14 +901,42 @@ mod tests {
         assert_eq!(a.scheduler_overhead_cpu_secs, b.scheduler_overhead_cpu_secs);
     }
 
+    /// FNV-1a over everything the headless runs in `results` return.
+    fn digest<'r>(results: impl IntoIterator<Item = &'r SessionResult<CompletionStats>>) -> u64 {
+        fn word(h: &mut u64, w: u64) {
+            for b in w.to_le_bytes() {
+                *h ^= u64::from(b);
+                *h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        for r in results {
+            word(&mut h, r.output.len() as u64);
+            for c in &r.output.completions {
+                word(&mut h, c.arrival.as_micros());
+                word(&mut h, c.finished.as_micros());
+                word(&mut h, c.exit_code as u64);
+            }
+            word(&mut h, r.output.algorithm_runs);
+            word(&mut h, r.output.update_calls);
+            word(&mut h, r.events_processed);
+            word(&mut h, r.scheduler_overhead_cpu_secs.to_bits());
+        }
+        h
+    }
+
     #[test]
     fn dense_is_bit_identical_to_the_object_session() {
+        let mut objects = Vec::new();
         for seed in [3_u64, 11, 42] {
             let plan = WorkloadPlan::random_n(12, seed);
             let object = session_headless(NodeConfig::default(), &plan);
             let fast = dense(NodeConfig::default(), &plan, QueueKind::Heap);
             assert_same(&object, &fast);
+            objects.push(object);
         }
+        let got = digest(&objects);
+        assert_eq!(got, 0x1600_1b10_3485_9d06, "digest {got:#018x}");
     }
 
     #[test]
@@ -940,6 +968,8 @@ mod tests {
             &mut scratch,
         );
         assert_same(&object, &fast);
+        let got = digest([&object]);
+        assert_eq!(got, 0xc95f_8c9f_5fd2_53ce, "digest {got:#018x}");
     }
 
     #[test]

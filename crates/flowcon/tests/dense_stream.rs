@@ -1,7 +1,11 @@
 //! The dense open-loop path against the object path: for every stream
 //! shape, horizon and queue, `run_stream_dense` must return exactly what
 //! `Session::run_stream` returns with a `CompletionsOnly` recorder — the
-//! same completions, event count, `StreamStats` and sojourn tails.
+//! same completions, event count, `StreamStats` and sojourn tails — and
+//! every case's results are pinned by a golden digest.
+
+#[path = "../../../tests/support/fnv.rs"]
+mod fnv;
 
 use flowcon_core::config::{FlowConConfig, NodeConfig};
 use flowcon_core::dense::{run_headless_dense, run_stream_dense, DenseScratch, QueueKind};
@@ -16,6 +20,7 @@ use flowcon_workload::stream::{Horizon, JobStream, StreamSource, StreamedJob};
 use flowcon_workload::{
     ArrivalProcess, ArrivalTrace, SyntheticStreamSource, TraceCatalog, TraceStreamSource,
 };
+use fnv::Fnv;
 
 const QUEUES: [QueueKind; 2] = [QueueKind::Heap, QueueKind::Calendar];
 
@@ -64,16 +69,43 @@ fn assert_same(
     );
 }
 
+/// Everything a stream run returns, hashed into `h`.
+fn hash(h: &mut Fnv, r: &StreamResult<CompletionStats>) {
+    h.stats(&r.output);
+    h.word(r.events_processed);
+    h.f64(r.scheduler_overhead_cpu_secs);
+    let st = &r.stream;
+    h.word(st.submitted);
+    h.word(st.completed);
+    for v in [
+        st.duration_secs,
+        st.busy_cpu_secs,
+        st.queue_job_secs,
+        st.capacity_cpu_secs,
+    ] {
+        h.f64(v);
+    }
+    h.sketch(&r.tails.sojourn);
+    h.sketch(&r.tails.queue_wait);
+}
+
+/// Assert a case's digest against its golden value.
+fn assert_digest(got: u64, want: u64, what: &str) {
+    assert_eq!(got, want, "{what} drifted: digest {got:#018x}");
+}
+
 /// Every worker of `source`, under both policies and both queues, with
 /// one scratch recycled across all the dense runs.  Returns the number of
-/// jobs the object path admitted in total.
-fn check<S: StreamSource>(source: &S, workers: usize, horizon: Horizon, what: &str) -> u64 {
+/// jobs the object path admitted in total and the digest of its results.
+fn check<S: StreamSource>(source: &S, workers: usize, horizon: Horizon, what: &str) -> (u64, u64) {
     let mut scratch = DenseScratch::new();
     let mut submitted = 0;
+    let mut h = Fnv::new();
     for w in 0..workers {
         for (name, policy) in [("flowcon", flowcon as fn() -> _), ("na", na)] {
             let reference = object(node(w), source.stream_for(w), horizon, policy());
             submitted += reference.stream.submitted;
+            hash(&mut h, &reference);
             for queue in QUEUES {
                 let dense = run_stream_dense(
                     node(w),
@@ -91,7 +123,7 @@ fn check<S: StreamSource>(source: &S, workers: usize, horizon: Horizon, what: &s
             }
         }
     }
-    submitted
+    (submitted, h.0)
 }
 
 fn synthetic(process: ArrivalProcess) -> SyntheticStreamSource {
@@ -102,24 +134,26 @@ fn synthetic(process: ArrivalProcess) -> SyntheticStreamSource {
 fn poisson_streams_match_under_a_time_horizon() {
     let source = synthetic(ArrivalProcess::poisson(0.01));
     let horizon = Horizon::until(SimTime::from_secs(3_600));
-    assert!(check(&source, 4, horizon, "poisson") > 40);
+    let (submitted, digest) = check(&source, 4, horizon, "poisson");
+    assert!(submitted > 40);
+    assert_digest(digest, 0x97d0_c5d5_a8ba_96bd, "poisson");
 }
 
 #[test]
 fn bursty_streams_match_under_a_jobs_horizon() {
     let source = synthetic(ArrivalProcess::bursty(0.5, 0.0, 20.0, 40.0));
-    assert_eq!(
-        check(&source, 4, Horizon::jobs(8), "bursty"),
-        4 * 2 * 8,
-        "every worker admits exactly its cap"
-    );
+    let (submitted, digest) = check(&source, 4, Horizon::jobs(8), "bursty");
+    assert_eq!(submitted, 4 * 2 * 8, "every worker admits exactly its cap");
+    assert_digest(digest, 0x4fb5_af9a_ce02_0e42, "bursty");
 }
 
 #[test]
 fn diurnal_streams_match_under_both_bounds() {
     let source = synthetic(ArrivalProcess::diurnal(0.02, 0.8, 1_800.0));
     let horizon = Horizon::until(SimTime::from_secs(2_400)).and_jobs(12);
-    assert!(check(&source, 4, horizon, "diurnal") > 0);
+    let (submitted, digest) = check(&source, 4, horizon, "diurnal");
+    assert!(submitted > 0);
+    assert_digest(digest, 0x3444_94de_abc8_7f43, "diurnal");
 }
 
 #[test]
@@ -137,7 +171,9 @@ fn cyclic_hinted_trace_streams_match() {
     assert!(bound.jobs.iter().any(|j| j.work_scale != 1.0));
     let source = TraceStreamSource::new(bound, 3).cyclic();
     let horizon = Horizon::jobs(9).and_until(SimTime::from_secs(1_000));
-    assert!(check(&source, 3, horizon, "cyclic trace") > 3 * 2 * 4);
+    let (submitted, digest) = check(&source, 3, horizon, "cyclic trace");
+    assert!(submitted > 3 * 2 * 4);
+    assert_digest(digest, 0x9c4d_59fd_fe4a_c041, "cyclic trace");
 }
 
 /// A stream of explicit arrivals (seconds), fresh on every call.
@@ -177,7 +213,9 @@ impl StreamSource for Explicit {
 #[test]
 fn same_instant_arrivals_match() {
     let source = Explicit(vec![5.0, 5.0, 5.0, 70.0, 70.0, 300.0]);
-    assert_eq!(check(&source, 1, Horizon::jobs(6), "same instant"), 2 * 6);
+    let (submitted, digest) = check(&source, 1, Horizon::jobs(6), "same instant");
+    assert_eq!(submitted, 2 * 6);
+    assert_digest(digest, 0xa198_bd20_8620_705f, "same instant");
 }
 
 #[test]
@@ -188,14 +226,17 @@ fn arrivals_tied_with_policy_ticks_match() {
     // the arrival to win the tie, as it does on the object path.
     let grid: Vec<f64> = (0..12).map(|k| 5.0 + 20.0 * k as f64).collect();
     let source = Explicit(grid);
-    check(&source, 1, Horizon::jobs(12), "tick ties");
+    let (_, digest) = check(&source, 1, Horizon::jobs(12), "tick ties");
+    assert_digest(digest, 0x520a_2877_50b2_6686, "tick ties");
 }
 
 #[test]
 fn horizons_that_admit_nothing_match() {
     let source = synthetic(ArrivalProcess::poisson(0.01));
     for horizon in [Horizon::until(SimTime::ZERO), Horizon::jobs(0)] {
-        assert_eq!(check(&source, 2, horizon, "empty horizon"), 0);
+        let (submitted, digest) = check(&source, 2, horizon, "empty horizon");
+        assert_eq!(submitted, 0);
+        assert_digest(digest, 0x26cb_7643_0d4c_2325, "empty horizon");
         let dense = run_stream_dense(
             node(0),
             source.stream_for(0),
@@ -215,6 +256,9 @@ fn a_scratch_recycled_from_a_plan_run_changes_nothing() {
     let source = synthetic(ArrivalProcess::poisson(0.02));
     let horizon = Horizon::until(SimTime::from_secs(1_800));
     let reference = object(node(1), source.stream_for(1), horizon, flowcon());
+    let mut h = Fnv::new();
+    hash(&mut h, &reference);
+    assert_digest(h.0, 0xfaa8_3aff_b20e_b39c, "after a plan");
     for queue in QUEUES {
         let mut scratch = DenseScratch::new();
         let plan = WorkloadPlan::random_n(9, 4);
@@ -270,8 +314,10 @@ fn duration_is_the_drain_point_on_both_paths() {
     // afterwards and must not stretch the window.
     let source = synthetic(ArrivalProcess::poisson(0.01));
     let horizon = Horizon::until(SimTime::from_secs(1_800));
+    let mut h = Fnv::new();
     for w in 0..4 {
         let reference = object(node(w), source.stream_for(w), horizon, flowcon());
+        hash(&mut h, &reference);
         let dense = run_stream_dense(
             node(w),
             source.stream_for(w),
@@ -291,4 +337,5 @@ fn duration_is_the_drain_point_on_both_paths() {
             );
         }
     }
+    assert_digest(h.0, 0x4193_6dfe_e13a_766c, "drain point");
 }

@@ -4,17 +4,22 @@
 //! the dense headless cluster, and the open-loop stream), as
 //! `crates/cluster/tests/sched_determinism.rs` does for the scheduler.
 
+#[path = "support/fnv.rs"]
+mod fnv;
+
 use flowcon_bench::experiments::{fixed, flowcon_run as run_flowcon, random, scale};
-use flowcon_cluster::{ClusterSession, Horizon, PolicyKind, Spread, SyntheticStreamSource};
+use flowcon_cluster::{
+    ClusterSession, Horizon, PolicyKind, Spread, StreamSource, SyntheticStreamSource,
+};
 use flowcon_core::config::{FlowConConfig, NodeConfig};
 use flowcon_core::policy::FlowConPolicy;
 use flowcon_core::session::Session;
 use flowcon_dl::workload::WorkloadPlan;
-use flowcon_metrics::sketch::QuantileSketch;
-use flowcon_metrics::summary::CompletionStats;
-use flowcon_metrics::timeseries::MultiSeries;
+use flowcon_metrics::tracelog::chrome_trace_json;
 use flowcon_sim::time::SimTime;
+use flowcon_sim::trace::FlightRecorder;
 use flowcon_workload::ArrivalProcess;
+use fnv::Fnv;
 
 fn node(seed: u64) -> NodeConfig {
     NodeConfig::default().with_seed(seed)
@@ -94,70 +99,6 @@ fn cluster_runs_reproduce() {
     };
     assert_eq!(run(5), run(5));
     assert_ne!(run(5), run(6));
-}
-
-/// FNV-1a over the little-endian bytes of a stream of words.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.word(v.to_bits());
-    }
-
-    fn label(&mut self, label: &str) {
-        self.word(label.len() as u64);
-        for b in label.bytes() {
-            self.word(u64::from(b));
-        }
-    }
-
-    fn time(&mut self, t: SimTime) {
-        self.word(t.as_micros());
-    }
-
-    fn series(&mut self, all: &MultiSeries) {
-        self.word(all.len() as u64);
-        for (label, series) in all.iter() {
-            self.label(label);
-            self.word(series.len() as u64);
-            for (t, v) in series.points() {
-                self.f64(t);
-                self.f64(v);
-            }
-        }
-    }
-
-    fn stats(&mut self, stats: &CompletionStats) {
-        self.word(stats.len() as u64);
-        for c in &stats.completions {
-            self.time(c.arrival);
-            self.time(c.finished);
-            self.word(c.exit_code as u64);
-        }
-        self.word(stats.algorithm_runs);
-        self.word(stats.update_calls);
-    }
-
-    fn sketch(&mut self, sketch: &QuantileSketch) {
-        self.word(sketch.count());
-        for v in [sketch.min(), sketch.max()] {
-            self.f64(v.unwrap_or(f64::NAN));
-        }
-        for q in [0.0, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0] {
-            self.f64(sketch.quantile(q).unwrap_or(f64::NAN));
-        }
-    }
 }
 
 #[test]
@@ -254,5 +195,57 @@ fn open_loop_stream_matches_its_golden_digest() {
     assert_eq!(
         got, 0x3a51_db6c_4eac_f0d2,
         "open-loop stream drifted: digest {got:#018x}"
+    );
+}
+
+/// The Chrome trace JSON of a traced run, byte for byte.
+fn trace_digest(tracer: &FlightRecorder) -> u64 {
+    assert_eq!(tracer.dropped(), 0, "the ring must hold the whole run");
+    let mut h = Fnv::new();
+    h.bytes(chrome_trace_json(&tracer.events(), tracer.dropped()).as_bytes());
+    h.0
+}
+
+#[test]
+fn traced_session_matches_its_golden_digest() {
+    // One recorded FlowCon worker with a crash: every engine advance and
+    // dispatch, job admit/run/complete, reconfigure span and water-fill
+    // counter of the timeline, in order.
+    let mut tracer = FlightRecorder::with_capacity(1 << 17);
+    let result = Session::builder()
+        .node(node(0xD164))
+        .plan(WorkloadPlan::random_n(8, 0xD4))
+        .policy(FlowConPolicy::new(FlowConConfig::default()))
+        .failure("Job-3", SimTime::from_secs(150), 137)
+        .build()
+        .run_traced(&mut tracer);
+    let crashed = result
+        .output
+        .completions
+        .iter()
+        .find(|c| c.label == "Job-3");
+    assert_eq!(crashed.map(|c| c.exit_code), Some(137));
+    let got = trace_digest(&tracer);
+    assert_eq!(
+        got, 0x156f_a033_125d_d536,
+        "traced session drifted: digest {got:#018x}"
+    );
+}
+
+#[test]
+fn traced_stream_session_matches_its_golden_digest() {
+    let source = SyntheticStreamSource::new(ArrivalProcess::poisson(0.01), 0xD5);
+    let mut tracer = FlightRecorder::with_capacity(1 << 17);
+    let result = Session::builder()
+        .node(node(0xD165))
+        .policy(FlowConPolicy::new(FlowConConfig::default()))
+        .failure("Job-2", SimTime::from_secs(200), 9)
+        .build()
+        .run_stream_traced(source.stream_for(0), Horizon::jobs(6), &mut tracer);
+    assert_eq!(result.stream.completed, 6);
+    let got = trace_digest(&tracer);
+    assert_eq!(
+        got, 0x29f9_dc8e_4959_d46f,
+        "traced stream session drifted: digest {got:#018x}"
     );
 }

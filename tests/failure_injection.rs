@@ -1,12 +1,28 @@
 //! Failure injection: crashed containers must be detected by the
 //! Finished-Cons listener, their resources released, and the rest of the
-//! workload must proceed — under both FlowCon and NA.
+//! workload must proceed — under both FlowCon and NA.  Golden digests pin
+//! every outcome: the completion records and the event count.
+
+#[path = "support/fnv.rs"]
+mod fnv;
 
 use flowcon_core::config::FlowConConfig;
 use flowcon_core::policy::{FairSharePolicy, FlowConPolicy};
-use flowcon_core::session::SessionBuilder;
+use flowcon_core::session::{SessionBuilder, SessionResult};
 use flowcon_dl::workload::WorkloadPlan;
+use flowcon_metrics::summary::RunSummary;
 use flowcon_sim::time::SimTime;
+use fnv::Fnv;
+
+/// Assert a run's completion records and event count against a golden
+/// digest.
+fn assert_digest(result: &SessionResult<RunSummary>, want: u64, what: &str) {
+    let mut h = Fnv::new();
+    h.records(&result.output.completions);
+    h.word(result.events_processed);
+    let got = h.0;
+    assert_eq!(got, want, "{what} drifted: digest {got:#018x}");
+}
 
 /// A session builder preconfigured with the default FlowCon policy.
 fn flowcon(plan: WorkloadPlan) -> SessionBuilder {
@@ -22,6 +38,7 @@ fn crashed_job_reports_its_exit_code() {
         .failure("VAE (Pytorch)", SimTime::from_secs(100), 137)
         .build()
         .run();
+    assert_digest(&result, 0x4802_247d_5465_c2c3, "crashed VAE");
     let s = &result.output;
     assert_eq!(s.completions.len(), 3, "all three containers exit");
     let vae = s
@@ -58,6 +75,8 @@ fn survivors_speed_up_after_a_crash() {
         .failure("VAE (Pytorch)", SimTime::from_secs(100), 137)
         .build()
         .run();
+    assert_digest(&healthy, 0xf5f8_f3c7_5909_570b, "healthy NA");
+    assert_digest(&crashed, 0x2306_8a90_8b45_a347, "crashed NA");
     let healthy_mnist = healthy
         .output
         .completion_of("MNIST (Pytorch)")
@@ -82,6 +101,7 @@ fn crash_of_a_watched_container_does_not_wedge_flowcon() {
         .failure(&victim, SimTime::from_secs(300), 139)
         .build()
         .run();
+    assert_digest(&result, 0xb2b1_a54e_6088_0173, "crashed watched job");
     assert_eq!(result.output.completions.len(), 5);
     let crashed = result
         .output
@@ -104,6 +124,7 @@ fn failure_before_first_measurement_is_handled() {
         .failure("MNIST (Tensorflow)", SimTime::from_secs(81), 1)
         .build()
         .run();
+    assert_digest(&result, 0xe51a_ca92_3516_7448, "warm-up crash");
     assert_eq!(result.output.completions.len(), 3);
     let mnist = result
         .output
@@ -122,6 +143,7 @@ fn failure_targeting_unknown_label_is_a_noop() {
         .failure("No Such Job", SimTime::from_secs(50), 9)
         .build()
         .run();
+    assert_digest(&result, 0x1110_514b_ca10_2dc1, "unknown target");
     assert_eq!(result.output.completions.len(), 3);
     assert!(result.output.completions.iter().all(|c| c.exit_code == 0));
 }
