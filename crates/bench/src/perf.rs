@@ -1014,7 +1014,7 @@ pub const THROUGHPUT_GATE_EXCLUDE_PREFIXES: [&str; 5] = [
 /// 0.5-alloc absolute slack so tiny integer counts don't flake).  This is
 /// what keeps the cluster rows honest on any hardware: allocation counts,
 /// unlike throughput, don't depend on the runner's clock or core count —
-/// if `WorkerScratch` recycling ever breaks, allocs/worker jumps from
+/// if per-shard scratch recycling ever breaks, allocs/worker jumps from
 /// ~10² to ~10⁴ and this wire trips.
 pub const ALLOCS_REGRESSION_TOLERANCE: f64 = 0.25;
 
@@ -1297,7 +1297,7 @@ mod tests {
 
     #[test]
     fn gate_fails_when_cluster_allocs_per_worker_balloons() {
-        // If WorkerScratch recycling breaks, allocs/worker jumps by orders
+        // If per-shard scratch recycling breaks, allocs/worker jumps by orders
         // of magnitude — machine-independent, so gated on every runner.
         let baseline = vec![result("cluster/sharded/w1024", Some(113.0), Some(5.6e7))];
         let broken = vec![result("cluster/sharded/w1024", Some(12_000.0), Some(5.6e7))];

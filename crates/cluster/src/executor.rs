@@ -10,10 +10,10 @@
 //! The executor's distinguishing feature over a plain `parallel_map` is
 //! **per-shard state**: each shard owns one `S` created by `init` and
 //! threads it through every item it processes ([`map_sharded`]).  The
-//! cluster manager uses this to recycle one
-//! [`flowcon_core::worker::WorkerScratch`] per shard across the hundreds of
-//! worker simulations that shard drives, so worker hot-path buffers are
-//! reused instead of reallocated per simulation.
+//! cluster session uses this to recycle one
+//! [`flowcon_core::dense::DenseScratch`] per shard across the hundreds of
+//! worker simulations that shard drives, so worker arenas and hot-path
+//! buffers are reused instead of reallocated per simulation.
 //!
 //! Items are claimed in input order and results land in their input slot,
 //! so output order is deterministic regardless of thread scheduling — and

@@ -2,7 +2,7 @@
 //!
 //! [`ClusterSession`] replaces the `Manager::run_*` zoo with a single
 //! fluent surface.  Configure the cluster (`nodes` / `node_configs`,
-//! `policy`, `placement`, `images`), pick exactly one workload
+//! `policy`, `placement`), pick exactly one workload
 //! (`plan` / `source` / `stream`), optionally switch the mode
 //! (`recorder` for custom observability, `scheduler` for the online
 //! cluster scheduler), then `build().run()`.
@@ -35,15 +35,11 @@
 #![deny(missing_docs)]
 
 use std::marker::PhantomData;
-use std::sync::Arc;
 
-use flowcon_container::image::shared_dl_defaults;
-use flowcon_container::ImageRegistry;
 use flowcon_core::config::NodeConfig;
 use flowcon_core::dense::{run_headless_dense, run_stream_dense, DenseScratch, QueueKind};
 use flowcon_core::recorder::Recorder;
 use flowcon_core::session::{Session, SessionResult, StreamResult};
-use flowcon_core::worker::WorkerScratch;
 use flowcon_dl::workload::{JobRequest, WorkloadPlan};
 use flowcon_metrics::sojourn::SojournStats;
 use flowcon_metrics::stream::StreamStats;
@@ -183,7 +179,6 @@ pub struct ClusterSessionBuilder<'w, M = Headless> {
     nodes: NodeSet,
     policy: PolicyKind,
     strategy: Box<dyn PlacementStrategy>,
-    images: Arc<ImageRegistry>,
     workload: WorkloadSpec<'w>,
     mode: M,
 }
@@ -194,7 +189,6 @@ impl<'w> Default for ClusterSessionBuilder<'w, Headless> {
             nodes: NodeSet::Unset,
             policy: PolicyKind::Baseline,
             strategy: Box::new(RoundRobin::default()),
-            images: shared_dl_defaults(),
             workload: WorkloadSpec::Plan(WorkloadPlan::new(Vec::new())),
             mode: Headless {
                 queue: QueueKind::default(),
@@ -233,13 +227,6 @@ impl<'w, M> ClusterSessionBuilder<'w, M> {
         self
     }
 
-    /// A custom image registry shared by every worker (defaults to the
-    /// process-wide DL catalog).
-    pub fn images(mut self, images: Arc<ImageRegistry>) -> Self {
-        self.images = images;
-        self
-    }
-
     /// Drive the cluster from one materialized [`WorkloadPlan`], placed
     /// job by job with the configured strategy.
     pub fn plan(mut self, plan: WorkloadPlan) -> Self {
@@ -274,7 +261,6 @@ impl<'w, M> ClusterSessionBuilder<'w, M> {
             nodes: self.nodes,
             policy: self.policy,
             strategy: self.strategy,
-            images: self.images,
             workload: self.workload,
             mode: Recorded {
                 make,
@@ -290,7 +276,6 @@ impl<'w, M> ClusterSessionBuilder<'w, M> {
             nodes: self.nodes,
             policy: self.policy,
             strategy: self.strategy,
-            images: self.images,
             workload: self.workload,
             mode: Sched {
                 kind,
@@ -310,7 +295,6 @@ impl<'w, M> ClusterSessionBuilder<'w, M> {
             nodes: self.nodes.materialize(),
             policy: self.policy,
             strategy: self.strategy,
-            images: self.images,
             workload: self.workload,
             mode: self.mode,
         }
@@ -368,7 +352,6 @@ impl<'w, T: Tracer> ClusterSessionBuilder<'w, Sched<T>> {
             nodes: self.nodes,
             policy: self.policy,
             strategy: self.strategy,
-            images: self.images,
             workload: self.workload,
             mode: Sched {
                 kind: self.mode.kind,
@@ -391,7 +374,6 @@ pub struct ClusterSession<'w, M = Headless> {
     nodes: Vec<NodeConfig>,
     policy: PolicyKind,
     strategy: Box<dyn PlacementStrategy>,
-    images: Arc<ImageRegistry>,
     workload: WorkloadSpec<'w>,
     mode: M,
 }
@@ -495,7 +477,7 @@ impl<'w> ClusterSession<'w, Headless> {
     /// chosen with [`ClusterSessionBuilder::queue`], within the
     /// 10-allocation per-worker budget pinned by
     /// `crates/cluster/tests/headless_allocs.rs`.  Results are
-    /// bit-identical to object-path sessions with
+    /// bit-identical to sessions with
     /// [`CompletionsOnly`](flowcon_core::recorder::CompletionsOnly)
     /// recorders — the [`Recorded`] mode with `|_| CompletionsOnly::new()`.
     pub fn run(self) -> ClusterOutcome<CompletionStats> {
@@ -573,14 +555,14 @@ where
                     |_, target| placements.push(target),
                 );
                 ClusterOutcome {
-                    workers: drive_plan(&self.nodes, self.policy, &self.images, per_worker, make),
+                    workers: drive_plan(&self.nodes, self.policy, per_worker, make),
                     placements,
                     streams: Vec::new(),
                     tails: Vec::new(),
                 }
             }
             WorkloadSpec::Source(source) => ClusterOutcome {
-                workers: drive_source(&self.nodes, self.policy, &self.images, source, make),
+                workers: drive_source(&self.nodes, self.policy, source, make),
                 placements: Vec::new(),
                 streams: Vec::new(),
                 tails: Vec::new(),
@@ -588,7 +570,6 @@ where
             WorkloadSpec::Stream(source, horizon) => split_stream(drive_stream(
                 &self.nodes,
                 self.policy,
-                &self.images,
                 source,
                 horizon,
                 make,
@@ -737,12 +718,10 @@ fn place_flat(
 
 /// Drive one session per worker on the sharded executor: at most
 /// `available_parallelism` OS threads, each recycling one
-/// [`WorkerScratch`] across the worker sessions it processes, all
-/// sharing the cluster's image registry.
+/// [`DenseScratch`] across the worker sessions it processes.
 fn drive_plan<R, F>(
     nodes: &[NodeConfig],
     policy: PolicyKind,
-    images: &Arc<ImageRegistry>,
     per_worker: Vec<Vec<JobRequest>>,
     make: &F,
 ) -> Vec<SessionResult<R::Output>>
@@ -758,25 +737,20 @@ where
         .enumerate()
         .map(|(idx, (node, jobs))| (idx, node, jobs))
         .collect();
-    executor::map_sharded(
-        work,
-        || (WorkerScratch::new(), images.clone()),
-        |(scratch, images), (idx, node, jobs)| {
-            // The per-worker job lists are already in arrival order, so
-            // WorkloadPlan::new's sort is a no-op pass.
-            let session = Session::builder()
-                .node(node)
-                .plan(WorkloadPlan::new(jobs))
-                .policy_box(policy.build())
-                .images(images.clone())
-                .recorder(make(idx))
-                .scratch(std::mem::take(scratch))
-                .build();
-            let (result, recycled) = session.run_recycling();
-            *scratch = recycled;
-            result
-        },
-    )
+    executor::map_sharded(work, DenseScratch::new, |scratch, (idx, node, jobs)| {
+        // The per-worker job lists are already in arrival order, so
+        // WorkloadPlan::new's sort is a no-op pass.
+        let session = Session::builder()
+            .node(node)
+            .plan(WorkloadPlan::new(jobs))
+            .policy_box(policy.build())
+            .recorder(make(idx))
+            .scratch(std::mem::take(scratch))
+            .build();
+        let (result, recycled) = session.run_recycling();
+        *scratch = recycled;
+        result
+    })
 }
 
 /// [`drive_plan`] off a streaming [`PlanSource`]: each shard pulls the
@@ -786,7 +760,6 @@ where
 fn drive_source<R, F>(
     nodes: &[NodeConfig],
     policy: PolicyKind,
-    images: &Arc<ImageRegistry>,
     source: &dyn PlanSource,
     make: &F,
 ) -> Vec<SessionResult<R::Output>>
@@ -796,23 +769,18 @@ where
     F: Fn(usize) -> R + Sync,
 {
     let work: Vec<(usize, NodeConfig)> = nodes.iter().copied().enumerate().collect();
-    executor::map_sharded(
-        work,
-        || (WorkerScratch::new(), images.clone()),
-        |(scratch, images), (idx, node)| {
-            let session = Session::builder()
-                .node(node)
-                .plan(source.next_plan(idx))
-                .policy_box(policy.build())
-                .images(images.clone())
-                .recorder(make(idx))
-                .scratch(std::mem::take(scratch))
-                .build();
-            let (result, recycled) = session.run_recycling();
-            *scratch = recycled;
-            result
-        },
-    )
+    executor::map_sharded(work, DenseScratch::new, |scratch, (idx, node)| {
+        let session = Session::builder()
+            .node(node)
+            .plan(source.next_plan(idx))
+            .policy_box(policy.build())
+            .recorder(make(idx))
+            .scratch(std::mem::take(scratch))
+            .build();
+        let (result, recycled) = session.run_recycling();
+        *scratch = recycled;
+        result
+    })
 }
 
 /// The open-loop drive: every worker pulls its own stream off `source`
@@ -821,7 +789,6 @@ where
 fn drive_stream<R, F>(
     nodes: &[NodeConfig],
     policy: PolicyKind,
-    images: &Arc<ImageRegistry>,
     source: &dyn DynStreamSource,
     horizon: Horizon,
     make: &F,
@@ -832,23 +799,17 @@ where
     F: Fn(usize) -> R + Sync,
 {
     let work: Vec<(usize, NodeConfig)> = nodes.iter().copied().enumerate().collect();
-    executor::map_sharded(
-        work,
-        || (WorkerScratch::new(), images.clone()),
-        |(scratch, images), (idx, node)| {
-            let session = Session::builder()
-                .node(node)
-                .policy_box(policy.build())
-                .images(images.clone())
-                .recorder(make(idx))
-                .scratch(std::mem::take(scratch))
-                .build();
-            let (result, recycled) =
-                session.run_stream_recycling(source.dyn_stream_for(idx), horizon);
-            *scratch = recycled;
-            result
-        },
-    )
+    executor::map_sharded(work, DenseScratch::new, |scratch, (idx, node)| {
+        let session = Session::builder()
+            .node(node)
+            .policy_box(policy.build())
+            .recorder(make(idx))
+            .scratch(std::mem::take(scratch))
+            .build();
+        let (result, recycled) = session.run_stream_recycling(source.dyn_stream_for(idx), horizon);
+        *scratch = recycled;
+        result
+    })
 }
 
 /// Drive every worker through the dense headless path on the sharded
@@ -893,7 +854,6 @@ mod tests {
     use crate::placement::Spread;
     use flowcon_core::config::FlowConConfig;
     use flowcon_core::recorder::{CompletionsOnly, FullRecorder};
-    use flowcon_core::worker::RunResult;
     use flowcon_workload::stream::Horizon;
 
     fn node() -> NodeConfig {
@@ -945,16 +905,15 @@ mod tests {
             .recorder(|_| FullRecorder::new())
             .build()
             .run();
-        let workers: Vec<RunResult> = out.workers.into_iter().map(RunResult::from).collect();
         assert_eq!(
-            workers
+            out.workers
                 .iter()
-                .map(|w| w.summary.completions.len())
+                .map(|w| w.output.completions.len())
                 .sum::<usize>(),
             8
         );
-        for w in &workers {
-            assert_eq!(w.summary.policy, "FlowCon-5%-20");
+        for w in &out.workers {
+            assert_eq!(w.output.policy, "FlowCon-5%-20");
         }
     }
 

@@ -7,12 +7,11 @@
 //! helper since `Manager::run_spawn_per_worker` was removed).
 
 use flowcon_cluster::{ClusterSession, PolicyKind, Spread};
-use flowcon_container::image::shared_dl_defaults;
 use flowcon_core::config::{FlowConConfig, NodeConfig};
 use flowcon_core::recorder::FullRecorder;
-use flowcon_core::session::Session;
-use flowcon_core::worker::RunResult;
+use flowcon_core::session::{Session, SessionResult};
 use flowcon_dl::workload::{JobRequest, WorkloadPlan};
+use flowcon_metrics::summary::RunSummary;
 
 fn node(seed: u64) -> NodeConfig {
     NodeConfig::default().with_seed(seed)
@@ -25,7 +24,7 @@ fn run_full(
     seed: u64,
     policy: PolicyKind,
     plan: &WorkloadPlan,
-) -> (Vec<RunResult>, Vec<usize>) {
+) -> (Vec<SessionResult<RunSummary>>, Vec<usize>) {
     let out = ClusterSession::builder()
         .nodes(workers, node(seed))
         .policy(policy)
@@ -33,10 +32,7 @@ fn run_full(
         .recorder(|_| FullRecorder::new())
         .build()
         .run();
-    (
-        out.workers.into_iter().map(RunResult::from).collect(),
-        out.placements,
-    )
+    (out.workers, out.placements)
 }
 
 /// The legacy execution path, reconstructed from public APIs: one OS
@@ -48,7 +44,7 @@ fn spawn_per_worker(
     seed: u64,
     policy: PolicyKind,
     plan: &WorkloadPlan,
-) -> Vec<RunResult> {
+) -> Vec<SessionResult<RunSummary>> {
     let template = node(seed);
     let nodes: Vec<NodeConfig> = (0..workers)
         .map(|i| template.with_seed(template.seed.wrapping_add(i as u64 * 0x9E37_79B9)))
@@ -58,22 +54,18 @@ fn spawn_per_worker(
     for (i, job) in plan.jobs.iter().cloned().enumerate() {
         per_worker[i % workers].push(job);
     }
-    let images = shared_dl_defaults();
     std::thread::scope(|scope| {
         let handles: Vec<_> = per_worker
             .into_iter()
             .zip(&nodes)
             .map(|(jobs, &node)| {
-                let images = images.clone();
                 scope.spawn(move || {
-                    let result = Session::builder()
+                    Session::builder()
                         .node(node)
                         .plan(WorkloadPlan::new(jobs))
                         .policy_box(policy.build())
-                        .images(images)
                         .build()
-                        .run();
-                    RunResult::from(result)
+                        .run()
                 })
             })
             .collect();
@@ -92,13 +84,13 @@ fn jobs_are_conserved_at_256_workers() {
 
     // Every job placed exactly once and completed exactly once.
     assert_eq!(placements.len(), 512);
-    let completed: usize = workers.iter().map(|w| w.summary.completions.len()).sum();
+    let completed: usize = workers.iter().map(|w| w.output.completions.len()).sum();
     assert_eq!(completed, 512);
     for job in &plan.jobs {
         assert!(
             workers
                 .iter()
-                .find_map(|w| w.summary.completion_of(&job.label))
+                .find_map(|w| w.output.completion_of(&job.label))
                 .is_some(),
             "job {} lost by the sharded executor",
             job.label
@@ -112,7 +104,7 @@ fn jobs_are_conserved_at_256_workers() {
     // All workers' completions are clean exits.
     assert!(workers
         .iter()
-        .flat_map(|w| &w.summary.completions)
+        .flat_map(|w| &w.output.completions)
         .all(|c| c.exit_code == 0));
 }
 
@@ -156,7 +148,7 @@ fn sharded_executor_is_bit_identical_to_spawn_per_worker() {
     assert_eq!(spawned.len(), sharded.len());
     for (i, (a, b)) in spawned.iter().zip(&sharded).enumerate() {
         assert_eq!(
-            a.summary.completions, b.summary.completions,
+            a.output.completions, b.output.completions,
             "worker {i} completions diverge"
         );
         assert_eq!(
@@ -164,8 +156,8 @@ fn sharded_executor_is_bit_identical_to_spawn_per_worker() {
             "worker {i} event counts diverge"
         );
         assert_eq!(
-            a.summary.makespan_secs().to_bits(),
-            b.summary.makespan_secs().to_bits(),
+            a.output.makespan_secs().to_bits(),
+            b.output.makespan_secs().to_bits(),
             "worker {i} makespan diverges at the bit level"
         );
     }
@@ -179,10 +171,10 @@ fn repeated_runs_are_bit_identical() {
     let (b_workers, b_placements) = run();
     assert_eq!(a_placements, b_placements);
     for (a, b) in a_workers.iter().zip(&b_workers) {
-        assert_eq!(a.summary.completions, b.summary.completions);
+        assert_eq!(a.output.completions, b.output.completions);
         assert_eq!(
-            a.summary.makespan_secs().to_bits(),
-            b.summary.makespan_secs().to_bits()
+            a.output.makespan_secs().to_bits(),
+            b.output.makespan_secs().to_bits()
         );
     }
 }

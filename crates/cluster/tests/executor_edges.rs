@@ -1,8 +1,7 @@
-//! Executor edge cases (ISSUE-6 satellite): clusters smaller than the
-//! shard count, a single worker, and empty plans/plan sources — each
-//! asserted **bit-identical** to a plain sequential loop over
-//! `Session::run`, the reference path with no executor, no sharding, and
-//! no dense arenas.
+//! Executor edge cases: clusters smaller than the shard count, a single
+//! worker, and empty plans/plan sources — each asserted **bit-identical**
+//! to a plain sequential loop over `Session::run` (no executor, no
+//! sharding, one fresh scratch per worker) or to a golden digest.
 //!
 //! The dense headless path reuses shard-owned arenas across workers, so
 //! these shapes are exactly where recycling bugs would show up: a shard
@@ -33,7 +32,7 @@ fn base(workers: usize) -> ClusterSessionBuilder<'static> {
 
 /// The reference: given the placements a cluster run reports, rebuild each
 /// worker's plan and run it through a plain `Session` loop — one worker at
-/// a time, no executor, object path.  Seeds replicate the builder's stride.
+/// a time, no executor.  Seeds replicate the builder's stride.
 fn sequential_reference(
     workers: usize,
     plan: &WorkloadPlan,
@@ -86,13 +85,13 @@ fn fewer_workers_than_shards_matches_the_sequential_path() {
     }
 }
 
+/// The digest is that of a single object-path session on the same plan,
+/// computed before the dense simulation replaced it.
 #[test]
 fn single_worker_cluster_matches_a_single_session() {
     let plan = WorkloadPlan::random_n(6, 23);
-    let run = base(1).plan(plan.clone()).build().run();
+    let run = base(1).plan(plan).build().run();
     assert!(run.placements.iter().all(|&w| w == 0));
-    let reference = sequential_reference(1, &plan, &run.placements);
-    assert_bit_identical(&run, &reference);
     assert_eq!(run.completed_jobs(), 6);
     let mut h = fnv::Fnv::new();
     h.stats(&run.workers[0].output);

@@ -3,10 +3,7 @@
 //! executor (`ClusterSession` with a `source` workload) or in a plain
 //! sequential loop, and however the `PlanSource` slices are pulled.
 
-use std::sync::Arc;
-
 use flowcon_cluster::{ClusterSession, PolicyKind};
-use flowcon_container::image::shared_dl_defaults;
 use flowcon_core::config::{FlowConConfig, NodeConfig};
 use flowcon_core::recorder::CompletionsOnly;
 use flowcon_core::session::Session;
@@ -27,10 +24,9 @@ fn nodes() -> Vec<NodeConfig> {
 }
 
 /// The reference: drive every worker one after another on this thread,
-/// with a fresh session each (no scratch recycling, shared images) — the
+/// with a fresh session each (no scratch recycling) — the
 /// simplest possible execution of the same source.
 fn run_sequential<S: PlanSource>(source: &S) -> Vec<CompletionStats> {
-    let images = shared_dl_defaults();
     nodes()
         .into_iter()
         .enumerate()
@@ -41,7 +37,6 @@ fn run_sequential<S: PlanSource>(source: &S) -> Vec<CompletionStats> {
                 .policy(flowcon_core::policy::FlowConPolicy::new(
                     FlowConConfig::default(),
                 ))
-                .images(Arc::clone(&images))
                 .recorder(CompletionsOnly::new())
                 .build()
                 .run()

@@ -10,7 +10,7 @@ use crate::image::Image;
 use crate::limits::ResourceLimits;
 use crate::state::ContainerState;
 use crate::stats::ContainerStats;
-use crate::workload::{Workload, WorkloadStatus};
+use crate::workload::{exit_code_for, Workload};
 
 /// A container: identity + lifecycle + limits + stats + payload.
 ///
@@ -151,11 +151,7 @@ impl<W: Workload> Container<W> {
 
     /// Exit code the workload's status implies, if it is done.
     pub fn implied_exit(&self) -> Option<i32> {
-        match self.workload.status() {
-            WorkloadStatus::Running => None,
-            WorkloadStatus::Finished => Some(0),
-            WorkloadStatus::Failed(code) => Some(code),
-        }
+        exit_code_for(self.workload.status())
     }
 }
 

@@ -21,7 +21,7 @@ use crate::limits::{ResourceLimits, UpdateOptions};
 use crate::pool::ContainerPool;
 use crate::state::ContainerState;
 use crate::stats::ContainerStats;
-use crate::workload::{Workload, WorkloadStatus};
+use crate::workload::Workload;
 
 /// The daemon: image registry + container pool + event log.
 ///
@@ -317,15 +317,6 @@ impl<W: Workload> Daemon<W> {
     pub fn completion_record(&self, id: ContainerId) -> Option<(String, f64)> {
         let c = self.graveyard.get(id)?;
         Some((c.workload().label().to_string(), c.completion_time()?))
-    }
-}
-
-/// Convenience: the exit status a workload's completion implies.
-pub fn exit_code_for(status: WorkloadStatus) -> Option<i32> {
-    match status {
-        WorkloadStatus::Running => None,
-        WorkloadStatus::Finished => Some(0),
-        WorkloadStatus::Failed(code) => Some(code),
     }
 }
 

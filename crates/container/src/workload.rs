@@ -20,6 +20,16 @@ pub enum WorkloadStatus {
     Failed(i32),
 }
 
+/// The container exit code a workload status implies: `None` while it
+/// runs, 0 once finished, the crash code once failed.
+pub fn exit_code_for(status: WorkloadStatus) -> Option<i32> {
+    match status {
+        WorkloadStatus::Running => None,
+        WorkloadStatus::Finished => Some(0),
+        WorkloadStatus::Failed(code) => Some(code),
+    }
+}
+
 /// A payload that consumes CPU and exposes an evaluation function.
 pub trait Workload {
     /// Human-readable label, e.g. `MNIST (Tensorflow)`.

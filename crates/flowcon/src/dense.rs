@@ -1,34 +1,34 @@
-//! The dense (structure-of-arrays) headless worker simulation.
+//! The worker simulation: one node over dense, structure-of-arrays state.
 //!
-//! [`WorkerSim`](crate::worker) models one worker with per-container heap
-//! objects: a `Daemon` holding boxed `Container`s in a `BTreeMap` pool, a
-//! `BTreeMap`-backed [`ContainerMonitor`](crate::monitor::ContainerMonitor),
-//! and an event log.  That layout is right for recorded experiments, but at
-//! one million workers the headless cluster path is memory- and cache-bound
-//! on exactly those objects.
+//! Every worker run goes through this module — recorded, traced and
+//! failure-injected [`Session`](crate::session::Session)s as well as the
+//! million-worker headless cluster path.  Container ids are sequential
+//! `u32`s (see `flowcon_container::id`), so *the id is the array index*:
+//! one `TrainingJob` arena plus POD slot columns (the container record and
+//! the Container Monitor's state, [`MonitorSlot`]) stand in for a
+//! container daemon, its pool, its stats objects and a monitor map.  The
+//! columns live in a [`DenseScratch`] owned by the caller — one per
+//! executor shard — and are recycled across every worker that shard
+//! drives, so a steady-state headless worker run performs only the
+//! allocations its policy and completion stats need (budgeted well under
+//! 10 per worker by `crates/cluster/tests/headless_allocs.rs`).
 //!
-//! This module is the same simulation over flat arrays.  Container ids are
-//! sequential `u32`s (see `flowcon_container::id`), so *the id is the array
-//! index*: one `TrainingJob` arena plus two POD slot arrays (container
-//! record, monitor record) replace the daemon, pool, stats objects, and
-//! monitor map.  The arrays live in a [`DenseScratch`] owned by the
-//! executor shard and are recycled across every worker that shard drives —
-//! a steady-state worker run performs only the allocations its policy and
-//! completion stats need (budgeted well under 10 per worker by
-//! `crates/cluster/tests/headless_allocs.rs`).
+//! # Plans, streams and sessions
 //!
-//! # Plans and streams
-//!
-//! One simulation serves both workload shapes.  [`run_headless_dense`]
+//! One dispatch loop serves every workload shape.  [`run_headless_dense`]
 //! runs a placed plan: every job's arrival is queued up front.
 //! [`run_stream_dense`] runs **open-loop**: it pulls one job ahead of the
-//! clock from a [`JobStream`] (a single scheduled `StreamArrival`, exactly
-//! like the object path's `OpenLoopShell`), admits jobs until the
-//! [`Horizon`] trips, drains, and returns [`StreamStats`] and sojourn
-//! tails beside the completions.  Both go through one `DenseSim` and one
-//! dispatch loop; the open-loop state (the lookahead, the busy and queue
-//! integrals, the sojourn sketches) sits behind a monomorphized admission
-//! type, so a placed plan compiles it all away.
+//! clock from a [`JobStream`] (a single scheduled `StreamArrival`), admits
+//! jobs until the [`Horizon`] trips, drains, and returns [`StreamStats`]
+//! and sojourn tails beside the completions.  `Session::run*` drives the
+//! same loop with the session's [`Recorder`], [`Tracer`] and failure
+//! schedule.  The shape-specific state (the plan or the stream lookahead,
+//! the busy and queue integrals, the sojourn sketches) sits behind a
+//! monomorphized admission type, and the loop is monomorphized over the
+//! recorder and the tracer too: with [`CompletionsOnly`] and a
+//! [`NoopTracer`] the sample and trace ticks are never scheduled, the
+//! growth-trace monitor column is never filled, and every tracer site
+//! compiles away.
 //!
 //! # The live list
 //!
@@ -37,29 +37,29 @@
 //! ids (`DenseScratch::pool_ids`): admission pushes, exits `retain` the
 //! runnable slots, and the allocator inputs, the monitor and the listener
 //! all iterate the list — O(live) per event however many jobs a stream has
-//! admitted.  Ascending order is what `ContainerPool::ids_into` yields on
-//! the object path, so the list changes no result.
+//! admitted.
 //!
-//! **Bit-identity is the contract.**  For a given `NodeConfig` and job
-//! list (or stream and horizon), [`run_headless_dense`]
-//! ([`run_stream_dense`]) produces exactly the [`SessionResult`]
-//! ([`StreamResult`]) the object path produces with a [`CompletionsOnly`]
-//! recorder — same completions, same event count, same stream stats and
-//! tails — because every floating-point operation, RNG draw, and event
-//! (time, FIFO sequence) is replicated in the same order.  The cluster
-//! test `source_run_matches_the_equivalent_placed_run`, the dense-vs-session
-//! tests below and `crates/flowcon/tests/dense_stream.rs` pin this.
+//! # Bit-identity
 //!
-//! The event queue is chosen per run ([`QueueKind`]): the engine's binary
-//! heap or the calendar queue from `flowcon_sim::calendar`, which both
-//! order events by `(when, FIFO sequence)` and are bit-compared against
-//! each other by a randomized test in `flowcon-sim` and a whole-cluster
-//! test in `flowcon-cluster`.
+//! This loop replaced an object simulation (a container daemon holding
+//! boxed containers in a `BTreeMap` pool, plus a map-backed monitor), and
+//! replicates its every floating-point operation, RNG draw, event (time,
+//! FIFO sequence), recorder call and tracer event in the same order.
+//! Golden digests computed on that object path pin the result: the
+//! recorded, traced and failure-injected sessions in the workspace's
+//! `tests/determinism.rs` and `tests/failure_injection.rs`, every case of
+//! `crates/flowcon/tests/dense_stream.rs`, and the tests below.
+//!
+//! The event queue of a headless run is chosen per run ([`QueueKind`]):
+//! the engine's binary heap or the calendar queue from
+//! `flowcon_sim::calendar`, which both order events by `(when, FIFO
+//! sequence)` and are bit-compared against each other by a randomized
+//! test in `flowcon-sim` and a whole-cluster test in `flowcon-cluster`.
+//! Sessions run on the heap.
 
-use flowcon_container::daemon::exit_code_for;
-use flowcon_container::{ContainerId, ResourceLimits, UpdateOptions, Workload};
+use flowcon_container::{exit_code_for, ContainerId, ResourceLimits, UpdateOptions, Workload};
 use flowcon_dl::models::ModelSpec;
-use flowcon_dl::workload::JobRequest;
+use flowcon_dl::workload::{JobRequest, WorkloadPlan};
 use flowcon_dl::TrainingJob;
 use flowcon_metrics::sojourn::SojournStats;
 use flowcon_metrics::stream::StreamStats;
@@ -70,22 +70,20 @@ use flowcon_sim::event::EventQueue;
 use flowcon_sim::rng::SimRng;
 use flowcon_sim::stats::TimeWeighted;
 use flowcon_sim::time::{SimDuration, SimTime};
-use flowcon_sim::{ResourceKind, ResourceVec, RESOURCE_KINDS};
+use flowcon_sim::trace::{NoopTracer, TraceKind, Tracer};
+use flowcon_sim::{ResourceKind, ResourceVec};
 use flowcon_workload::stream::{Horizon, JobStream, StreamedJob};
 
 use crate::config::NodeConfig;
-use crate::metric::{progress_score, GrowthMeasurement};
+use crate::metric::GrowthMeasurement;
+use crate::monitor::MonitorSlot;
 use crate::policy::ResourcePolicy;
 use crate::recorder::{CompletionsOnly, Recorder, RunMeta};
 use crate::session::{SessionResult, StreamResult};
-use crate::worker::WorkerEvent;
+use crate::worker::{FailureInjection, WorkerEvent, TRACE_INTERVAL};
 
-/// Same run-away guard as `SimEngine`.
+/// Run-away guard: no worker run on this model needs more events.
 const MAX_EVENTS: u64 = 50_000_000;
-
-/// Intervals shorter than this reuse the previous measurement — must match
-/// `monitor::MIN_INTERVAL_SECS` exactly (bit-identity).
-const MIN_INTERVAL_SECS: f64 = 0.1;
 
 /// Which event queue drives a dense run.
 ///
@@ -113,9 +111,8 @@ impl QueueKind {
     }
 }
 
-/// One container's POD record: what the object path keeps in
-/// `Container` + `ContainerStats`, minus everything headless runs never
-/// read (image, event log, usage window, state timestamps).
+/// One container's POD record: creation time, soft limits, the
+/// resource-time integral the monitor reads, and pool membership.
 ///
 /// Kept `Copy` and cache-line-small on purpose — `slot_records_stay_pod`
 /// asserts the size so a refactor cannot silently fatten the arena.
@@ -131,42 +128,23 @@ struct ContainerSlot {
     runnable: bool,
 }
 
-/// One container's monitor state: the dense mirror of the object
-/// monitor's `PerContainer`, plus a `tracked` flag standing in for map
-/// membership.
-#[derive(Debug, Clone, Copy)]
-struct MonitorSlot {
-    tracked: bool,
-    last_tick: SimTime,
-    last_eval: Option<f64>,
-    last_cumulative: ResourceVec,
-    cached_progress: Option<f64>,
-    cached_avg_usage: ResourceVec,
-}
-
-impl MonitorSlot {
-    const UNTRACKED: MonitorSlot = MonitorSlot {
-        tracked: false,
-        last_tick: SimTime::ZERO,
-        last_eval: None,
-        last_cumulative: ResourceVec::ZERO,
-        cached_progress: None,
-        cached_avg_usage: ResourceVec::ZERO,
-    };
-}
-
-/// The recycled arenas and hot-path buffers of the dense worker path.
+/// The recycled arenas and hot-path buffers of the worker simulation.
 ///
-/// One per executor shard; every buffer is cleared (capacity kept) between
-/// workers, so arena growth amortizes to zero across a cluster run.
+/// One per executor shard (or per [`Session`](crate::session::Session));
+/// every buffer is cleared (capacity kept) between workers, so arena
+/// growth amortizes to zero across a cluster run.
 #[derive(Debug, Default)]
 pub struct DenseScratch {
-    /// Job arena: index == raw container id.
+    /// Job arena: index == raw container id.  Each job carries its label,
+    /// moved out of the plan or stream (empty on the headless plan path).
     jobs: Vec<TrainingJob>,
     /// Container records, parallel to `jobs`.
     slots: Vec<ContainerSlot>,
-    /// Monitor records, parallel to `jobs`.
+    /// The policy monitor's column, parallel to `jobs`.
     mons: Vec<MonitorSlot>,
+    /// The growth-trace monitor's column, parallel to `jobs` when the
+    /// recorder records growth traces, empty otherwise.
+    growth_mons: Vec<MonitorSlot>,
     /// `(id, exit code)` of containers that exited in the current step.
     exited: Vec<(ContainerId, i32)>,
     /// Ids with fixed rates since the last recompute, in id order.
@@ -179,7 +157,8 @@ pub struct DenseScratch {
     alloc: WaterfillScratch,
     /// Allocator requests, one per live container in id order.
     requests: Vec<AllocRequest>,
-    /// Growth-measurement buffer for policy reconfigurations.
+    /// Growth-measurement buffer (policy reconfigurations and growth
+    /// traces; each use consumes it before the next).
     measures: Vec<GrowthMeasurement>,
     /// The live pool: ids of `runnable` slots in ascending order, pushed
     /// on admission and retained on exit (see the module docs).
@@ -204,6 +183,7 @@ impl DenseScratch {
         self.jobs.clear();
         self.slots.clear();
         self.mons.clear();
+        self.growth_mons.clear();
         self.exited.clear();
         self.rate_ids.clear();
         self.rate_vals.clear();
@@ -227,8 +207,8 @@ impl DenseScratch {
     }
 }
 
-/// The queue interface the dense dispatch loop needs; implemented by both
-/// the binary heap and the calendar queue, which share `(when, seq)` FIFO
+/// The queue interface the dispatch loop needs; implemented by both the
+/// binary heap and the calendar queue, which share `(when, seq)` FIFO
 /// ordering semantics.
 trait DenseQueue {
     fn schedule(&mut self, when: SimTime, ev: WorkerEvent);
@@ -253,12 +233,23 @@ impl DenseQueue for CalendarQueue<WorkerEvent> {
     }
 }
 
-/// The admission side of a dense run beyond the plan's `Arrival` events.
+/// Where a run's jobs come from: a plan's queued `Arrival` events, or an
+/// open-loop stream.
 ///
-/// Monomorphized: [`Placed`] keeps the defaults below, so a placed plan
-/// compiles every hook to nothing; [`OpenLoop`] adds the stream lookahead
-/// and the steady-state accounting.
+/// Monomorphized: the defaults below compile every stream hook to nothing
+/// for a plan; [`OpenLoop`] adds the stream lookahead and the
+/// steady-state accounting.
 trait Admission {
+    /// The plan's jobs, queued as `Arrival` events before the run starts.
+    fn plan(&self) -> &[JobRequest] {
+        &[]
+    }
+
+    /// The spec and label of the plan's `idx`-th job as it arrives.
+    fn arrive(&mut self, _idx: usize) -> (ModelSpec, String) {
+        unreachable!("plan arrivals are only scheduled for a plan")
+    }
+
     /// A streamed arrival is scheduled, so the run is not done even while
     /// the pool is empty.
     fn pending(&self) -> bool {
@@ -284,15 +275,37 @@ trait Admission {
     fn exited(&mut self, _created_at: SimTime, _now: SimTime) {}
 }
 
-/// A placed plan: every arrival is a queued `Arrival` event.
-struct Placed;
+/// A placed plan, borrowed: the headless path never reads labels, so each
+/// job is admitted with an empty one.
+struct Placed<'p>(&'p [JobRequest]);
 
-impl Admission for Placed {}
+impl Admission for Placed<'_> {
+    fn plan(&self) -> &[JobRequest] {
+        self.0
+    }
+
+    fn arrive(&mut self, idx: usize) -> (ModelSpec, String) {
+        (self.0[idx].scaled_spec(), String::new())
+    }
+}
+
+/// A session's plan, owned: each job arrives exactly once, so its label is
+/// moved into the job instead of cloned.
+struct Owned(WorkloadPlan);
+
+impl Admission for Owned {
+    fn plan(&self) -> &[JobRequest] {
+        &self.0.jobs
+    }
+
+    fn arrive(&mut self, idx: usize) -> (ModelSpec, String) {
+        let job = &mut self.0.jobs[idx];
+        (job.scaled_spec(), std::mem::take(&mut job.label))
+    }
+}
 
 /// Open-loop admission: the stream, its one-job lookahead, and the
-/// accounting the run's [`StreamStats`] and [`SojournStats`] come from —
-/// the dense mirror of `OpenLoopShell` plus `WorkerSim`'s open-loop
-/// fields.
+/// accounting the run's [`StreamStats`] and [`SojournStats`] come from.
 struct OpenLoop<J> {
     stream: J,
     horizon: Horizon,
@@ -306,7 +319,10 @@ struct OpenLoop<J> {
     busy: TimeWeighted,
     /// `∫ pool size · dt`, the mean-queue-depth numerator.
     queue: TimeWeighted,
-    /// Sojourn and (always zero on one fluid node) queue-wait tails.
+    /// Sojourn and queue-wait tails.  On one fluid node every pool member
+    /// holds a rate from its admission event on, so queue-wait is always
+    /// zero here; it becomes informative in the cluster scheduler, where
+    /// jobs wait for slots.
     slo: SojournStats,
 }
 
@@ -328,15 +344,13 @@ impl<J: JobStream> Admission for OpenLoop<J> {
         Some(at)
     }
 
-    /// The object path counts the submission after processing exits;
-    /// nothing in between reads the count, so counting here is the same.
     fn take(&mut self) -> StreamedJob {
         self.submitted += 1;
         self.pending.take().expect("a streamed arrival is pending")
     }
 
-    /// `rates.iter().sum()` is the object path's `rate_sum`: the same fold
-    /// over the same rates, which only change at a recompute.
+    /// `rates` only change at a recompute, so each step contributes one
+    /// rectangle to each integral.
     fn advanced(&mut self, rates: &[f64], dt: f64) {
         if dt > 0.0 {
             self.busy.accumulate(rates.iter().sum(), dt);
@@ -349,6 +363,27 @@ impl<J: JobStream> Admission for OpenLoop<J> {
         self.last_exit = now;
         self.slo
             .record_exit(now.saturating_since(created_at).as_secs_f64(), 0.0);
+    }
+}
+
+/// What one worker run needs besides its jobs: the node, the policy, the
+/// recorder and the fault schedule.
+pub(crate) struct Worker<'f, R> {
+    pub(crate) node: NodeConfig,
+    pub(crate) policy: Box<dyn ResourcePolicy>,
+    pub(crate) recorder: R,
+    pub(crate) failures: &'f [FailureInjection],
+}
+
+impl Worker<'_, CompletionsOnly> {
+    /// A headless worker: completions only, no faults.
+    fn headless(node: NodeConfig, policy: Box<dyn ResourcePolicy>) -> Self {
+        Worker {
+            node,
+            policy,
+            recorder: CompletionsOnly::new(),
+            failures: &[],
+        }
     }
 }
 
@@ -368,7 +403,8 @@ pub fn run_headless_dense(
     scratch: &mut DenseScratch,
 ) -> SessionResult<CompletionStats> {
     scratch.reset_for(plan.len());
-    run(node, plan, Placed, policy, queue, scratch).0
+    let worker = Worker::headless(node, policy);
+    run(worker, Placed(plan), queue, &mut NoopTracer, scratch).0
 }
 
 /// Run one worker **open-loop** over the dense arenas in `scratch`: admit
@@ -377,10 +413,10 @@ pub fn run_headless_dense(
 /// Returns exactly what
 /// `Session::builder()...recorder(CompletionsOnly::new()).build().run_stream(stream, horizon)`
 /// returns for the same inputs — completions, event count,
-/// [`StreamStats`] and sojourn tails.  Labels are dropped.
+/// [`StreamStats`] and sojourn tails.
 ///
-/// Panics, like the object path, on an unbounded `horizon` and on a
-/// stream whose arrivals go back in time.
+/// Panics on an unbounded `horizon` and on a stream whose arrivals go
+/// back in time.
 pub fn run_stream_dense<J: JobStream>(
     node: NodeConfig,
     stream: J,
@@ -389,12 +425,38 @@ pub fn run_stream_dense<J: JobStream>(
     queue: QueueKind,
     scratch: &mut DenseScratch,
 ) -> StreamResult<CompletionStats> {
+    let worker = Worker::headless(node, policy);
+    run_stream(worker, stream, horizon, queue, &mut NoopTracer, scratch)
+}
+
+/// Run a session's plan to completion on the heap queue.
+pub(crate) fn run_plan<R: Recorder, T: Tracer>(
+    worker: Worker<'_, R>,
+    plan: WorkloadPlan,
+    tracer: &mut T,
+    scratch: &mut DenseScratch,
+) -> SessionResult<R::Output> {
+    scratch.reset_for(plan.len());
+    run(worker, Owned(plan), QueueKind::Heap, tracer, scratch).0
+}
+
+/// Run a worker open-loop (see [`run_stream_dense`]) with any recorder,
+/// tracer and fault schedule.
+pub(crate) fn run_stream<J: JobStream, R: Recorder, T: Tracer>(
+    worker: Worker<'_, R>,
+    stream: J,
+    horizon: Horizon,
+    queue: QueueKind,
+    tracer: &mut T,
+    scratch: &mut DenseScratch,
+) -> StreamResult<R::Output> {
     assert!(
         horizon.is_bounded(),
         "an open-loop run needs a horizon (until and/or max jobs) — \
          an unbounded stream would never terminate"
     );
     scratch.reset_for(0);
+    let capacity = worker.node.capacity;
     let open = OpenLoop {
         stream,
         horizon,
@@ -406,7 +468,7 @@ pub fn run_stream_dense<J: JobStream>(
         queue: TimeWeighted::new(),
         slo: SojournStats::new(),
     };
-    let (result, open) = run(node, &[], open, policy, queue, scratch);
+    let (result, open) = run(worker, open, queue, tracer, scratch);
     let duration_secs = open.last_exit.as_secs_f64();
     StreamResult {
         output: result.output,
@@ -418,86 +480,123 @@ pub fn run_stream_dense<J: JobStream>(
             duration_secs,
             busy_cpu_secs: open.busy.area(),
             queue_job_secs: open.queue.area(),
-            capacity_cpu_secs: node.capacity * duration_secs,
+            capacity_cpu_secs: capacity * duration_secs,
         },
         tails: open.slo,
     }
 }
 
-/// A finished dense run: the session result and the admission state it
-/// ended with.
-type Finished<A> = (SessionResult<CompletionStats>, A);
+/// A finished run: the session result and the admission state it ended
+/// with.
+type Finished<O, A> = (SessionResult<O>, A);
 
-/// Run on the recycled queue `queue` selects (the scratch must already be
-/// reset).
-fn run<A: Admission>(
-    node: NodeConfig,
-    plan: &[JobRequest],
+/// Validate the node, then run on the recycled queue `queue` selects (the
+/// scratch must already be reset).
+///
+/// Every worker run enters here, so this is where a node that could
+/// never finish a job is refused.
+fn run<A: Admission, R: Recorder, T: Tracer>(
+    worker: Worker<'_, R>,
     admission: A,
-    policy: Box<dyn ResourcePolicy>,
     queue: QueueKind,
+    tracer: &mut T,
     scratch: &mut DenseScratch,
-) -> Finished<A> {
+) -> Finished<R::Output, A> {
+    let node = worker.node;
+    assert!(
+        node.capacity.is_finite() && node.capacity > 0.0,
+        "NodeConfig::capacity must be finite and > 0, got {}",
+        node.capacity
+    );
+    assert!(
+        node.sample_interval > SimDuration::ZERO,
+        "NodeConfig::sample_interval must be > 0"
+    );
     match queue {
         QueueKind::Heap => {
             let mut q = std::mem::take(&mut scratch.heap);
             q.clear();
-            let (finished, q) = run_with_queue(node, plan, admission, policy, q, scratch);
+            let (finished, q) = run_with_queue(worker, admission, q, tracer, scratch);
             scratch.heap = q;
             finished
         }
         QueueKind::Calendar => {
             let mut q = std::mem::take(&mut scratch.calendar);
             q.clear();
-            let (finished, q) = run_with_queue(node, plan, admission, policy, q, scratch);
+            let (finished, q) = run_with_queue(worker, admission, q, tracer, scratch);
             scratch.calendar = q;
             finished
         }
     }
 }
 
-/// The dispatch loop, monomorphized over the queue and the admission.
-fn run_with_queue<Q: DenseQueue, A: Admission>(
-    node: NodeConfig,
-    plan: &[JobRequest],
+/// The dispatch loop, monomorphized over the queue, the admission, the
+/// recorder and the tracer.
+fn run_with_queue<Q: DenseQueue, A: Admission, R: Recorder, T: Tracer>(
+    worker: Worker<'_, R>,
     admission: A,
-    policy: Box<dyn ResourcePolicy>,
     mut queue: Q,
+    tracer: &mut T,
     scratch: &mut DenseScratch,
-) -> (Finished<A>, Q) {
+) -> (Finished<R::Output, A>, Q) {
+    // Priming order fixes the FIFO sequence numbers that break ties
+    // between same-time events: plan arrivals, the first sample and trace
+    // ticks, the fault schedule, then the stream lookahead.
+    let plan = admission.plan();
     for (idx, job) in plan.iter().enumerate() {
         queue.schedule(job.arrival, WorkerEvent::Arrival(idx));
     }
+    let arrivals_pending = plan.len();
+    if R::RECORDS_SAMPLES {
+        queue.schedule(SimTime::ZERO, WorkerEvent::SampleTick);
+    }
+    if R::RECORDS_GROWTH {
+        queue.schedule(SimTime::ZERO + TRACE_INTERVAL, WorkerEvent::TraceTick);
+    }
+    for (idx, f) in worker.failures.iter().enumerate() {
+        queue.schedule(f.at, WorkerEvent::InjectFailure(idx));
+    }
     let mut sim = DenseSim {
-        node,
-        plan,
-        policy,
-        rng: SimRng::new(node.seed),
+        node: worker.node,
+        policy: worker.policy,
+        rng: SimRng::new(worker.node.seed),
         now: SimTime::ZERO,
         last_advance: SimTime::ZERO,
         completion_gen: 0,
         tick_gen: 0,
-        arrivals_pending: plan.len(),
+        arrivals_pending,
         rates_stale: true,
         admission,
-        recorder: CompletionsOnly::new(),
+        recorder: worker.recorder,
+        tracer,
+        failures: worker.failures,
         update_calls: 0,
         algorithm_runs: 0,
+        waterfill_runs: 0,
         queue,
         s: scratch,
     };
     if let Some(at) = sim.admission.pull_next() {
         sim.queue.schedule(at, WorkerEvent::StreamArrival);
     }
-    // Replicates `SimEngine::run_until(.., SimTime::MAX)`: stale-generation
-    // events still count toward `events_processed` (they are popped and
-    // dispatched), and the budget guard trips at the same count.
+    // Stale-generation events still count toward `events_processed`: they
+    // are popped and dispatched.
     let mut events_processed: u64 = 0;
-    while events_processed < MAX_EVENTS {
-        let Some((when, event)) = sim.queue.pop_earliest() else {
-            break;
-        };
+    while let Some((when, event)) = sim.queue.pop_earliest() {
+        assert!(
+            events_processed < MAX_EVENTS,
+            "worker run exceeded its budget of {MAX_EVENTS} events at sim time {when}"
+        );
         debug_assert!(when >= sim.now, "event from the past");
+        if T::ENABLED {
+            if when > sim.now {
+                sim.tracer
+                    .span_begin(sim.now, TraceKind::EngineAdvance, 0, 0);
+                sim.tracer.span_end(when, TraceKind::EngineAdvance, 0, 0);
+            }
+            sim.tracer
+                .instant(when, TraceKind::EngineEvent, events_processed as u32, 0);
+        }
         sim.now = when;
         events_processed += 1;
         sim.handle(event);
@@ -515,15 +614,32 @@ fn run_with_queue<Q: DenseQueue, A: Admission>(
     ((result, sim.admission), sim.queue)
 }
 
+/// Measure every container of `pool` against its slot in `column`, the
+/// monitor column the measurement serves, into `out`.
+fn measure_pool(
+    now: SimTime,
+    pool: &[ContainerId],
+    jobs: &[TrainingJob],
+    slots: &[ContainerSlot],
+    column: &mut [MonitorSlot],
+    out: &mut Vec<GrowthMeasurement>,
+) {
+    out.clear();
+    for &id in pool {
+        let i = id.index();
+        out.push(column[i].measure(
+            id,
+            now,
+            jobs[i].eval(now),
+            slots[i].cumulative,
+            slots[i].limits.cpu_limit(),
+        ));
+    }
+}
+
 /// One worker simulation over borrowed dense state.
-///
-/// Method-for-method mirror of `WorkerSim` (and, for streams, its
-/// `OpenLoopShell`) specialized to the headless recorder: same event
-/// protocol, same floating-point order, same RNG stream, minus the
-/// objects.
-struct DenseSim<'a, Q, A> {
+struct DenseSim<'a, Q, A, R, T> {
     node: NodeConfig,
-    plan: &'a [JobRequest],
     policy: Box<dyn ResourcePolicy>,
     rng: SimRng,
     now: SimTime,
@@ -534,20 +650,26 @@ struct DenseSim<'a, Q, A> {
     /// The pool or a limit changed since the rates were last computed.
     rates_stale: bool,
     admission: A,
-    recorder: CompletionsOnly,
+    recorder: R,
+    tracer: &'a mut T,
+    failures: &'a [FailureInjection],
     update_calls: u64,
     algorithm_runs: u64,
+    /// Rate recomputations so far (the cumulative count behind the
+    /// [`TraceKind::Waterfill`] counter events; traced runs only).
+    waterfill_runs: u64,
     queue: Q,
     s: &'a mut DenseScratch,
 }
 
-impl<Q: DenseQueue, A: Admission> DenseSim<'_, Q, A> {
+impl<Q: DenseQueue, A: Admission, R: Recorder, T: Tracer> DenseSim<'_, Q, A, R, T> {
+    /// True once every job has arrived (plan and stream) and the pool is
+    /// empty.
     fn is_done(&self) -> bool {
         self.arrivals_pending == 0 && !self.admission.pending() && self.s.pool_ids.is_empty()
     }
 
-    /// Mirror of `Scheduler::at` (same cannot-schedule-into-the-past
-    /// contract) and `Scheduler::after`.
+    /// Schedule at an absolute time; causality must hold.
     fn schedule_at(&mut self, when: SimTime, ev: WorkerEvent) {
         assert!(
             when >= self.now,
@@ -564,8 +686,11 @@ impl<Q: DenseQueue, A: Admission> DenseSim<'_, Q, A> {
     }
 
     /// Integrate the fluid state from `last_advance` to `now`; exited
-    /// containers land in `s.exited` (mirror of `advance_to` +
-    /// `Daemon::advance`).
+    /// containers land in `s.exited`.
+    ///
+    /// Each container's raw CPU occupancy (its rate) goes into its
+    /// resource-time integral, as `docker stats` would account it; useful
+    /// progress is the rate times its contention efficiency.
     fn advance_to(&mut self, now: SimTime) {
         let dt = now.saturating_since(self.last_advance).as_secs_f64();
         self.last_advance = now;
@@ -593,15 +718,28 @@ impl<Q: DenseQueue, A: Admission> DenseSim<'_, Q, A> {
         }
     }
 
-    /// Mirror of `WorkerSim::recompute_rates`, reading the allocator's
-    /// `(limit, demand)` inputs (`Daemon::alloc_inputs_into`) straight off
-    /// the live list.
+    /// Recompute allocator rates and contention for the live pool.
+    ///
+    /// Limits are Docker-style **soft caps** (§4.1): a limit bounds the
+    /// share a container may claim while others contend, but capacity
+    /// that would otherwise idle is redistributed up to demand.  A
+    /// container is "shaped" when a policy gave it an explicit limit; free
+    /// competitors (limit 1.0, i.e. NA and fresh jobs) pay the jitter tax
+    /// on top of the shared contention factor.
     ///
     /// Rates and efficiencies are a pure function of the live list and its
     /// limits (demands are fixed per job), so they are only rebuilt when
-    /// one of those moved; the completion generation advances either way,
-    /// exactly as on the object path.
+    /// one of those moved; the completion generation advances either way.
     fn recompute_rates(&mut self) {
+        if T::ENABLED {
+            self.waterfill_runs += 1;
+            self.tracer.counter(
+                self.last_advance,
+                TraceKind::Waterfill,
+                0,
+                self.waterfill_runs as f64,
+            );
+        }
         self.completion_gen += 1;
         if !self.rates_stale {
             return;
@@ -627,8 +765,8 @@ impl<Q: DenseQueue, A: Admission> DenseSim<'_, Q, A> {
         }));
     }
 
-    /// Mirror of `WorkerSim::next_completion`, including its early-abort on
-    /// a rate id that has left the pool.
+    /// Project the earliest completion under current rates (none while a
+    /// rate id has left the pool: the next recompute reprojects).
     fn next_completion(&self) -> Option<SimTime> {
         let mut best: Option<f64> = None;
         for i in 0..self.s.rate_ids.len() {
@@ -644,22 +782,35 @@ impl<Q: DenseQueue, A: Admission> DenseSim<'_, Q, A> {
             }
         }
         best.map(|eta| {
+            // One microsecond of margin so the projected event lands
+            // strictly after the workload's exact finish (it clamps).
             self.last_advance + SimDuration::from_secs_f64(eta) + SimDuration::from_micros(1)
         })
     }
 
-    /// Mirror of `WorkerSim::process_exits` over `s.exited`; drops the
-    /// exited ids from the live list.
+    /// Handle the exits in `s.exited`: record completions, drop the exited
+    /// ids from the live list, and notify the policy (returning whether it
+    /// wants an immediate reconfiguration).
     fn process_exits(&mut self, now: SimTime) -> bool {
         if self.s.exited.is_empty() {
             return false;
         }
         for k in 0..self.s.exited.len() {
             let (id, code) = self.s.exited[k];
-            self.s.mons[id.index()] = MonitorSlot::UNTRACKED;
-            let created_at = self.s.slots[id.index()].created_at;
+            let i = id.index();
+            self.s.mons[i].forget();
+            if R::RECORDS_GROWTH {
+                self.s.growth_mons[i].forget();
+            }
+            if T::ENABLED {
+                self.tracer.span_end(now, TraceKind::JobRun, id.as_raw(), 0);
+                self.tracer
+                    .instant(now, TraceKind::JobComplete, id.as_raw(), code as u32);
+            }
+            let created_at = self.s.slots[i].created_at;
             self.admission.exited(created_at, now);
-            self.recorder.record_completion("", created_at, now, code);
+            self.recorder
+                .record_completion(self.s.jobs[i].label(), created_at, now, code);
         }
         let s = &mut *self.s;
         s.pool_ids.retain(|id| s.slots[id.index()].runnable);
@@ -667,81 +818,33 @@ impl<Q: DenseQueue, A: Admission> DenseSim<'_, Q, A> {
         self.policy.on_pool_change(now, &self.s.pool_ids)
     }
 
-    /// Mirror of `ContainerMonitor::measure_into` over the live list.
-    fn measure_into(&mut self, now: SimTime) {
-        self.s.measures.clear();
-        for k in 0..self.s.pool_ids.len() {
-            let id = self.s.pool_ids[k];
-            let slot = id.index();
-            let eval_now = self.s.jobs[slot].eval(now);
-            let cumulative = self.s.slots[slot].cumulative;
-            let limit = self.s.slots[slot].limits.cpu_limit();
-            let m = &mut self.s.mons[slot];
-            let measurement = if !m.tracked {
-                *m = MonitorSlot {
-                    tracked: true,
-                    last_tick: now,
-                    last_eval: eval_now,
-                    last_cumulative: cumulative,
-                    cached_progress: None,
-                    cached_avg_usage: ResourceVec::ZERO,
-                };
-                GrowthMeasurement {
-                    id,
-                    progress: None,
-                    avg_usage: ResourceVec::ZERO,
-                    cpu_limit: limit,
-                }
-            } else {
-                let dt = now.saturating_since(m.last_tick).as_secs_f64();
-                if dt < MIN_INTERVAL_SECS {
-                    GrowthMeasurement {
-                        id,
-                        progress: m.cached_progress,
-                        avg_usage: m.cached_avg_usage,
-                        cpu_limit: limit,
-                    }
-                } else {
-                    let mut avg_usage = ResourceVec::ZERO;
-                    for kind in RESOURCE_KINDS {
-                        avg_usage.set(
-                            kind,
-                            (cumulative.get(kind) - m.last_cumulative.get(kind)) / dt,
-                        );
-                    }
-                    let progress = match (eval_now, m.last_eval) {
-                        (Some(e), Some(p)) => progress_score(e, p, dt),
-                        _ => None,
-                    };
-                    m.last_tick = now;
-                    m.last_eval = eval_now.or(m.last_eval);
-                    m.last_cumulative = cumulative;
-                    m.cached_progress = progress;
-                    m.cached_avg_usage = avg_usage;
-                    GrowthMeasurement {
-                        id,
-                        progress,
-                        avg_usage,
-                        cpu_limit: limit,
-                    }
-                }
-            };
-            self.s.measures.push(measurement);
-        }
-    }
-
-    /// Mirror of `WorkerSim::run_reconfigure`.
+    /// Run the policy (Executor tick or listener interrupt), apply its
+    /// updates, and return its next interval.
     fn run_reconfigure(&mut self, now: SimTime) -> Option<SimDuration> {
-        self.measure_into(now);
-        self.s.updates.clear();
-        let next_interval =
-            self.policy
-                .reconfigure_into(now, &self.s.measures, &mut self.s.updates);
+        if T::ENABLED {
+            let live = self.s.pool_ids.len() as u32;
+            self.tracer.span_begin(now, TraceKind::Reconfigure, live, 0);
+        }
+        let s = &mut *self.s;
+        measure_pool(
+            now,
+            &s.pool_ids,
+            &s.jobs,
+            &s.slots,
+            &mut s.mons,
+            &mut s.measures,
+        );
+        // Policies must clear the recycled buffer themselves; this
+        // belt-and-suspenders clear keeps a non-conforming external policy
+        // from re-applying last tick's limits.
+        s.updates.clear();
+        let next_interval = self
+            .policy
+            .reconfigure_into(now, &s.measures, &mut s.updates);
         self.algorithm_runs += 1;
         for k in 0..self.s.updates.len() {
             let (id, limit) = self.s.updates[k];
-            // `Daemon::update` succeeds for any pool member; in this path
-            // pool membership is exactly `runnable`.
+            // `docker update` applies to pool members only.
             let slot = id.index();
             if slot < self.s.slots.len() && self.s.slots[slot].runnable {
                 let opts = UpdateOptions::new().cpus(limit);
@@ -750,10 +853,14 @@ impl<Q: DenseQueue, A: Admission> DenseSim<'_, Q, A> {
                 self.rates_stale = true;
             }
         }
+        if T::ENABLED {
+            let live = self.s.pool_ids.len() as u32;
+            self.tracer.span_end(now, TraceKind::Reconfigure, live, 0);
+        }
         next_interval
     }
 
-    /// Mirror of `WorkerSim::schedule_tick`.
+    /// Reschedule the policy tick after a reconfiguration.
     fn schedule_tick(&mut self, interval: Option<SimDuration>) {
         if self.is_done() {
             return;
@@ -764,18 +871,62 @@ impl<Q: DenseQueue, A: Admission> DenseSim<'_, Q, A> {
         }
     }
 
-    /// Mirror of `WorkerSim::schedule_completion`.
+    /// Schedule the next projected completion check.
     fn schedule_completion(&mut self) {
         if let Some(at) = self.next_completion() {
             self.schedule_at(at, WorkerEvent::CompletionCheck(self.completion_gen));
         }
     }
 
-    /// Mirror of `WorkerSim::admit_job` (headless: the label is dropped).
-    fn admit_job(&mut self, now: SimTime, spec: ModelSpec, interrupted_by_exit: bool) {
-        // Same RNG protocol as `Daemon::run` + `TrainingJob::with_label`;
-        // the empty label allocates nothing and is never read headless.
-        let job = TrainingJob::with_label(spec, String::new(), &mut self.rng);
+    /// Reconfigure, then reshare and reproject.
+    fn reconfigure_and_reshare(&mut self, now: SimTime) {
+        let next = self.run_reconfigure(now);
+        self.schedule_tick(next);
+        self.recompute_rates();
+        self.schedule_completion();
+    }
+
+    /// Each live rate's usage/limit sample, keyed by container.
+    fn record_samples(&mut self, now: SimTime) {
+        let s = &*self.s;
+        for (&id, &rate) in s.rate_ids.iter().zip(&s.rate_vals) {
+            let slot = &s.slots[id.index()];
+            if slot.runnable {
+                self.recorder.record_sample_by_id(
+                    now,
+                    id,
+                    s.jobs[id.index()].label(),
+                    rate,
+                    slot.limits.cpu_limit(),
+                );
+            }
+        }
+    }
+
+    /// Each live container's growth efficiency, once it has one.
+    fn record_growth_traces(&mut self, now: SimTime) {
+        let s = &mut *self.s;
+        let column = &mut s.growth_mons;
+        measure_pool(now, &s.pool_ids, &s.jobs, &s.slots, column, &mut s.measures);
+        for m in &s.measures {
+            if let Some(g) = m.growth() {
+                self.recorder
+                    .record_growth(now, s.jobs[m.id.index()].label(), g);
+            }
+        }
+    }
+
+    /// Admit one job into the pool at `now` and run the arrival protocol:
+    /// notify the policy, start (or pre-empt) the executor chain, recompute
+    /// rates, and reproject the next completion.
+    fn admit_job(
+        &mut self,
+        now: SimTime,
+        spec: ModelSpec,
+        label: String,
+        interrupted_by_exit: bool,
+    ) {
+        let job = TrainingJob::with_label(spec, label, &mut self.rng);
         let id = ContainerId::from_raw(self.s.jobs.len() as u32);
         self.s.jobs.push(job);
         self.s.slots.push(ContainerSlot {
@@ -785,15 +936,26 @@ impl<Q: DenseQueue, A: Admission> DenseSim<'_, Q, A> {
             runnable: true,
         });
         self.s.mons.push(MonitorSlot::UNTRACKED);
+        if R::RECORDS_GROWTH {
+            self.s.growth_mons.push(MonitorSlot::UNTRACKED);
+        }
         // Ids only grow, so pushing keeps the live list ascending.
         self.s.pool_ids.push(id);
         self.rates_stale = true;
+        if T::ENABLED {
+            self.tracer
+                .instant(now, TraceKind::JobAdmit, id.as_raw(), 0);
+            self.tracer
+                .span_begin(now, TraceKind::JobRun, id.as_raw(), 0);
+        }
 
         let interrupt = self.policy.on_pool_change(now, &self.s.pool_ids);
         if interrupt || interrupted_by_exit {
             let next = self.run_reconfigure(now);
             self.schedule_tick(next);
         } else if self.s.pool_ids.len() == 1 {
+            // The first job under a tick-less policy still needs the
+            // executor chain started (if the policy has one).
             let initial = self.policy.initial_interval();
             self.schedule_tick(initial);
         }
@@ -801,8 +963,28 @@ impl<Q: DenseQueue, A: Admission> DenseSim<'_, Q, A> {
         self.schedule_completion();
     }
 
-    /// Mirror of `WorkerSim::handle` (and `OpenLoopShell::handle`)
-    /// restricted to the events a headless run can see.
+    /// Crash the first live container labelled as the `idx`-th fault says.
+    fn inject_failure(&mut self, now: SimTime, idx: usize) -> bool {
+        let failures = self.failures;
+        let injection = &failures[idx];
+        let s = &mut *self.s;
+        let target = s
+            .pool_ids
+            .iter()
+            .copied()
+            .find(|id| s.jobs[id.index()].label() == injection.label);
+        let Some(id) = target else {
+            return false;
+        };
+        let job = &mut s.jobs[id.index()];
+        job.inject_failure(injection.exit_code);
+        let code = exit_code_for(job.status()).expect("a crashed job has exited");
+        s.slots[id.index()].runnable = false;
+        s.exited.clear();
+        s.exited.push((id, code));
+        self.process_exits(now)
+    }
+
     fn handle(&mut self, event: WorkerEvent) {
         let now = self.now;
         match event {
@@ -810,7 +992,8 @@ impl<Q: DenseQueue, A: Admission> DenseSim<'_, Q, A> {
                 self.advance_to(now);
                 let interrupted_by_exit = self.process_exits(now);
                 self.arrivals_pending -= 1;
-                self.admit_job(now, self.plan[idx].scaled_spec(), interrupted_by_exit);
+                let (spec, label) = self.admission.arrive(idx);
+                self.admit_job(now, spec, label, interrupted_by_exit);
             }
             WorkerEvent::StreamArrival => {
                 let job = self.admission.take();
@@ -829,15 +1012,14 @@ impl<Q: DenseQueue, A: Admission> DenseSim<'_, Q, A> {
                     );
                     self.schedule_at(at, WorkerEvent::StreamArrival);
                 }
-                self.admit_job(now, job.scaled_spec(), interrupted_by_exit);
+                self.admit_job(now, job.scaled_spec(), job.label, interrupted_by_exit);
             }
             WorkerEvent::CompletionCheck(gen) => {
                 if gen != self.completion_gen {
                     return; // stale projection
                 }
                 self.advance_to(now);
-                let interrupt = self.process_exits(now);
-                if interrupt {
+                if self.process_exits(now) {
                     let next = self.run_reconfigure(now);
                     self.schedule_tick(next);
                 }
@@ -849,14 +1031,43 @@ impl<Q: DenseQueue, A: Admission> DenseSim<'_, Q, A> {
                     return; // pre-empted by an interrupt
                 }
                 self.advance_to(now);
-                let _ = self.process_exits(now); // tick reconfigures below
-                let next = self.run_reconfigure(now);
-                self.schedule_tick(next);
+                let _ = self.process_exits(now); // the tick reconfigures below
+                self.reconfigure_and_reshare(now);
+            }
+            WorkerEvent::SampleTick => {
+                self.advance_to(now);
+                if self.process_exits(now) {
+                    self.reconfigure_and_reshare(now);
+                }
+                if self.recorder.sample_tick(now) {
+                    self.record_samples(now);
+                }
+                if !self.is_done() {
+                    self.schedule_after(self.node.sample_interval, WorkerEvent::SampleTick);
+                }
+            }
+            WorkerEvent::TraceTick => {
+                self.advance_to(now);
+                if self.process_exits(now) {
+                    self.reconfigure_and_reshare(now);
+                }
+                if self.recorder.growth_tick(now) {
+                    self.record_growth_traces(now);
+                }
+                if !self.is_done() {
+                    self.schedule_after(TRACE_INTERVAL, WorkerEvent::TraceTick);
+                }
+            }
+            WorkerEvent::InjectFailure(idx) => {
+                self.advance_to(now);
+                let mut interrupt = self.process_exits(now);
+                interrupt |= self.inject_failure(now, idx);
+                if interrupt {
+                    let next = self.run_reconfigure(now);
+                    self.schedule_tick(next);
+                }
                 self.recompute_rates();
                 self.schedule_completion();
-            }
-            WorkerEvent::SampleTick | WorkerEvent::TraceTick | WorkerEvent::InjectFailure(_) => {
-                unreachable!("never scheduled on the dense headless path")
             }
         }
     }
@@ -925,17 +1136,18 @@ mod tests {
         h
     }
 
+    /// Golden digests of the object simulation this module replaced, run
+    /// with a `CompletionsOnly` recorder on the same inputs.
     #[test]
     fn dense_is_bit_identical_to_the_object_session() {
-        let mut objects = Vec::new();
-        for seed in [3_u64, 11, 42] {
-            let plan = WorkloadPlan::random_n(12, seed);
-            let object = session_headless(NodeConfig::default(), &plan);
-            let fast = dense(NodeConfig::default(), &plan, QueueKind::Heap);
-            assert_same(&object, &fast);
-            objects.push(object);
-        }
-        let got = digest(&objects);
+        let runs: Vec<_> = [3_u64, 11, 42]
+            .into_iter()
+            .map(|seed| {
+                let plan = WorkloadPlan::random_n(12, seed);
+                dense(NodeConfig::default(), &plan, QueueKind::Heap)
+            })
+            .collect();
+        let got = digest(&runs);
         assert_eq!(got, 0x1600_1b10_3485_9d06, "digest {got:#018x}");
     }
 
@@ -952,13 +1164,6 @@ mod tests {
     #[test]
     fn dense_matches_under_the_na_baseline_too() {
         let plan = WorkloadPlan::random_n(8, 7);
-        let object = Session::builder()
-            .node(NodeConfig::default())
-            .plan(plan.clone())
-            .policy(FairSharePolicy::new())
-            .recorder(CompletionsOnly::new())
-            .build()
-            .run();
         let mut scratch = DenseScratch::new();
         let fast = run_headless_dense(
             NodeConfig::default(),
@@ -967,9 +1172,18 @@ mod tests {
             QueueKind::Heap,
             &mut scratch,
         );
-        assert_same(&object, &fast);
-        let got = digest([&object]);
+        let got = digest([&fast]);
         assert_eq!(got, 0xc95f_8c9f_5fd2_53ce, "digest {got:#018x}");
+    }
+
+    #[test]
+    fn headless_session_runs_the_same_simulation() {
+        for seed in [3_u64, 11] {
+            let plan = WorkloadPlan::random_n(12, seed);
+            let session = session_headless(NodeConfig::default(), &plan);
+            let fast = dense(NodeConfig::default(), &plan, QueueKind::Heap);
+            assert_same(&session, &fast);
+        }
     }
 
     #[test]

@@ -20,13 +20,14 @@
 //! [`policy`] packages this as [`policy::FlowConPolicy`] behind the
 //! [`policy::ResourcePolicy`] trait, alongside the paper's baseline
 //! ([`policy::FairSharePolicy`], "NA") and two ablation policies.
-//! [`worker`] provides the deterministic fluid simulation of one worker
-//! node that every experiment runs on.
+//! [`dense`] is the deterministic fluid simulation of one worker node
+//! that every experiment runs on ([`worker`] names its events and
+//! faults).
 //!
 //! Entry point: [`session::Session::builder`] — a fluent builder over node,
-//! plan, policy, shared image registry, failure injections, and a pluggable
+//! plan, policy, failure injections, and a pluggable
 //! [`recorder::Recorder`] that decides at compile time what the run
-//! observes (full paper traces, headless completions-only, or sampled).
+//! observes (full paper traces or headless completions-only).
 //! It is the *only* entry point: the historical `WorkerSim` constructors
 //! shipped one release as deprecated shims and have been removed (see the
 //! migration table in [`session`]).  Closed (plan-driven) runs go through
@@ -60,4 +61,4 @@ pub use metric::{growth_efficiency, progress_score, GrowthMeasurement};
 pub use policy::{FairSharePolicy, FlowConPolicy, ResourcePolicy, StaticEqualPolicy};
 pub use recorder::{CompletionsOnly, FullRecorder, Recorder};
 pub use session::{Session, SessionBuilder, SessionResult, StreamResult};
-pub use worker::{RunResult, WorkerScratch};
+pub use worker::FailureInjection;

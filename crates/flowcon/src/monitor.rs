@@ -1,16 +1,20 @@
 //! The Container Monitor (§3.2.1).
 //!
 //! Tracks, per container, the last evaluation-function sample and the last
-//! cumulative CPU-seconds reading, and turns the deltas into
+//! cumulative resource-time reading, and turns the deltas into
 //! [`GrowthMeasurement`]s at each algorithm tick: Eq. 1 from the evaluation
 //! samples, Eq. 2 dividing by the *exact* average usage over the interval
 //! (cumulative CPU-seconds delta / elapsed time — what `docker stats`
 //! integration would yield).
+//!
+//! The state is one plain [`MonitorSlot`] per container.  The worker
+//! simulation keeps the slots in columns indexed by container id (one for
+//! the policy's measurements, one for the growth-efficiency traces) and
+//! hands the column a measurement serves to its measure loop.
 
-use std::collections::BTreeMap;
-
-use flowcon_container::{ContainerId, Daemon, Workload};
+use flowcon_container::ContainerId;
 use flowcon_sim::time::SimTime;
+use flowcon_sim::{ResourceVec, RESOURCE_KINDS};
 
 use crate::metric::{progress_score, GrowthMeasurement};
 
@@ -18,208 +22,154 @@ use crate::metric::{progress_score, GrowthMeasurement};
 /// reuses its previous measurement instead of rebasing.
 const MIN_INTERVAL_SECS: f64 = 0.1;
 
-#[derive(Debug, Clone)]
-struct PerContainer {
+/// One container's measurement state across algorithm ticks.
+#[derive(Debug, Clone, Copy)]
+pub struct MonitorSlot {
+    tracked: bool,
     last_tick: SimTime,
     last_eval: Option<f64>,
-    last_cumulative: flowcon_sim::ResourceVec,
+    last_cumulative: ResourceVec,
     cached_progress: Option<f64>,
-    cached_avg_usage: flowcon_sim::ResourceVec,
+    cached_avg_usage: ResourceVec,
 }
 
-/// Per-container measurement state across algorithm ticks.
-#[derive(Debug, Default, Clone)]
-pub struct ContainerMonitor {
-    state: BTreeMap<ContainerId, PerContainer>,
-}
+impl MonitorSlot {
+    /// The state of a container the monitor has not observed yet.
+    pub const UNTRACKED: MonitorSlot = MonitorSlot {
+        tracked: false,
+        last_tick: SimTime::ZERO,
+        last_eval: None,
+        last_cumulative: ResourceVec::ZERO,
+        cached_progress: None,
+        cached_avg_usage: ResourceVec::ZERO,
+    };
 
-impl ContainerMonitor {
-    /// A monitor with no tracked containers.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Measure every running container, updating baselines.
+    /// Measure container `id` at `now` and update its baseline.
     ///
-    /// Containers seen for the first time (or still warming up, i.e. no
-    /// evaluation value yet) yield `growth: None`.
-    pub fn measure<W: Workload>(
+    /// `eval_now` is the job's evaluation-function value (`None` while it
+    /// warms up), `cumulative` its resource-time integral, `cpu_limit` its
+    /// current limit.  The first observation only establishes the
+    /// baseline (`growth: None`); an observation less than 0.1 s after the
+    /// last one repeats the previous measurement.
+    pub fn measure(
         &mut self,
+        id: ContainerId,
         now: SimTime,
-        daemon: &Daemon<W>,
-    ) -> Vec<GrowthMeasurement> {
-        let mut out = Vec::new();
-        self.measure_into(now, daemon, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`ContainerMonitor::measure`]: clears
-    /// `out` and refills it in place, so the per-tick caller reuses one
-    /// buffer across the whole run.
-    pub fn measure_into<W: Workload>(
-        &mut self,
-        now: SimTime,
-        daemon: &Daemon<W>,
-        out: &mut Vec<GrowthMeasurement>,
-    ) {
-        out.clear();
-        for c in daemon.pool().iter().filter(|c| c.state().is_runnable()) {
-            let id = c.id();
-            let eval_now = c.workload().eval(now);
-            let cumulative = c.stats().cumulative();
-            let limit = c.limits().cpu_limit();
-
-            let m = match self.state.get_mut(&id) {
-                None => {
-                    // First observation: establish the baseline.
-                    self.state.insert(
-                        id,
-                        PerContainer {
-                            last_tick: now,
-                            last_eval: eval_now,
-                            last_cumulative: cumulative,
-                            cached_progress: None,
-                            cached_avg_usage: flowcon_sim::ResourceVec::ZERO,
-                        },
-                    );
-                    GrowthMeasurement {
-                        id,
-                        progress: None,
-                        avg_usage: flowcon_sim::ResourceVec::ZERO,
-                        cpu_limit: limit,
-                    }
-                }
-                Some(s) => {
-                    let dt = now.saturating_since(s.last_tick).as_secs_f64();
-                    if dt < MIN_INTERVAL_SECS {
-                        // Interrupt fired almost immediately after the last
-                        // tick: reuse the previous measurement.
-                        GrowthMeasurement {
-                            id,
-                            progress: s.cached_progress,
-                            avg_usage: s.cached_avg_usage,
-                            cpu_limit: limit,
-                        }
-                    } else {
-                        // Average usage per resource: cumulative delta / dt.
-                        let mut avg_usage = flowcon_sim::ResourceVec::ZERO;
-                        for kind in flowcon_sim::RESOURCE_KINDS {
-                            avg_usage.set(
-                                kind,
-                                (cumulative.get(kind) - s.last_cumulative.get(kind)) / dt,
-                            );
-                        }
-                        let progress = match (eval_now, s.last_eval) {
-                            (Some(e), Some(p)) => progress_score(e, p, dt),
-                            _ => None,
-                        };
-                        s.last_tick = now;
-                        s.last_eval = eval_now.or(s.last_eval);
-                        s.last_cumulative = cumulative;
-                        s.cached_progress = progress;
-                        s.cached_avg_usage = avg_usage;
-                        GrowthMeasurement {
-                            id,
-                            progress,
-                            avg_usage,
-                            cpu_limit: limit,
-                        }
-                    }
-                }
+        eval_now: Option<f64>,
+        cumulative: ResourceVec,
+        cpu_limit: f64,
+    ) -> GrowthMeasurement {
+        if !self.tracked {
+            *self = MonitorSlot {
+                tracked: true,
+                last_tick: now,
+                last_eval: eval_now,
+                last_cumulative: cumulative,
+                cached_progress: None,
+                cached_avg_usage: ResourceVec::ZERO,
             };
-            out.push(m);
+            return GrowthMeasurement {
+                id,
+                progress: None,
+                avg_usage: ResourceVec::ZERO,
+                cpu_limit,
+            };
+        }
+        let dt = now.saturating_since(self.last_tick).as_secs_f64();
+        if dt >= MIN_INTERVAL_SECS {
+            // Average usage per resource: cumulative delta / dt.
+            let mut avg_usage = ResourceVec::ZERO;
+            for kind in RESOURCE_KINDS {
+                avg_usage.set(
+                    kind,
+                    (cumulative.get(kind) - self.last_cumulative.get(kind)) / dt,
+                );
+            }
+            self.cached_progress = match (eval_now, self.last_eval) {
+                (Some(e), Some(p)) => progress_score(e, p, dt),
+                _ => None,
+            };
+            self.cached_avg_usage = avg_usage;
+            self.last_tick = now;
+            self.last_eval = eval_now.or(self.last_eval);
+            self.last_cumulative = cumulative;
+        }
+        GrowthMeasurement {
+            id,
+            progress: self.cached_progress,
+            avg_usage: self.cached_avg_usage,
+            cpu_limit,
         }
     }
 
-    /// Drop state for a finished container (resource release, Algorithm 2
-    /// line 15).
-    pub fn forget(&mut self, id: ContainerId) {
-        self.state.remove(&id);
+    /// Drop the state of a finished container (resource release,
+    /// Algorithm 2 line 15).
+    pub fn forget(&mut self) {
+        *self = MonitorSlot::UNTRACKED;
     }
 
-    /// Number of tracked containers.
-    pub fn tracked(&self) -> usize {
-        self.state.len()
+    /// Whether the monitor holds a baseline for this container.
+    pub fn is_tracked(&self) -> bool {
+        self.tracked
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flowcon_container::workload::FixedWork;
-    use flowcon_container::{ImageRegistry, ResourceLimits};
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
     }
 
-    fn setup() -> (Daemon<FixedWork>, ContainerId) {
-        let mut d = Daemon::new(ImageRegistry::with_dl_defaults());
-        let id = d
-            .run(
-                "pytorch/pytorch:latest",
-                FixedWork::new("toy", 100.0, 1.0),
-                ResourceLimits::default(),
-                t(0),
-            )
-            .unwrap();
-        (d, id)
+    fn id() -> ContainerId {
+        ContainerId::from_raw(0)
     }
 
     #[test]
     fn first_measurement_is_fresh() {
-        let (d, id) = setup();
-        let mut mon = ContainerMonitor::new();
-        let ms = mon.measure(t(0), &d);
-        assert_eq!(ms.len(), 1);
-        assert_eq!(ms[0].id, id);
-        assert_eq!(ms[0].growth(), None);
-        assert_eq!(mon.tracked(), 1);
+        let mut slot = MonitorSlot::UNTRACKED;
+        let m = slot.measure(id(), t(0), Some(1.0), ResourceVec::ZERO, 1.0);
+        assert_eq!(m.id, id());
+        assert_eq!(m.growth(), None);
+        assert!(slot.is_tracked());
     }
 
     #[test]
     fn second_measurement_computes_growth_from_deltas() {
-        let (mut d, id) = setup();
-        let mut mon = ContainerMonitor::new();
-        mon.measure(t(0), &d);
-        // Run 20 s at rate 0.5: FixedWork loss falls 1.0 -> 0.9.
-        d.advance(t(20), &[id], &[0.5], &[1.0], 20.0);
-        let ms = mon.measure(t(20), &d);
+        let mut slot = MonitorSlot::UNTRACKED;
+        slot.measure(id(), t(0), Some(1.0), ResourceVec::ZERO, 1.0);
+        // 20 s at rate 0.5: the loss falls 1.0 -> 0.9 over 10 cpu-s.
+        let m = slot.measure(id(), t(20), Some(0.9), ResourceVec::cpu(10.0), 1.0);
         // P = |0.9 - 1.0| / 20 = 0.005; R = 10 cpu-s / 20 s = 0.5; G = 0.01.
-        let g = ms[0].growth().expect("growth available");
+        let g = m.growth().expect("growth available");
         assert!((g - 0.01).abs() < 1e-9, "G = {g}");
-        assert!((ms[0].avg_cpu() - 0.5).abs() < 1e-9);
+        assert!((m.avg_cpu() - 0.5).abs() < 1e-9);
     }
 
     #[test]
     fn tiny_interval_reuses_cached_measurement() {
-        let (mut d, id) = setup();
-        let mut mon = ContainerMonitor::new();
-        mon.measure(t(0), &d);
-        d.advance(t(20), &[id], &[0.5], &[1.0], 20.0);
-        let first = mon.measure(t(20), &d);
+        let mut slot = MonitorSlot::UNTRACKED;
+        slot.measure(id(), t(0), Some(1.0), ResourceVec::ZERO, 1.0);
+        let first = slot.measure(id(), t(20), Some(0.9), ResourceVec::cpu(10.0), 1.0);
         // An interrupt 1 ms later must not rebase onto a 1 ms interval.
-        let again = mon.measure(SimTime::from_micros(20_001_000), &d);
-        assert_eq!(again[0].growth(), first[0].growth());
-        assert_eq!(again[0].avg_cpu(), first[0].avg_cpu());
+        let again = slot.measure(
+            id(),
+            SimTime::from_micros(20_001_000),
+            Some(0.8),
+            ResourceVec::cpu(10.0005),
+            0.5,
+        );
+        assert_eq!(again.growth(), first.growth());
+        assert_eq!(again.avg_cpu(), first.avg_cpu());
+        assert_eq!(again.cpu_limit, 0.5, "the limit is always current");
     }
 
     #[test]
     fn forget_drops_state() {
-        let (d, id) = setup();
-        let mut mon = ContainerMonitor::new();
-        mon.measure(t(0), &d);
-        mon.forget(id);
-        assert_eq!(mon.tracked(), 0);
-    }
-
-    #[test]
-    fn paused_containers_are_not_measured() {
-        let (mut d, id) = setup();
-        let mut mon = ContainerMonitor::new();
-        mon.measure(t(0), &d);
-        d.set_paused(id, true, t(1)).unwrap();
-        let ms = mon.measure(t(2), &d);
-        assert!(ms.is_empty());
+        let mut slot = MonitorSlot::UNTRACKED;
+        slot.measure(id(), t(0), Some(1.0), ResourceVec::ZERO, 1.0);
+        slot.forget();
+        assert!(!slot.is_tracked());
     }
 }

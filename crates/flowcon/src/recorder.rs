@@ -14,18 +14,32 @@
 //!
 //! Two recorders ship:
 //!
-//! * [`FullRecorder`] — the paper's full [`RunSummary`], bit-identical to
-//!   the pre-redesign `WorkerSim::run` output.  The golden digests in the
-//!   workspace's `tests/determinism.rs` pin every completion and every
-//!   `cpu_usage`, `limits` and `growth_efficiency` point of a fixed run.
-//!   Its series store points by change of value, so a 1 Hz trace of a
-//!   step function costs memory per step, not per sample
+//! * [`FullRecorder`] — the paper's full [`RunSummary`].  The golden
+//!   digests in the workspace's `tests/determinism.rs` pin every
+//!   completion and every `cpu_usage`, `limits` and `growth_efficiency`
+//!   point of a fixed run.  Its series store points by change of value, so
+//!   a 1 Hz trace of a step function costs memory per step, not per sample
 //!   (`crates/flowcon/tests/recorded_footprint.rs` holds a summary to
 //!   8 bytes per usage sample).
+//!
+//! # Samples keyed by container
+//!
+//! The worker hands each usage/limit sample to
+//! [`Recorder::record_sample_by_id`], which carries the container's id
+//! beside its label.  The provided method forwards to
+//! [`Recorder::record_sample`], so a recorder that only knows labels (or
+//! wraps another recorder) needs nothing more.  [`FullRecorder`] overrides
+//! it: it resolves a container's series by label once, on the container's
+//! first sample, and from then on finds them by id — an integer compare
+//! at a cursor instead of a string compare per series.  Containers that
+//! share a label share its series, exactly as on the label path
+//! (`crates/flowcon/tests/recorder_props.rs` proptests the two paths
+//! against each other).
 //! * [`CompletionsOnly`] — headless: label-free [`CompletionStats`] only,
 //!   O(completions) memory; the dense headless path
 //!   ([`crate::dense`]) records through it too.
 
+use flowcon_container::ContainerId;
 use flowcon_metrics::summary::{CompletionStats, RunSummary};
 use flowcon_sim::time::SimTime;
 
@@ -89,6 +103,24 @@ pub trait Recorder: Send {
     /// tick.
     fn record_sample(&mut self, now: SimTime, label: &str, usage: f64, limit: f64);
 
+    /// [`Recorder::record_sample`] for the container `id`, which carries
+    /// `label`; what the worker calls.
+    ///
+    /// Within a tick the worker samples containers in ascending id order,
+    /// and a container keeps its id and label for its whole run.  The
+    /// default forwards to [`Recorder::record_sample`]; recorders that
+    /// index series by container override it.
+    fn record_sample_by_id(
+        &mut self,
+        now: SimTime,
+        _id: ContainerId,
+        label: &str,
+        usage: f64,
+        limit: f64,
+    ) {
+        self.record_sample(now, label, usage, limit);
+    }
+
     /// A growth-trace tick fired; return `true` to receive this tick's
     /// [`Recorder::record_growth`] calls.
     fn growth_tick(&mut self, _now: SimTime) -> bool {
@@ -103,8 +135,7 @@ pub trait Recorder: Send {
     fn finish(self, meta: RunMeta<'_>) -> Self::Output;
 }
 
-/// Records everything the paper reports: the pre-redesign [`RunSummary`],
-/// bit for bit.
+/// Records everything the paper reports: the full [`RunSummary`].
 #[derive(Debug, Clone, Default)]
 pub struct FullRecorder {
     summary: RunSummary,
@@ -113,12 +144,39 @@ pub struct FullRecorder {
     usage_cursor: usize,
     /// The same for the growth-efficiency series, reset every trace tick.
     growth_cursor: usize,
+    /// `(id, usage and limit series indices)` of every container sampled
+    /// by id so far, in ascending id order: one entry per id seen.
+    by_id: Vec<(ContainerId, (usize, usize))>,
+    /// Where the next `by_id` lookup starts; reset every sample tick.
+    id_cursor: usize,
 }
 
 impl FullRecorder {
     /// A fresh recorder with an empty summary.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The usage and limit series of container `id`, resolved by `label`
+    /// the first time `id` is seen.
+    ///
+    /// A tick samples ids in ascending order, so the entry is usually at
+    /// the cursor; otherwise a binary search finds it, or the place to
+    /// insert it.
+    fn series_of(&mut self, id: ContainerId, label: &str) -> (usize, usize) {
+        let at = match self.by_id.get(self.id_cursor) {
+            Some(&(seen, _)) if seen == id => self.id_cursor,
+            _ => self.by_id.partition_point(|&(seen, _)| seen < id),
+        };
+        self.id_cursor = at + 1;
+        match self.by_id.get(at) {
+            Some(&(seen, series)) if seen == id => series,
+            _ => {
+                let series = self.summary.usage_series(&mut self.usage_cursor, label);
+                self.by_id.insert(at, (id, series));
+                series
+            }
+        }
     }
 }
 
@@ -140,12 +198,26 @@ impl Recorder for FullRecorder {
 
     fn sample_tick(&mut self, _now: SimTime) -> bool {
         self.usage_cursor = 0;
+        self.id_cursor = 0;
         true
     }
 
     fn record_sample(&mut self, now: SimTime, label: &str, usage: f64, limit: f64) {
         self.summary
             .record_usage_sample(&mut self.usage_cursor, now, label, usage, limit);
+    }
+
+    fn record_sample_by_id(
+        &mut self,
+        now: SimTime,
+        id: ContainerId,
+        label: &str,
+        usage: f64,
+        limit: f64,
+    ) {
+        let series = self.series_of(id, label);
+        self.summary
+            .record_usage_sample_at(series, now, usage, limit);
     }
 
     fn growth_tick(&mut self, _now: SimTime) -> bool {

@@ -42,17 +42,20 @@
 //! | `WorkerSim::with_scratch(n, p, pol, s)` | `… .scratch(s) …` |
 //! | `sim.with_failure(label, at, code)` | `… .failure(label, at, code) …` |
 //! | `sim.run() -> RunResult` | `session.run() -> SessionResult<RunSummary>` (`result.summary` → `result.output`) |
+//! | `RunResult::from(result)` | use the [`SessionResult`] itself |
 //! | `sim.run_recycling()` | `session.run_recycling()` |
+//! | `WorkerScratch` | [`DenseScratch`]: `.scratch(DenseScratch::new())`, handed back by `run_recycling` |
+//! | `.images(arc_registry)` | removed: no image registry takes part in a run |
 //! | `run_flowcon(node, &plan, config)` | `… .policy(FlowConPolicy::new(config)) …` |
 //! | `run_baseline(node, &plan)` | `… .policy(FairSharePolicy::new()) …` |
 //! | always-on `RunSummary` | `.recorder(FullRecorder::new())` (default), [`CompletionsOnly`] |
-//! | fresh `ImageRegistry` per worker | shared by default; override with `.images(arc_registry)` |
 //!
+//! Every session runs on the one worker simulation, [`crate::dense`].
 //! The cluster layer builds one session per worker on the sharded
-//! executor, threading a recycled [`WorkerScratch`] and one shared image
-//! registry through all of them.  [`SessionBuilder::plan`] accepts
-//! anything convertible into a `WorkloadPlan`, including the
-//! `flowcon-workload` trace and synthetic-arrival sources.
+//! executor, threading a recycled [`DenseScratch`] through all of them.
+//! [`SessionBuilder::plan`] accepts anything convertible into a
+//! `WorkloadPlan`, including the `flowcon-workload` trace and
+//! synthetic-arrival sources.
 //!
 //! # Open-loop sessions
 //!
@@ -87,10 +90,6 @@
 //! [`FullRecorder`]: crate::recorder::FullRecorder
 //! [`CompletionsOnly`]: crate::recorder::CompletionsOnly
 
-use std::sync::Arc;
-
-use flowcon_container::image::shared_dl_defaults;
-use flowcon_container::ImageRegistry;
 use flowcon_dl::workload::WorkloadPlan;
 use flowcon_metrics::sojourn::SojournStats;
 use flowcon_metrics::stream::StreamStats;
@@ -99,9 +98,10 @@ use flowcon_sim::trace::{NoopTracer, Tracer};
 use flowcon_workload::stream::{Horizon, JobStream};
 
 use crate::config::NodeConfig;
+use crate::dense::{self, DenseScratch, QueueKind, Worker};
 use crate::policy::{FairSharePolicy, ResourcePolicy};
 use crate::recorder::{FullRecorder, Recorder};
-use crate::worker::{FailureInjection, WorkerScratch, WorkerSim};
+use crate::worker::FailureInjection;
 
 /// The outcome of a [`Session`] run.
 #[derive(Debug, Clone)]
@@ -143,7 +143,7 @@ pub struct StreamResult<T> {
 
 /// The backend-generic core of a configured session: everything that
 /// defines the *workload and policy*, none of what is specific to the
-/// fluid simulation (recorder, scratch, image registry).
+/// fluid simulation (recorder, scratch).
 ///
 /// [`SessionBuilder::into_spec`] extracts one from the ordinary builder,
 /// so a second backend — the real-thread runtime in `flowcon-rt` — can be
@@ -165,15 +165,14 @@ pub struct SessionSpec {
 /// Fluent configuration for one worker session.
 ///
 /// Defaults: [`NodeConfig::default`], an empty plan, the NA baseline
-/// policy ([`FairSharePolicy`]), the process-shared default image registry,
-/// a [`FullRecorder`], fresh scratch, and no failure injections.
+/// policy ([`FairSharePolicy`]), a [`FullRecorder`], fresh scratch, and no
+/// failure injections.
 pub struct SessionBuilder<R: Recorder = FullRecorder> {
     node: NodeConfig,
     plan: WorkloadPlan,
     policy: Box<dyn ResourcePolicy>,
-    images: Arc<ImageRegistry>,
     recorder: R,
-    scratch: WorkerScratch,
+    scratch: DenseScratch,
     failures: Vec<FailureInjection>,
 }
 
@@ -183,9 +182,8 @@ impl Default for SessionBuilder<FullRecorder> {
             node: NodeConfig::default(),
             plan: WorkloadPlan::new(Vec::new()),
             policy: Box::new(FairSharePolicy::new()),
-            images: shared_dl_defaults(),
             recorder: FullRecorder::new(),
-            scratch: WorkerScratch::new(),
+            scratch: DenseScratch::new(),
             failures: Vec::new(),
         }
     }
@@ -221,30 +219,21 @@ impl<R: Recorder> SessionBuilder<R> {
         self
     }
 
-    /// Share an image registry across sessions (one catalog per cluster).
-    /// Defaults to the process-wide
-    /// [`shared_dl_defaults`].
-    pub fn images(mut self, images: Arc<ImageRegistry>) -> Self {
-        self.images = images;
-        self
-    }
-
     /// Choose what the session records; see [`crate::recorder`].
     pub fn recorder<R2: Recorder>(self, recorder: R2) -> SessionBuilder<R2> {
         SessionBuilder {
             node: self.node,
             plan: self.plan,
             policy: self.policy,
-            images: self.images,
             recorder,
             scratch: self.scratch,
             failures: self.failures,
         }
     }
 
-    /// Reuse hot-path buffers recycled from a previous session
-    /// ([`Session::run_recycling`]).
-    pub fn scratch(mut self, scratch: WorkerScratch) -> Self {
+    /// Reuse the arenas and hot-path buffers recycled from a previous
+    /// session ([`Session::run_recycling`]) or a headless dense run.
+    pub fn scratch(mut self, scratch: DenseScratch) -> Self {
         self.scratch = scratch;
         self
     }
@@ -263,8 +252,8 @@ impl<R: Recorder> SessionBuilder<R> {
 
     /// Extract the backend-generic [`SessionSpec`] instead of building the
     /// fluid-simulation session — the handoff point to other backends
-    /// (e.g. the `flowcon-rt` wall-clock runtime).  Recorder, scratch and
-    /// image registry are simulation-only and are dropped.
+    /// (e.g. the `flowcon-rt` wall-clock runtime).  Recorder and scratch
+    /// are simulation-only and are dropped.
     pub fn into_spec(self) -> SessionSpec {
         SessionSpec {
             node: self.node,
@@ -276,28 +265,18 @@ impl<R: Recorder> SessionBuilder<R> {
 
     /// Assemble the session.
     pub fn build(self) -> Session<R> {
-        Session {
-            sim: WorkerSim::assemble(
-                self.node,
-                self.plan,
-                self.policy,
-                self.images,
-                self.recorder,
-                self.scratch,
-                self.failures,
-            ),
-        }
+        Session { config: self }
     }
 }
 
 /// A fully-configured worker session, ready to run.
 pub struct Session<R: Recorder = FullRecorder> {
-    sim: WorkerSim<R>,
+    config: SessionBuilder<R>,
 }
 
 impl Session<FullRecorder> {
-    /// Start configuring a session (defaults: NA policy, empty plan, shared
-    /// default images, [`FullRecorder`]).
+    /// Start configuring a session (defaults: NA policy, empty plan,
+    /// [`FullRecorder`]).
     pub fn builder() -> SessionBuilder<FullRecorder> {
         SessionBuilder::default()
     }
@@ -309,11 +288,10 @@ impl<R: Recorder> Session<R> {
         self.run_recycling().0
     }
 
-    /// Run the plan to completion, handing the hot-path scratch back so the
-    /// caller can thread it into the next session's
-    /// [`SessionBuilder::scratch`].
-    pub fn run_recycling(self) -> (SessionResult<R::Output>, WorkerScratch) {
-        self.sim.run_session(&mut NoopTracer)
+    /// Run the plan to completion, handing the scratch back so the caller
+    /// can thread it into the next session's [`SessionBuilder::scratch`].
+    pub fn run_recycling(self) -> (SessionResult<R::Output>, DenseScratch) {
+        self.run_plan(&mut NoopTracer)
     }
 
     /// Run the plan to completion, recording engine, job, and policy
@@ -325,7 +303,7 @@ impl<R: Recorder> Session<R> {
     /// sim-time (never wall clocks), so a trace is a deterministic
     /// function of the session configuration and seed.
     pub fn run_traced<T: Tracer>(self, tracer: &mut T) -> SessionResult<R::Output> {
-        self.sim.run_session(tracer).0
+        self.run_plan(tracer).0
     }
 
     /// Run **open-loop**: admit jobs pulled from `stream` while `horizon`
@@ -347,16 +325,15 @@ impl<R: Recorder> Session<R> {
         self.run_stream_recycling(stream, horizon).0
     }
 
-    /// [`Session::run_stream`], handing the hot-path scratch back for the
-    /// next session (the sharded open-loop cluster path in recorded mode;
-    /// headless clusters run [`crate::dense::run_stream_dense`]).
+    /// [`Session::run_stream`], handing the scratch back for the next
+    /// session (the sharded open-loop cluster path in recorded mode;
+    /// headless clusters call [`crate::dense::run_stream_dense`] directly).
     pub fn run_stream_recycling<J: JobStream>(
         self,
         stream: J,
         horizon: Horizon,
-    ) -> (StreamResult<R::Output>, WorkerScratch) {
-        self.sim
-            .run_session_stream(stream, horizon, &mut NoopTracer)
+    ) -> (StreamResult<R::Output>, DenseScratch) {
+        self.run_open_loop(stream, horizon, &mut NoopTracer)
     }
 
     /// [`Session::run_stream`] with structured tracing (see
@@ -367,7 +344,61 @@ impl<R: Recorder> Session<R> {
         horizon: Horizon,
         tracer: &mut T,
     ) -> StreamResult<R::Output> {
-        self.sim.run_session_stream(stream, horizon, tracer).0
+        self.run_open_loop(stream, horizon, tracer).0
+    }
+
+    fn run_plan<T: Tracer>(self, tracer: &mut T) -> (SessionResult<R::Output>, DenseScratch) {
+        let SessionBuilder {
+            node,
+            plan,
+            policy,
+            recorder,
+            mut scratch,
+            failures,
+        } = self.config;
+        let worker = Worker {
+            node,
+            policy,
+            recorder,
+            failures: &failures,
+        };
+        let result = dense::run_plan(worker, plan, tracer, &mut scratch);
+        (result, scratch)
+    }
+
+    fn run_open_loop<J: JobStream, T: Tracer>(
+        self,
+        stream: J,
+        horizon: Horizon,
+        tracer: &mut T,
+    ) -> (StreamResult<R::Output>, DenseScratch) {
+        let SessionBuilder {
+            node,
+            plan,
+            policy,
+            recorder,
+            mut scratch,
+            failures,
+        } = self.config;
+        assert!(
+            plan.is_empty(),
+            "open-loop sessions take jobs from the stream, not a plan"
+        );
+        let worker = Worker {
+            node,
+            policy,
+            recorder,
+            failures: &failures,
+        };
+        let result = dense::run_stream(
+            worker,
+            stream,
+            horizon,
+            QueueKind::Heap,
+            tracer,
+            &mut scratch,
+        );
+        (result, scratch)
     }
 }
 
@@ -393,7 +424,6 @@ mod tests {
             .node(NodeConfig::default().with_seed(7))
             .plan(WorkloadPlan::fixed_three())
             .policy(FlowConPolicy::new(FlowConConfig::with_params(0.05, 20)))
-            .images(shared_dl_defaults())
             .failure("VAE (Pytorch)", SimTime::from_secs(100), 137)
             .build()
             .run();
@@ -512,16 +542,46 @@ mod tests {
     #[test]
     fn scratch_recycling_is_bit_identical() {
         let plan = WorkloadPlan::random_five(3);
-        let build = |scratch: WorkerScratch| {
+        let build = |scratch: DenseScratch| {
             Session::builder()
                 .plan(plan.clone())
                 .policy(FlowConPolicy::new(FlowConConfig::default()))
                 .scratch(scratch)
                 .build()
         };
-        let (first, scratch) = build(WorkerScratch::new()).run_recycling();
+        let (first, scratch) = build(DenseScratch::new()).run_recycling();
         let (second, _) = build(scratch).run_recycling();
         assert_eq!(first.output.completions, second.output.completions);
         assert_eq!(first.events_processed, second.events_processed);
+    }
+
+    #[test]
+    #[should_panic(expected = "NodeConfig::sample_interval must be > 0")]
+    fn zero_sample_interval_is_rejected() {
+        let node = NodeConfig {
+            sample_interval: flowcon_sim::time::SimDuration::ZERO,
+            ..NodeConfig::default()
+        };
+        let _ = Session::builder()
+            .node(node)
+            .plan(WorkloadPlan::fixed_three())
+            .policy(FlowConPolicy::new(FlowConConfig::default()))
+            .build()
+            .run();
+    }
+
+    #[test]
+    #[should_panic(expected = "NodeConfig::capacity must be finite and > 0")]
+    fn zero_capacity_is_rejected() {
+        let node = NodeConfig {
+            capacity: 0.0,
+            ..NodeConfig::default()
+        };
+        let _ = Session::builder()
+            .node(node)
+            .plan(WorkloadPlan::fixed_three())
+            .policy(FlowConPolicy::new(FlowConConfig::default()))
+            .build()
+            .run();
     }
 }

@@ -1,8 +1,9 @@
-//! The dense open-loop path against the object path: for every stream
-//! shape, horizon and queue, `run_stream_dense` must return exactly what
-//! `Session::run_stream` returns with a `CompletionsOnly` recorder — the
-//! same completions, event count, `StreamStats` and sojourn tails — and
-//! every case's results are pinned by a golden digest.
+//! The headless open-loop entry point against the session: for every
+//! stream shape, horizon and queue, `run_stream_dense` must return exactly
+//! what `Session::run_stream` returns with a `CompletionsOnly` recorder —
+//! the same completions, event count, `StreamStats` and sojourn tails.
+//! Both run the one worker simulation, so each case's results are pinned
+//! by a golden digest computed on the object simulation it replaced.
 
 #[path = "../../../tests/support/fnv.rs"]
 mod fnv;
@@ -36,7 +37,7 @@ fn na() -> Box<dyn ResourcePolicy> {
     Box::new(FairSharePolicy::new())
 }
 
-fn object(
+fn session(
     node: NodeConfig,
     stream: impl JobStream,
     horizon: Horizon,
@@ -52,19 +53,19 @@ fn object(
 
 fn assert_same(
     dense: &StreamResult<CompletionStats>,
-    object: &StreamResult<CompletionStats>,
+    session: &StreamResult<CompletionStats>,
     what: &str,
 ) {
-    assert_eq!(dense.output, object.output, "{what}: completions");
+    assert_eq!(dense.output, session.output, "{what}: completions");
     assert_eq!(
-        dense.events_processed, object.events_processed,
+        dense.events_processed, session.events_processed,
         "{what}: events"
     );
-    assert_eq!(dense.stream, object.stream, "{what}: stream stats");
-    assert_eq!(dense.tails, object.tails, "{what}: sojourn tails");
+    assert_eq!(dense.stream, session.stream, "{what}: stream stats");
+    assert_eq!(dense.tails, session.tails, "{what}: sojourn tails");
     assert_eq!(
         dense.scheduler_overhead_cpu_secs.to_bits(),
-        object.scheduler_overhead_cpu_secs.to_bits(),
+        session.scheduler_overhead_cpu_secs.to_bits(),
         "{what}: scheduler overhead"
     );
 }
@@ -96,14 +97,14 @@ fn assert_digest(got: u64, want: u64, what: &str) {
 
 /// Every worker of `source`, under both policies and both queues, with
 /// one scratch recycled across all the dense runs.  Returns the number of
-/// jobs the object path admitted in total and the digest of its results.
+/// jobs the session admitted in total and the digest of its results.
 fn check<S: StreamSource>(source: &S, workers: usize, horizon: Horizon, what: &str) -> (u64, u64) {
     let mut scratch = DenseScratch::new();
     let mut submitted = 0;
     let mut h = Fnv::new();
     for w in 0..workers {
         for (name, policy) in [("flowcon", flowcon as fn() -> _), ("na", na)] {
-            let reference = object(node(w), source.stream_for(w), horizon, policy());
+            let reference = session(node(w), source.stream_for(w), horizon, policy());
             submitted += reference.stream.submitted;
             hash(&mut h, &reference);
             for queue in QUEUES {
@@ -223,7 +224,7 @@ fn arrivals_tied_with_policy_ticks_match() {
     // FlowCon interrupts on every admission and re-arms its 20 s tick,
     // so arrivals on a 20 s grid land exactly on a pending tick: the
     // lookahead must be queued before the tick (lower FIFO sequence) for
-    // the arrival to win the tie, as it does on the object path.
+    // the arrival to win the tie.
     let grid: Vec<f64> = (0..12).map(|k| 5.0 + 20.0 * k as f64).collect();
     let source = Explicit(grid);
     let (_, digest) = check(&source, 1, Horizon::jobs(12), "tick ties");
@@ -255,7 +256,7 @@ fn horizons_that_admit_nothing_match() {
 fn a_scratch_recycled_from_a_plan_run_changes_nothing() {
     let source = synthetic(ArrivalProcess::poisson(0.02));
     let horizon = Horizon::until(SimTime::from_secs(1_800));
-    let reference = object(node(1), source.stream_for(1), horizon, flowcon());
+    let reference = session(node(1), source.stream_for(1), horizon, flowcon());
     let mut h = Fnv::new();
     hash(&mut h, &reference);
     assert_digest(h.0, 0xfaa8_3aff_b20e_b39c, "after a plan");
@@ -316,7 +317,7 @@ fn duration_is_the_drain_point_on_both_paths() {
     let horizon = Horizon::until(SimTime::from_secs(1_800));
     let mut h = Fnv::new();
     for w in 0..4 {
-        let reference = object(node(w), source.stream_for(w), horizon, flowcon());
+        let reference = session(node(w), source.stream_for(w), horizon, flowcon());
         hash(&mut h, &reference);
         let dense = run_stream_dense(
             node(w),
@@ -326,7 +327,7 @@ fn duration_is_the_drain_point_on_both_paths() {
             QueueKind::Heap,
             &mut DenseScratch::new(),
         );
-        for (path, r) in [("object", &reference), ("dense", &dense)] {
+        for (path, r) in [("session", &reference), ("dense", &dense)] {
             let last = r.output.completions.iter().map(|c| c.finished).max();
             let drain = last.map_or(0.0, SimTime::as_secs_f64);
             assert_eq!(r.stream.duration_secs, drain, "{path}, worker {w}");

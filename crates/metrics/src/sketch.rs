@@ -254,7 +254,7 @@ impl QuantileSketch {
     }
 
     /// Clear all samples, keeping the allocated bucket range for reuse
-    /// (the recycling shape `WorkerScratch` relies on).
+    /// (the shape recycled per-shard scratch relies on).
     pub fn reset(&mut self) {
         self.counts.clear();
         self.offset = 0;

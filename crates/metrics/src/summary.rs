@@ -198,10 +198,32 @@ impl RunSummary {
         usage: f64,
         limit: f64,
     ) {
-        let (index, usage_series) = self.cpu_usage.series_from(*cursor, label);
-        usage_series.push(now, usage);
-        self.limits.series_from(index, label).1.push(now, limit);
-        *cursor = index + 1;
+        let series = self.usage_series(cursor, label);
+        self.record_usage_sample_at(series, now, usage, limit);
+    }
+
+    /// The indices of `label`'s `cpu_usage` and `limits` series, created
+    /// if absent — the lookup [`RunSummary::record_usage_sample`] makes,
+    /// for callers that resolve a series once and keep its indices.
+    /// `cursor` works as in [`RunSummary::record_usage_sample`].
+    pub fn usage_series(&mut self, cursor: &mut usize, label: &str) -> (usize, usize) {
+        let (usage, _) = self.cpu_usage.series_from(*cursor, label);
+        let (limit, _) = self.limits.series_from(usage, label);
+        *cursor = usage + 1;
+        (usage, limit)
+    }
+
+    /// Record one usage/limit sample pair onto the series at `indices`,
+    /// as returned by [`RunSummary::usage_series`].
+    pub fn record_usage_sample_at(
+        &mut self,
+        indices: (usize, usize),
+        now: SimTime,
+        usage: f64,
+        limit: f64,
+    ) {
+        self.cpu_usage.series_at_mut(indices.0).push(now, usage);
+        self.limits.series_at_mut(indices.1).push(now, limit);
     }
 
     /// Record one growth-efficiency point for `label` (recorder-facing

@@ -171,6 +171,12 @@ impl MultiSeries {
         (index, &mut self.series[index].1)
     }
 
+    /// The series at `index` (as `series_from` returned
+    /// it); panics if out of range.
+    pub(crate) fn series_at_mut(&mut self, index: usize) -> &mut TimeSeries {
+        &mut self.series[index].1
+    }
+
     /// Borrow a series by label.
     pub fn get(&self, label: &str) -> Option<&TimeSeries> {
         self.series.iter().find(|(l, _)| l == label).map(|(_, s)| s)

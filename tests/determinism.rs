@@ -1,8 +1,10 @@
 //! Reproducibility: identical seeds give bit-identical experiment results,
 //! different seeds differ — across every layer.  Golden digests pin the
-//! exact output of the non-scheduler paths (the recorded object session,
-//! the dense headless cluster, and the open-loop stream), as
-//! `crates/cluster/tests/sched_determinism.rs` does for the scheduler.
+//! exact output of the non-scheduler paths (the recorded session and its
+//! traced timelines, the dense headless cluster, and the open-loop
+//! stream), as `crates/cluster/tests/sched_determinism.rs` does for the
+//! scheduler.  The recorded and traced digests were computed on the object
+//! worker simulation the dense one replaced.
 
 #[path = "support/fnv.rs"]
 mod fnv;

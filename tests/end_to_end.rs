@@ -1,5 +1,5 @@
 //! End-to-end integration: every layer of the stack working together —
-//! daemon + allocator + policies + cluster + metrics.
+//! worker simulation + allocator + policies + cluster + metrics.
 
 use flowcon_cluster::{ClusterSession, PolicyKind, Spread};
 use flowcon_core::config::{FlowConConfig, NodeConfig};
