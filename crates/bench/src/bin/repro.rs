@@ -1926,23 +1926,11 @@ fn fig13_fig14() {
         section(&format!(
             "{figure}: Growth efficiency of {job} (FlowCon vs NA)"
         ));
-        let empty = flowcon_metrics::TimeSeries::new();
-        let fc = cmp.flowcon.growth_efficiency.get(job).unwrap_or(&empty);
-        let na = cmp.baseline.growth_efficiency.get(job).unwrap_or(&empty);
         print!(
             "{}",
-            line_chart(
-                "Growth efficiency",
-                &[("FlowCon", fc), ("NA", na)],
-                None,
-                100,
-                12
-            )
+            line_chart("Growth efficiency", &cmp.growth_traces(job), None, 100, 12)
         );
-        write_csv(
-            &format!("{file}.csv"),
-            &series_csv("growth", &cmp.flowcon.growth_efficiency),
-        );
+        write_csv(&format!("{file}.csv"), &cmp.growth_csv(job));
     }
 }
 

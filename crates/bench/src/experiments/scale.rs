@@ -8,7 +8,12 @@
 use super::{baseline_run, flowcon_run};
 use flowcon_core::config::{FlowConConfig, NodeConfig};
 use flowcon_dl::workload::WorkloadPlan;
+use flowcon_metrics::export::policy_series_csv;
 use flowcon_metrics::summary::RunSummary;
+use flowcon_metrics::timeseries::TimeSeries;
+
+/// What a job that never measured a growth efficiency plots.
+static NO_TRACE: TimeSeries = TimeSeries::new();
 
 /// Results of a scalability comparison.
 #[derive(Debug, Clone)]
@@ -60,6 +65,24 @@ impl ScaleComparison {
         let loser = rows.first().map(|(l, _)| l.clone()).unwrap_or_default();
         let winner = rows.last().map(|(l, _)| l.clone()).unwrap_or_default();
         (loser, winner)
+    }
+
+    /// Job `label`'s growth-efficiency trace under FlowCon and under NA
+    /// (empty where it has none): what Figs. 13–14 plot for an exemplar.
+    pub fn growth_traces(&self, label: &str) -> [(&'static str, &TimeSeries); 2] {
+        [("FlowCon", &self.flowcon), ("NA", &self.baseline)].map(|(policy, run)| {
+            (
+                policy,
+                run.growth_efficiency.get(label).unwrap_or(&NO_TRACE),
+            )
+        })
+    }
+
+    /// The CSV of [`ScaleComparison::growth_traces`]: one series per
+    /// policy, all of job `label` (`fig13.csv` for the loser, `fig14.csv`
+    /// for the winner).
+    pub fn growth_csv(&self, label: &str) -> String {
+        policy_series_csv(label, &self.growth_traces(label))
     }
 }
 
@@ -116,6 +139,25 @@ mod tests {
         assert_eq!(cmp.baseline.completions.len(), 15);
         let (wins, _) = cmp.wins_losses();
         assert!(wins >= 8, "expected ≥8 wins out of 15, got {wins}");
+    }
+
+    #[test]
+    fn fig13_and_fig14_each_hold_their_job_under_both_policies() {
+        let cmp = fig12(default_node(), DEFAULT_SEED);
+        let (loser, winner) = cmp.exemplars();
+        let (fig13, fig14) = (cmp.growth_csv(&loser), cmp.growth_csv(&winner));
+        assert_ne!(fig13, fig14);
+        for (csv, job) in [(&fig13, &loser), (&fig14, &winner)] {
+            let mut policies = Vec::new();
+            for row in csv.lines().skip(1) {
+                let cols: Vec<&str> = row.split(',').collect();
+                assert_eq!(cols[1], job.as_str(), "a row of another job: {row}");
+                if policies.last() != Some(&cols[0]) {
+                    policies.push(cols[0]);
+                }
+            }
+            assert_eq!(policies, ["FlowCon", "NA"], "{job}");
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::io;
 use std::path::Path;
 
 use crate::summary::RunSummary;
-use crate::timeseries::MultiSeries;
+use crate::timeseries::{MultiSeries, TimeSeries};
 
 /// Escape one CSV field.
 fn field(s: &str) -> String {
@@ -164,16 +164,33 @@ pub(crate) fn write_value(out: &mut String, value: &JsonValue) {
 pub fn series_csv(name: &str, series: &MultiSeries) -> String {
     let mut rows = Vec::new();
     for (label, s) in series.iter() {
-        for (t, v) in s.points() {
-            rows.push(vec![
-                name.to_string(),
-                label.to_string(),
-                format!("{t:.3}"),
-                format!("{v:.6}"),
-            ]);
-        }
+        push_points(&mut rows, name, label, s);
     }
-    to_csv(&["series", "label", "t_s", "value"], &rows)
+    to_csv(&SERIES_HEADER, &rows)
+}
+
+/// One job's series under several policies, in the [`series_csv`] columns
+/// with `series` naming the policy — one figure's job compared across
+/// runs (Figs. 13–14).
+pub fn policy_series_csv(label: &str, runs: &[(&str, &TimeSeries)]) -> String {
+    let mut rows = Vec::new();
+    for &(policy, s) in runs {
+        push_points(&mut rows, policy, label, s);
+    }
+    to_csv(&SERIES_HEADER, &rows)
+}
+
+const SERIES_HEADER: [&str; 4] = ["series", "label", "t_s", "value"];
+
+fn push_points(rows: &mut Vec<Vec<String>>, name: &str, label: &str, series: &TimeSeries) {
+    for (t, v) in series.points() {
+        rows.push(vec![
+            name.to_string(),
+            label.to_string(),
+            format!("{t:.3}"),
+            format!("{v:.6}"),
+        ]);
+    }
 }
 
 /// Write `content` to `path`, creating parent directories.

@@ -43,8 +43,12 @@ pub struct TimeSeries {
 
 impl TimeSeries {
     /// An empty series.
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        TimeSeries {
+            runs: Vec::new(),
+            changes: Vec::new(),
+            len: 0,
+        }
     }
 
     /// Append a point; time must be non-decreasing.
