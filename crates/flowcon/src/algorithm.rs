@@ -111,7 +111,11 @@ pub fn run_algorithm1_into(
         .iter()
         .map(|m| growth_of(m).unwrap_or(fresh_prior))
         .sum();
-    debug_assert!(sum_g > 0.0, "at least the fresh prior contributes");
+    // ΣG is zero only when no measured container grew over the interval
+    // (the real-thread backend sees this when no job advanced between two
+    // reads).  Proportional shares are then undefined: New List limits
+    // stay put and Completing List members fall to the lower bound.
+    let share = |g: f64| (sum_g > 0.0).then(|| g / sum_g);
 
     let lower_bound = 1.0 / (config.beta * n as f64);
     for m in measures {
@@ -120,9 +124,12 @@ pub fn run_algorithm1_into(
             // Line 24: Watching List limits remain unchanged.
             (ListKind::Watching, _) => continue,
             // Lines 20–22: Completing List, proportional with lower bound.
-            (ListKind::Completing, Some(g)) => (g / sum_g).max(lower_bound),
+            (ListKind::Completing, Some(g)) => share(g).unwrap_or(0.0).max(lower_bound),
             // Line 26: New List, proportional share.
-            (ListKind::New, Some(g)) => g / sum_g,
+            (ListKind::New, Some(g)) => match share(g) {
+                Some(s) => s,
+                None => continue,
+            },
             // Fresh container: full limit until it produces measurements.
             (_, None) => 1.0,
         };
@@ -154,6 +161,29 @@ mod tests {
 
     fn config() -> FlowConConfig {
         FlowConConfig::default() // alpha 5%, beta 2, prior 0.2
+    }
+
+    #[test]
+    fn zero_growth_everywhere_keeps_new_limits_and_floors_completing_ones() {
+        // No container grew: ΣG = 0, so there is no proportional share.
+        let mut lists = Lists::new();
+        lists.insert_new(id(1));
+        lists.insert_new(id(2));
+        lists.observe(id(2), 0.0, 0.05);
+        lists.observe(id(2), 0.0, 0.05);
+        assert_eq!(lists.kind_of(id(2)), Some(ListKind::Completing));
+        let out = run_algorithm1(
+            &config(),
+            &mut lists,
+            &[measure(1, Some(0.0), 0.5), measure(2, Some(0.0), 0.5)],
+        );
+        let floor = 1.0 / (config().beta * 2.0);
+        let limits: Vec<(ContainerId, f64)> = out.updates;
+        assert!(limits.iter().all(|&(_, l)| l.is_finite()));
+        assert!(
+            limits.iter().all(|&(i, l)| i == id(2) && l == floor),
+            "{limits:?}"
+        );
     }
 
     #[test]
