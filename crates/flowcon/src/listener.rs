@@ -11,7 +11,7 @@
 //!   their resources, reset the interval and run Algorithm 1 (lines 10–17).
 //!
 //! In the discrete-event worker the listener is invoked exactly when the
-//! daemon emits pool-change events, which models the paper's
+//! pool changes (an admission or an exit), which models the paper's
 //! "lightweight background-listeners track the container states in
 //! real-time" (§4.3) without polling.
 

@@ -13,7 +13,7 @@
 //! property tests pin down.
 //!
 //! Membership is stored as a dense slot map indexed by the container's raw
-//! id (the daemon allocates ids sequentially from 0), so the steady-state
+//! id (the worker allocates ids sequentially from 0), so the steady-state
 //! `observe` path is a branch-free array write with no tree rebalancing and
 //! no heap traffic, and `all_completing` is an O(1) counter compare.
 
@@ -38,7 +38,7 @@ pub enum ListKind {
 /// zero heap allocations (asserted by
 /// `crates/flowcon/tests/policy_zero_alloc.rs`).
 ///
-/// The dense layout assumes what the daemon guarantees: ids are allocated
+/// The dense layout assumes what the worker guarantees: ids are allocated
 /// **sequentially from 0** per worker.  Memory is O(highest raw id ever
 /// tracked) — slots of departed containers are retained (cheap: 1 byte
 /// each) so they are allocation-free if the id is reused.  Don't feed this
