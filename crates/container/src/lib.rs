@@ -56,4 +56,4 @@ pub use limits::{ResourceLimits, UpdateOptions};
 pub use pool::ContainerPool;
 pub use state::ContainerState;
 pub use stats::{ContainerStats, UsageSample};
-pub use workload::{exit_code_for, Workload, WorkloadStatus};
+pub use workload::{Workload, WorkloadStatus};

@@ -5,7 +5,7 @@
 //! million-worker headless cluster path.  Container ids are sequential
 //! `u32`s (see `flowcon_container::id`), so *the id is the array index*:
 //! one `TrainingJob` arena plus POD slot columns (the container record and
-//! the Container Monitor's state, [`MonitorSlot`]) hold all per-container
+//! the Container Monitor's `MonitorSlot`) hold all per-container
 //! state, with no per-container object.  The
 //! columns live in a [`DenseScratch`] owned by the caller — one per
 //! executor shard — and are recycled across every worker that shard
@@ -58,7 +58,8 @@
 //! test in `flowcon-sim` and a whole-cluster test in `flowcon-cluster`.
 //! Sessions run on the heap.
 
-use flowcon_container::{exit_code_for, ContainerId, ResourceLimits, UpdateOptions, Workload};
+use flowcon_container::workload::exit_code_for;
+use flowcon_container::{ContainerId, ResourceLimits, UpdateOptions, Workload};
 use flowcon_dl::models::ModelSpec;
 use flowcon_dl::workload::{JobRequest, WorkloadPlan};
 use flowcon_dl::TrainingJob;

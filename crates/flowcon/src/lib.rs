@@ -61,4 +61,3 @@ pub use metric::{growth_efficiency, progress_score, GrowthMeasurement};
 pub use policy::{FairSharePolicy, FlowConPolicy, ResourcePolicy, StaticEqualPolicy};
 pub use recorder::{CompletionsOnly, FullRecorder, Recorder};
 pub use session::{Session, SessionBuilder, SessionResult, StreamResult};
-pub use worker::FailureInjection;

@@ -7,7 +7,7 @@
 //! (cumulative CPU-seconds delta / elapsed time — what `docker stats`
 //! integration would yield).
 //!
-//! The state is one plain [`MonitorSlot`] per container.  The worker
+//! The state is one plain `MonitorSlot` per container.  The worker
 //! simulation keeps the slots in columns indexed by container id (one for
 //! the policy's measurements, one for the growth-efficiency traces) and
 //! hands the column a measurement serves to its measure loop.
@@ -24,7 +24,7 @@ const MIN_INTERVAL_SECS: f64 = 0.1;
 
 /// One container's measurement state across algorithm ticks.
 #[derive(Debug, Clone, Copy)]
-pub struct MonitorSlot {
+pub(crate) struct MonitorSlot {
     tracked: bool,
     last_tick: SimTime,
     last_eval: Option<f64>,
@@ -35,7 +35,7 @@ pub struct MonitorSlot {
 
 impl MonitorSlot {
     /// The state of a container the monitor has not observed yet.
-    pub const UNTRACKED: MonitorSlot = MonitorSlot {
+    pub(crate) const UNTRACKED: MonitorSlot = MonitorSlot {
         tracked: false,
         last_tick: SimTime::ZERO,
         last_eval: None,
@@ -51,7 +51,7 @@ impl MonitorSlot {
     /// current limit.  The first observation only establishes the
     /// baseline (`growth: None`); an observation less than 0.1 s after the
     /// last one repeats the previous measurement.
-    pub fn measure(
+    pub(crate) fn measure(
         &mut self,
         id: ContainerId,
         now: SimTime,
@@ -104,13 +104,8 @@ impl MonitorSlot {
 
     /// Drop the state of a finished container (resource release,
     /// Algorithm 2 line 15).
-    pub fn forget(&mut self) {
+    pub(crate) fn forget(&mut self) {
         *self = MonitorSlot::UNTRACKED;
-    }
-
-    /// Whether the monitor holds a baseline for this container.
-    pub fn is_tracked(&self) -> bool {
-        self.tracked
     }
 }
 
@@ -132,7 +127,9 @@ mod tests {
         let m = slot.measure(id(), t(0), Some(1.0), ResourceVec::ZERO, 1.0);
         assert_eq!(m.id, id());
         assert_eq!(m.growth(), None);
-        assert!(slot.is_tracked());
+        // The baseline is set: the next observation measures growth.
+        let next = slot.measure(id(), t(20), Some(0.9), ResourceVec::cpu(10.0), 1.0);
+        assert!(next.growth().is_some());
     }
 
     #[test]
@@ -170,6 +167,8 @@ mod tests {
         let mut slot = MonitorSlot::UNTRACKED;
         slot.measure(id(), t(0), Some(1.0), ResourceVec::ZERO, 1.0);
         slot.forget();
-        assert!(!slot.is_tracked());
+        // A forgotten container starts over from a fresh baseline.
+        let again = slot.measure(id(), t(20), Some(0.9), ResourceVec::cpu(10.0), 1.0);
+        assert_eq!(again.growth(), None);
     }
 }
