@@ -332,13 +332,14 @@ fn warm_sketch_inserts_are_allocation_free() {
     for i in 1..=4096u32 {
         sketch.insert(f64::from(i) * 0.25); // warm the bucket range
     }
-    COUNTING.store(true, Ordering::Relaxed);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for i in 1..=4096u32 {
-        sketch.insert(f64::from(i) * 0.25);
-    }
-    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    COUNTING.store(false, Ordering::Relaxed);
+    // The inserts run on this thread, so only this thread's allocations
+    // are counted: the test harness allocates on its own threads (result
+    // reports, thread spawns) whenever another test finishes.
+    let (allocs, ()) = allocs_on_this_thread(|| {
+        for i in 1..=4096u32 {
+            sketch.insert(f64::from(i) * 0.25);
+        }
+    });
     assert_eq!(sketch.count(), 8192);
     assert_eq!(
         allocs, 0,
