@@ -4,9 +4,7 @@
 //! repro [experiment ...]
 //! repro bench [--out FILE] [--check BASELINE.json]
 //! repro cluster [--workers N] [--jobs J] [--seed S] [--headless]
-//!               [--queue {heap,calendar}]
 //! repro profile [--workers N] [--jobs J] [--seed S]
-//!               [--queue {heap,calendar}]
 //! repro trace --file PATH | --synthetic {poisson,bursty,diurnal}
 //!             [--jobs N] [--rate R] [--seed S] [--workers N]
 //!             [--policy {flowcon,na}] [--thin P] [--compress X] [--emit PATH]
@@ -43,9 +41,7 @@
 //! usage/limit traces, no label clones, O(completions) memory — which is
 //! the supported way to drive 10k-worker clusters (`repro cluster
 //! --workers 10240 --headless`).  Headless runs
-//! go through the dense arena path; `--queue` picks its event-queue
-//! implementation (binary heap or calendar buckets — bit-identical
-//! results, different constants).
+//! go through the dense arena path.
 //!
 //! `repro profile` is the density harness: one headless cluster run with
 //! per-stage wall time (plan build, placement, simulation), allocations
@@ -484,7 +480,6 @@ fn run_cluster(args: &[String]) {
             ("--jobs", true),
             ("--seed", true),
             ("--headless", false),
-            ("--queue", true),
         ],
     );
 
@@ -510,7 +505,6 @@ fn run_cluster(args: &[String]) {
         eprintln!("--jobs must be at least 1: an empty plan simulates nothing");
         std::process::exit(2);
     }
-    let queue = parse_queue_kind(args, headless);
 
     let shards = executor::shard_count(workers);
     let mode = if headless { "headless" } else { "full" };
@@ -528,7 +522,7 @@ fn run_cluster(args: &[String]) {
     let start = std::time::Instant::now();
     // (placed, completed, makespan, events)
     let (placed, completed, makespan, events) = if headless {
-        let run = session().queue(queue).build().run();
+        let run = session().build().run();
         (
             run.placements.len(),
             run.completed_jobs(),
@@ -559,14 +553,6 @@ fn run_cluster(args: &[String]) {
             }
             .to_string(),
         ],
-        vec![
-            "event queue".to_string(),
-            if headless {
-                format!("{queue:?}").to_lowercase()
-            } else {
-                "-".into()
-            },
-        ],
         vec!["OS threads (shards)".to_string(), shards.to_string()],
         vec!["jobs placed".to_string(), placed.to_string()],
         vec!["jobs completed".to_string(), completed.to_string()],
@@ -588,25 +574,6 @@ fn run_cluster(args: &[String]) {
     print!("{}", text_table(&["metric", "value"], &rows));
 }
 
-/// Parse `--queue {heap,calendar}` (default heap).  The flag selects the
-/// dense path's event-queue implementation, so it only makes sense on a
-/// headless run — silently ignoring it elsewhere would misreport what was
-/// measured.
-fn parse_queue_kind(args: &[String], headless: bool) -> flowcon_cluster::QueueKind {
-    use flowcon_cluster::QueueKind;
-    if !headless && args.iter().any(|a| a == "--queue") {
-        eprintln!("--queue only applies to --headless runs (the dense path owns the event queue)");
-        std::process::exit(2);
-    }
-    match flag_value(args, "--queue") {
-        None => QueueKind::default(),
-        Some(v) => QueueKind::parse(&v).unwrap_or_else(|| {
-            eprintln!("--queue wants heap or calendar, got {v}");
-            std::process::exit(2);
-        }),
-    }
-}
-
 /// Peak resident set size in kiB (`VmHWM` from `/proc/self/status`), or
 /// `None` off Linux.
 fn peak_rss_kib() -> Option<u64> {
@@ -620,7 +587,7 @@ fn peak_rss_mib() -> String {
     peak_rss_kib().map_or("-".into(), |kib| format!("{:.1}", kib as f64 / 1024.0))
 }
 
-/// `repro profile [--workers N] [--jobs J] [--seed S] [--queue Q]`: the
+/// `repro profile [--workers N] [--jobs J] [--seed S]`: the
 /// density harness — one headless cluster run clocked per stage (plan
 /// build, placement, simulation), with allocation counts from the counting
 /// allocator and peak RSS from the kernel.
@@ -631,18 +598,14 @@ fn peak_rss_mib() -> String {
 fn run_profile(args: &[String]) {
     use flowcon_cluster::{executor, ClusterSession, PolicyKind};
     use flowcon_core::config::{FlowConConfig, NodeConfig};
+    use flowcon_core::dense::QueueKind;
     use flowcon_dl::workload::WorkloadPlan;
     use std::time::Instant;
 
     check_flags(
         "profile",
         args,
-        &[
-            ("--workers", true),
-            ("--jobs", true),
-            ("--seed", true),
-            ("--queue", true),
-        ],
+        &[("--workers", true), ("--jobs", true), ("--seed", true)],
     );
 
     let parse_num = |name: &str| {
@@ -664,12 +627,10 @@ fn run_profile(args: &[String]) {
         eprintln!("--jobs must be at least 1: an empty plan simulates nothing");
         std::process::exit(2);
     }
-    let queue = parse_queue_kind(args, true);
 
     let shards = executor::shard_count(workers);
     section(&format!(
-        "Density profile: {workers} workers, {jobs} jobs, {shards} OS threads, {} queue",
-        format!("{queue:?}").to_lowercase()
+        "Density profile: {workers} workers, {jobs} jobs, {shards} OS threads"
     ));
 
     COUNTING.store(true, Ordering::Relaxed);
@@ -692,7 +653,7 @@ fn run_profile(args: &[String]) {
     let (place_secs, place_allocs) = (t1.elapsed().as_secs_f64(), allocs() - a1);
 
     let (a2, t2) = (allocs(), Instant::now());
-    let run = placed.run(queue);
+    let run = placed.run(QueueKind::Heap);
     let (sim_secs, sim_allocs) = (t2.elapsed().as_secs_f64(), allocs() - a2);
     COUNTING.store(false, Ordering::Relaxed);
 

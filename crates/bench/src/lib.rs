@@ -4,8 +4,9 @@
 //! FlowCon paper's evaluation (§5), plus the ablations listed in DESIGN.md.
 //!
 //! Every experiment is a pure function from a seed/parameter set to
-//! structured results, so the `repro` binary, the integration tests and the
-//! Criterion benches all share the same code paths.
+//! structured results, so the `repro` binary and the integration tests
+//! share the same code paths.  [`perf`] is the micro-suite behind
+//! `repro bench`.
 //!
 //! | Module | Regenerates |
 //! |---|---|

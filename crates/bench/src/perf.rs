@@ -25,10 +25,10 @@ use flowcon_dl::workload::WorkloadPlan;
 use flowcon_sim::alloc::{
     waterfill, waterfill_into, waterfill_soft_into, AllocRequest, WaterfillScratch,
 };
-use flowcon_sim::engine::{Scheduler, SimEngine, Simulation};
+use flowcon_sim::event::EventQueue;
 use flowcon_sim::rng::SimRng;
 use flowcon_sim::time::{SimDuration, SimTime};
-use flowcon_sim::trace::{FlightRecorder, Tracer};
+use flowcon_sim::trace::FlightRecorder;
 use flowcon_workload::{ArrivalProcess, StreamSource, SyntheticStreamSource};
 
 /// One micro-benchmark's aggregated result.
@@ -163,9 +163,7 @@ pub fn waterfill_seed(capacity: f64, requests: &[AllocRequest]) -> (Vec<f64>, f6
 }
 
 /// The shared allocator-bench workload: random limits in `[0.05, 1.0)`,
-/// demands in `[0.2, 1.0)`, unit weights.  Used by both this suite and the
-/// criterion benches so the trajectory and criterion numbers measure the
-/// same distribution.
+/// demands in `[0.2, 1.0)`, unit weights.
 pub fn requests(n: usize, seed: u64) -> Vec<AllocRequest> {
     let mut rng = SimRng::new(seed);
     (0..n)
@@ -177,18 +175,27 @@ pub fn requests(n: usize, seed: u64) -> Vec<AllocRequest> {
         .collect()
 }
 
-struct Ticker {
-    remaining: u64,
-}
-
-impl Simulation for Ticker {
-    type Event = ();
-    fn handle<T: Tracer>(&mut self, _ev: (), sched: &mut Scheduler<'_, (), T>) {
-        if self.remaining > 0 {
-            self.remaining -= 1;
-            sched.after(SimDuration::from_secs(1), ());
+/// Dispatch a chain of `events` events on a fresh [`EventQueue`], in which
+/// each pop schedules the next event one second later; returns the number
+/// of events popped.
+///
+/// Kept out of line, as the engine loop this row timed before was, so the
+/// code around it in the suite cannot change how the loop compiles (see
+/// BENCHMARKS.md, "One event queue").
+#[inline(never)]
+fn dispatch_chain(events: u64) -> u64 {
+    let mut queue = EventQueue::new();
+    queue.schedule(SimTime::ZERO, ());
+    let mut remaining = events - 1;
+    let mut popped = 0;
+    while let Some((now, ())) = queue.pop() {
+        popped += 1;
+        if remaining > 0 {
+            remaining -= 1;
+            queue.schedule(now + SimDuration::from_secs(1), ());
         }
     }
+    popped
 }
 
 /// Run the fixed allocator / engine / policy micro-suite.
@@ -326,18 +333,12 @@ pub fn run_micro_suite(counter: Option<AllocCounter<'_>>) -> Vec<PerfResult> {
         push("waterfill/soft_warm/n64", ns, allocs, None);
     }
 
-    // --- engine: raw event dispatch throughput (fused pop path) ---
+    // --- event dispatch throughput on a fresh queue ---
     {
         const EVENTS: u64 = 200_000;
         let ns = time_ns(
             || {
-                let mut engine: SimEngine<Ticker> = SimEngine::new();
-                let mut sim = Ticker {
-                    remaining: EVENTS - 1,
-                };
-                engine.prime(SimTime::ZERO, ());
-                engine.run_to_completion(&mut sim);
-                std::hint::black_box(engine.events_processed());
+                std::hint::black_box(dispatch_chain(std::hint::black_box(EVENTS)));
             },
             Duration::from_secs(2),
         );

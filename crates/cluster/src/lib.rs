@@ -15,12 +15,10 @@
 //! * [`executor`] — the sharded executor: a bounded shared-cursor pool
 //!   with per-shard reusable state, so 1000-worker clusters run on
 //!   `available_parallelism` OS threads.
-//! * [`manager`] — result carriers of the dense headless path
-//!   ([`PlacedHeadless`], [`ClusterRun`]); the legacy `Manager` façade
-//!   itself has been removed (see the migration table in [`session`]).
 //! * [`session`] — the front door: one builder covering closed plans,
 //!   streamed plan sources, open-loop job streams, pluggable recorders,
-//!   and the online scheduler.
+//!   and the online scheduler (it replaced the `Manager` façade; see its
+//!   migration table).
 //! * [`sched`] — the cluster-wide online scheduler: a global admission
 //!   queue, pluggable disciplines ([`FifoPolicy`], [`GandivaPolicy`],
 //!   [`TiresiasPolicy`]), and node-local FlowCon sims advancing between
@@ -30,25 +28,21 @@
 #![forbid(unsafe_code)]
 
 pub mod executor;
-pub mod manager;
 pub mod placement;
 pub mod policy_kind;
 pub mod sched;
 pub mod session;
 
-pub use manager::{ClusterRun, PlacedHeadless};
+pub use placement::{LeastLoaded, PlacementStrategy, RoundRobin, Spread};
+pub use policy_kind::PolicyKind;
 pub use sched::{
     ClusterPolicy, ClusterView, Decision, FifoPolicy, GandivaPolicy, QueuedJobView, RunningJobView,
     SchedAction, SchedConfig, SchedOutcome, SchedPolicyKind, TiresiasPolicy,
 };
 pub use session::{
     BoxedStream, ClusterOutcome, ClusterSession, ClusterSessionBuilder, DynStreamSource, Headless,
-    Recorded, Sched,
+    PlacedHeadless, Recorded, Sched,
 };
-// The dense headless path's tunables, re-exported for the repro CLI.
-pub use flowcon_core::dense::QueueKind;
-pub use placement::{LeastLoaded, PlacementStrategy, RoundRobin, Spread};
-pub use policy_kind::PolicyKind;
 // The streaming plan/stream-source surface, re-exported so cluster callers
 // don't need a direct flowcon-workload dependency for the common path.
 pub use flowcon_workload::source::{PlanSource, SyntheticSource, TraceSource};

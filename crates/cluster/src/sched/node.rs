@@ -18,19 +18,17 @@
 
 use flowcon_container::{ContainerId, ResourceLimits, UpdateOptions, Workload};
 use flowcon_core::config::NodeConfig;
-use flowcon_core::metric::{progress_score, GrowthMeasurement};
+use flowcon_core::metric::GrowthMeasurement;
+use flowcon_core::monitor::MonitorSlot;
 use flowcon_core::policy::ResourcePolicy;
 use flowcon_dl::{ModelId, ModelSpec, TrainingJob};
 use flowcon_sim::alloc::{waterfill_soft_into, AllocRequest, WaterfillScratch};
 use flowcon_sim::rng::SimRng;
 use flowcon_sim::time::{SimDuration, SimTime};
 use flowcon_sim::trace::{NoopTracer, TraceKind, Tracer};
-use flowcon_sim::{ResourceKind, ResourceVec, RESOURCE_KINDS};
+use flowcon_sim::{ResourceKind, ResourceVec};
 
 use super::policy::RunningJobView;
-
-/// Must match `monitor::MIN_INTERVAL_SECS` (measurement reuse window).
-const MIN_INTERVAL_SECS: f64 = 0.1;
 
 /// Remaining work at or below this is "finished" — keeps the inner
 /// advance loop from chasing femtosecond tails.
@@ -58,28 +56,6 @@ pub(crate) struct PreemptedJob {
     pub(crate) arrival: SimTime,
 }
 
-/// Dense mirror of the container monitor's per-container state.
-#[derive(Debug, Clone, Copy)]
-struct Mon {
-    tracked: bool,
-    last_tick: SimTime,
-    last_eval: Option<f64>,
-    last_cumulative: ResourceVec,
-    cached_progress: Option<f64>,
-    cached_avg_usage: ResourceVec,
-}
-
-impl Mon {
-    const UNTRACKED: Mon = Mon {
-        tracked: false,
-        last_tick: SimTime::ZERO,
-        last_eval: None,
-        last_cumulative: ResourceVec::ZERO,
-        cached_progress: None,
-        cached_avg_usage: ResourceVec::ZERO,
-    };
-}
-
 /// One occupied job slot.  The slot index is the container id the
 /// node-local `ResourcePolicy` sees.
 #[derive(Debug)]
@@ -93,7 +69,8 @@ struct Slot {
     rem_at_place: f64,
     base_attained: f64,
     cumulative: ResourceVec,
-    mon: Mon,
+    /// The Container Monitor's state for this job.
+    mon: MonitorSlot,
 }
 
 impl Slot {
@@ -158,6 +135,7 @@ impl<T: Tracer> NodeSim<T> {
         trace_id: u32,
     ) -> Self {
         assert!(slots > 0, "a node needs at least one job slot");
+        cfg.assert_usable_capacity();
         Self {
             cfg,
             policy,
@@ -239,7 +217,7 @@ impl<T: Tracer> NodeSim<T> {
             rem_at_place: rem,
             base_attained,
             cumulative: ResourceVec::ZERO,
-            mon: Mon::UNTRACKED,
+            mon: MonitorSlot::UNTRACKED,
         });
         self.live += 1;
 
@@ -432,68 +410,21 @@ impl<T: Tracer> NodeSim<T> {
         }
     }
 
-    /// Mirror of the dense monitor's `measure_into` over the slot arena.
+    /// Measure every running job through its Container Monitor slot, in
+    /// slot order.
     fn measure_into(&mut self, now: SimTime) {
         self.measures.clear();
-        for idx in 0..self.slots.len() {
-            let Some(slot) = self.slots[idx].as_mut() else {
+        for (idx, slot) in self.slots.iter_mut().enumerate() {
+            let Some(slot) = slot else {
                 continue;
             };
-            let id = ContainerId::from_raw(idx as u32);
-            let eval_now = slot.job.eval(now);
-            let cumulative = slot.cumulative;
-            let limit = slot.limits.cpu_limit();
-            let m = &mut slot.mon;
-            let measurement = if !m.tracked {
-                *m = Mon {
-                    tracked: true,
-                    last_tick: now,
-                    last_eval: eval_now,
-                    last_cumulative: cumulative,
-                    cached_progress: None,
-                    cached_avg_usage: ResourceVec::ZERO,
-                };
-                GrowthMeasurement {
-                    id,
-                    progress: None,
-                    avg_usage: ResourceVec::ZERO,
-                    cpu_limit: limit,
-                }
-            } else {
-                let dt = now.saturating_since(m.last_tick).as_secs_f64();
-                if dt < MIN_INTERVAL_SECS {
-                    GrowthMeasurement {
-                        id,
-                        progress: m.cached_progress,
-                        avg_usage: m.cached_avg_usage,
-                        cpu_limit: limit,
-                    }
-                } else {
-                    let mut avg_usage = ResourceVec::ZERO;
-                    for kind in RESOURCE_KINDS {
-                        avg_usage.set(
-                            kind,
-                            (cumulative.get(kind) - m.last_cumulative.get(kind)) / dt,
-                        );
-                    }
-                    let progress = match (eval_now, m.last_eval) {
-                        (Some(e), Some(p)) => progress_score(e, p, dt),
-                        _ => None,
-                    };
-                    m.last_tick = now;
-                    m.last_eval = eval_now.or(m.last_eval);
-                    m.last_cumulative = cumulative;
-                    m.cached_progress = progress;
-                    m.cached_avg_usage = avg_usage;
-                    GrowthMeasurement {
-                        id,
-                        progress,
-                        avg_usage,
-                        cpu_limit: limit,
-                    }
-                }
-            };
-            self.measures.push(measurement);
+            self.measures.push(slot.mon.measure(
+                ContainerId::from_raw(idx as u32),
+                now,
+                slot.job.eval(now),
+                slot.cumulative,
+                slot.limits.cpu_limit(),
+            ));
         }
     }
 
@@ -534,6 +465,8 @@ mod tests {
     use super::*;
     use crate::policy_kind::PolicyKind;
     use flowcon_core::config::FlowConConfig;
+    use flowcon_dl::models::ALL_MODELS;
+    use proptest::prelude::*;
 
     fn node(slots: usize) -> NodeSim {
         NodeSim::new(
@@ -609,5 +542,106 @@ mod tests {
         assert!(sim.is_idle());
         assert_eq!(sim.busy_cpu_secs, 0.0);
         assert!(sim.completions.is_empty());
+    }
+
+    /// `(gid, remaining work)` of every running job, in slot order.
+    fn remaining_by_gid<T: Tracer>(sim: &NodeSim<T>) -> Vec<(u32, f64)> {
+        sim.slots
+            .iter()
+            .flatten()
+            .map(|s| (s.gid, s.remaining()))
+            .collect()
+    }
+
+    proptest! {
+        /// The node's physics on random admit / preempt / resume / advance
+        /// sequences: the allocated rates never exceed the capacity, work
+        /// only ever shrinks, a resumed job keeps exactly the service it
+        /// was preempted with, and no job completes before its placement.
+        #[test]
+        fn node_physics_hold_under_random_schedules(
+            capacity in 0.25f64..4.0,
+            slots in 1usize..5,
+            flowcon in 0u8..2,
+            ops in prop::collection::vec((0u8..4, 0usize..64, 0.05f64..1.0, 1u64..400), 1..48),
+        ) {
+            let cfg = NodeConfig { capacity, ..NodeConfig::default() };
+            let policy = if flowcon == 1 {
+                PolicyKind::FlowCon(FlowConConfig::default())
+            } else {
+                PolicyKind::Baseline
+            };
+            let mut sim = NodeSim::new(cfg, policy.build_send(), slots, NoopTracer, 0);
+            // Latest placement time per gid, and the preempted jobs
+            // waiting to resume.
+            let mut placed_at: Vec<SimTime> = Vec::new();
+            let mut parked: Vec<(u32, PreemptedJob)> = Vec::new();
+            for (op, pick, scale, secs) in ops {
+                let full = sim.live == sim.slot_count();
+                match op {
+                    0 if !full => {
+                        let gid = placed_at.len() as u32;
+                        let model = ALL_MODELS[pick % ALL_MODELS.len()];
+                        sim.admit(gid, model, scale, sim.now, 0.0);
+                        placed_at.push(sim.now);
+                    }
+                    1 if !sim.is_idle() => {
+                        let running = remaining_by_gid(&sim);
+                        let gid = running[pick % running.len()].0;
+                        parked.push((gid, sim.preempt(gid)));
+                    }
+                    2 if !full && !parked.is_empty() => {
+                        let (gid, job) = parked.swap_remove(pick % parked.len());
+                        sim.admit(
+                            gid,
+                            job.model,
+                            job.remaining_scale,
+                            job.arrival,
+                            job.attained_cpu_secs,
+                        );
+                        placed_at[gid as usize] = sim.now;
+                        let mut views = Vec::new();
+                        sim.fill_views(&mut views);
+                        let view = views.iter().find(|v| v.id == gid).expect("resumed job runs");
+                        prop_assert_eq!(
+                            view.attained_cpu_secs.to_bits(),
+                            job.attained_cpu_secs.to_bits(),
+                            "job {} resumed with {} cpu-s attained, preempted with {}",
+                            gid,
+                            view.attained_cpu_secs,
+                            job.attained_cpu_secs
+                        );
+                    }
+                    _ => {
+                        let before = remaining_by_gid(&sim);
+                        sim.completions.clear();
+                        sim.advance_to(sim.now + SimDuration::from_secs(secs));
+                        for (gid, left) in remaining_by_gid(&sim) {
+                            if let Some(&(_, had)) = before.iter().find(|&&(g, _)| g == gid) {
+                                prop_assert!(left <= had, "job {} grew from {} to {}", gid, had, left);
+                            }
+                        }
+                        for c in &sim.completions {
+                            prop_assert!(
+                                c.finished >= placed_at[c.gid as usize] && c.finished <= sim.now,
+                                "job {} completed at {} outside [{}, {}]",
+                                c.gid,
+                                c.finished,
+                                placed_at[c.gid as usize],
+                                sim.now
+                            );
+                        }
+                    }
+                }
+                let ceiling = capacity * sim.now.as_secs_f64();
+                prop_assert!(
+                    sim.busy_cpu_secs <= ceiling * (1.0 + 1e-12),
+                    "{} busy cpu-s over {} s on capacity {}",
+                    sim.busy_cpu_secs,
+                    sim.now.as_secs_f64(),
+                    capacity
+                );
+            }
+        }
     }
 }

@@ -21,7 +21,7 @@
 //! | `Manager::run(&plan)` / `run_owned(plan)` | `mgr.plan(plan).recorder(\|_\| FullRecorder::new()).build().run()` (labels: zip the plan's labels with `placements`) |
 //! | `Manager::run_recorded(plan, make)` | `mgr.plan(plan).recorder(make).build().run()` |
 //! | `Manager::run_headless(plan)` | `mgr.plan(plan).build().run()` (headless is the default mode) |
-//! | `Manager::run_headless_with(plan, queue)` | `mgr.plan(plan).queue(queue).build().run()` |
+//! | `Manager::run_headless_with(plan, queue)` | `mgr.plan(plan).build().run()` (every run uses the one event queue) |
 //! | `Manager::place_headless(plan)` | `mgr.plan(plan).build().place()` |
 //! | `Manager::run_source(&src)` | `mgr.source(&src).build().run()` |
 //! | `Manager::run_source_recorded(&src, make)` | `mgr.source(&src).recorder(make).build().run()` |
@@ -50,7 +50,6 @@ use flowcon_workload::source::PlanSource;
 use flowcon_workload::stream::{Horizon, JobStream, StreamSource, StreamedJob};
 
 use crate::executor;
-use crate::manager::PlacedHeadless;
 use crate::placement::{record_assignment, PlacementStrategy, RoundRobin, WorkerLoad};
 use crate::policy_kind::PolicyKind;
 use crate::sched::{self, ClusterPolicy, SchedConfig, SchedOutcome, SchedPolicyKind};
@@ -140,12 +139,9 @@ enum WorkloadSpec<'w> {
 /// Default mode: label-free completions only, O(completions) memory —
 /// the million-worker configuration.  Every headless workload (placed
 /// plans, plan sources and open-loop streams) runs on the dense path
-/// ([`flowcon_core::dense`]); pick its event queue with
-/// [`ClusterSessionBuilder::queue`].
+/// ([`flowcon_core::dense`]).
 #[derive(Debug, Clone, Copy)]
-pub struct Headless {
-    queue: QueueKind,
-}
+pub struct Headless;
 
 /// Mode selected by [`ClusterSessionBuilder::recorder`]: every worker
 /// session records through `make(worker_index)`.
@@ -190,9 +186,7 @@ impl<'w> Default for ClusterSessionBuilder<'w, Headless> {
             policy: PolicyKind::Baseline,
             strategy: Box::new(RoundRobin::default()),
             workload: WorkloadSpec::Plan(WorkloadPlan::new(Vec::new())),
-            mode: Headless {
-                queue: QueueKind::default(),
-            },
+            mode: Headless,
         }
     }
 }
@@ -298,17 +292,6 @@ impl<'w, M> ClusterSessionBuilder<'w, M> {
             workload: self.workload,
             mode: self.mode,
         }
-    }
-}
-
-impl<'w> ClusterSessionBuilder<'w, Headless> {
-    /// The event-queue implementation for the dense headless path (both
-    /// dispatch in identical `(time, FIFO)` order, so results are
-    /// bit-identical).  Applies to every headless workload: plans, plan
-    /// sources and streams.
-    pub fn queue(mut self, queue: QueueKind) -> Self {
-        self.mode.queue = queue;
-        self
     }
 }
 
@@ -473,29 +456,20 @@ impl<'w> ClusterSession<'w, Headless> {
     /// Run headless: label-free completions and makespan only.
     ///
     /// Every workload runs on the dense path ([`flowcon_core::dense`]),
-    /// one recycled [`DenseScratch`] per executor shard, on the queue
-    /// chosen with [`ClusterSessionBuilder::queue`], within the
+    /// one recycled [`DenseScratch`] per executor shard, within the
     /// 10-allocation per-worker budget pinned by
     /// `crates/cluster/tests/headless_allocs.rs`.  Results are
     /// bit-identical to sessions with
     /// [`CompletionsOnly`](flowcon_core::recorder::CompletionsOnly)
     /// recorders — the [`Recorded`] mode with `|_| CompletionsOnly::new()`.
     pub fn run(self) -> ClusterOutcome<CompletionStats> {
-        let (queue, policy) = (self.mode.queue, self.policy);
+        let policy = self.policy;
         match self.workload {
-            WorkloadSpec::Plan(_) => {
-                let run = self.place().run(queue);
-                ClusterOutcome {
-                    workers: run.workers,
-                    placements: run.placements,
-                    streams: Vec::new(),
-                    tails: Vec::new(),
-                }
-            }
+            WorkloadSpec::Plan(_) => self.place().run(QueueKind::Heap),
             WorkloadSpec::Source(source) => ClusterOutcome {
                 workers: drive_dense(&self.nodes, |scratch, idx, node| {
                     let plan = source.next_plan(idx);
-                    run_headless_dense(node, &plan.jobs, policy.build(), queue, scratch)
+                    run_headless_dense(node, &plan.jobs, policy.build(), QueueKind::Heap, scratch)
                 }),
                 placements: Vec::new(),
                 streams: Vec::new(),
@@ -504,7 +478,7 @@ impl<'w> ClusterSession<'w, Headless> {
             WorkloadSpec::Stream(source, horizon) => {
                 split_stream(drive_dense(&self.nodes, |scratch, idx, node| {
                     let stream = source.dyn_stream_for(idx);
-                    run_stream_dense(node, stream, horizon, policy.build(), queue, scratch)
+                    run_stream_dense(node, stream, horizon, policy.build(), scratch)
                 }))
             }
         }
@@ -532,6 +506,43 @@ impl<'w> ClusterSession<'w, Headless> {
             flat,
             offsets,
             placements,
+        }
+    }
+}
+
+/// A headless cluster with every job already placed, ready to simulate.
+///
+/// Produced by [`ClusterSession::place`]; [`PlacedHeadless::run`] drives
+/// the dense per-worker simulations.  Splitting the run at this boundary
+/// exists for profiling (`repro profile` clocks the two stages
+/// separately).
+#[derive(Debug)]
+pub struct PlacedHeadless {
+    nodes: Vec<NodeConfig>,
+    policy: PolicyKind,
+    /// All jobs in one arena, sorted by worker (CSR layout).
+    flat: Vec<JobRequest>,
+    /// `offsets[w]..offsets[w + 1]` slices worker `w`'s jobs out of `flat`.
+    offsets: Vec<usize>,
+    placements: Vec<usize>,
+}
+
+impl PlacedHeadless {
+    /// Simulate every worker on the sharded executor through the dense
+    /// headless path.  `_queue` selects nothing (see [`QueueKind`]).
+    pub fn run(self, _queue: QueueKind) -> ClusterOutcome<CompletionStats> {
+        let policy = self.policy;
+        let flat = &self.flat[..];
+        let offsets = &self.offsets[..];
+        let workers = drive_dense(&self.nodes, |scratch, idx, node| {
+            let jobs = &flat[offsets[idx]..offsets[idx + 1]];
+            run_headless_dense(node, jobs, policy.build(), QueueKind::Heap, scratch)
+        });
+        ClusterOutcome {
+            workers,
+            placements: self.placements,
+            streams: Vec::new(),
+            tails: Vec::new(),
         }
     }
 }
@@ -815,7 +826,7 @@ where
 /// Drive every worker through the dense headless path on the sharded
 /// executor: `run(scratch, worker, node)` with one [`DenseScratch`] per
 /// shard, recycled across every worker that shard simulates.
-pub(crate) fn drive_dense<O: Send>(
+fn drive_dense<O: Send>(
     nodes: &[NodeConfig],
     run: impl Fn(&mut DenseScratch, usize, NodeConfig) -> O + Sync,
 ) -> Vec<O> {
@@ -967,6 +978,34 @@ mod tests {
     #[should_panic(expected = "at least one worker")]
     fn unconfigured_nodes_rejected() {
         let _ = ClusterSession::builder().build();
+    }
+
+    /// Schedule a small plan on two nodes of the given capacity.
+    fn schedule_on_capacity(capacity: f64) {
+        let node = NodeConfig {
+            capacity,
+            ..NodeConfig::default()
+        };
+        let _ = ClusterSession::builder()
+            .nodes(2, node)
+            .plan(WorkloadPlan::random_n(4, 1))
+            .scheduler(SchedPolicyKind::Fifo)
+            .sequential(true)
+            .build()
+            .run();
+    }
+
+    #[test]
+    #[should_panic(expected = "NodeConfig::capacity must be finite and > 0")]
+    fn scheduler_rejects_a_node_with_zero_capacity() {
+        // No job could ever finish, so the barriers would advance forever.
+        schedule_on_capacity(0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "NodeConfig::capacity must be finite and > 0")]
+    fn scheduler_rejects_a_node_with_nan_capacity() {
+        schedule_on_capacity(f64::NAN);
     }
 
     #[test]

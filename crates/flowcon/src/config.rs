@@ -103,6 +103,19 @@ impl NodeConfig {
         self.seed = seed;
         self
     }
+
+    /// Panic unless `capacity` is finite and > 0.
+    ///
+    /// A node without usable capacity could never finish a job, so every
+    /// simulation of a node (the worker loop and each node of the cluster
+    /// scheduler) refuses one up front instead of running forever.
+    pub fn assert_usable_capacity(&self) {
+        assert!(
+            self.capacity.is_finite() && self.capacity > 0.0,
+            "NodeConfig::capacity must be finite and > 0, got {}",
+            self.capacity
+        );
+    }
 }
 
 #[cfg(test)]

@@ -51,12 +51,8 @@
 //! pool and a map-backed monitor) this module replaced, and are the
 //! reference it is held to.
 //!
-//! The event queue of a headless run is chosen per run ([`QueueKind`]):
-//! the engine's binary heap or the calendar queue from
-//! `flowcon_sim::calendar`, which both order events by `(when, FIFO
-//! sequence)` and are bit-compared against each other by a randomized
-//! test in `flowcon-sim` and a whole-cluster test in `flowcon-cluster`.
-//! Sessions run on the heap.
+//! Every run pops its events from one recycled binary-heap
+//! [`EventQueue`], ordered by `(when, FIFO sequence)`.
 
 use flowcon_container::workload::exit_code_for;
 use flowcon_container::{ContainerId, ResourceLimits, UpdateOptions, Workload};
@@ -67,7 +63,6 @@ use flowcon_metrics::sojourn::SojournStats;
 use flowcon_metrics::stream::StreamStats;
 use flowcon_metrics::summary::CompletionStats;
 use flowcon_sim::alloc::{waterfill_soft_into, AllocRequest, WaterfillScratch};
-use flowcon_sim::calendar::CalendarQueue;
 use flowcon_sim::event::EventQueue;
 use flowcon_sim::rng::SimRng;
 use flowcon_sim::stats::TimeWeighted;
@@ -87,30 +82,16 @@ use crate::worker::{FailureInjection, WorkerEvent, TRACE_INTERVAL};
 /// Run-away guard: no worker run on this model needs more events.
 const MAX_EVENTS: u64 = 50_000_000;
 
-/// Which event queue drives a dense run.
+/// The event queue a headless run names.
 ///
-/// Both implementations dispatch events in identical `(time, FIFO)` order;
-/// the calendar queue trades the heap's `O(log n)` comparisons for `O(1)`
-/// bucket pushes in the dense regime where almost all events land within a
-/// sliding one-second-bucket year.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// It selects nothing: every run pops its events from the one
+/// [`EventQueue`].  The type remains only as an argument of
+/// [`run_headless_dense`] and `PlacedHeadless::run`, so that their
+/// existing callers compile unchanged.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueueKind {
-    /// The engine's binary-heap `EventQueue` (the default).
-    #[default]
+    /// The binary-heap [`EventQueue`], the only one.
     Heap,
-    /// The bucket/calendar queue (`flowcon_sim::calendar`).
-    Calendar,
-}
-
-impl QueueKind {
-    /// Parse a CLI-style name (`heap` / `calendar`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "heap" => Some(QueueKind::Heap),
-            "calendar" => Some(QueueKind::Calendar),
-            _ => None,
-        }
-    }
 }
 
 /// One container's POD record: creation time, soft limits, the
@@ -167,10 +148,8 @@ pub struct DenseScratch {
     pool_ids: Vec<ContainerId>,
     /// Policy-decision updates buffer.
     updates: Vec<(ContainerId, f64)>,
-    /// Recycled binary-heap event queue.
-    heap: EventQueue<WorkerEvent>,
-    /// Recycled calendar event queue.
-    calendar: CalendarQueue<WorkerEvent>,
+    /// Recycled event queue.
+    queue: EventQueue<WorkerEvent>,
 }
 
 impl DenseScratch {
@@ -206,32 +185,6 @@ impl DenseScratch {
         self.pool_ids.reserve(max_jobs);
         self.updates.reserve(max_jobs);
         self.alloc.reserve(max_jobs);
-    }
-}
-
-/// The queue interface the dispatch loop needs; implemented by both the
-/// binary heap and the calendar queue, which share `(when, seq)` FIFO
-/// ordering semantics.
-trait DenseQueue {
-    fn schedule(&mut self, when: SimTime, ev: WorkerEvent);
-    fn pop_earliest(&mut self) -> Option<(SimTime, WorkerEvent)>;
-}
-
-impl DenseQueue for EventQueue<WorkerEvent> {
-    fn schedule(&mut self, when: SimTime, ev: WorkerEvent) {
-        EventQueue::schedule(self, when, ev);
-    }
-    fn pop_earliest(&mut self) -> Option<(SimTime, WorkerEvent)> {
-        self.pop_if_at_or_before(SimTime::MAX)
-    }
-}
-
-impl DenseQueue for CalendarQueue<WorkerEvent> {
-    fn schedule(&mut self, when: SimTime, ev: WorkerEvent) {
-        CalendarQueue::schedule(self, when, ev);
-    }
-    fn pop_earliest(&mut self) -> Option<(SimTime, WorkerEvent)> {
-        self.pop_if_at_or_before(SimTime::MAX)
     }
 }
 
@@ -396,17 +349,17 @@ impl Worker<'_, CompletionsOnly> {
 /// the headless recorder never reads them — so the slice is borrowed, not
 /// consumed.  Returns exactly what
 /// `Session::builder()...recorder(CompletionsOnly::new()).run()` returns
-/// for the same inputs.
+/// for the same inputs.  `_queue` selects nothing (see [`QueueKind`]).
 pub fn run_headless_dense(
     node: NodeConfig,
     plan: &[JobRequest],
     policy: Box<dyn ResourcePolicy>,
-    queue: QueueKind,
+    _queue: QueueKind,
     scratch: &mut DenseScratch,
 ) -> SessionResult<CompletionStats> {
     scratch.reset_for(plan.len());
     let worker = Worker::headless(node, policy);
-    run(worker, Placed(plan), queue, &mut NoopTracer, scratch).0
+    run(worker, Placed(plan), &mut NoopTracer, scratch).0
 }
 
 /// Run one worker **open-loop** over the dense arenas in `scratch`: admit
@@ -424,14 +377,13 @@ pub fn run_stream_dense<J: JobStream>(
     stream: J,
     horizon: Horizon,
     policy: Box<dyn ResourcePolicy>,
-    queue: QueueKind,
     scratch: &mut DenseScratch,
 ) -> StreamResult<CompletionStats> {
     let worker = Worker::headless(node, policy);
-    run_stream(worker, stream, horizon, queue, &mut NoopTracer, scratch)
+    run_stream(worker, stream, horizon, &mut NoopTracer, scratch)
 }
 
-/// Run a session's plan to completion on the heap queue.
+/// Run a session's plan to completion.
 pub(crate) fn run_plan<R: Recorder, T: Tracer>(
     worker: Worker<'_, R>,
     plan: WorkloadPlan,
@@ -439,7 +391,7 @@ pub(crate) fn run_plan<R: Recorder, T: Tracer>(
     scratch: &mut DenseScratch,
 ) -> SessionResult<R::Output> {
     scratch.reset_for(plan.len());
-    run(worker, Owned(plan), QueueKind::Heap, tracer, scratch).0
+    run(worker, Owned(plan), tracer, scratch).0
 }
 
 /// Run a worker open-loop (see [`run_stream_dense`]) with any recorder,
@@ -448,7 +400,6 @@ pub(crate) fn run_stream<J: JobStream, R: Recorder, T: Tracer>(
     worker: Worker<'_, R>,
     stream: J,
     horizon: Horizon,
-    queue: QueueKind,
     tracer: &mut T,
     scratch: &mut DenseScratch,
 ) -> StreamResult<R::Output> {
@@ -470,7 +421,7 @@ pub(crate) fn run_stream<J: JobStream, R: Recorder, T: Tracer>(
         queue: TimeWeighted::new(),
         slo: SojournStats::new(),
     };
-    let (result, open) = run(worker, open, queue, tracer, scratch);
+    let (result, open) = run(worker, open, tracer, scratch);
     let duration_secs = open.last_exit.as_secs_f64();
     StreamResult {
         output: result.output,
@@ -492,55 +443,25 @@ pub(crate) fn run_stream<J: JobStream, R: Recorder, T: Tracer>(
 /// with.
 type Finished<O, A> = (SessionResult<O>, A);
 
-/// Validate the node, then run on the recycled queue `queue` selects (the
-/// scratch must already be reset).
+/// The dispatch loop, monomorphized over the admission, the recorder and
+/// the tracer, on the scratch's recycled queue (the scratch must already
+/// be reset).
 ///
 /// Every worker run enters here, so this is where a node that could
 /// never finish a job is refused.
 fn run<A: Admission, R: Recorder, T: Tracer>(
     worker: Worker<'_, R>,
     admission: A,
-    queue: QueueKind,
     tracer: &mut T,
     scratch: &mut DenseScratch,
 ) -> Finished<R::Output, A> {
-    let node = worker.node;
+    worker.node.assert_usable_capacity();
     assert!(
-        node.capacity.is_finite() && node.capacity > 0.0,
-        "NodeConfig::capacity must be finite and > 0, got {}",
-        node.capacity
-    );
-    assert!(
-        node.sample_interval > SimDuration::ZERO,
+        worker.node.sample_interval > SimDuration::ZERO,
         "NodeConfig::sample_interval must be > 0"
     );
-    match queue {
-        QueueKind::Heap => {
-            let mut q = std::mem::take(&mut scratch.heap);
-            q.clear();
-            let (finished, q) = run_with_queue(worker, admission, q, tracer, scratch);
-            scratch.heap = q;
-            finished
-        }
-        QueueKind::Calendar => {
-            let mut q = std::mem::take(&mut scratch.calendar);
-            q.clear();
-            let (finished, q) = run_with_queue(worker, admission, q, tracer, scratch);
-            scratch.calendar = q;
-            finished
-        }
-    }
-}
-
-/// The dispatch loop, monomorphized over the queue, the admission, the
-/// recorder and the tracer.
-fn run_with_queue<Q: DenseQueue, A: Admission, R: Recorder, T: Tracer>(
-    worker: Worker<'_, R>,
-    admission: A,
-    mut queue: Q,
-    tracer: &mut T,
-    scratch: &mut DenseScratch,
-) -> (Finished<R::Output, A>, Q) {
+    let mut queue = std::mem::take(&mut scratch.queue);
+    queue.clear();
     // Priming order fixes the FIFO sequence numbers that break ties
     // between same-time events: plan arrivals, the first sample and trace
     // ticks, the fault schedule, then the stream lookahead.
@@ -584,7 +505,7 @@ fn run_with_queue<Q: DenseQueue, A: Admission, R: Recorder, T: Tracer>(
     // Stale-generation events still count toward `events_processed`: they
     // are popped and dispatched.
     let mut events_processed: u64 = 0;
-    while let Some((when, event)) = sim.queue.pop_earliest() {
+    while let Some((when, event)) = sim.queue.pop() {
         assert!(
             events_processed < MAX_EVENTS,
             "worker run exceeded its budget of {MAX_EVENTS} events at sim time {when}"
@@ -613,7 +534,8 @@ fn run_with_queue<Q: DenseQueue, A: Admission, R: Recorder, T: Tracer>(
         events_processed,
         scheduler_overhead_cpu_secs: sim.algorithm_runs as f64 * sim.node.algo_cost_cpu_secs,
     };
-    ((result, sim.admission), sim.queue)
+    sim.s.queue = sim.queue;
+    (result, sim.admission)
 }
 
 /// Measure every container of `pool` against its slot in `column`, the
@@ -640,7 +562,7 @@ fn measure_pool(
 }
 
 /// One worker simulation over borrowed dense state.
-struct DenseSim<'a, Q, A, R, T> {
+struct DenseSim<'a, A, R, T> {
     node: NodeConfig,
     policy: Box<dyn ResourcePolicy>,
     rng: SimRng,
@@ -660,11 +582,11 @@ struct DenseSim<'a, Q, A, R, T> {
     /// Rate recomputations so far (the cumulative count behind the
     /// [`TraceKind::Waterfill`] counter events; traced runs only).
     waterfill_runs: u64,
-    queue: Q,
+    queue: EventQueue<WorkerEvent>,
     s: &'a mut DenseScratch,
 }
 
-impl<Q: DenseQueue, A: Admission, R: Recorder, T: Tracer> DenseSim<'_, Q, A, R, T> {
+impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
     /// True once every job has arrived (plan and stream) and the pool is
     /// empty.
     fn is_done(&self) -> bool {
@@ -1087,17 +1009,13 @@ mod tests {
     use crate::policy::{FairSharePolicy, FlowConPolicy};
     use flowcon_dl::workload::WorkloadPlan;
 
-    fn dense(
-        node: NodeConfig,
-        plan: &WorkloadPlan,
-        queue: QueueKind,
-    ) -> SessionResult<CompletionStats> {
+    fn dense(node: NodeConfig, plan: &WorkloadPlan) -> SessionResult<CompletionStats> {
         let mut scratch = DenseScratch::new();
         run_headless_dense(
             node,
             &plan.jobs,
             Box::new(FlowConPolicy::new(FlowConConfig::default())),
-            queue,
+            QueueKind::Heap,
             &mut scratch,
         )
     }
@@ -1140,21 +1058,11 @@ mod tests {
             .into_iter()
             .map(|seed| {
                 let plan = WorkloadPlan::random_n(12, seed);
-                dense(NodeConfig::default(), &plan, QueueKind::Heap)
+                dense(NodeConfig::default(), &plan)
             })
             .collect();
         let got = digest(&runs);
         assert_eq!(got, 0x1600_1b10_3485_9d06, "digest {got:#018x}");
-    }
-
-    #[test]
-    fn calendar_queue_matches_the_heap() {
-        for seed in [5_u64, 23] {
-            let plan = WorkloadPlan::random_n(15, seed);
-            let heap = dense(NodeConfig::default(), &plan, QueueKind::Heap);
-            let calendar = dense(NodeConfig::default(), &plan, QueueKind::Calendar);
-            assert_same(&heap, &calendar);
-        }
     }
 
     #[test]
@@ -1181,7 +1089,7 @@ mod tests {
             NodeConfig::default(),
             &plan_a.jobs,
             Box::new(FlowConPolicy::new(FlowConConfig::default())),
-            QueueKind::Calendar,
+            QueueKind::Heap,
             &mut scratch,
         );
         // A different worker in between must not perturb the next run.
@@ -1189,14 +1097,14 @@ mod tests {
             NodeConfig::default().with_seed(99),
             &plan_b.jobs,
             Box::new(FlowConPolicy::new(FlowConConfig::default())),
-            QueueKind::Calendar,
+            QueueKind::Heap,
             &mut scratch,
         );
         let again = run_headless_dense(
             NodeConfig::default(),
             &plan_a.jobs,
             Box::new(FlowConPolicy::new(FlowConConfig::default())),
-            QueueKind::Calendar,
+            QueueKind::Heap,
             &mut scratch,
         );
         assert_same(&first, &again);
@@ -1224,13 +1132,5 @@ mod tests {
         assert_eq!(std::mem::size_of::<ContainerSlot>(), 80);
         assert_eq!(std::mem::size_of::<MonitorSlot>(), 112);
         assert_eq!(std::mem::size_of::<ContainerId>(), 4);
-    }
-
-    #[test]
-    fn queue_kind_parses_cli_names() {
-        assert_eq!(QueueKind::parse("heap"), Some(QueueKind::Heap));
-        assert_eq!(QueueKind::parse("calendar"), Some(QueueKind::Calendar));
-        assert_eq!(QueueKind::parse("wheel"), None);
-        assert_eq!(QueueKind::default(), QueueKind::Heap);
     }
 }

@@ -55,7 +55,7 @@ pub mod session;
 pub mod worker;
 
 pub use config::{FlowConConfig, NodeConfig};
-pub use dense::{run_headless_dense, DenseScratch, QueueKind};
+pub use dense::{run_headless_dense, DenseScratch};
 pub use lists::{ListKind, Lists};
 pub use metric::{growth_efficiency, progress_score, GrowthMeasurement};
 pub use policy::{FairSharePolicy, FlowConPolicy, ResourcePolicy, StaticEqualPolicy};

@@ -7,10 +7,11 @@
 //! (cumulative CPU-seconds delta / elapsed time — what `docker stats`
 //! integration would yield).
 //!
-//! The state is one plain `MonitorSlot` per container.  The worker
+//! The state is one plain [`MonitorSlot`] per container.  The worker
 //! simulation keeps the slots in columns indexed by container id (one for
 //! the policy's measurements, one for the growth-efficiency traces) and
-//! hands the column a measurement serves to its measure loop.
+//! hands the column a measurement serves to its measure loop; the cluster
+//! scheduler's nodes keep one slot beside each running job.
 
 use flowcon_container::ContainerId;
 use flowcon_sim::time::SimTime;
@@ -24,7 +25,7 @@ const MIN_INTERVAL_SECS: f64 = 0.1;
 
 /// One container's measurement state across algorithm ticks.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct MonitorSlot {
+pub struct MonitorSlot {
     tracked: bool,
     last_tick: SimTime,
     last_eval: Option<f64>,
@@ -35,7 +36,7 @@ pub(crate) struct MonitorSlot {
 
 impl MonitorSlot {
     /// The state of a container the monitor has not observed yet.
-    pub(crate) const UNTRACKED: MonitorSlot = MonitorSlot {
+    pub const UNTRACKED: MonitorSlot = MonitorSlot {
         tracked: false,
         last_tick: SimTime::ZERO,
         last_eval: None,
@@ -51,7 +52,7 @@ impl MonitorSlot {
     /// current limit.  The first observation only establishes the
     /// baseline (`growth: None`); an observation less than 0.1 s after the
     /// last one repeats the previous measurement.
-    pub(crate) fn measure(
+    pub fn measure(
         &mut self,
         id: ContainerId,
         now: SimTime,
@@ -104,7 +105,7 @@ impl MonitorSlot {
 
     /// Drop the state of a finished container (resource release,
     /// Algorithm 2 line 15).
-    pub(crate) fn forget(&mut self) {
+    pub fn forget(&mut self) {
         *self = MonitorSlot::UNTRACKED;
     }
 }

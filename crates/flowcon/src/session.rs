@@ -98,7 +98,7 @@ use flowcon_sim::trace::{NoopTracer, Tracer};
 use flowcon_workload::stream::{Horizon, JobStream};
 
 use crate::config::NodeConfig;
-use crate::dense::{self, DenseScratch, QueueKind, Worker};
+use crate::dense::{self, DenseScratch, Worker};
 use crate::policy::{FairSharePolicy, ResourcePolicy};
 use crate::recorder::{FullRecorder, Recorder};
 use crate::worker::FailureInjection;
@@ -390,14 +390,7 @@ impl<R: Recorder> Session<R> {
             recorder,
             failures: &failures,
         };
-        let result = dense::run_stream(
-            worker,
-            stream,
-            horizon,
-            QueueKind::Heap,
-            tracer,
-            &mut scratch,
-        );
+        let result = dense::run_stream(worker, stream, horizon, tracer, &mut scratch);
         (result, scratch)
     }
 }

@@ -1,5 +1,5 @@
 //! The headless open-loop entry point against the session: for every
-//! stream shape, horizon and queue, `run_stream_dense` must return exactly
+//! stream shape and horizon, `run_stream_dense` must return exactly
 //! what `Session::run_stream` returns with a `CompletionsOnly` recorder —
 //! the same completions, event count, `StreamStats` and sojourn tails.
 //! Both run the one worker simulation, so each case's results are pinned
@@ -22,8 +22,6 @@ use flowcon_workload::{
     ArrivalProcess, ArrivalTrace, SyntheticStreamSource, TraceCatalog, TraceStreamSource,
 };
 use fnv::Fnv;
-
-const QUEUES: [QueueKind; 2] = [QueueKind::Heap, QueueKind::Calendar];
 
 fn node(worker: usize) -> NodeConfig {
     NodeConfig::default().with_seed(0xDE25 + worker as u64 * 0x9E37_79B9)
@@ -95,7 +93,7 @@ fn assert_digest(got: u64, want: u64, what: &str) {
     assert_eq!(got, want, "{what} drifted: digest {got:#018x}");
 }
 
-/// Every worker of `source`, under both policies and both queues, with
+/// Every worker of `source`, under both policies, with
 /// one scratch recycled across all the dense runs.  Returns the number of
 /// jobs the session admitted in total and the digest of its results.
 fn check<S: StreamSource>(source: &S, workers: usize, horizon: Horizon, what: &str) -> (u64, u64) {
@@ -107,21 +105,14 @@ fn check<S: StreamSource>(source: &S, workers: usize, horizon: Horizon, what: &s
             let reference = session(node(w), source.stream_for(w), horizon, policy());
             submitted += reference.stream.submitted;
             hash(&mut h, &reference);
-            for queue in QUEUES {
-                let dense = run_stream_dense(
-                    node(w),
-                    source.stream_for(w),
-                    horizon,
-                    policy(),
-                    queue,
-                    &mut scratch,
-                );
-                assert_same(
-                    &dense,
-                    &reference,
-                    &format!("{what}, worker {w}, {name}, {queue:?}"),
-                );
-            }
+            let dense = run_stream_dense(
+                node(w),
+                source.stream_for(w),
+                horizon,
+                policy(),
+                &mut scratch,
+            );
+            assert_same(&dense, &reference, &format!("{what}, worker {w}, {name}"));
         }
     }
     (submitted, h.0)
@@ -243,7 +234,6 @@ fn horizons_that_admit_nothing_match() {
             source.stream_for(0),
             horizon,
             flowcon(),
-            QueueKind::Heap,
             &mut DenseScratch::new(),
         );
         assert_eq!(dense.events_processed, 0);
@@ -260,21 +250,24 @@ fn a_scratch_recycled_from_a_plan_run_changes_nothing() {
     let mut h = Fnv::new();
     hash(&mut h, &reference);
     assert_digest(h.0, 0xfaa8_3aff_b20e_b39c, "after a plan");
-    for queue in QUEUES {
-        let mut scratch = DenseScratch::new();
-        let plan = WorkloadPlan::random_n(9, 4);
-        let placed = run_headless_dense(node(2), &plan.jobs, flowcon(), queue, &mut scratch);
-        assert_eq!(placed.output.len(), 9);
-        let dense = run_stream_dense(
-            node(1),
-            source.stream_for(1),
-            horizon,
-            flowcon(),
-            queue,
-            &mut scratch,
-        );
-        assert_same(&dense, &reference, &format!("after a plan, {queue:?}"));
-    }
+    let mut scratch = DenseScratch::new();
+    let plan = WorkloadPlan::random_n(9, 4);
+    let placed = run_headless_dense(
+        node(2),
+        &plan.jobs,
+        flowcon(),
+        QueueKind::Heap,
+        &mut scratch,
+    );
+    assert_eq!(placed.output.len(), 9);
+    let dense = run_stream_dense(
+        node(1),
+        source.stream_for(1),
+        horizon,
+        flowcon(),
+        &mut scratch,
+    );
+    assert_same(&dense, &reference, "after a plan");
 }
 
 #[test]
@@ -286,7 +279,6 @@ fn arrivals_going_back_in_time_are_rejected() {
         source.stream_for(0),
         Horizon::jobs(2),
         flowcon(),
-        QueueKind::Heap,
         &mut DenseScratch::new(),
     );
 }
@@ -303,7 +295,6 @@ fn unbounded_horizons_are_rejected() {
             max_jobs: None,
         },
         flowcon(),
-        QueueKind::Heap,
         &mut DenseScratch::new(),
     );
 }
@@ -324,7 +315,6 @@ fn duration_is_the_drain_point_on_both_paths() {
             source.stream_for(w),
             horizon,
             flowcon(),
-            QueueKind::Heap,
             &mut DenseScratch::new(),
         );
         for (path, r) in [("session", &reference), ("dense", &dense)] {

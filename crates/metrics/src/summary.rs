@@ -22,7 +22,7 @@ use crate::timeseries::MultiSeries;
 ///
 /// The single canonical implementation — [`RunSummary::makespan_secs`],
 /// [`CompletionStats::makespan_secs`] and the cluster layer's
-/// `ClusterRun::makespan_secs` all delegate here.
+/// `ClusterOutcome::makespan_secs` all delegate here.
 pub fn makespan_over(finish_secs: impl IntoIterator<Item = f64>) -> f64 {
     finish_secs.into_iter().fold(0.0, f64::max)
 }

@@ -41,7 +41,6 @@ impl<E> Ord for Entry<E> {
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
-    scheduled_total: u64,
 }
 
 impl<E> std::fmt::Debug for EventQueue<E> {
@@ -49,7 +48,6 @@ impl<E> std::fmt::Debug for EventQueue<E> {
         f.debug_struct("EventQueue")
             .field("pending", &self.heap.len())
             .field("next_seq", &self.next_seq)
-            .field("scheduled_total", &self.scheduled_total)
             .finish()
     }
 }
@@ -66,7 +64,6 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
-            scheduled_total: 0,
         }
     }
 
@@ -74,34 +71,12 @@ impl<E> EventQueue<E> {
     pub fn schedule(&mut self, when: SimTime, payload: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.scheduled_total += 1;
         self.heap.push(Entry { when, seq, payload });
-    }
-
-    /// Timestamp of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.when)
     }
 
     /// Remove and return the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.heap.pop().map(|e| (e.when, e.payload))
-    }
-
-    /// Remove and return the earliest event **iff** it fires at or before
-    /// `horizon` — the engine's fused peek/pop fast path.
-    ///
-    /// A dispatch loop built on `peek_time` + `pop` touches the heap twice
-    /// per event; this does one sift-down via [`std::collections::binary_heap::PeekMut`],
-    /// and costs only an O(1) root inspection when the next event lies
-    /// beyond the horizon.
-    pub fn pop_if_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        let entry = self.heap.peek_mut()?;
-        if entry.when > horizon {
-            return None;
-        }
-        let e = std::collections::binary_heap::PeekMut::pop(entry);
-        Some((e.when, e.payload))
     }
 
     /// Number of events currently pending.
@@ -112,11 +87,6 @@ impl<E> EventQueue<E> {
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Total number of events ever scheduled (for run-away diagnostics).
-    pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
     }
 
     /// Drop every pending event.
@@ -152,57 +122,13 @@ mod tests {
     }
 
     #[test]
-    fn peek_matches_pop() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(7), ());
-        q.schedule(SimTime::from_secs(4), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(4)));
-        let (t, _) = q.pop().unwrap();
-        assert_eq!(t, SimTime::from_secs(4));
-    }
-
-    #[test]
-    fn pop_if_at_or_before_respects_horizon() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(4), "later");
-        q.schedule(SimTime::from_secs(1), "soon");
-        assert_eq!(
-            q.pop_if_at_or_before(SimTime::from_secs(2)),
-            Some((SimTime::from_secs(1), "soon"))
-        );
-        // Next event is beyond the horizon: nothing popped, queue intact.
-        assert_eq!(q.pop_if_at_or_before(SimTime::from_secs(2)), None);
-        assert_eq!(q.len(), 1);
-        assert_eq!(
-            q.pop_if_at_or_before(SimTime::from_secs(4)),
-            Some((SimTime::from_secs(4), "later"))
-        );
-        assert_eq!(q.pop_if_at_or_before(SimTime::MAX), None, "empty queue");
-    }
-
-    #[test]
-    fn pop_if_at_or_before_keeps_fifo_ties() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_secs(1);
-        for i in 0..5 {
-            q.schedule(t, i);
-        }
-        let order: Vec<i32> =
-            std::iter::from_fn(|| q.pop_if_at_or_before(t).map(|(_, e)| e)).collect();
-        assert_eq!(order, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
     fn len_and_clear() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
         q.schedule(SimTime::ZERO, 1);
         q.schedule(SimTime::ZERO, 2);
         assert_eq!(q.len(), 2);
-        assert_eq!(q.scheduled_total(), 2);
         q.clear();
         assert!(q.is_empty());
-        // scheduled_total is a lifetime counter, unaffected by clear.
-        assert_eq!(q.scheduled_total(), 2);
     }
 }

@@ -10,9 +10,8 @@
 //!
 //! * [`time`] — a virtual clock measured in integer microseconds, so event
 //!   ordering is total and platform independent.
-//! * [`event`] — a priority event queue with FIFO tie-breaking.
-//! * [`engine`] — a minimal simulation driver ([`Simulation`] trait +
-//!   `run_until` loops) with run-away protection.
+//! * [`event`] — the priority event queue with FIFO tie-breaking; the one
+//!   dispatch loop, `flowcon_core::dense`, pops every worker event from it.
 //! * [`rng`] — a from-scratch, splittable xoshiro256++ RNG so every
 //!   experiment is reproducible from a single `u64` seed without external
 //!   dependencies.
@@ -37,9 +36,7 @@
 #![forbid(unsafe_code)]
 
 pub mod alloc;
-pub mod calendar;
 pub mod contention;
-pub mod engine;
 pub mod event;
 pub mod resources;
 pub mod rng;
@@ -48,9 +45,7 @@ pub mod time;
 pub mod trace;
 
 pub use alloc::{waterfill, AllocRequest, Allocation};
-pub use calendar::CalendarQueue;
 pub use contention::ContentionModel;
-pub use engine::{RunOutcome, SimEngine, Simulation};
 pub use event::EventQueue;
 pub use resources::{ResourceKind, ResourceVec, RESOURCE_KINDS};
 pub use rng::SimRng;

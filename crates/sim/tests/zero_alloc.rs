@@ -2,7 +2,7 @@
 //!
 //! A counting global allocator wraps `System`; after warm-up, repeated
 //! `waterfill_into` / `waterfill_soft_into` rounds and a steady-state
-//! engine loop must perform **zero** heap allocations.
+//! event chain on a recycled queue must perform **zero** heap allocations.
 //!
 //! Counting is gated on a thread-local flag so the libtest harness's own
 //! threads (which allocate at will) cannot contaminate the measurement
@@ -13,9 +13,8 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use flowcon_sim::alloc::{waterfill_into, waterfill_soft_into, AllocRequest, WaterfillScratch};
-use flowcon_sim::engine::{Scheduler, SimEngine, Simulation};
+use flowcon_sim::event::EventQueue;
 use flowcon_sim::time::{SimDuration, SimTime};
-use flowcon_sim::trace::{NoopTracer, Tracer};
 
 struct CountingAllocator;
 
@@ -79,19 +78,22 @@ fn drifted_requests(reqs: &mut [AllocRequest], round: usize) {
     }
 }
 
-/// A self-rescheduling ticker: the engine's steady-state event pattern.
-struct Ticker {
-    remaining: u32,
-}
-
-impl Simulation for Ticker {
-    type Event = ();
-    fn handle<T: Tracer>(&mut self, _ev: (), sched: &mut Scheduler<'_, (), T>) {
-        if self.remaining > 0 {
-            self.remaining -= 1;
-            sched.after(SimDuration::from_secs(1), ());
+/// Drive a self-rescheduling chain of `events` events on `queue`: each pop
+/// schedules the next event one second later, the steady-state pattern of
+/// a worker run's dispatch loop.  Returns the number of events popped.
+fn run_chain(queue: &mut EventQueue<()>, events: u32) -> u32 {
+    queue.clear();
+    queue.schedule(SimTime::ZERO, ());
+    let mut remaining = events - 1;
+    let mut popped = 0;
+    while let Some((now, ())) = queue.pop() {
+        popped += 1;
+        if remaining > 0 {
+            remaining -= 1;
+            queue.schedule(now + SimDuration::from_secs(1), ());
         }
     }
+    popped
 }
 
 #[test]
@@ -158,30 +160,12 @@ fn hot_path_is_allocation_free_in_steady_state() {
         "waterfill_soft_into allocated {soft_allocs} times across 500 warm rounds"
     );
 
-    // --- engine steady state: self-rescheduling chain, fused pop path ---
-    let mut engine: SimEngine<Ticker> = SimEngine::new();
-    let mut sim = Ticker { remaining: 10_000 };
-    engine.prime(SimTime::ZERO, ());
-    // Warm-up: let the queue reach its steady size.
-    engine.run_until(&mut sim, SimTime::from_secs(100));
-    let engine_allocs = allocations_during(|| {
-        engine.run_to_completion(&mut sim);
-    });
+    // --- event chain on a recycled queue: every pop schedules the next ---
+    let mut queue = EventQueue::new();
+    assert_eq!(run_chain(&mut queue, 100), 100); // warm-up: the heap grows here
+    let chain_allocs = allocations_during(|| run_chain(&mut queue, 10_000));
     assert_eq!(
-        engine_allocs, 0,
-        "steady-state engine loop allocated {engine_allocs} times"
-    );
-
-    // --- explicitly-noop-traced loop is the same zero-alloc loop ---
-    let mut engine: SimEngine<Ticker> = SimEngine::new();
-    let mut sim = Ticker { remaining: 10_000 };
-    engine.prime(SimTime::ZERO, ());
-    engine.run_until_traced(&mut sim, SimTime::from_secs(100), &mut NoopTracer);
-    let traced_allocs = allocations_during(|| {
-        engine.run_to_completion_traced(&mut sim, &mut NoopTracer);
-    });
-    assert_eq!(
-        traced_allocs, 0,
-        "NoopTracer-instrumented engine loop allocated {traced_allocs} times"
+        chain_allocs, 0,
+        "steady-state event chain allocated {chain_allocs} times"
     );
 }
