@@ -28,6 +28,18 @@
 //!   fig12 fig13 fig14 fig15 fig16 fig17
 //!   ablation-backoff ablation-beta ablation-kappa ablation-policies
 //!   ablation-resource all (default)
+//! ```
+//!
+//! Every subcommand reads its arguments once, against its own flag table
+//! (`COMMANDS`), before it does any work.  A table entry names a flag and
+//! what it takes: nothing (a switch), a count ≥ 1, a seed, or a number or
+//! text its validator accepts.  An unknown flag, a repeated flag, a flag
+//! without its value and a value its entry rejects each exit 2 with
+//! `--flag wants <what>, got <value>`, never a run of the defaults.  Rules
+//! that span flags (exactly one of `--file`/`--synthetic`, flags that
+//! belong to one mode, `stream`'s horizon, `--trace-out` against
+//! `--compare` or a headless stream) exit 2 the same way, and `repro`
+//! exits 2 on an unknown experiment name before running any.
 //!
 //! `repro bench` runs the fixed allocator/engine/policy/cluster micro-suite
 //! and writes a machine-readable `BENCH_<date>.json` (see BENCHMARKS.md).
@@ -73,18 +85,14 @@
 //!
 //! `repro sched` runs the **online cluster scheduler**: one global manager
 //! owns the seeded workload as a shared arrival stream and makes live
-//! queueing/placement/preemption decisions at every `--quantum` barrier,
-//! with per-node FlowCon sims underneath (`--slots` jobs per node).
-//! `--policy` picks the discipline; `--compare` runs all three on the
-//! same workload and prints the per-policy comparison table (makespan,
-//! mean queueing delay, preemptions, migrations, utilization, and
-//! p50/p95/p99 sojourn and queue-wait tails from the quantile sketches).
-//! Runs are deterministic: same `--seed` ⇒ bit-identical decision log,
-//! sharded or `--sequential`.  Every subcommand exits 2 on any argument
-//! outside its flag list, and `repro` exits 2 on an unknown experiment
-//! name before running any; `sched`, `frontier` and `timeline` also exit
-//! 2 on a `--quantum` that is not finite or is finer than the clock's
-//! 1 µs tick.
+//! queueing/placement/preemption decisions at every `--quantum` barrier
+//! (finite, and no finer than the clock's 1 µs tick), with per-node
+//! FlowCon sims underneath (`--slots` jobs per node).  `--policy` picks
+//! the discipline; `--compare` runs all three on the same workload and
+//! prints the per-policy comparison table (makespan, mean queueing delay,
+//! preemptions, migrations, utilization, and p50/p95/p99 sojourn and
+//! queue-wait tails from the quantile sketches).  Runs are deterministic:
+//! same `--seed` ⇒ bit-identical decision log, sharded or `--sequential`.
 //!
 //! `repro frontier` is the capacity-planning sweep: per policy, it feeds
 //! the online scheduler a cluster-wide Poisson arrival stream and climbs
@@ -124,7 +132,6 @@
 //! while the report shows nonzero divergence.  `--emit PATH` writes the
 //! report as JSONL.  Exits 2 when divergence breaches tolerance (or the
 //! chaos-surviving completion-set invariant fails).
-//! ```
 //!
 //! Output: paper-style tables and ASCII charts on stdout; CSV artifacts
 //! under `target/experiments/`.
@@ -132,15 +139,21 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
+use flowcon_bench::experiments::fidelity::ChaosKind;
 use flowcon_bench::experiments::{
     ablation, default_node, fig1, fixed, random, scale, DEFAULT_SEED,
 };
 use flowcon_bench::perf;
 use flowcon_bench::report::{completion_table, section, write_csv};
+use flowcon_cluster::{PolicyKind, SchedPolicyKind};
+use flowcon_core::config::FlowConConfig;
 use flowcon_dl::models::{ModelSpec, TABLE1_MODELS};
 use flowcon_metrics::chart::{bar_chart, line_chart};
 use flowcon_metrics::export::{completions_csv, series_csv, text_table, to_csv};
 use flowcon_metrics::summary::RunSummary;
+use flowcon_sim::time::SimTime;
+use flowcon_sim::trace::FlightRecorder;
+use flowcon_workload::{ArrivalTrace, BoundTrace, TraceCatalog};
 
 /// Counting allocator so `repro bench` can report allocs/op.
 ///
@@ -183,19 +196,13 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static GLOBAL: CountingAllocator = CountingAllocator;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let rest = args.get(1..).unwrap_or_default();
-    match args.first().map(String::as_str) {
-        Some("bench") => run_bench(rest),
-        Some("cluster") => run_cluster(rest),
-        Some("profile") => run_profile(rest),
-        Some("trace") => run_trace(rest),
-        Some("stream") => run_stream(rest),
-        Some("sched") => run_sched_cmd(rest),
-        Some("frontier") => run_frontier(rest),
-        Some("timeline") => run_timeline(rest),
-        Some("fidelity") => run_fidelity(rest),
-        _ => run_experiments(&args),
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    match COMMANDS
+        .iter()
+        .find(|(cmd, _, _)| argv.first().is_some_and(|a| a == cmd))
+    {
+        Some(&(cmd, table, run)) => run(&Args::parse(cmd, &argv[1..], table)),
+        None => run_experiments(&argv),
     }
 }
 
@@ -250,11 +257,10 @@ fn run_experiments(args: &[String]) {
             Some(&(_, _, run)) => wanted.push(run),
             None => {
                 let valid: Vec<&str> = EXPERIMENTS.iter().map(|&(known, _, _)| known).collect();
-                eprintln!(
+                usage(format_args!(
                     "repro: unknown experiment {name:?} (valid: {} all)",
                     valid.join(" ")
-                );
-                std::process::exit(2);
+                ));
             }
         }
     }
@@ -270,71 +276,294 @@ fn run_experiments(args: &[String]) {
     }
 }
 
-/// Value of `--<name> VALUE` in `args`, if the flag is present.
-///
-/// A flag with a missing value — end of argv, or another `--flag` in the
-/// value position — is a hard usage error: silently swallowing it would
-/// e.g. let a CI script run `bench --check` with the baseline forgotten
-/// and never gate anything.
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    let i = args.iter().position(|a| a == name)?;
-    match args.get(i + 1) {
-        Some(v) if !v.starts_with("--") => Some(v.clone()),
-        _ => {
-            eprintln!("{name} requires a value");
-            std::process::exit(2);
+/// A subcommand as `(name, flag table, run)`: `repro <name>` checks and
+/// parses its arguments against the table before `run` starts.
+type Command = (&'static str, &'static [Flag], fn(&Args));
+
+/// Every subcommand.
+const COMMANDS: &[Command] = &[
+    ("bench", &[path("--out"), path("--check")], run_bench),
+    (
+        "cluster",
+        &[WORKERS, JOBS, SEED, switch("--headless")],
+        run_cluster,
+    ),
+    ("profile", &[WORKERS, JOBS, SEED], run_profile),
+    (
+        "trace",
+        &[
+            path("--file"),
+            SYNTHETIC,
+            JOBS,
+            RATE,
+            SEED,
+            WORKERS,
+            NODE_POLICY,
+            Flag(
+                "--thin",
+                Takes::Num("a keep probability in (0, 1]", |x| x > 0.0 && x <= 1.0),
+            ),
+            Flag(
+                "--compress",
+                Takes::Num("a finite factor > 0", finite_positive),
+            ),
+            path("--emit"),
+        ],
+        run_trace,
+    ),
+    (
+        "stream",
+        &[
+            SYNTHETIC,
+            path("--file"),
+            switch("--cycle"),
+            Flag(
+                "--until",
+                Takes::Num(
+                    "finite simulated seconds > 0 within the clock's range",
+                    |x| finite_positive(x) && SimTime::from_secs_f64(x) < SimTime::MAX,
+                ),
+            ),
+            JOBS,
+            RATE,
+            SEED,
+            WORKERS,
+            NODE_POLICY,
+            switch("--headless"),
+            switch("--hints"),
+            path("--trace-out"),
+        ],
+        run_stream,
+    ),
+    (
+        "sched",
+        &[
+            SCHED_POLICY,
+            switch("--compare"),
+            WORKERS,
+            JOBS,
+            SEED,
+            QUANTUM,
+            SLOTS,
+            switch("--sequential"),
+            path("--trace-out"),
+        ],
+        run_sched,
+    ),
+    (
+        "frontier",
+        &[
+            SCHED_POLICY,
+            switch("--compare"),
+            WORKERS,
+            JOBS,
+            SEED,
+            QUANTUM,
+            SLOTS,
+            Flag(
+                "--rates",
+                Takes::Text(
+                    "a strictly increasing list R1,R2,... of finite rates > 0 (jobs/s)",
+                    |list| rate_ladder(list).is_some(),
+                ),
+            ),
+            path("--emit"),
+        ],
+        run_frontier,
+    ),
+    (
+        "timeline",
+        &[
+            SCHED_POLICY,
+            WORKERS,
+            JOBS,
+            SEED,
+            QUANTUM,
+            SLOTS,
+            switch("--sequential"),
+            Flag("--capacity", Takes::Count(u64::MAX)),
+            path("--out"),
+            switch("--summary"),
+        ],
+        run_timeline,
+    ),
+    (
+        "fidelity",
+        &[
+            // Node cores: the rt backend takes them as a `u32`.
+            Flag("--workers", Takes::Count(u32::MAX as u64)),
+            JOBS,
+            SEED,
+            Flag(
+                "--dilation",
+                Takes::Num("finite sim-seconds per wall second > 0", finite_positive),
+            ),
+            Flag(
+                "--chaos",
+                Takes::Text("straggler or churn", |name| chaos_kind(name).is_some()),
+            ),
+            path("--emit"),
+        ],
+        run_fidelity,
+    ),
+];
+
+const WORKERS: Flag = Flag("--workers", Takes::Count(u64::MAX));
+const JOBS: Flag = Flag("--jobs", Takes::Count(u64::MAX));
+const SLOTS: Flag = Flag("--slots", Takes::Count(u64::MAX));
+const SEED: Flag = Flag("--seed", Takes::Seed);
+/// The scheduler's barrier spacing, no finer than the clock's 1 µs tick.
+const QUANTUM: Flag = Flag(
+    "--quantum",
+    Takes::Num("finite seconds, at least 1e-6 (one clock tick)", |q| {
+        q.is_finite() && q >= 1e-6
+    }),
+);
+const RATE: Flag = Flag(
+    "--rate",
+    Takes::Num("a finite arrival rate > 0 (jobs/s)", finite_positive),
+);
+/// The cluster scheduler's discipline (`sched`, `frontier`, `timeline`).
+const SCHED_POLICY: Flag = Flag(
+    "--policy",
+    Takes::Text("fifo, gandiva or tiresias", |name| {
+        SchedPolicyKind::parse(name).is_some()
+    }),
+);
+/// The node policy (`trace`, `stream`).
+const NODE_POLICY: Flag = Flag(
+    "--policy",
+    Takes::Text("flowcon or na", |name| node_policy(name).is_some()),
+);
+const SYNTHETIC: Flag = Flag(
+    "--synthetic",
+    Takes::Text("poisson, bursty or diurnal", |name| {
+        flowcon_bench::experiments::trace::preset(name, 1.0, 0, 0).is_some()
+    }),
+);
+
+/// A flag that takes no value.
+const fn switch(name: &'static str) -> Flag {
+    Flag(name, Takes::Switch)
+}
+
+/// A flag that takes a file path.
+const fn path(name: &'static str) -> Flag {
+    Flag(name, Takes::Text("a path", |_| true))
+}
+
+/// One entry of a flag table: the flag and what it takes.
+#[derive(Clone, Copy)]
+struct Flag(&'static str, Takes);
+
+/// What a flag takes.  A value is checked here, before any work starts:
+/// the simulation asserts the same bounds deep inside, so an unchecked
+/// value would panic or run a degenerate workload instead.
+#[derive(Clone, Copy)]
+enum Takes {
+    /// No value: the flag is a switch.
+    Switch,
+    /// A count from 1 to the given maximum: zero workers, jobs or slots
+    /// is always a typo'd or miscomputed script variable.
+    Count(u64),
+    /// Any `u64`.
+    Seed,
+    /// A number the validator accepts, described by the text.
+    Num(&'static str, fn(f64) -> bool),
+    /// Text the validator accepts, described by the text.
+    Text(&'static str, fn(&str) -> bool),
+}
+
+impl Takes {
+    /// What the flag wants, for the usage message.
+    fn wants(self) -> String {
+        match self {
+            Takes::Switch => "no value".into(),
+            Takes::Count(u64::MAX) => "a count >= 1".into(),
+            Takes::Count(max) => format!("a count in 1..={max}"),
+            Takes::Seed => "a seed in 0..=18446744073709551615".into(),
+            Takes::Num(wants, _) | Takes::Text(wants, _) => wants.into(),
+        }
+    }
+
+    /// Whether `value` is one this flag takes.
+    fn accepts(self, value: &str) -> bool {
+        match self {
+            Takes::Switch => false,
+            Takes::Count(max) => value.parse().is_ok_and(|n: u64| (1..=max).contains(&n)),
+            Takes::Seed => value.parse::<u64>().is_ok(),
+            Takes::Num(_, valid) => value.parse().is_ok_and(valid),
+            Takes::Text(_, valid) => valid(value),
         }
     }
 }
 
-/// Exit 2 unless every argument is one of `cmd`'s flags, given as
-/// `(name, takes a value)`: a typo'd flag must not silently run the
-/// defaults.  A missing value is left to [`flag_value`] to report.
-fn check_flags(cmd: &str, args: &[String], flags: &[(&str, bool)]) {
-    let mut i = 0;
-    while i < args.len() {
-        match flags.iter().find(|(name, _)| *name == args[i]) {
-            Some(&(_, takes_value)) => i += 1 + usize::from(takes_value),
-            None => {
-                let known: Vec<&str> = flags.iter().map(|(name, _)| *name).collect();
-                eprintln!(
-                    "repro {cmd}: unknown argument {:?} (accepted: {})",
-                    args[i],
+/// A subcommand's flags, read once from argv and checked against its
+/// table.
+struct Args {
+    /// Every flag given, with its value (empty for a switch).
+    given: Vec<(&'static str, String)>,
+}
+
+impl Args {
+    /// Read `argv` against `table`, or exit 2 at the first flag that is
+    /// unknown, repeated, missing its value or given one its entry
+    /// rejects.  A value never starts with `--`: that is the next flag.
+    fn parse(cmd: &str, argv: &[String], table: &[Flag]) -> Args {
+        let mut given: Vec<(&'static str, String)> = Vec::new();
+        let mut argv = argv.iter();
+        while let Some(arg) = argv.next() {
+            let Some(&Flag(name, takes)) = table.iter().find(|flag| flag.0 == *arg) else {
+                let known: Vec<&str> = table.iter().map(|flag| flag.0).collect();
+                usage(format_args!(
+                    "repro {cmd} wants one of {}, got {arg}",
                     known.join(" ")
-                );
-                std::process::exit(2);
+                ));
+            };
+            if given.iter().any(|(seen, _)| *seen == name) {
+                usage(format_args!("{name} wants to be given once, got it twice"));
             }
+            let value = match takes {
+                Takes::Switch => String::new(),
+                _ => match argv.next() {
+                    Some(v) if !v.starts_with("--") && takes.accepts(v) => v.clone(),
+                    got => usage(format_args!(
+                        "{name} wants {}, got {}",
+                        takes.wants(),
+                        got.map_or("nothing", String::as_str)
+                    )),
+                },
+            };
+            given.push((name, value));
         }
+        Args { given }
+    }
+
+    /// Whether `name` was given.
+    fn has(&self, name: &str) -> bool {
+        self.text(name).is_some()
+    }
+
+    /// The value given for `name`, as written.
+    fn text(&self, name: &str) -> Option<&str> {
+        self.given
+            .iter()
+            .find(|(given, _)| *given == name)
+            .map(|(_, value)| value.as_str())
+    }
+
+    /// The value given for `name`, parsed: the table has already checked
+    /// that it parses.
+    fn get<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+        let value = self.text(name)?;
+        Some(value.parse().ok().expect("checked by the flag table"))
     }
 }
 
-/// `--quantum SECS` (default 10): the scheduler's barrier spacing must be
-/// a finite number of seconds no finer than the clock's 1 µs resolution,
-/// or the run exits 2.
-fn quantum_flag(args: &[String]) -> f64 {
-    float_flag(
-        args,
-        "--quantum",
-        "finite seconds, at least 1e-6 (one clock tick)",
-        |q| q.is_finite() && q >= 1e-6,
-    )
-    .unwrap_or(10.0)
-}
-
-/// `--NAME X`, if given, as a number `valid` accepts; anything else —
-/// unparsable, NaN, infinite, out of range — exits 2 with a message that
-/// names the flag and what it `wants`.  The simulation asserts the same
-/// bounds deep inside, so an unchecked value would panic or run a
-/// degenerate workload instead of a usage error.
-fn float_flag(args: &[String], name: &str, wants: &str, valid: fn(f64) -> bool) -> Option<f64> {
-    let v = flag_value(args, name)?;
-    match v.parse::<f64>() {
-        Ok(x) if valid(x) => Some(x),
-        _ => {
-            eprintln!("{name} wants {wants}, got {v}");
-            std::process::exit(2);
-        }
-    }
+/// Print `msg` and exit 2: how `repro` reports every input mistake.
+fn usage(msg: impl std::fmt::Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2)
 }
 
 /// A rate, compression factor or time span: finite and `> 0`.
@@ -342,24 +571,86 @@ fn finite_positive(x: f64) -> bool {
     x.is_finite() && x > 0.0
 }
 
-/// What `--rate` wants, in `repro trace` and `repro stream` alike.
-const RATE_WANTS: &str = "a finite arrival rate > 0 (jobs/s)";
+/// `--rates R1,R2,...`: a non-empty, strictly increasing list of finite
+/// rates > 0.  Anything else is a script bug that would silently sweep
+/// garbage (a descending ladder "finds" the frontier at its first rung).
+fn rate_ladder(list: &str) -> Option<Vec<f64>> {
+    let rates: Vec<f64> = list
+        .split(',')
+        .filter(|s| !s.trim().is_empty())
+        .map(|s| s.trim().parse().ok())
+        .collect::<Option<_>>()?;
+    let valid = !rates.is_empty()
+        && rates.iter().all(|&r| finite_positive(r))
+        && rates.windows(2).all(|w| w[0] < w[1]);
+    valid.then_some(rates)
+}
+
+/// The node policy `--policy` names: `flowcon` (the default) or `na`.
+fn node_policy(name: &str) -> Option<PolicyKind> {
+    match name {
+        "flowcon" => Some(PolicyKind::FlowCon(FlowConConfig::default())),
+        "na" => Some(PolicyKind::Baseline),
+        _ => None,
+    }
+}
+
+/// The cluster scheduler `--policy` names (`fifo` by default).
+fn sched_policy(args: &Args) -> SchedPolicyKind {
+    SchedPolicyKind::parse(args.text("--policy").unwrap_or("fifo"))
+        .expect("checked by the flag table")
+}
+
+/// The chaos scenario `--chaos` names.
+fn chaos_kind(name: &str) -> Option<ChaosKind> {
+    [ChaosKind::Straggler, ChaosKind::Churn]
+        .into_iter()
+        .find(|kind| kind.name() == name)
+}
+
+/// Write `doc` to `path`, or exit 2 if it cannot be written.
+fn write_or_exit(path: &str, doc: &str) {
+    flowcon_metrics::export::write_artifact(path, doc).unwrap_or_else(|e| usage(e));
+}
+
+/// Write `recorder`'s timeline to `path` as Chrome trace-event JSON and
+/// say how many events it held.
+fn write_timeline(path: &str, recorder: &FlightRecorder) {
+    let events = recorder.events();
+    let doc = flowcon_metrics::tracelog::chrome_trace_json(&events, recorder.dropped());
+    write_or_exit(path, &doc);
+    println!(
+        "wrote {} trace events ({} dropped) to {path}",
+        events.len(),
+        recorder.dropped()
+    );
+}
+
+/// Read, parse and bind the trace file at `path` with `catalog`, or exit
+/// 2 naming the file.
+fn bind_trace_file(path: &str, catalog: TraceCatalog) -> BoundTrace {
+    let doc = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| usage(format_args!("cannot read trace {path}: {e}")));
+    let trace = ArrivalTrace::parse(&doc).unwrap_or_else(|e| usage(format_args!("{path}: {e}")));
+    catalog
+        .bind(&trace)
+        .unwrap_or_else(|e| usage(format_args!("{path}: {e}")))
+}
 
 /// `repro bench [--out FILE] [--check BASELINE]`: run the micro-suite,
 /// print a table, write the machine-readable trajectory file, and — with
 /// `--check` — gate the fresh numbers against a committed baseline.
-fn run_bench(args: &[String]) {
-    check_flags("bench", args, &[("--out", true), ("--check", true)]);
-
-    let out_path =
-        flag_value(args, "--out").unwrap_or_else(|| format!("BENCH_{}.json", perf::today_utc()));
-    // Resolve (and stat) the baseline up front: a bad gate invocation must
-    // fail before the suite spends its ~15 s, not after.
-    let check_path = flag_value(args, "--check");
-    if let Some(p) = &check_path {
+fn run_bench(args: &Args) {
+    let out_path = args.text("--out").map_or_else(
+        || format!("BENCH_{}.json", perf::today_utc()),
+        str::to_owned,
+    );
+    // Stat the baseline up front: a bad gate invocation must fail before
+    // the suite spends its ~15 s, not after.
+    let check_path = args.text("--check");
+    if let Some(p) = check_path {
         if !std::path::Path::new(p).is_file() {
-            eprintln!("cannot read baseline {p}: not a file");
-            std::process::exit(2);
+            usage(format_args!("cannot read baseline {p}: not a file"));
         }
     }
     let mode = if cfg!(debug_assertions) {
@@ -407,17 +698,14 @@ fn run_bench(args: &[String]) {
         }
     }
 
-    let json = perf::to_json(&results, &perf::today_utc(), mode);
-    match flowcon_metrics::export::write_artifact(&out_path, &json) {
-        Ok(()) => println!("wrote {out_path}"),
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    }
+    write_or_exit(
+        &out_path,
+        &perf::to_json(&results, &perf::today_utc(), mode),
+    );
+    println!("wrote {out_path}");
 
     if let Some(baseline_path) = check_path {
-        check_gate(&results, &baseline_path, mode);
+        check_gate(&results, baseline_path, mode);
     }
 }
 
@@ -428,16 +716,12 @@ fn check_gate(results: &[perf::PerfResult], baseline_path: &str, mode: &str) {
     if mode != "release" {
         eprintln!("warning: gating {mode} numbers against a committed (release) baseline");
     }
-    let doc = match std::fs::read_to_string(baseline_path) {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("cannot read baseline {baseline_path}: {e}");
-            std::process::exit(2);
-        }
-    };
+    let doc = std::fs::read_to_string(baseline_path)
+        .unwrap_or_else(|e| usage(format_args!("cannot read baseline {baseline_path}: {e}")));
     let Some(baseline) = perf::parse_results(&doc) else {
-        eprintln!("{baseline_path} is not a flowcon-bench/v1 document");
-        std::process::exit(2);
+        usage(format_args!(
+            "{baseline_path} is not a flowcon-bench/v1 document"
+        ));
     };
     let violations = perf::check_regression(results, &baseline);
     if violations.is_empty() {
@@ -465,46 +749,17 @@ fn check_gate(results: &[perf::PerfResult], baseline_path: &str, mode: &str) {
 /// `cluster/sharded/w<N>` (or, with `--headless`, `cluster/headless/w<N>`)
 /// bench case exactly, so any committed `BENCH_*.json` point can be
 /// reproduced by hand; `--seed` reseeds the workload plan.
-fn run_cluster(args: &[String]) {
-    use flowcon_cluster::{executor, ClusterSession, PolicyKind};
-    use flowcon_core::config::{FlowConConfig, NodeConfig};
+fn run_cluster(args: &Args) {
+    use flowcon_cluster::{executor, ClusterSession};
+    use flowcon_core::config::NodeConfig;
     use flowcon_core::recorder::FullRecorder;
     use flowcon_dl::workload::WorkloadPlan;
     use flowcon_metrics::summary::makespan_over;
 
-    check_flags(
-        "cluster",
-        args,
-        &[
-            ("--workers", true),
-            ("--jobs", true),
-            ("--seed", true),
-            ("--headless", false),
-        ],
-    );
-
-    let parse_num = |name: &str| {
-        flag_value(args, name).map(|v| {
-            v.parse::<u64>().unwrap_or_else(|_| {
-                eprintln!("{name} wants a number, got {v}");
-                std::process::exit(2);
-            })
-        })
-    };
-    let workers = parse_num("--workers").unwrap_or(1024) as usize;
-    let jobs = parse_num("--jobs").unwrap_or(2 * workers as u64) as usize;
-    let seed = parse_num("--seed").unwrap_or(perf::CLUSTER_BENCH_PLAN_SEED);
-    let headless = args.iter().any(|a| a == "--headless");
-    // A zero is almost always a typo'd or miscomputed script variable;
-    // running an empty cluster "successfully" would hide it.
-    if workers == 0 {
-        eprintln!("--workers must be at least 1: a cluster with no workers cannot run jobs");
-        std::process::exit(2);
-    }
-    if jobs == 0 {
-        eprintln!("--jobs must be at least 1: an empty plan simulates nothing");
-        std::process::exit(2);
-    }
+    let workers: usize = args.get("--workers").unwrap_or(1024);
+    let jobs = args.get("--jobs").unwrap_or(2 * workers);
+    let seed = args.get("--seed").unwrap_or(perf::CLUSTER_BENCH_PLAN_SEED);
+    let headless = args.has("--headless");
 
     let shards = executor::shard_count(workers);
     let mode = if headless { "headless" } else { "full" };
@@ -595,38 +850,16 @@ fn peak_rss_mib() -> String {
 /// Defaults match `repro cluster --headless` (2 jobs/worker, the committed
 /// bench seeds) at 100k workers, so the printed numbers line up with the
 /// `cluster/headless/w100000` bench row.
-fn run_profile(args: &[String]) {
-    use flowcon_cluster::{executor, ClusterSession, PolicyKind};
-    use flowcon_core::config::{FlowConConfig, NodeConfig};
+fn run_profile(args: &Args) {
+    use flowcon_cluster::{executor, ClusterSession};
+    use flowcon_core::config::NodeConfig;
     use flowcon_core::dense::QueueKind;
     use flowcon_dl::workload::WorkloadPlan;
     use std::time::Instant;
 
-    check_flags(
-        "profile",
-        args,
-        &[("--workers", true), ("--jobs", true), ("--seed", true)],
-    );
-
-    let parse_num = |name: &str| {
-        flag_value(args, name).map(|v| {
-            v.parse::<u64>().unwrap_or_else(|_| {
-                eprintln!("{name} wants a number, got {v}");
-                std::process::exit(2);
-            })
-        })
-    };
-    let workers = parse_num("--workers").unwrap_or(100_000) as usize;
-    let jobs = parse_num("--jobs").unwrap_or(2 * workers as u64) as usize;
-    let seed = parse_num("--seed").unwrap_or(perf::CLUSTER_BENCH_PLAN_SEED);
-    if workers == 0 {
-        eprintln!("--workers must be at least 1: a cluster with no workers cannot run jobs");
-        std::process::exit(2);
-    }
-    if jobs == 0 {
-        eprintln!("--jobs must be at least 1: an empty plan simulates nothing");
-        std::process::exit(2);
-    }
+    let workers: usize = args.get("--workers").unwrap_or(100_000);
+    let jobs = args.get("--jobs").unwrap_or(2 * workers);
+    let seed = args.get("--seed").unwrap_or(perf::CLUSTER_BENCH_PLAN_SEED);
 
     let shards = executor::shard_count(workers);
     section(&format!(
@@ -708,74 +941,43 @@ fn run_profile(args: &[String]) {
     print!("{}", text_table(&["metric", "value"], &rows));
 }
 
+/// Exit 2 unless exactly one of `--file` and `--synthetic` is given, or
+/// if a flag that belongs to the other mode is: silently ignoring
+/// `--compress` would report results for the wrong workload.
+fn workload_mode(cmd: &str, args: &Args, file_only: &[&str], synthetic_only: &[&str]) {
+    if args.has("--file") == args.has("--synthetic") {
+        usage(format_args!(
+            "{cmd} wants exactly one of --file PATH or --synthetic {{poisson,bursty,diurnal}}"
+        ));
+    }
+    for (flags, mode, allowed) in [
+        (file_only, "--file", args.has("--file")),
+        (synthetic_only, "--synthetic", args.has("--synthetic")),
+    ] {
+        if let Some(flag) = flags.iter().find(|&&flag| !allowed && args.has(flag)) {
+            usage(format_args!("{flag} only applies to {mode} workloads"));
+        }
+    }
+}
+
 /// `repro trace`: replay an arrival-trace file or a synthetic arrival
 /// process end to end (see the module docs for the flags).
-fn run_trace(args: &[String]) {
+fn run_trace(args: &Args) {
     use flowcon_bench::experiments::trace as exp;
-    use flowcon_cluster::PolicyKind;
-    use flowcon_core::config::{FlowConConfig, NodeConfig};
-    use flowcon_workload::{ArrivalTrace, BoundTrace, SyntheticSource, TraceCatalog, TraceSource};
+    use flowcon_core::config::NodeConfig;
+    use flowcon_workload::{SyntheticSource, TraceSource};
 
-    check_flags(
+    workload_mode(
         "trace",
         args,
-        &[
-            ("--file", true),
-            ("--synthetic", true),
-            ("--jobs", true),
-            ("--rate", true),
-            ("--seed", true),
-            ("--workers", true),
-            ("--policy", true),
-            ("--thin", true),
-            ("--compress", true),
-            ("--emit", true),
-        ],
+        &["--thin", "--compress"],
+        &["--jobs", "--rate"],
     );
-
-    let file = flag_value(args, "--file");
-    let synthetic = flag_value(args, "--synthetic");
-    if file.is_some() == synthetic.is_some() {
-        eprintln!(
-            "trace wants exactly one of --file PATH or --synthetic {{poisson,bursty,diurnal}}"
-        );
-        std::process::exit(2);
-    }
-    let parse_num = |name: &str, default: u64| {
-        flag_value(args, name).map_or(default, |v| {
-            v.parse::<u64>().unwrap_or_else(|_| {
-                eprintln!("{name} wants a number, got {v}");
-                std::process::exit(2);
-            })
-        })
-    };
-    let workers = parse_num("--workers", 1) as usize;
-    if workers == 0 {
-        eprintln!("--workers must be at least 1: a cluster with no workers cannot run jobs");
-        std::process::exit(2);
-    }
-    let seed = parse_num("--seed", flowcon_bench::experiments::DEFAULT_SEED);
-    let emit = flag_value(args, "--emit");
-    let policy = match flag_value(args, "--policy").as_deref() {
-        None | Some("flowcon") => PolicyKind::FlowCon(FlowConConfig::default()),
-        Some("na") => PolicyKind::Baseline,
-        Some(other) => {
-            eprintln!("--policy wants flowcon or na, got {other}");
-            std::process::exit(2);
-        }
-    };
-    // Mode-specific flags are hard errors in the wrong mode: silently
-    // ignoring `--compress` would report results for the wrong workload.
-    let only_with = |flag: &str, mode: &str, allowed: bool| {
-        if !allowed && args.iter().any(|a| a == flag) {
-            eprintln!("{flag} only applies to {mode} workloads");
-            std::process::exit(2);
-        }
-    };
-    only_with("--thin", "--file", file.is_some());
-    only_with("--compress", "--file", file.is_some());
-    only_with("--jobs", "--synthetic", synthetic.is_some());
-    only_with("--rate", "--synthetic", synthetic.is_some());
+    let workers: usize = args.get("--workers").unwrap_or(1);
+    let seed = args.get("--seed").unwrap_or(DEFAULT_SEED);
+    let emit = args.text("--emit");
+    let policy =
+        node_policy(args.text("--policy").unwrap_or("flowcon")).expect("checked by the flag table");
     // Cluster replays are headless: bind without labels so streaming a
     // 10k-worker cluster allocates no label strings.  Emission always
     // keeps labels — a transformed trace must not lose its job ids.
@@ -787,76 +989,46 @@ fn run_trace(args: &[String]) {
         File(BoundTrace),
         Synthetic(flowcon_workload::Synthetic),
     }
-    let (what, load) = if let Some(path) = &file {
-        let doc = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read trace {path}: {e}");
-            std::process::exit(2);
-        });
-        let trace = match ArrivalTrace::parse(&doc) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                std::process::exit(2);
-            }
-        };
+    let (what, load) = if let Some(path) = args.text("--file") {
         let mut catalog = TraceCatalog::table1();
-        let in_unit = |x: f64| x > 0.0 && x <= 1.0;
-        if let Some(keep) = float_flag(args, "--thin", "a keep probability in (0, 1]", in_unit) {
+        if let Some(keep) = args.get("--thin") {
             catalog = catalog.thin(keep, seed);
         }
-        if let Some(factor) = float_flag(args, "--compress", "a finite factor > 0", finite_positive)
-        {
+        if let Some(factor) = args.get("--compress") {
             catalog = catalog.compress(factor);
         }
         if !labeled {
             catalog = catalog.unlabeled();
         }
-        match catalog.bind(&trace) {
-            Ok(b) => (format!("trace {path}"), Load::File(b)),
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                std::process::exit(2);
-            }
-        }
+        (
+            format!("trace {path}"),
+            Load::File(bind_trace_file(path, catalog)),
+        )
     } else {
-        let jobs = parse_num("--jobs", 50) as usize;
-        if jobs == 0 {
-            eprintln!("--jobs must be at least 1: an empty workload replays nothing");
-            std::process::exit(2);
-        }
-        let rate = float_flag(args, "--rate", RATE_WANTS, finite_positive).unwrap_or(0.1);
-        let name = synthetic.as_deref().expect("checked above");
-        let Some(template) = exp::preset(name, rate, jobs, seed) else {
-            eprintln!("--synthetic wants poisson, bursty or diurnal, got {name}");
-            std::process::exit(2);
-        };
+        let jobs = args.get("--jobs").unwrap_or(50);
+        let rate = args.get("--rate").unwrap_or(0.1);
+        let name = args.text("--synthetic").expect("checked above");
+        let template = exp::preset(name, rate, jobs, seed).expect("checked by the flag table");
         (
             format!("synthetic {name} (rate {rate}/s)"),
             Load::Synthetic(template),
         )
     };
+    let whole_trace = |load: Load| match load {
+        Load::File(bound) => bound,
+        Load::Synthetic(template) => BoundTrace::from_plan(template.plan()),
+    };
 
     if let Some(path) = emit {
-        let bound = match &load {
-            Load::File(bound) => bound.clone(),
-            Load::Synthetic(template) => BoundTrace::from_plan(template.plan()),
-        };
-        match flowcon_metrics::export::write_artifact(&path, &bound.to_jsonl()) {
-            Ok(()) => println!("wrote {} arrivals to {path}", bound.len()),
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        }
+        let bound = whole_trace(load);
+        write_or_exit(path, &bound.to_jsonl());
+        println!("wrote {} arrivals to {path}", bound.len());
         return;
     }
 
     let node = NodeConfig::default().with_seed(seed);
     if workers == 1 {
-        let bound = match &load {
-            Load::File(bound) => bound.clone(),
-            Load::Synthetic(template) => BoundTrace::from_plan(template.plan()),
-        };
+        let bound = whole_trace(load);
         section(&format!(
             "Trace replay: {what}, 1 worker, {} jobs",
             bound.len()
@@ -927,71 +1099,28 @@ fn run_trace(args: &[String]) {
 /// `repro sched [--policy P] [--compare] ...`: run the online cluster
 /// scheduler over a seeded random workload and print the per-policy
 /// outcome table (see the module docs for the flags).
-fn run_sched_cmd(args: &[String]) {
-    use flowcon_cluster::{ClusterSession, PolicyKind, SchedPolicyKind};
-    use flowcon_core::config::{FlowConConfig, NodeConfig};
+fn run_sched(args: &Args) {
+    use flowcon_cluster::ClusterSession;
+    use flowcon_core::config::NodeConfig;
     use flowcon_dl::workload::WorkloadPlan;
     use flowcon_sim::time::SimDuration;
+    use flowcon_sim::trace::DEFAULT_CAPACITY;
 
-    check_flags(
-        "sched",
-        args,
-        &[
-            ("--policy", true),
-            ("--compare", false),
-            ("--workers", true),
-            ("--jobs", true),
-            ("--seed", true),
-            ("--quantum", true),
-            ("--slots", true),
-            ("--sequential", false),
-            ("--trace-out", true),
-        ],
-    );
-
-    let parse_num = |name: &str, default: u64| {
-        flag_value(args, name).map_or(default, |v| {
-            v.parse::<u64>().unwrap_or_else(|_| {
-                eprintln!("{name} wants a number, got {v}");
-                std::process::exit(2);
-            })
-        })
-    };
-    let workers = parse_num("--workers", 16) as usize;
-    let jobs = parse_num("--jobs", 4 * workers as u64) as usize;
-    let seed = parse_num("--seed", perf::CLUSTER_BENCH_PLAN_SEED);
-    let slots = parse_num("--slots", 2) as usize;
-    let quantum = quantum_flag(args);
-    let sequential = args.iter().any(|a| a == "--sequential");
-    let compare = args.iter().any(|a| a == "--compare");
-    let trace_out = flag_value(args, "--trace-out");
-    if workers == 0 {
-        eprintln!("--workers must be at least 1: a cluster with no workers cannot run jobs");
-        std::process::exit(2);
-    }
-    if jobs == 0 {
-        eprintln!("--jobs must be at least 1: an empty workload schedules nothing");
-        std::process::exit(2);
-    }
-    if slots == 0 {
-        eprintln!("--slots must be at least 1: a node needs a job slot");
-        std::process::exit(2);
-    }
+    let workers: usize = args.get("--workers").unwrap_or(16);
+    let jobs = args.get("--jobs").unwrap_or(4 * workers);
+    let seed = args.get("--seed").unwrap_or(perf::CLUSTER_BENCH_PLAN_SEED);
+    let slots = args.get("--slots").unwrap_or(2);
+    let quantum = args.get("--quantum").unwrap_or(10.0);
+    let sequential = args.has("--sequential");
+    let compare = args.has("--compare");
+    let trace_out = args.text("--trace-out");
     if trace_out.is_some() && compare {
-        eprintln!("--trace-out records one run's timeline; drop --compare or pick one --policy");
-        std::process::exit(2);
+        usage("--trace-out records one run's timeline; drop --compare or pick one --policy");
     }
     let kinds: Vec<SchedPolicyKind> = if compare {
         SchedPolicyKind::ALL.to_vec()
     } else {
-        let name = flag_value(args, "--policy").unwrap_or_else(|| "fifo".into());
-        match SchedPolicyKind::parse(&name) {
-            Some(kind) => vec![kind],
-            None => {
-                eprintln!("--policy wants fifo, gandiva or tiresias, got {name}");
-                std::process::exit(2);
-            }
-        }
+        vec![sched_policy(args)]
     };
 
     section(&format!(
@@ -1010,26 +1139,14 @@ fn run_sched_cmd(args: &[String]) {
                 .quantum(SimDuration::from_secs_f64(quantum))
                 .slots_per_node(slots)
                 .sequential(sequential);
-            let out = match &trace_out {
+            let out = match trace_out {
                 None => builder.build().run(),
                 Some(path) => {
-                    use flowcon_metrics::tracelog;
-                    use flowcon_sim::trace::{FlightRecorder, DEFAULT_CAPACITY};
                     let (out, recorder) = builder
                         .tracer(FlightRecorder::with_capacity(DEFAULT_CAPACITY))
                         .build()
                         .run_traced();
-                    let events = recorder.events();
-                    let doc = tracelog::chrome_trace_json(&events, recorder.dropped());
-                    if let Err(e) = flowcon_metrics::export::write_artifact(path, &doc) {
-                        eprintln!("{e}");
-                        std::process::exit(2);
-                    }
-                    println!(
-                        "wrote {} trace events ({} dropped) to {path}",
-                        events.len(),
-                        recorder.dropped()
-                    );
+                    write_timeline(path, &recorder);
                     out
                 }
             };
@@ -1087,52 +1204,15 @@ fn tail_cell(p: &flowcon_metrics::sojourn::Percentiles) -> String {
 /// sweep offered arrival rate per policy up to the stability frontier and
 /// print p50/p95/p99 sojourn vs. load (see the module docs for the
 /// flags).
-fn run_frontier(args: &[String]) {
+fn run_frontier(args: &Args) {
     use flowcon_bench::experiments::frontier;
-    use flowcon_cluster::SchedPolicyKind;
     use flowcon_sim::time::SimDuration;
 
-    check_flags(
-        "frontier",
-        args,
-        &[
-            ("--policy", true),
-            ("--compare", false),
-            ("--workers", true),
-            ("--jobs", true),
-            ("--seed", true),
-            ("--quantum", true),
-            ("--slots", true),
-            ("--rates", true),
-            ("--emit", true),
-        ],
-    );
-
-    let parse_num = |name: &str, default: u64| {
-        flag_value(args, name).map_or(default, |v| {
-            v.parse::<u64>().unwrap_or_else(|_| {
-                eprintln!("{name} wants a number, got {v}");
-                std::process::exit(2);
-            })
-        })
-    };
-    let workers = parse_num("--workers", 16) as usize;
-    let jobs = parse_num("--jobs", 16 * workers as u64) as usize;
-    let seed = parse_num("--seed", perf::CLUSTER_BENCH_PLAN_SEED);
-    let slots = parse_num("--slots", 2) as usize;
-    let quantum = quantum_flag(args);
-    if workers == 0 {
-        eprintln!("--workers must be at least 1: a cluster with no workers cannot run jobs");
-        std::process::exit(2);
-    }
-    if jobs == 0 {
-        eprintln!("--jobs must be at least 1: a zero-job rung measures nothing");
-        std::process::exit(2);
-    }
-    if slots == 0 {
-        eprintln!("--slots must be at least 1: a node needs a job slot");
-        std::process::exit(2);
-    }
+    let workers: usize = args.get("--workers").unwrap_or(16);
+    let jobs = args.get("--jobs").unwrap_or(16 * workers);
+    let seed = args.get("--seed").unwrap_or(perf::CLUSTER_BENCH_PLAN_SEED);
+    let slots = args.get("--slots").unwrap_or(2);
+    let quantum = args.get("--quantum").unwrap_or(10.0);
     let config = frontier::FrontierConfig {
         nodes: workers,
         slots_per_node: slots,
@@ -1140,53 +1220,14 @@ fn run_frontier(args: &[String]) {
         seed,
         quantum: SimDuration::from_secs_f64(quantum),
     };
-    // The rate ladder: explicit `--rates R1,R2,...` must be a non-empty,
-    // strictly increasing list of positive rates — anything else is a
-    // script bug that would silently sweep garbage (a descending ladder
-    // "finds" the frontier at its first rung).
-    let rates: Vec<f64> = match flag_value(args, "--rates") {
+    let rates = match args.text("--rates") {
         None => frontier::default_ladder(&config),
-        Some(list) => {
-            let rates: Vec<f64> = list
-                .split(',')
-                .filter(|s| !s.trim().is_empty())
-                .map(|s| {
-                    s.trim().parse::<f64>().unwrap_or_else(|_| {
-                        eprintln!("--rates wants comma-separated jobs/s values, got {s:?}");
-                        std::process::exit(2);
-                    })
-                })
-                .collect();
-            if rates.is_empty() {
-                eprintln!("--rates must name at least one offered rate (jobs/s)");
-                std::process::exit(2);
-            }
-            if rates.iter().any(|&r| !r.is_finite() || r <= 0.0) {
-                eprintln!("--rates must be positive finite rates, got {list}");
-                std::process::exit(2);
-            }
-            if rates.windows(2).any(|w| w[1] <= w[0]) {
-                eprintln!(
-                    "--rates must be strictly increasing (the sweep climbs the ladder and \
-                     early-stops at saturation), got {list}"
-                );
-                std::process::exit(2);
-            }
-            rates
-        }
+        Some(list) => rate_ladder(list).expect("checked by the flag table"),
     };
-    let compare = args.iter().any(|a| a == "--compare");
-    let kinds: Vec<SchedPolicyKind> = if compare {
+    let kinds: Vec<SchedPolicyKind> = if args.has("--compare") {
         SchedPolicyKind::ALL.to_vec()
     } else {
-        let name = flag_value(args, "--policy").unwrap_or_else(|| "fifo".into());
-        match SchedPolicyKind::parse(&name) {
-            Some(kind) => vec![kind],
-            None => {
-                eprintln!("--policy wants fifo, gandiva or tiresias, got {name}");
-                std::process::exit(2);
-            }
-        }
+        vec![sched_policy(args)]
     };
 
     section(&format!(
@@ -1244,89 +1285,32 @@ fn run_frontier(args: &[String]) {
         }
         curves.push(curve);
     }
-    if let Some(path) = flag_value(args, "--emit") {
+    if let Some(path) = args.text("--emit") {
         let doc = frontier::curves_jsonl(&curves);
-        match flowcon_metrics::export::write_artifact(&path, &doc) {
-            Ok(()) => println!("wrote {} curve points to {path}", doc.lines().count()),
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        }
+        write_or_exit(path, &doc);
+        println!("wrote {} curve points to {path}", doc.lines().count());
     }
 }
 
 /// `repro timeline`: run one scheduler workload with the flight recorder
 /// attached and export the merged timeline as Chrome trace-event JSON
 /// (Perfetto-loadable; see the module docs for the flags).
-fn run_timeline(args: &[String]) {
-    use flowcon_cluster::{ClusterSession, PolicyKind, SchedPolicyKind};
-    use flowcon_core::config::{FlowConConfig, NodeConfig};
+fn run_timeline(args: &Args) {
+    use flowcon_cluster::ClusterSession;
+    use flowcon_core::config::NodeConfig;
     use flowcon_dl::workload::WorkloadPlan;
     use flowcon_metrics::tracelog;
     use flowcon_sim::time::SimDuration;
-    use flowcon_sim::trace::{FlightRecorder, DEFAULT_CAPACITY};
+    use flowcon_sim::trace::DEFAULT_CAPACITY;
 
-    check_flags(
-        "timeline",
-        args,
-        &[
-            ("--policy", true),
-            ("--workers", true),
-            ("--jobs", true),
-            ("--seed", true),
-            ("--quantum", true),
-            ("--slots", true),
-            ("--sequential", false),
-            ("--capacity", true),
-            ("--out", true),
-            ("--summary", false),
-        ],
-    );
-
-    let parse_num = |name: &str, default: u64| {
-        flag_value(args, name).map_or(default, |v| {
-            v.parse::<u64>().unwrap_or_else(|_| {
-                eprintln!("{name} wants a number, got {v}");
-                std::process::exit(2);
-            })
-        })
-    };
-    let workers = parse_num("--workers", 16) as usize;
-    let jobs = parse_num("--jobs", 4 * workers as u64) as usize;
-    let seed = parse_num("--seed", perf::CLUSTER_BENCH_PLAN_SEED);
-    let slots = parse_num("--slots", 2) as usize;
-    let capacity = parse_num("--capacity", DEFAULT_CAPACITY as u64) as usize;
-    let quantum = quantum_flag(args);
-    let sequential = args.iter().any(|a| a == "--sequential");
-    let summary = args.iter().any(|a| a == "--summary");
-    let out = flag_value(args, "--out");
-    if workers == 0 {
-        eprintln!("--workers must be at least 1: a cluster with no workers cannot run jobs");
-        std::process::exit(2);
-    }
-    if jobs == 0 {
-        eprintln!("--jobs must be at least 1: an empty workload traces nothing");
-        std::process::exit(2);
-    }
-    if slots == 0 {
-        eprintln!("--slots must be at least 1: a node needs a job slot");
-        std::process::exit(2);
-    }
-    if capacity == 0 {
-        eprintln!("--capacity must be at least 1: a zero-capacity ring records nothing");
-        std::process::exit(2);
-    }
-    let kind = {
-        let name = flag_value(args, "--policy").unwrap_or_else(|| "fifo".into());
-        match SchedPolicyKind::parse(&name) {
-            Some(kind) => kind,
-            None => {
-                eprintln!("--policy wants fifo, gandiva or tiresias, got {name}");
-                std::process::exit(2);
-            }
-        }
-    };
+    let workers: usize = args.get("--workers").unwrap_or(16);
+    let jobs = args.get("--jobs").unwrap_or(4 * workers);
+    let seed = args.get("--seed").unwrap_or(perf::CLUSTER_BENCH_PLAN_SEED);
+    let slots = args.get("--slots").unwrap_or(2);
+    let capacity = args.get("--capacity").unwrap_or(DEFAULT_CAPACITY);
+    let quantum = args.get("--quantum").unwrap_or(10.0);
+    let out = args.text("--out");
+    let kind = sched_policy(args);
 
     // Without --out the JSON document owns stdout (pipeable straight into
     // a file or a viewer), so the banner and any summary go to stderr.
@@ -1345,7 +1329,7 @@ fn run_timeline(args: &[String]) {
         .scheduler(kind)
         .quantum(SimDuration::from_secs_f64(quantum))
         .slots_per_node(slots)
-        .sequential(sequential)
+        .sequential(args.has("--sequential"))
         .tracer(FlightRecorder::with_capacity(capacity))
         .build()
         .run_traced();
@@ -1355,23 +1339,15 @@ fn run_timeline(args: &[String]) {
         "{} lost jobs",
         outcome.policy
     );
-    let events = recorder.events();
-    let doc = tracelog::chrome_trace_json(&events, recorder.dropped());
-    match &out {
-        Some(path) => {
-            if let Err(e) = flowcon_metrics::export::write_artifact(path, &doc) {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-            println!(
-                "wrote {} trace events ({} dropped) to {path}",
-                events.len(),
-                recorder.dropped()
-            );
-        }
-        None => print!("{doc}"),
+    match out {
+        Some(path) => write_timeline(path, &recorder),
+        None => print!(
+            "{}",
+            tracelog::chrome_trace_json(&recorder.events(), recorder.dropped())
+        ),
     }
-    if summary {
+    if args.has("--summary") {
+        let events = recorder.events();
         let rows: Vec<Vec<String>> = tracelog::kind_counts(&events)
             .into_iter()
             .filter(|(_, n)| *n > 0)
@@ -1402,116 +1378,38 @@ fn run_timeline(args: &[String]) {
 
 /// `repro stream`: run an open-loop arrival stream end to end (see the
 /// module docs for the flags).
-fn run_stream(args: &[String]) {
+fn run_stream(args: &Args) {
     use flowcon_bench::experiments::stream as exp;
-    use flowcon_cluster::{Horizon, PolicyKind, StreamSource, TraceStreamSource};
-    use flowcon_core::config::{FlowConConfig, NodeConfig};
-    use flowcon_sim::time::SimTime;
-    use flowcon_workload::{ArrivalTrace, TraceCatalog};
+    use flowcon_cluster::{Horizon, StreamSource, TraceStreamSource};
+    use flowcon_core::config::NodeConfig;
+    use flowcon_sim::trace::DEFAULT_CAPACITY;
 
-    check_flags(
-        "stream",
-        args,
-        &[
-            ("--synthetic", true),
-            ("--file", true),
-            ("--cycle", false),
-            ("--until", true),
-            ("--jobs", true),
-            ("--rate", true),
-            ("--seed", true),
-            ("--workers", true),
-            ("--policy", true),
-            ("--headless", false),
-            ("--hints", false),
-            ("--trace-out", true),
-        ],
-    );
-
-    let file = flag_value(args, "--file");
-    let synthetic = flag_value(args, "--synthetic");
-    if file.is_some() == synthetic.is_some() {
-        eprintln!(
-            "stream wants exactly one of --file PATH or --synthetic {{poisson,bursty,diurnal}}"
-        );
-        std::process::exit(2);
-    }
-    let parse_num = |name: &str, default: u64| {
-        flag_value(args, name).map_or(default, |v| {
-            v.parse::<u64>().unwrap_or_else(|_| {
-                eprintln!("{name} wants a number, got {v}");
-                std::process::exit(2);
-            })
-        })
-    };
-    let workers = parse_num("--workers", 1) as usize;
-    if workers == 0 {
-        eprintln!("--workers must be at least 1: a cluster with no workers cannot run jobs");
-        std::process::exit(2);
-    }
-    let seed = parse_num("--seed", flowcon_bench::experiments::DEFAULT_SEED);
-    let policy = match flag_value(args, "--policy").as_deref() {
-        None | Some("flowcon") => PolicyKind::FlowCon(FlowConConfig::default()),
-        Some("na") => PolicyKind::Baseline,
-        Some(other) => {
-            eprintln!("--policy wants flowcon or na, got {other}");
-            std::process::exit(2);
-        }
-    };
-    // Mode-specific flags are hard errors in the wrong mode.
-    let only_with = |flag: &str, mode: &str, allowed: bool| {
-        if !allowed && args.iter().any(|a| a == flag) {
-            eprintln!("{flag} only applies to {mode} workloads");
-            std::process::exit(2);
-        }
-    };
-    only_with("--rate", "--synthetic", synthetic.is_some());
-    only_with("--cycle", "--file", file.is_some());
-    only_with("--hints", "--file", file.is_some());
-
+    workload_mode("stream", args, &["--cycle", "--hints"], &["--rate"]);
+    let workers: usize = args.get("--workers").unwrap_or(1);
+    let seed = args.get("--seed").unwrap_or(DEFAULT_SEED);
+    let policy =
+        node_policy(args.text("--policy").unwrap_or("flowcon")).expect("checked by the flag table");
     // The horizon: --until (admission window, simulated seconds) and/or
     // --jobs (per-worker admission cap).  An unbounded open-loop run
     // would never terminate, so at least one is mandatory.
-    // A NaN, negative or zero window admits nothing; an infinite one (or
-    // one past the clock's range) never closes.
-    let until = float_flag(
-        args,
-        "--until",
-        "finite simulated seconds > 0 within the clock's range",
-        |x| finite_positive(x) && SimTime::from_secs_f64(x) < SimTime::MAX,
-    );
-    let max_jobs = flag_value(args, "--jobs").map(|v| {
-        v.parse::<usize>().unwrap_or_else(|_| {
-            eprintln!("--jobs wants a number, got {v}");
-            std::process::exit(2);
-        })
-    });
-    // `--jobs 0` would "run" a stream that admits nothing — a degenerate
-    // horizon that is always a script bug, never a workload.
-    if max_jobs == Some(0) {
-        eprintln!("--jobs must be at least 1: a zero-job horizon admits nothing");
-        std::process::exit(2);
-    }
-    if until.is_none() && max_jobs.is_none() {
-        eprintln!("stream needs a horizon: --until SECS and/or --jobs N");
-        std::process::exit(2);
-    }
     let horizon = Horizon {
-        until: until.map(SimTime::from_secs_f64),
-        max_jobs,
+        until: args.get("--until").map(SimTime::from_secs_f64),
+        max_jobs: args.get("--jobs"),
     };
+    if horizon.until.is_none() && horizon.max_jobs.is_none() {
+        usage("stream needs a horizon: --until SECS and/or --jobs N");
+    }
     // Cluster streams run headless (accepting the flag explicitly too);
     // a single worker records the full paper traces.
-    let headless = workers > 1 || args.iter().any(|a| a == "--headless");
+    let headless = workers > 1 || args.has("--headless");
     // The structured tracer rides the full-observability session; the
     // headless cluster path has no per-job identity to trace against.
-    let trace_out = flag_value(args, "--trace-out");
+    let trace_out = args.text("--trace-out");
     if trace_out.is_some() && headless {
-        eprintln!(
+        usage(
             "--trace-out only applies to the single-worker full-observability run \
-             (use --workers 1 and drop --headless)"
+             (use --workers 1 and drop --headless)",
         );
-        std::process::exit(2);
     }
 
     // Resolve the stream source.
@@ -1519,13 +1417,9 @@ fn run_stream(args: &[String]) {
         Synthetic(flowcon_workload::SyntheticStreamSource),
         Trace(TraceStreamSource),
     }
-    let (what, source) = if let Some(name) = &synthetic {
-        let rate = float_flag(args, "--rate", RATE_WANTS, finite_positive)
-            .unwrap_or(exp::DEFAULT_STREAM_RATE);
-        let Some(mut src) = exp::stream_preset(name, rate, seed) else {
-            eprintln!("--synthetic wants poisson, bursty or diurnal, got {name}");
-            std::process::exit(2);
-        };
+    let (what, source) = if let Some(name) = args.text("--synthetic") {
+        let rate = args.get("--rate").unwrap_or(exp::DEFAULT_STREAM_RATE);
+        let mut src = exp::stream_preset(name, rate, seed).expect("checked by the flag table");
         if headless {
             src = src.unlabeled();
         }
@@ -1534,35 +1428,17 @@ fn run_stream(args: &[String]) {
             Source::Synthetic(src),
         )
     } else {
-        let path = file.as_deref().expect("checked above");
-        let doc = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read trace {path}: {e}");
-            std::process::exit(2);
-        });
-        let trace = match ArrivalTrace::parse(&doc) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                std::process::exit(2);
-            }
-        };
+        let path = args.text("--file").expect("checked above");
         let mut catalog = TraceCatalog::table1();
-        if args.iter().any(|a| a == "--hints") {
+        if args.has("--hints") {
             catalog = catalog.with_duration_hints();
         }
         if headless {
             catalog = catalog.unlabeled();
         }
-        let bound = match catalog.bind(&trace) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                std::process::exit(2);
-            }
-        };
-        let mut src = TraceStreamSource::new(bound, workers);
+        let mut src = TraceStreamSource::new(bind_trace_file(path, catalog), workers);
         let mut what = format!("trace {path}");
-        if args.iter().any(|a| a == "--cycle") {
+        if args.has("--cycle") {
             src = src.cyclic();
             what.push_str(" (cyclic)");
         }
@@ -1583,9 +1459,7 @@ fn run_stream(args: &[String]) {
 
     let start = std::time::Instant::now();
     let (totals, events, full) = if workers == 1 && !headless {
-        let result = if let Some(path) = &trace_out {
-            use flowcon_metrics::tracelog;
-            use flowcon_sim::trace::{FlightRecorder, DEFAULT_CAPACITY};
+        let result = if let Some(path) = trace_out {
             let mut recorder = FlightRecorder::with_capacity(DEFAULT_CAPACITY);
             let result = match source {
                 Source::Synthetic(src) => exp::stream_session_traced(
@@ -1603,17 +1477,7 @@ fn run_stream(args: &[String]) {
                     &mut recorder,
                 ),
             };
-            let trace_events = recorder.events();
-            let doc = tracelog::chrome_trace_json(&trace_events, recorder.dropped());
-            if let Err(e) = flowcon_metrics::export::write_artifact(path, &doc) {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-            println!(
-                "wrote {} trace events ({} dropped) to {path}",
-                trace_events.len(),
-                recorder.dropped()
-            );
+            write_timeline(path, &recorder);
             result
         } else {
             match source {
@@ -2012,66 +1876,26 @@ fn ablation_policies() {
 /// workload through the fluid simulation and the wall-clock rt backend,
 /// align per-job records, report the divergence, and exit 2 on tolerance
 /// breach (see the module docs).
-fn run_fidelity(args: &[String]) {
-    use flowcon_bench::experiments::fidelity::{self, ChaosKind, FidelityConfig};
+fn run_fidelity(args: &Args) {
+    use flowcon_bench::experiments::fidelity::{self, FidelityConfig};
     use flowcon_metrics::export::JsonValue;
     use flowcon_metrics::fidelity::FidelityTolerance;
 
-    check_flags(
-        "fidelity",
-        args,
-        &[
-            ("--workers", true),
-            ("--jobs", true),
-            ("--seed", true),
-            ("--dilation", true),
-            ("--chaos", true),
-            ("--emit", true),
-        ],
-    );
-
-    let parse_num = |name: &str, default: u64| {
-        flag_value(args, name).map_or(default, |v| {
-            v.parse::<u64>().unwrap_or_else(|_| {
-                eprintln!("{name} wants a number, got {v}");
-                std::process::exit(2);
-            })
-        })
-    };
-    let workers = parse_num("--workers", 2) as u32;
-    let jobs = parse_num("--jobs", 8) as usize;
-    let seed = parse_num("--seed", DEFAULT_SEED);
-    let dilation = flag_value(args, "--dilation").map_or(400.0, |v| {
-        v.parse::<f64>().unwrap_or_else(|_| {
-            eprintln!("--dilation wants sim-seconds per wall second, got {v}");
-            std::process::exit(2);
-        })
-    });
-    let chaos = match flag_value(args, "--chaos").as_deref() {
-        None => None,
-        Some("straggler") => Some(ChaosKind::Straggler),
-        Some("churn") => Some(ChaosKind::Churn),
-        Some(other) => {
-            eprintln!("unknown chaos scenario {other}; expected straggler or churn");
-            std::process::exit(2);
-        }
-    };
-    if workers == 0 || jobs == 0 {
-        eprintln!("--workers and --jobs must both be at least 1");
-        std::process::exit(2);
-    }
-    if !(dilation.is_finite() && dilation > 0.0) {
-        eprintln!("--dilation must be a positive finite number");
-        std::process::exit(2);
-    }
-
+    let defaults = FidelityConfig::default();
     let config = FidelityConfig {
+        workers: args.get("--workers").unwrap_or(defaults.workers),
+        jobs: args.get("--jobs").unwrap_or(defaults.jobs),
+        seed: args.get("--seed").unwrap_or(defaults.seed),
+        dilation: args.get("--dilation").unwrap_or(defaults.dilation),
+        chaos: args.text("--chaos").and_then(chaos_kind),
+    };
+    let FidelityConfig {
         workers,
         jobs,
         seed,
         dilation,
         chaos,
-    };
+    } = config;
     let chaos_name = chaos.map_or("none", ChaosKind::name);
     println!("Differential fidelity: sim (reference) vs rt (candidate)");
     println!(
@@ -2150,7 +1974,7 @@ fn run_fidelity(args: &[String]) {
         eprintln!("tolerance breach: {v}");
     }
 
-    if let Some(path) = flag_value(args, "--emit") {
+    if let Some(path) = args.text("--emit") {
         let record: Vec<(&str, JsonValue)> = vec![
             ("experiment", JsonValue::Str("fidelity".into())),
             ("policy", JsonValue::Str(outcome.policy.clone())),
@@ -2193,14 +2017,11 @@ fn run_fidelity(args: &[String]) {
             ("divergent", JsonValue::Bool(report.divergent())),
             ("violations", JsonValue::Int(violations.len() as u64)),
         ];
-        let doc = flowcon_metrics::export::to_jsonl([record.as_slice()]);
-        match flowcon_metrics::export::write_artifact(&path, &doc) {
-            Ok(()) => println!("wrote fidelity report to {path}"),
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        }
+        write_or_exit(
+            path,
+            &flowcon_metrics::export::to_jsonl([record.as_slice()]),
+        );
+        println!("wrote fidelity report to {path}");
     }
 
     let code = report.exit_code(&tolerance, chaos.is_some());

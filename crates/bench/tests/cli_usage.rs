@@ -1,6 +1,6 @@
-//! `repro` rejects numeric flags it cannot run with a usage error: exit 2
-//! and a message naming the flag, before any simulation starts — never a
-//! panic, a silently empty run, or a run that cannot end.
+//! `repro` rejects flags it cannot run with a usage error: exit 2 and a
+//! message naming the flag, before any simulation starts — never a panic,
+//! a silently empty run, a run that cannot end, or a run of the defaults.
 
 use std::process::Command;
 
@@ -83,6 +83,68 @@ fn trace_rejects_zero_counts() {
         &["trace", "--synthetic", "poisson", "--jobs", "0"],
         "--jobs",
     );
+}
+
+#[test]
+fn a_repeated_flag_is_rejected() {
+    assert_usage_error(
+        &["cluster", "--workers", "4", "--workers", "8"],
+        "--workers",
+    );
+}
+
+#[test]
+fn fidelity_rejects_core_counts_past_u32() {
+    assert_usage_error(
+        &["fidelity", "--workers", "4294967297", "--jobs", "2"],
+        "--workers",
+    );
+}
+
+#[test]
+fn compare_still_checks_the_policy() {
+    for cmd in ["sched", "frontier"] {
+        assert_usage_error(&[cmd, "--compare", "--policy", "bogus"], "--policy");
+    }
+}
+
+#[test]
+fn rejected_names_name_their_flag() {
+    assert_usage_error(&["fidelity", "--chaos", "bogus"], "--chaos");
+}
+
+/// Each subcommand's count flags, after the arguments that make the rest
+/// of its command line valid.
+const COUNT_FLAGS: [(&[&str], &[&str]); 8] = [
+    (&["cluster"], &["--workers", "--jobs"]),
+    (&["profile"], &["--workers", "--jobs"]),
+    (
+        &["trace", "--synthetic", "poisson"],
+        &["--workers", "--jobs"],
+    ),
+    (
+        &["stream", "--synthetic", "poisson", "--until", "60"],
+        &["--workers", "--jobs"],
+    ),
+    (&["sched"], &["--workers", "--jobs", "--slots"]),
+    (&["frontier"], &["--workers", "--jobs", "--slots"]),
+    (
+        &["timeline"],
+        &["--workers", "--jobs", "--slots", "--capacity"],
+    ),
+    (&["fidelity"], &["--workers", "--jobs"]),
+];
+
+#[test]
+fn every_count_flag_rejects_zero_garbage_and_a_missing_value() {
+    for (base, flags) in COUNT_FLAGS {
+        for &flag in flags {
+            for value in [&["0"][..], &["x"], &[]] {
+                let args: Vec<&str> = base.iter().chain([&flag]).chain(value).copied().collect();
+                assert_usage_error(&args, flag);
+            }
+        }
+    }
 }
 
 #[test]

@@ -5,18 +5,18 @@ use std::fmt;
 /// A container id: a dense `u32` index rendered as a short Docker-style
 /// hex hash.
 ///
-/// Ids are allocated sequentially by the daemon, which keeps experiment
-/// output stable across runs *and* makes the raw value usable as a direct
-/// array index in the dense (headless) cluster path.  Four bytes cover
-/// four billion containers per worker — far beyond any simulated session —
-/// and halve the footprint of every id-bearing record, which matters at
-/// one million workers.  Displayed as 12 hex digits so logs look like
-/// `docker ps` output.
+/// Ids are allocated sequentially by the node simulation, which keeps
+/// experiment output stable across runs *and* makes the raw value usable
+/// as a direct array index in the dense (headless) cluster path.  Four
+/// bytes cover four billion containers per worker — far beyond any
+/// simulated session — and halve the footprint of every id-bearing
+/// record, which matters at one million workers.  Displayed as 12 hex
+/// digits so logs look like `docker ps` output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ContainerId(u32);
 
 impl ContainerId {
-    /// Construct from a raw integer (used by the daemon's allocator).
+    /// Construct from a raw integer.
     pub const fn from_raw(raw: u32) -> Self {
         ContainerId(raw)
     }
@@ -36,7 +36,7 @@ impl ContainerId {
     /// The raw id is mixed through a SplitMix64 finalizer so consecutive
     /// containers don't produce visually adjacent hashes.  The mix widens
     /// to 64 bits first, so renderings are identical to the old `u64` ids
-    /// for every value a daemon actually allocates.
+    /// for every value a node actually allocates.
     pub fn short_hex(self) -> String {
         let mut z = (self.0 as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -52,49 +52,9 @@ impl fmt::Display for ContainerId {
     }
 }
 
-/// Sequential id allocator owned by the daemon.
-#[derive(Debug, Default, Clone)]
-pub struct IdAllocator {
-    next: u32,
-}
-
-impl IdAllocator {
-    /// A fresh allocator starting at id 0.
-    pub fn new() -> Self {
-        IdAllocator { next: 0 }
-    }
-
-    /// Allocate the next id.
-    ///
-    /// Panics on exhaustion of the 32-bit id space — over four billion
-    /// containers on one worker means the simulation configuration is
-    /// broken, not that wider ids are needed.
-    pub fn allocate(&mut self) -> ContainerId {
-        let id = ContainerId(self.next);
-        self.next = self
-            .next
-            .checked_add(1)
-            .expect("container id space exhausted");
-        id
-    }
-
-    /// Number of ids handed out so far.
-    pub fn allocated(&self) -> u64 {
-        self.next as u64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn allocator_is_sequential() {
-        let mut a = IdAllocator::new();
-        assert_eq!(a.allocate().as_raw(), 0);
-        assert_eq!(a.allocate().as_raw(), 1);
-        assert_eq!(a.allocated(), 2);
-    }
 
     #[test]
     fn short_hex_is_stable_and_distinct() {

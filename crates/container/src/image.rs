@@ -7,12 +7,11 @@
 //! "MNIST (Tensorflow)".
 //!
 //! A registry is immutable once built, so one instance can back an entire
-//! cluster: [`Daemon`](crate::daemon::Daemon)s hold an
-//! `Arc<ImageRegistry>`, and [`shared_dl_defaults`] hands out one
-//! process-wide copy of the paper's default catalog instead of
-//! re-allocating it per worker (the PR-2 profile showed a fresh
-//! `with_dl_defaults` per simulated worker dominating cluster fixed
-//! overhead).
+//! cluster: holders keep an `Arc<ImageRegistry>`, and
+//! [`shared_dl_defaults`] hands out one process-wide copy of the paper's
+//! default catalog instead of re-allocating it per worker (a profile
+//! showed a fresh `with_dl_defaults` per simulated worker dominating
+//! cluster fixed overhead).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -137,8 +136,7 @@ impl ImageRegistry {
 /// Built on first use and reference-counted from then on: a 10k-worker
 /// cluster pays for the default catalog once, not 10k times.  The registry
 /// behind the `Arc` is immutable; callers that need a different catalog
-/// build their own `Arc<ImageRegistry>` and pass it to
-/// [`Daemon::with_shared_images`](crate::daemon::Daemon::with_shared_images).
+/// build their own `Arc<ImageRegistry>`.
 pub fn shared_dl_defaults() -> Arc<ImageRegistry> {
     static SHARED: OnceLock<Arc<ImageRegistry>> = OnceLock::new();
     SHARED

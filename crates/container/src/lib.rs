@@ -8,7 +8,7 @@
 //! Monitor's listeners watch the container pool for arrivals and exits.
 //! This crate reproduces that surface:
 //!
-//! * [`id`] — 64-bit container ids rendered like short Docker hashes.
+//! * [`id`] — dense container ids rendered like short Docker hashes.
 //! * [`image`] — an image catalog (`pytorch/pytorch`, `tensorflow/...`).
 //! * [`state`] — the container lifecycle state machine
 //!   (`Created → Running → Exited`, with `Paused` detours).
@@ -16,44 +16,29 @@
 //!   [`limits::UpdateOptions`] builder mirroring `docker update` flags.
 //! * [`stats`] — per-container usage accounting for the four resources the
 //!   paper's Container Monitor records (§3.2.1).
-//! * [`container`] — the container object binding id, image, state, limits,
-//!   stats and an attached [`workload::Workload`].
-//! * [`pool`] — the per-worker Container Pool of Fig. 2.
-//! * [`daemon`] — the daemon facade (`run` / `update` / `stop` / `ps` /
-//!   `inspect` / `stats` / `events`).
-//! * [`events`] — a drainable docker-events stream consumed by FlowCon's
-//!   listeners (Algorithm 2).
 //! * [`workload`] — the trait a payload implements so the node simulation
 //!   can drive it with allocated CPU time (implemented by `flowcon-dl`).
 //!
-//! The daemon never advances time on its own: the simulation (or the
-//! real-thread runtime) calls [`daemon::Daemon::advance`] with the CPU rates
-//! chosen by the allocator, which keeps this crate independent of any
-//! particular clock.
+//! Nothing here advances time on its own: the node simulation
+//! (`flowcon_core::dense`) or the real-thread runtime drives each
+//! [`Workload`] with the CPU rates chosen by the allocator, which keeps
+//! this crate independent of any particular clock.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod container;
-pub mod daemon;
 pub mod error;
-pub mod events;
 pub mod id;
 pub mod image;
 pub mod limits;
-pub mod pool;
 pub mod state;
 pub mod stats;
 pub mod workload;
 
-pub use container::Container;
-pub use daemon::Daemon;
 pub use error::ContainerError;
-pub use events::{ContainerEvent, EventLog};
 pub use id::ContainerId;
 pub use image::{Image, ImageRegistry};
 pub use limits::{ResourceLimits, UpdateOptions};
-pub use pool::ContainerPool;
 pub use state::ContainerState;
 pub use stats::{ContainerStats, UsageSample};
 pub use workload::{Workload, WorkloadStatus};

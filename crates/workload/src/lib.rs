@@ -56,7 +56,7 @@
 //!
 //! | field | required | meaning |
 //! |---|---|---|
-//! | `job_id` | yes | non-empty label for the job; must not contain `,` or `"` and must not start with `{` or `#` (so every row stays representable in both wire formats — serialization round-trips by construction) |
+//! | `job_id` | yes | non-empty label for the job; must not contain `,`, `"` or `\`, begin or end with whitespace, or start with `{` or `#` (so every row stays representable in both wire formats — serialization round-trips by construction) |
 //! | `model` | yes | model or resource-demand **class**, resolved by the [`TraceCatalog`] (case-insensitive; e.g. `vae`, `mnist-tf`, or demand classes `small`/`medium`/`large`; same character restrictions as `job_id`) |
 //! | `submit_secs` | yes | submission time in seconds, finite and `>= 0` |
 //! | `duration_hint_secs` | no | expected duration in seconds, finite and `> 0` when present.  Ignored by default; under [`TraceCatalog::with_duration_hints`] a hinted row binds with its `total_work` scaled so the job's nominal solo duration matches the hint |

@@ -76,19 +76,23 @@ pub fn parse_line(line: &str, line_no: usize) -> Result<TraceRow<'_>, TraceError
 }
 
 fn validate(row: TraceRow<'_>, line_no: usize) -> Result<TraceRow<'_>, TraceError> {
-    if row.job_id.is_empty() {
-        return Err(line_err(line_no, "job_id must be non-empty"));
-    }
     // The two wire formats share one row type, so string fields must stay
-    // representable in *both*: no CSV delimiter, no JSON quote, and no
-    // leading byte that would re-dispatch a serialized CSV row as JSONL or
-    // a comment.  Rejecting them here (with a line number) is what makes
-    // the documented serialize-round-trip guarantee hold.
+    // representable in *both*: non-empty, no CSV delimiter, no JSON quote,
+    // no backslash (the JSONL reader takes no escapes), no edge whitespace
+    // (the CSV reader trims it), and no leading byte that would re-dispatch
+    // a serialized CSV row as JSONL or a comment.  Rejecting them here
+    // (with a line number) is what makes the documented
+    // serialize-round-trip guarantee hold.
     for (field, name) in [(row.job_id, "job_id"), (row.class, "model")] {
-        if field.contains(',') || field.contains('"') {
+        if field.is_empty() {
+            return Err(line_err(line_no, format!("{name} must be non-empty")));
+        }
+        if field.contains([',', '"', '\\']) || field.trim() != field {
             return Err(line_err(
                 line_no,
-                format!("{name} must not contain ',' or '\"', got {field:?}"),
+                format!(
+                    "{name} must not contain ',', '\"' or '\\' nor begin or end with whitespace, got {field:?}"
+                ),
             ));
         }
     }
@@ -138,9 +142,6 @@ fn parse_csv_line(line: &str, line_no: usize) -> Result<TraceRow<'_>, TraceError
             line_no,
             format!("too many fields (unexpected {extra:?})"),
         ));
-    }
-    if class.is_empty() {
-        return Err(line_err(line_no, "model class must be non-empty"));
     }
     let submit_secs: f64 = submit
         .parse()
@@ -443,6 +444,20 @@ mod tests {
             ),
             ("#x,vae,0", "leading hash in job id"),
             ("j\"1,vae,0", "quote in job id"),
+            ("run\\1,mnist-tf,0", "backslash in job id"),
+            ("j1,va\\e,0", "backslash in class"),
+            (
+                "{\"job_id\": \"\tj1\", \"model\": \"vae\", \"submit_secs\": 0}",
+                "leading whitespace in job id",
+            ),
+            (
+                "{\"job_id\": \"j1\", \"model\": \"vae \", \"submit_secs\": 0}",
+                "trailing whitespace in class",
+            ),
+            (
+                "{\"job_id\": \"j1\", \"model\": \"\", \"submit_secs\": 0}",
+                "empty class in JSONL",
+            ),
             ("{\"model\": \"vae\", \"submit_secs\": 0}", "missing job_id"),
             (
                 "{\"job_id\": \"j\", \"model\": 3, \"submit_secs\": 0}",

@@ -1,6 +1,6 @@
 //! Trace-parser contract tests: malformed input, out-of-order arrivals,
-//! empty traces, and a property-based parse → serialize → parse
-//! round-trip in both wire formats.
+//! empty traces, property-based parse → serialize → parse round-trips in
+//! both wire formats, and a parser that never panics on arbitrary bytes.
 
 use flowcon_workload::{ArrivalTrace, TraceCatalog, TraceError};
 use proptest::prelude::*;
@@ -58,6 +58,14 @@ fn empty_traces_parse_bind_and_plan_as_empty() {
 /// catalog, exercising aliases and demand classes).
 const CLASSES: [&str; 6] = ["vae", "mnist-tf", "gru", "lstm-cfc", "small", "large"];
 
+/// What a generated `job_id` or `model` is spelled from: plain letters and
+/// every character one of the wire formats treats specially.
+const FIELD_ALPHABET: [&str; 11] = ["a", "b", "x", "\\", ",", "\"", "{", "#", "é", "\t", ":"];
+
+/// Bytes the parser dispatches on, drawn about half the time so arbitrary
+/// input reaches past the first character.
+const STRUCTURE_BYTES: &[u8] = b"{}\",:#\\ \t\n-.e0123456789job_idmodelsubmit_secsnull";
+
 proptest! {
     /// parse(serialize(parse(doc))) == parse(doc), for CSV and JSONL.
     #[test]
@@ -90,5 +98,52 @@ proptest! {
             catalog.bind(&via_csv).expect("all classes resolvable"),
             catalog.bind(&via_jsonl).expect("all classes resolvable")
         );
+    }
+
+    /// Whatever parses reparses, equal, from its own CSV and its own JSONL,
+    /// whichever format each row came in: string fields hold only what
+    /// both formats can carry.
+    #[test]
+    fn any_parsed_document_round_trips_through_both_formats(
+        rows in prop::collection::vec(
+            (
+                prop::collection::vec(0usize..FIELD_ALPHABET.len(), 1..5),
+                prop::collection::vec(0usize..FIELD_ALPHABET.len(), 1..5),
+                0.0f64..5000.0,
+                0usize..2,
+            ),
+            0..6,
+        ),
+    ) {
+        let field = |picks: &[usize]| picks.iter().map(|&i| FIELD_ALPHABET[i]).collect::<String>();
+        let doc: String = rows
+            .iter()
+            .map(|(id, model, submit, format)| {
+                let (id, model) = (field(id), field(model));
+                if *format == 0 {
+                    format!("{id},{model},{submit}\n")
+                } else {
+                    format!("{{\"job_id\": \"{id}\", \"model\": \"{model}\", \"submit_secs\": {submit}}}\n")
+                }
+            })
+            .collect();
+        if let Ok(first) = ArrivalTrace::parse(&doc) {
+            let (csv, jsonl) = (first.to_csv(), first.to_jsonl());
+            prop_assert_eq!(ArrivalTrace::parse(&csv).as_ref(), Ok(&first), "CSV round-trip of {:?}", doc);
+            prop_assert_eq!(ArrivalTrace::parse(&jsonl).as_ref(), Ok(&first), "JSONL round-trip of {:?}", doc);
+        }
+    }
+
+    /// Any input at all yields a trace or an error, never a panic.
+    #[test]
+    fn arbitrary_bytes_never_panic(
+        bytes in prop::collection::vec(
+            (0u8..=255, 0usize..STRUCTURE_BYTES.len() * 2).prop_map(|(byte, pick)| {
+                STRUCTURE_BYTES.get(pick).copied().unwrap_or(byte)
+            }),
+            0..256,
+        ),
+    ) {
+        let _ = ArrivalTrace::parse(&String::from_utf8_lossy(&bytes));
     }
 }
