@@ -20,7 +20,7 @@ use flowcon_container::{ContainerId, ResourceLimits, UpdateOptions, Workload};
 use flowcon_core::config::NodeConfig;
 use flowcon_core::metric::GrowthMeasurement;
 use flowcon_core::monitor::MonitorSlot;
-use flowcon_core::policy::ResourcePolicy;
+use flowcon_core::policy::{checked_interval, ResourcePolicy};
 use flowcon_dl::{ModelId, ModelSpec, TrainingJob};
 use flowcon_sim::alloc::{waterfill_soft_into, AllocRequest, WaterfillScratch};
 use flowcon_sim::rng::SimRng;
@@ -228,11 +228,7 @@ impl<T: Tracer> NodeSim<T> {
         if interrupt {
             self.reconfigure(now);
         } else if self.live == 1 {
-            self.next_tick = self
-                .policy
-                .initial_interval()
-                .filter(|d| *d > SimDuration::ZERO)
-                .map(|d| now + d);
+            self.next_tick = checked_interval(self.policy.initial_interval()).map(|d| now + d);
         }
     }
 
@@ -452,7 +448,7 @@ impl<T: Tracer> NodeSim<T> {
         }
         self.measures = measures;
         self.updates = updates;
-        self.next_tick = next.filter(|d| *d > SimDuration::ZERO).map(|d| now + d);
+        self.next_tick = checked_interval(next).map(|d| now + d);
         if T::ENABLED {
             self.tracer
                 .span_end(now, TraceKind::Reconfigure, self.live as u32, self.trace_id);
@@ -533,6 +529,82 @@ mod tests {
             )
         };
         assert_eq!(run(), run());
+    }
+
+    /// Ticks first after `first`, then asks for a zero interval.
+    struct ZeroTick {
+        first: SimDuration,
+    }
+
+    impl ResourcePolicy for ZeroTick {
+        fn name(&self) -> String {
+            "ZeroTick".to_string()
+        }
+
+        fn initial_interval(&self) -> Option<SimDuration> {
+            Some(self.first)
+        }
+
+        fn reconfigure_into(
+            &mut self,
+            _now: SimTime,
+            _measures: &[GrowthMeasurement],
+            updates: &mut Vec<(ContainerId, f64)>,
+        ) -> Option<SimDuration> {
+            updates.clear();
+            Some(SimDuration::ZERO)
+        }
+
+        fn on_pool_change(&mut self, _now: SimTime, _pool_ids: &[ContainerId]) -> bool {
+            false
+        }
+    }
+
+    /// The message `run` panics with.
+    fn panic_message(run: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+            .expect_err("a zero policy interval must stop the run");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn a_zero_policy_interval_fails_alike_on_both_node_paths() {
+        use flowcon_core::dense::{run_headless_dense, DenseScratch, QueueKind};
+        use flowcon_dl::workload::WorkloadPlan;
+
+        // Zero from the start, and zero after a first regular tick.
+        for first in [SimDuration::ZERO, SimDuration::from_secs(10)] {
+            let plan = WorkloadPlan::random_n(2, 1);
+            let worker = panic_message(|| {
+                run_headless_dense(
+                    NodeConfig::default(),
+                    &plan.jobs,
+                    Box::new(ZeroTick { first }),
+                    QueueKind::Heap,
+                    &mut DenseScratch::new(),
+                );
+            });
+            let scheduled = panic_message(|| {
+                let mut sim: NodeSim = NodeSim::new(
+                    NodeConfig::default(),
+                    Box::new(ZeroTick { first }),
+                    2,
+                    NoopTracer,
+                    0,
+                );
+                sim.admit(0, ModelId::MnistTorch, 1.0, SimTime::ZERO, 0.0);
+                sim.advance_to(SimTime::from_secs(100_000));
+            });
+            assert!(
+                worker.contains("a policy returned a zero reconfiguration interval"),
+                "first tick after {first:?}: {worker}"
+            );
+            assert_eq!(worker, scheduled, "first tick after {first:?}");
+        }
     }
 
     #[test]

@@ -53,6 +53,16 @@
 //!
 //! Every run pops its events from one recycled binary-heap
 //! [`EventQueue`], ordered by `(when, FIFO sequence)`.
+//!
+//! # Sample ticks
+//!
+//! A recorded run samples every live container at each 1 Hz tick, but a
+//! sample only changes when the rates are rebuilt or a container exits.
+//! The loop keeps a flag for that; a tick with the flag clear goes to
+//! [`Recorder::repeat_samples`] as one call, and only a tick the recorder
+//! declines, or one after a change, is recorded sample by sample.  The
+//! flag is stored only under `R::RECORDS_SAMPLES`, so the headless
+//! instantiation carries none of it.
 
 use flowcon_container::workload::exit_code_for;
 use flowcon_container::{ContainerId, ResourceLimits, UpdateOptions, Workload};
@@ -74,7 +84,7 @@ use flowcon_workload::stream::{Horizon, JobStream, StreamedJob};
 use crate::config::NodeConfig;
 use crate::metric::GrowthMeasurement;
 use crate::monitor::MonitorSlot;
-use crate::policy::ResourcePolicy;
+use crate::policy::{checked_interval, ResourcePolicy};
 use crate::recorder::{CompletionsOnly, Recorder, RunMeta};
 use crate::session::{SessionResult, StreamResult};
 use crate::worker::{FailureInjection, WorkerEvent, TRACE_INTERVAL};
@@ -489,6 +499,7 @@ fn run<A: Admission, R: Recorder, T: Tracer>(
         tick_gen: 0,
         arrivals_pending,
         rates_stale: true,
+        samples_changed: true,
         admission,
         recorder: worker.recorder,
         tracer,
@@ -573,6 +584,10 @@ struct DenseSim<'a, A, R, T> {
     arrivals_pending: usize,
     /// The pool or a limit changed since the rates were last computed.
     rates_stale: bool,
+    /// Something a sample reads (the rates, the live set, a limit) changed
+    /// since the last sample tick; stored only when the recorder takes
+    /// samples.
+    samples_changed: bool,
     admission: A,
     recorder: R,
     tracer: &'a mut T,
@@ -638,6 +653,9 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
             if let Some(code) = exit_code_for(self.s.jobs[slot].status()) {
                 self.s.slots[slot].runnable = false;
                 self.s.exited.push((id, code));
+                if R::RECORDS_SAMPLES {
+                    self.samples_changed = true;
+                }
             }
         }
     }
@@ -669,6 +687,11 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
             return;
         }
         self.rates_stale = false;
+        if R::RECORDS_SAMPLES {
+            // Every limit update marks the rates stale, so this covers
+            // limits too.
+            self.samples_changed = true;
+        }
         let s = &mut *self.s;
         s.requests.clear();
         s.requests.extend(s.pool_ids.iter().map(|id| AllocRequest {
@@ -786,6 +809,7 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
 
     /// Reschedule the policy tick after a reconfiguration.
     fn schedule_tick(&mut self, interval: Option<SimDuration>) {
+        let interval = checked_interval(interval);
         if self.is_done() {
             return;
         }
@@ -811,6 +835,10 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
     }
 
     /// Each live rate's usage/limit sample, keyed by container.
+    ///
+    /// Reads the rates (`rate_ids`, `rate_vals`), each slot's `runnable`
+    /// flag and limit, and each job's label (fixed for its run): whatever
+    /// changes one of them sets `samples_changed`.
     fn record_samples(&mut self, now: SimTime) {
         let s = &*self.s;
         for (&id, &rate) in s.rate_ids.iter().zip(&s.rate_vals) {
@@ -906,6 +934,9 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
         s.slots[id.index()].runnable = false;
         s.exited.clear();
         s.exited.push((id, code));
+        if R::RECORDS_SAMPLES {
+            self.samples_changed = true;
+        }
         self.process_exits(now)
     }
 
@@ -965,8 +996,11 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
                 if self.process_exits(now) {
                     self.reconfigure_and_reshare(now);
                 }
-                if self.recorder.sample_tick(now) {
-                    self.record_samples(now);
+                if self.samples_changed || !self.recorder.repeat_samples(now) {
+                    self.samples_changed = false;
+                    if self.recorder.sample_tick(now) {
+                        self.record_samples(now);
+                    }
                 }
                 if !self.is_done() {
                     self.schedule_after(self.node.sample_interval, WorkerEvent::SampleTick);

@@ -88,6 +88,24 @@ pub trait ResourcePolicy {
     fn on_pool_change(&mut self, now: SimTime, pool_ids: &[ContainerId]) -> bool;
 }
 
+/// A policy's interval until its next periodic reconfiguration
+/// ([`ResourcePolicy::initial_interval`] or what
+/// [`ResourcePolicy::reconfigure_into`] returned), checked.
+///
+/// A zero interval would schedule the next tick at the instant that is
+/// running, so the policy would reconfigure at that instant forever.
+/// Both node simulations — the worker's (`crate::dense`) and the cluster
+/// scheduler's nodes — schedule every policy tick through here, so such a
+/// policy fails the same way on each: with this panic.
+pub fn checked_interval(interval: Option<SimDuration>) -> Option<SimDuration> {
+    assert!(
+        interval != Some(SimDuration::ZERO),
+        "a policy returned a zero reconfiguration interval; \
+         its next tick would fire at the same instant forever"
+    );
+    interval
+}
+
 // ---------------------------------------------------------------------------
 // FlowCon
 // ---------------------------------------------------------------------------
@@ -106,8 +124,13 @@ pub struct FlowConPolicy {
 }
 
 impl FlowConPolicy {
-    /// A policy with the given configuration.
+    /// A policy with the given configuration; panics on a zero
+    /// `initial_interval` (see [`checked_interval`]).
     pub fn new(config: FlowConConfig) -> Self {
+        assert!(
+            config.initial_interval > SimDuration::ZERO,
+            "FlowConConfig::initial_interval must be > 0"
+        );
         FlowConPolicy {
             itval: config.initial_interval,
             config,
@@ -275,8 +298,13 @@ pub struct QualityProportionalPolicy {
 }
 
 impl QualityProportionalPolicy {
-    /// Policy reconfiguring every `interval` with the given minimum share.
+    /// Policy reconfiguring every `interval` with the given minimum share;
+    /// panics on a zero `interval` (see [`checked_interval`]).
     pub fn new(interval: SimDuration, floor: f64) -> Self {
+        assert!(
+            interval > SimDuration::ZERO,
+            "QualityProportionalPolicy's interval must be > 0"
+        );
         QualityProportionalPolicy { interval, floor }
     }
 }
@@ -367,6 +395,21 @@ mod tests {
         let d = p.reconfigure(SimTime::from_secs(30), &[measure(1, Some(0.5), 1.0)]);
         assert_eq!(d.next_interval, Some(SimDuration::from_secs(30)));
         assert_eq!(p.algorithm_runs(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "FlowConConfig::initial_interval must be > 0")]
+    fn flowcon_rejects_a_zero_interval() {
+        FlowConPolicy::new(FlowConConfig {
+            initial_interval: SimDuration::ZERO,
+            ..Default::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "QualityProportionalPolicy's interval must be > 0")]
+    fn quality_prop_rejects_a_zero_interval() {
+        QualityProportionalPolicy::new(SimDuration::ZERO, 0.05);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use flowcon_sim::time::SimTime;
 
-use crate::timeseries::MultiSeries;
+use crate::timeseries::{MultiSeries, TimeRun};
 
 /// The makespan over a stream of per-job (or per-worker) finish times in
 /// seconds: "the total length of the schedule for all the jobs" (§5.2).
@@ -224,6 +224,17 @@ impl RunSummary {
     ) {
         self.cpu_usage.series_at_mut(indices.0).push(now, usage);
         self.limits.series_at_mut(indices.1).push(now, limit);
+    }
+
+    /// Repeat the last usage/limit sample pair of the series at `indices`
+    /// at each time of `times`: what that many calls of
+    /// [`RunSummary::record_usage_sample_at`] with that pair record (see
+    /// [`TimeSeries::repeat_last`]).
+    ///
+    /// [`TimeSeries::repeat_last`]: crate::timeseries::TimeSeries::repeat_last
+    pub fn repeat_usage_sample_at(&mut self, indices: (usize, usize), times: TimeRun) {
+        self.cpu_usage.series_at_mut(indices.0).repeat_last(times);
+        self.limits.series_at_mut(indices.1).repeat_last(times);
     }
 
     /// Record one growth-efficiency point for `label` (recorder-facing

@@ -2,15 +2,39 @@
 
 use flowcon_sim::time::{SimDuration, SimTime};
 
-/// Consecutive sample times `start, start + step, …`, `len` of them.
-#[derive(Debug, Clone, Copy)]
-struct TimeRun {
+/// Consecutive sample times `start, start + step, …`, `len` of them
+/// (never empty): how a [`TimeSeries`] stores its times, and what
+/// [`TimeSeries::repeat_last`] takes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TimeRun {
     start: SimTime,
     step: SimDuration,
     len: usize,
 }
 
 impl TimeRun {
+    /// The run of the one time `at`.
+    pub fn new(at: SimTime) -> Self {
+        TimeRun {
+            start: at,
+            step: SimDuration::ZERO,
+            len: 1,
+        }
+    }
+
+    /// Append `at` if it continues the run, and say whether it did: a
+    /// second time (not before the first) fixes the step, and every later
+    /// one must come one step after the last.
+    pub fn extend(&mut self, at: SimTime) -> bool {
+        if self.len == 1 && at >= self.start {
+            self.step = at - self.start;
+        } else if self.len == 1 || self.at(self.len) != at {
+            return false;
+        }
+        self.len += 1;
+        true
+    }
+
     /// The run's `i`-th time; `i == len` is the time that would extend it.
     fn at(&self, i: usize) -> SimTime {
         self.start + self.step.saturating_mul(i as u64)
@@ -58,17 +82,8 @@ impl TimeSeries {
             "time went backwards: {at:?} after {:?}",
             self.last_time()
         );
-        match self.runs.last_mut() {
-            Some(run) if run.len == 1 && at >= run.start => {
-                run.step = at - run.start;
-                run.len = 2;
-            }
-            Some(run) if run.len > 1 && run.at(run.len) == at => run.len += 1,
-            _ => self.runs.push(TimeRun {
-                start: at,
-                step: SimDuration::ZERO,
-                len: 1,
-            }),
+        if !self.runs.last_mut().is_some_and(|run| run.extend(at)) {
+            self.runs.push(TimeRun::new(at));
         }
         if self
             .changes
@@ -78,6 +93,39 @@ impl TimeSeries {
             self.changes.push((self.len, value));
         }
         self.len += 1;
+    }
+
+    /// Append a point at each time of `times`, each repeating the last
+    /// value: exactly the runs and change points that many
+    /// [`TimeSeries::push`] calls store, in O(1) when the last run
+    /// continues.  The series must have a last point, and `times` must not
+    /// precede it.
+    pub fn repeat_last(&mut self, times: TimeRun) {
+        let &(_, value) = self.changes.last().expect("repeat_last on an empty series");
+        self.push(times.start, value);
+        let rest = times.len - 1;
+        if rest == 0 {
+            return;
+        }
+        // The last run now ends at `times.start`.  A run `push` just opened
+        // takes its step from the second time, and a run of the same step
+        // goes on; any other step starts a run at the second time.
+        let run = self.runs.last_mut().expect("push leaves a run");
+        if run.len == 1 || run.step == times.step {
+            run.step = times.step;
+            run.len += rest;
+        } else {
+            self.runs.push(TimeRun {
+                start: times.start + times.step,
+                step: if rest == 1 {
+                    SimDuration::ZERO
+                } else {
+                    times.step
+                },
+                len: rest,
+            });
+        }
+        self.len += rest;
     }
 
     /// All points as `(seconds, value)` pairs, in push order; each is the
@@ -205,9 +253,103 @@ impl MultiSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
+    }
+
+    /// `series` after `repeat_last` of the `n` times `start + i·step`
+    /// (`n >= 1`: a run is never empty), checked against the same series
+    /// after `n` pushes of its last value: equal runs, change points
+    /// (value bits) and length, not only equal points.
+    fn assert_repeat_matches_pushes(
+        series: &TimeSeries,
+        start: SimTime,
+        step: SimDuration,
+        n: usize,
+    ) {
+        let mut repeated = series.clone();
+        repeated.repeat_last(TimeRun {
+            start,
+            step,
+            len: n,
+        });
+        let mut pushed = series.clone();
+        let &(_, value) = series.changes.last().expect("a last value");
+        for i in 0..n {
+            pushed.push(start + step.saturating_mul(i as u64), value);
+        }
+        let bits = |s: &TimeSeries| -> Vec<(usize, u64)> {
+            s.changes.iter().map(|&(i, v)| (i, v.to_bits())).collect()
+        };
+        let case = format!("{:?} + {n} repeats from {start:?} by {step:?}", series.runs);
+        assert_eq!(repeated.runs, pushed.runs, "runs of {case}");
+        assert_eq!(bits(&repeated), bits(&pushed), "change points of {case}");
+        assert_eq!(repeated.len, pushed.len, "length of {case}");
+    }
+
+    #[test]
+    fn repeat_last_stores_what_pushes_store_in_every_run_shape() {
+        let s = SimDuration::from_secs;
+        // Last runs of length 1 (alone, and after a longer run), of stride
+        // 1 s, and at one instant (stride 0).
+        let prefixes: [&[u64]; 4] = [&[5], &[1, 2, 3, 10], &[1, 2, 3], &[4, 4, 4]];
+        for times in prefixes {
+            let mut series = TimeSeries::new();
+            for (i, &at) in times.iter().enumerate() {
+                series.push(t(at), if i % 2 == 0 { 0.5 } else { -0.0 });
+            }
+            let last = t(*times.last().unwrap());
+            // At the last point's instant, one stride on, and further.
+            for start in [last, last + s(1), last + s(7)] {
+                // No stride, the last run's stride, and another one.
+                for step in [SimDuration::ZERO, s(1), s(3)] {
+                    for n in 1..5 {
+                        assert_repeat_matches_pushes(&series, start, step, n);
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        /// Any series built by pushes (same-instant points, strides that
+        /// change, one-off gaps, values whose bits differ but compare
+        /// equal), extended from its last instant or later by any stride,
+        /// for any count from 1 up.
+        #[test]
+        fn repeat_last_stores_what_pushes_store(
+            prefix in prop::collection::vec((0u8..6, 0u64..3_000_000, 0u8..6), 1..40),
+            offset in (0u8..3, 0u64..3_000_000),
+            step in (0u8..3, 0u64..3_000_000),
+            n in 1usize..12,
+        ) {
+            const VALUES: [f64; 6] = [0.0, -0.0, f64::NAN, 0.25, 1.0, 1.0 + f64::EPSILON];
+            let mut series = TimeSeries::new();
+            let (mut at, mut stride) = (0, 1_000_000);
+            for &(time_move, micros, pick) in &prefix {
+                match time_move {
+                    0 => {}
+                    1..=3 => at += stride,
+                    4 => {
+                        stride = micros;
+                        at += stride;
+                    }
+                    _ => at += micros,
+                }
+                series.push(SimTime::from_micros(at), VALUES[usize::from(pick)]);
+            }
+            // None, the last push's stride, or any other.
+            let pick = |(kind, micros): (u8, u64)| match kind {
+                0 => 0,
+                1 => stride,
+                _ => micros,
+            };
+            let start = SimTime::from_micros(at + pick(offset));
+            let step = SimDuration::from_micros(pick(step));
+            assert_repeat_matches_pushes(&series, start, step, n);
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@ pub enum ArrivalProcess {
     /// Homogeneous Poisson arrivals: i.i.d. exponential inter-arrival gaps
     /// at `rate` jobs per second.
     Poisson {
-        /// Mean arrival rate in jobs per second (`> 0`).
+        /// Mean arrival rate in jobs per second (finite, `> 0`).
         rate: f64,
     },
     /// Bursty on/off arrivals (a two-state Markov-modulated Poisson
@@ -24,64 +24,113 @@ pub enum ArrivalProcess {
     /// `rate_on` and an *off* state emitting at `rate_off` (often 0), with
     /// exponentially distributed dwell times.
     Bursty {
-        /// Arrival rate during bursts, jobs per second (`> 0`).
+        /// Arrival rate during bursts, jobs per second (finite, `> 0`).
         rate_on: f64,
-        /// Arrival rate between bursts, jobs per second (`>= 0`).
+        /// Arrival rate between bursts, jobs per second (finite, `>= 0`).
         rate_off: f64,
-        /// Mean burst length in seconds (`> 0`).
+        /// Mean burst length in seconds (finite, `> 0`).
         mean_on_secs: f64,
-        /// Mean quiet-period length in seconds (`> 0`).
+        /// Mean quiet-period length in seconds (finite, `> 0`).
         mean_off_secs: f64,
     },
     /// Diurnal arrivals: an inhomogeneous Poisson process whose rate
     /// follows `mean_rate · (1 + amplitude · sin(2πt/period))`, sampled by
     /// thinning against the peak rate.
     Diurnal {
-        /// Mean arrival rate over a full period, jobs per second (`> 0`).
+        /// Mean arrival rate over a full period, jobs per second (finite,
+        /// `> 0`, with a finite peak `mean_rate · (1 + amplitude)`).
         mean_rate: f64,
         /// Relative swing around the mean, in `[0, 1]`.
         amplitude: f64,
-        /// Period of the rate cycle in seconds (`> 0`).
+        /// Period of the rate cycle in seconds (finite, `> 0`).
         period_secs: f64,
     },
+}
+
+/// Panics unless `value` is `> 0` (`>= 0` when `zero_ok`) and finite,
+/// naming the parameter.
+fn check_param(name: &str, value: f64, zero_ok: bool) {
+    let (ok, wants) = if zero_ok {
+        (value >= 0.0, ">= 0")
+    } else {
+        (value > 0.0, "> 0")
+    };
+    assert!(
+        ok && value.is_finite(),
+        "{name} must be {wants} and finite, got {value}"
+    );
 }
 
 impl ArrivalProcess {
     /// Poisson arrivals at `rate` jobs/second.
     pub fn poisson(rate: f64) -> Self {
-        assert!(rate > 0.0, "poisson rate must be > 0, got {rate}");
-        ArrivalProcess::Poisson { rate }
+        ArrivalProcess::Poisson { rate }.checked()
     }
 
     /// Bursty on/off arrivals (see [`ArrivalProcess::Bursty`]).
     pub fn bursty(rate_on: f64, rate_off: f64, mean_on_secs: f64, mean_off_secs: f64) -> Self {
-        assert!(rate_on > 0.0, "burst rate must be > 0, got {rate_on}");
-        assert!(rate_off >= 0.0, "off rate must be >= 0, got {rate_off}");
-        assert!(
-            mean_on_secs > 0.0 && mean_off_secs > 0.0,
-            "dwell means must be > 0, got on {mean_on_secs} / off {mean_off_secs}"
-        );
         ArrivalProcess::Bursty {
             rate_on,
             rate_off,
             mean_on_secs,
             mean_off_secs,
         }
+        .checked()
     }
 
     /// Diurnal arrivals (see [`ArrivalProcess::Diurnal`]).
     pub fn diurnal(mean_rate: f64, amplitude: f64, period_secs: f64) -> Self {
-        assert!(mean_rate > 0.0, "mean rate must be > 0, got {mean_rate}");
-        assert!(
-            (0.0..=1.0).contains(&amplitude),
-            "amplitude must be in [0, 1], got {amplitude}"
-        );
-        assert!(period_secs > 0.0, "period must be > 0, got {period_secs}");
         ArrivalProcess::Diurnal {
             mean_rate,
             amplitude,
             period_secs,
         }
+        .checked()
+    }
+
+    /// `self`, after panicking on a parameter the sampler cannot run with:
+    /// a rate, dwell or period that is not finite or not `> 0` (an off
+    /// rate may be 0), an amplitude outside `[0, 1]`, or a diurnal peak
+    /// `mean_rate · (1 + amplitude)` that overflows.  A non-finite rate
+    /// draws zero-length gaps, so time never advances, and an infinite
+    /// peak never accepts a proposal, so the sampler never returns.
+    ///
+    /// The constructors and [`ArrivalProcess::sampler`] both check, so a
+    /// process written as a literal is refused before it samples.
+    fn checked(self) -> Self {
+        match self {
+            ArrivalProcess::Poisson { rate } => check_param("poisson rate", rate, false),
+            ArrivalProcess::Bursty {
+                rate_on,
+                rate_off,
+                mean_on_secs,
+                mean_off_secs,
+            } => {
+                check_param("burst rate", rate_on, false);
+                check_param("off rate", rate_off, true);
+                check_param("mean burst length", mean_on_secs, false);
+                check_param("mean quiet-period length", mean_off_secs, false);
+            }
+            ArrivalProcess::Diurnal {
+                mean_rate,
+                amplitude,
+                period_secs,
+            } => {
+                check_param("mean rate", mean_rate, false);
+                assert!(
+                    (0.0..=1.0).contains(&amplitude),
+                    "amplitude must be in [0, 1], got {amplitude}"
+                );
+                check_param("period", period_secs, false);
+                let peak = mean_rate * (1.0 + amplitude);
+                assert!(
+                    peak.is_finite(),
+                    "diurnal peak rate mean_rate · (1 + amplitude) overflows: \
+                     {mean_rate} · (1 + {amplitude})"
+                );
+            }
+        }
+        self
     }
 
     /// Short process name (`poisson`/`bursty`/`diurnal`) for CLIs and
@@ -102,9 +151,12 @@ impl ArrivalProcess {
     /// admission, unboundedly.  [`ArrivalProcess::sample_arrivals`] is the
     /// batch wrapper over the same state machine, so a sampler and a batch
     /// draw produce bit-identical sequences from the same RNG stream.
+    ///
+    /// Panics on a parameter the sampler cannot run with (see the
+    /// constructors), including one written into a variant directly.
     pub fn sampler(&self) -> ArrivalSampler {
         ArrivalSampler {
-            process: *self,
+            process: self.checked(),
             t: 0.0,
             on: true,
             dwell_left: 0.0,
@@ -360,6 +412,71 @@ mod tests {
     #[should_panic(expected = "rate must be > 0")]
     fn zero_rate_poisson_is_rejected() {
         ArrivalProcess::poisson(0.0);
+    }
+
+    // A bad process is only ever built or handed to `sampler()` below:
+    // sampling one would spin at t = 0 or never return.
+
+    #[test]
+    #[should_panic(expected = "poisson rate must be > 0 and finite, got inf")]
+    fn infinite_poisson_rate_is_rejected() {
+        ArrivalProcess::poisson(f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "burst rate must be > 0 and finite, got inf")]
+    fn infinite_burst_rate_is_rejected() {
+        ArrivalProcess::bursty(f64::INFINITY, 0.0, 20.0, 40.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "off rate must be >= 0 and finite, got inf")]
+    fn infinite_off_rate_is_rejected() {
+        ArrivalProcess::bursty(1.0, f64::INFINITY, 20.0, 40.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "mean quiet-period length must be > 0 and finite, got inf")]
+    fn infinite_dwell_is_rejected() {
+        ArrivalProcess::bursty(1.0, 0.0, 20.0, f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "mean rate must be > 0 and finite, got inf")]
+    fn infinite_diurnal_rate_is_rejected() {
+        ArrivalProcess::diurnal(f64::INFINITY, 0.5, 3600.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "period must be > 0 and finite, got inf")]
+    fn infinite_diurnal_period_is_rejected() {
+        ArrivalProcess::diurnal(1.0, 0.5, f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "diurnal peak rate mean_rate · (1 + amplitude) overflows")]
+    fn overflowing_diurnal_peak_is_rejected() {
+        ArrivalProcess::diurnal(1e308, 1.0, 3600.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "poisson rate must be > 0 and finite, got inf")]
+    fn sampler_rejects_a_literal_process() {
+        ArrivalProcess::Poisson {
+            rate: f64::INFINITY,
+        }
+        .sampler();
+    }
+
+    #[test]
+    #[should_panic(expected = "diurnal peak rate mean_rate · (1 + amplitude) overflows")]
+    fn sampler_rejects_a_literal_overflowing_peak() {
+        ArrivalProcess::Diurnal {
+            mean_rate: f64::MAX,
+            amplitude: 0.5,
+            period_secs: 3600.0,
+        }
+        .sampler();
     }
 
     #[test]
