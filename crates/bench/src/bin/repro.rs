@@ -153,6 +153,7 @@ use flowcon_metrics::export::{completions_csv, series_csv, text_table, to_csv};
 use flowcon_metrics::summary::RunSummary;
 use flowcon_sim::time::SimTime;
 use flowcon_sim::trace::FlightRecorder;
+use flowcon_workload::synthetic::MAX_RATE;
 use flowcon_workload::{ArrivalTrace, BoundTrace, TraceCatalog};
 
 /// Counting allocator so `repro bench` can report allocs/op.
@@ -363,7 +364,7 @@ const COMMANDS: &[Command] = &[
             Flag(
                 "--rates",
                 Takes::Text(
-                    "a strictly increasing list R1,R2,... of finite rates > 0 (jobs/s)",
+                    "a strictly increasing list R1,R2,... of rates > 0 and at most 1e6 jobs/s",
                     |list| rate_ladder(list).is_some(),
                 ),
             ),
@@ -419,9 +420,14 @@ const QUANTUM: Flag = Flag(
         q.is_finite() && q >= 1e-6
     }),
 );
+/// A synthetic preset's long-run mean rate: every preset must be able to
+/// sample it, and the bursty one bursts at 4× it.
 const RATE: Flag = Flag(
     "--rate",
-    Takes::Num("a finite arrival rate > 0 (jobs/s)", finite_positive),
+    Takes::Num(
+        "a finite arrival rate > 0 and at most 250000 jobs/s (the bursty preset bursts at 4x it, up to one arrival per 1 us tick)",
+        flowcon_bench::experiments::trace::presets_run_at,
+    ),
 );
 /// The cluster scheduler's discipline (`sched`, `frontier`, `timeline`).
 const SCHED_POLICY: Flag = Flag(
@@ -571,9 +577,11 @@ fn finite_positive(x: f64) -> bool {
     x.is_finite() && x > 0.0
 }
 
-/// `--rates R1,R2,...`: a non-empty, strictly increasing list of finite
-/// rates > 0.  Anything else is a script bug that would silently sweep
-/// garbage (a descending ladder "finds" the frontier at its first rung).
+/// `--rates R1,R2,...`: a non-empty, strictly increasing list of positive
+/// rates that a Poisson rung can sample (at most [`MAX_RATE`], one
+/// arrival per 1 µs tick).  Anything else is a script bug that would
+/// silently sweep garbage (a descending ladder "finds" the frontier at its
+/// first rung) or never end.
 fn rate_ladder(list: &str) -> Option<Vec<f64>> {
     let rates: Vec<f64> = list
         .split(',')
@@ -581,7 +589,7 @@ fn rate_ladder(list: &str) -> Option<Vec<f64>> {
         .map(|s| s.trim().parse().ok())
         .collect::<Option<_>>()?;
     let valid = !rates.is_empty()
-        && rates.iter().all(|&r| finite_positive(r))
+        && rates.iter().all(|&r| finite_positive(r) && r <= MAX_RATE)
         && rates.windows(2).all(|w| w[0] < w[1]);
     valid.then_some(rates)
 }

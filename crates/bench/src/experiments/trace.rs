@@ -21,7 +21,7 @@ use flowcon_workload::{
 pub const PAPER_FIXED_CSV: &str = include_str!("../../../../traces/paper_fixed.csv");
 
 /// The committed large bursty example trace (600 arrivals from the
-/// [`bursty_preset`] MMPP, emitted as JSONL by `repro trace --emit`).
+/// `bursty` [`preset`]'s MMPP, emitted as JSONL by `repro trace --emit`).
 pub const BURSTY_LARGE_JSONL: &str = include_str!("../../../../traces/bursty_large.jsonl");
 
 /// Parse + bind a trace document with the default Table-1 catalog.
@@ -75,36 +75,48 @@ pub fn replay_cluster(
         .run()
 }
 
-/// The CLI's poisson preset: `rate` jobs/s over the Table-1 mix.
-pub fn poisson_preset(rate: f64, jobs: usize, seed: u64) -> Synthetic {
-    Synthetic::new(ArrivalProcess::poisson(rate), jobs, seed)
-}
-
-/// The CLI's bursty preset: bursts at 4× the target mean rate, on 25% of
-/// the time (25 s on / 75 s off), silent between bursts — long-run mean
-/// `rate`.
-pub fn bursty_preset(rate: f64, jobs: usize, seed: u64) -> Synthetic {
-    Synthetic::new(
-        ArrivalProcess::bursty(4.0 * rate, 0.0, 25.0, 75.0),
-        jobs,
-        seed,
-    )
-}
-
-/// The CLI's diurnal preset: mean `rate`, 80% swing, 200 s period (the
-/// paper's submission window as one "day").
-pub fn diurnal_preset(rate: f64, jobs: usize, seed: u64) -> Synthetic {
-    Synthetic::new(ArrivalProcess::diurnal(rate, 0.8, 200.0), jobs, seed)
-}
-
-/// Resolve a preset by CLI name.
-pub fn preset(name: &str, rate: f64, jobs: usize, seed: u64) -> Option<Synthetic> {
+/// The CLI presets' arrival process `name` at long-run mean rate `rate`
+/// jobs/s, before any check (`None` for an unknown name):
+///
+/// * `poisson`: `rate` jobs/s;
+/// * `bursty`: bursts at 4× `rate`, on 25% of the time (25 s on / 75 s
+///   off), silent between bursts;
+/// * `diurnal`: mean `rate`, 80% swing, 200 s period (the paper's
+///   submission window as one "day").
+fn preset_process(name: &str, rate: f64) -> Option<ArrivalProcess> {
     match name {
-        "poisson" => Some(poisson_preset(rate, jobs, seed)),
-        "bursty" => Some(bursty_preset(rate, jobs, seed)),
-        "diurnal" => Some(diurnal_preset(rate, jobs, seed)),
+        "poisson" => Some(ArrivalProcess::Poisson { rate }),
+        "bursty" => Some(ArrivalProcess::Bursty {
+            rate_on: 4.0 * rate,
+            rate_off: 0.0,
+            mean_on_secs: 25.0,
+            mean_off_secs: 75.0,
+        }),
+        "diurnal" => Some(ArrivalProcess::Diurnal {
+            mean_rate: rate,
+            amplitude: 0.8,
+            period_secs: 200.0,
+        }),
         _ => None,
     }
+}
+
+/// Resolve a preset by CLI name, over the Table-1 mix.  Panics on a rate
+/// the preset's process cannot be sampled at (see
+/// [`presets_run_at`]).
+pub fn preset(name: &str, rate: f64, jobs: usize, seed: u64) -> Option<Synthetic> {
+    let process = preset_process(name, rate)?.checked();
+    Some(Synthetic::new(process, jobs, seed))
+}
+
+/// Whether every preset's process can be sampled at mean rate `rate`
+/// ([`ArrivalProcess::validate`]).  The bursty preset bursts at 4×
+/// `rate`, so `rate` may be at most a quarter of
+/// [`flowcon_workload::synthetic::MAX_RATE`].
+pub fn presets_run_at(rate: f64) -> bool {
+    ["poisson", "bursty", "diurnal"]
+        .iter()
+        .all(|name| preset_process(name, rate).is_some_and(|p| p.validate().is_ok()))
 }
 
 #[cfg(test)]

@@ -567,7 +567,8 @@ pub fn run_micro_suite(counter: Option<AllocCounter<'_>>) -> Vec<PerfResult> {
     // --- trace subsystem: synthetic generation + session run ---
     {
         use crate::experiments::trace as exp;
-        let synthetic = exp::poisson_preset(0.1, 15, CLUSTER_BENCH_PLAN_SEED);
+        let synthetic =
+            exp::preset("poisson", 0.1, 15, CLUSTER_BENCH_PLAN_SEED).expect("a preset name");
         let node = NodeConfig::default().with_seed(CLUSTER_BENCH_NODE_SEED);
         let mut events = 0u64;
         let ns = time_ns(

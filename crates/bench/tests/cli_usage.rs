@@ -37,7 +37,9 @@ fn stream_rejects_horizons_it_cannot_run() {
 
 #[test]
 fn stream_and_trace_reject_rates_they_cannot_sample() {
-    for rate in ["0", "NaN", "-1", "inf"] {
+    // Past 250000 jobs/s the bursty preset would burst faster than one
+    // arrival per 1 us tick, which the sampler refuses with a panic.
+    for rate in ["0", "NaN", "-1", "inf", "1e308", "1e12", "250001"] {
         assert_usage_error(
             &[
                 "stream",
@@ -54,6 +56,13 @@ fn stream_and_trace_reject_rates_they_cannot_sample() {
             &["trace", "--synthetic", "poisson", "--rate", rate],
             "--rate",
         );
+    }
+}
+
+#[test]
+fn frontier_rejects_ladders_past_the_clock() {
+    for rates in ["1,2e6", "1e308", "0.5,1e12"] {
+        assert_usage_error(&["frontier", "--rates", rates], "--rates");
     }
 }
 
@@ -144,6 +153,22 @@ fn every_count_flag_rejects_zero_garbage_and_a_missing_value() {
                 assert_usage_error(&args, flag);
             }
         }
+    }
+}
+
+#[test]
+fn the_fastest_preset_rate_still_runs() {
+    for preset in ["poisson", "bursty", "diurnal"] {
+        let (code, stderr) = repro(&[
+            "trace",
+            "--synthetic",
+            preset,
+            "--rate",
+            "250000",
+            "--jobs",
+            "8",
+        ]);
+        assert_eq!(code, Some(0), "{preset}: {stderr}");
     }
 }
 

@@ -29,13 +29,26 @@
 //!
 //! # Per-barrier cost
 //!
-//! A barrier costs O(actions · log nodes + queue + nodes): the admission
-//! queue removes a placed job by id in O(1), the disciplines find the
-//! freest node in a tournament tree (O(log nodes) per slot taken or
-//! freed), and Tiresias ranks by a linear-time selection at the slot
-//! count, sorting only the jobs that win a slot or lose one.  The
-//! remaining linear terms are building the view (one pass over the queue
-//! and the nodes) and advancing the nodes.
+//! A barrier costs O(actions · log nodes + jobs read + nodes), plus, for
+//! a discipline that reads the queue's rank order, sorting in the jobs
+//! queued since its last read.
+//!
+//! * The admission queue removes a placed job by id in O(1), in both of
+//!   its orders: FIFO and Tiresias' least-attained-service rank.
+//! * The [`ClusterView`] reads the queue in place, so building it copies
+//!   only the running jobs, never the queue.  FIFO reads the queue up to
+//!   the first job that finds no slot, Gandiva as far past that as there
+//!   are expired victims, and Tiresias merges the sorted running jobs
+//!   with the head of the rank order until the slots run out.
+//! * The rank order sorts only the jobs queued since its last read and
+//!   inserts them into its sorted run on the first read of a barrier, so
+//!   FIFO and Gandiva never pay for it.
+//! * The disciplines find the freest node in a tournament tree, at
+//!   O(log nodes) per slot taken or freed.
+//!
+//! The linear terms left are the view's pass over the nodes, advancing
+//! the nodes, and the block moves that insert queued jobs into the rank
+//! order (each key behind the least-served insert moves once).
 //!
 //! # Quantum invariants
 //!
@@ -57,6 +70,7 @@ pub use policy::{
     SchedAction, SchedPolicyKind, TiresiasPolicy,
 };
 
+use std::cell::{Ref, RefCell};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::Scope;
 
@@ -71,7 +85,7 @@ use flowcon_sim::trace::{TraceKind, Tracer};
 use crate::executor::shard_count;
 use crate::policy_kind::PolicyKind;
 use node::NodeSim;
-use policy::NodeSpan;
+use policy::{by_rank, NodeSpan};
 
 /// Tuning knobs of the scheduling engine.
 #[derive(Debug, Clone, Copy)]
@@ -186,33 +200,140 @@ struct EngineJob {
     queued_since: SimTime,
 }
 
-/// The global admission queue: FIFO order with O(1) removal by job id.
+impl EngineJob {
+    /// The job as a policy sees it.
+    fn view(&self) -> QueuedJobView {
+        QueuedJobView {
+            id: self.id,
+            arrival: self.arrival,
+            attained_cpu_secs: self.attained,
+            queued_since: self.queued_since,
+        }
+    }
+}
+
+/// The global admission queue, in two orders with O(1) removal by job id:
+/// FIFO (push order) and Tiresias' rank order ([`by_rank`]: least
+/// attained service first, ties to the lower id).
 ///
-/// Jobs sit in a slab indexed by their dense id, and `order` lists
-/// `(id, visit)` stamps in push order.  Taking a job empties its slab
-/// entry and leaves a dead stamp that iteration skips; a re-pushed job
-/// gets a new visit number, so the stale stamp of an earlier visit never
-/// resurrects it.  Dead stamps are compacted away once they outnumber
-/// live ones, which keeps iteration O(len).
+/// Jobs sit in a slab indexed by their dense id, and `stamps[id]` is
+/// bumped at every push and every take of the job, so it is odd exactly
+/// while the job is queued.  Both orders hold keys stamped at push: taking
+/// a job only bumps its stamp, which kills its key in both orders, and a
+/// re-pushed job's fresh stamp never resurrects the key of an earlier
+/// visit.  Each order drops its dead keys once they outnumber the live
+/// ones, which keeps iteration O(len).
+///
+/// A queued job's attained service never changes while it waits, so its
+/// rank key is fixed at push.  Pushes only append to the rank order's
+/// pending keys; the first read of the rank order after a push sorts them
+/// into its sorted run (see [`ServiceOrder::settle`]), so only a
+/// discipline that reads the rank order pays for it.
 #[derive(Debug)]
 struct AdmissionQueue {
-    slab: Vec<QueueSlot>,
+    slab: Vec<Option<EngineJob>>,
+    stamps: Vec<u32>,
+    /// FIFO keys `(id, stamp)`, in push order.
     order: Vec<(u32, u32)>,
+    by_service: RefCell<ServiceOrder>,
     live: usize,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct QueueSlot {
-    visit: u32,
-    job: Option<EngineJob>,
+/// A queued visit's key in the rank order.
+#[derive(Debug, Clone, Copy)]
+struct RankKey {
+    attained: f64,
+    id: u32,
+    stamp: u32,
+}
+
+impl RankKey {
+    fn rank(&self) -> (f64, u32) {
+        (self.attained, self.id)
+    }
+}
+
+/// The admission queue's rank order: a sorted run plus the keys pushed
+/// since the last read.
+#[derive(Debug, Default)]
+struct ServiceOrder {
+    /// Keys as of the last read: every key before `head` is dead, and the
+    /// keys from `head` on are in rank order, dead ones included.
+    run: Vec<RankKey>,
+    head: usize,
+    /// Keys pushed since the last read, in push order.
+    pending: Vec<RankKey>,
+}
+
+impl ServiceOrder {
+    /// Insert the pending keys into the run and step `head` past the dead
+    /// keys at its front.
+    ///
+    /// The pending keys are sorted and inserted from the back, so every
+    /// key of the run moves at most once, in blocks, and the part of the
+    /// run ahead of the smallest pending key does not move at all.  A
+    /// discipline that places the head of the rank order leaves its dead
+    /// keys at the front, where `head` skips them.
+    fn settle(&mut self, stamps: &[u32]) {
+        let live = |key: &RankKey| stamps[key.id as usize] == key.stamp;
+        self.pending.retain(live);
+        self.pending
+            .sort_unstable_by(|a, b| by_rank(a.rank(), b.rank()));
+        let mut end = self.run.len();
+        // Room for the pending keys at the back; the loop fills it.
+        self.run.extend_from_slice(&self.pending);
+        for (before, key) in self.pending.iter().enumerate().rev() {
+            // The run's keys in `at..end` rank behind `key` and ahead of
+            // every larger pending key: they shift right past `key` and the
+            // `before` pending keys that rank ahead of it.
+            let at = self.head + insertion_point(&self.run[self.head..end], key.rank());
+            self.run.copy_within(at..end, at + before + 1);
+            self.run[at + before] = *key;
+            end = at;
+        }
+        self.pending.clear();
+        while self.run.get(self.head).is_some_and(|key| !live(key)) {
+            self.head += 1;
+        }
+    }
+
+    /// Drop every dead key, leaving the run in rank order and the pending
+    /// keys in push order.
+    fn compact(&mut self, stamps: &[u32]) {
+        let live = |key: &RankKey| stamps[key.id as usize] == key.stamp;
+        self.run.retain(live);
+        self.head = 0;
+        self.pending.retain(live);
+    }
+}
+
+/// Where `rank` goes in `keys` (sorted): the number of keys ranked ahead
+/// of it.  The search gallops back from the end, because the pending keys
+/// [`ServiceOrder::settle`] inserts, largest first, land close together.
+fn insertion_point(keys: &[RankKey], rank: (f64, u32)) -> usize {
+    let ahead = |key: &RankKey| by_rank(key.rank(), rank).is_lt();
+    // Every key from `hi` on ranks behind `rank`.
+    let mut hi = keys.len();
+    let mut step = 1;
+    while hi > 0 {
+        let probe = hi.saturating_sub(step);
+        if ahead(&keys[probe]) {
+            return probe + 1 + keys[probe + 1..hi].partition_point(ahead);
+        }
+        hi = probe;
+        step *= 2;
+    }
+    0
 }
 
 impl AdmissionQueue {
     /// An empty queue for jobs with ids `0..ids`.
     fn new(ids: usize) -> Self {
         Self {
-            slab: vec![QueueSlot::default(); ids],
+            slab: vec![None; ids],
+            stamps: vec![0; ids],
             order: Vec::new(),
+            by_service: RefCell::default(),
             live: 0,
         }
     }
@@ -227,31 +348,41 @@ impl AdmissionQueue {
 
     /// Append `job` at the back.  Panics if the job is already queued.
     fn push_back(&mut self, job: EngineJob) {
-        let slot = &mut self.slab[job.id as usize];
-        assert!(slot.job.is_none(), "job {} is already queued", job.id);
-        slot.visit = slot.visit.wrapping_add(1);
-        slot.job = Some(job);
-        self.order.push((job.id, slot.visit));
+        let id = job.id as usize;
+        assert!(self.slab[id].is_none(), "job {} is already queued", job.id);
+        self.slab[id] = Some(job);
+        self.stamps[id] = self.stamps[id].wrapping_add(1);
+        let stamp = self.stamps[id];
+        self.order.push((job.id, stamp));
+        self.by_service.get_mut().pending.push(RankKey {
+            attained: job.attained,
+            id: job.id,
+            stamp,
+        });
         self.live += 1;
     }
 
     /// Remove job `id` wherever it stands; `None` if it is not queued.
     fn take(&mut self, id: u32) -> Option<EngineJob> {
-        let job = self.slab.get_mut(id as usize)?.job.take()?;
+        let job = self.slab.get_mut(id as usize)?.take()?;
+        self.stamps[id as usize] = self.stamps[id as usize].wrapping_add(1);
         self.live -= 1;
+        let stamps = &self.stamps;
         if self.order.len() > 2 * self.live {
-            let slab = &self.slab;
             self.order
-                .retain(|&stamp| Self::stamped(slab, stamp).is_some());
+                .retain(|&(id, stamp)| stamps[id as usize] == stamp);
+        }
+        let by_service = self.by_service.get_mut();
+        if by_service.run.len() + by_service.pending.len() > 2 * self.live {
+            by_service.compact(stamps);
         }
         Some(job)
     }
 
-    /// The queued job a stamp names, unless the stamp is dead.
-    fn stamped(slab: &[QueueSlot], (id, visit): (u32, u32)) -> Option<&EngineJob> {
-        let slot = &slab[id as usize];
-        if slot.visit == visit {
-            slot.job.as_ref()
+    /// The queued job a key names, unless the key is dead.
+    fn keyed(&self, id: u32, stamp: u32) -> Option<&EngineJob> {
+        if self.stamps[id as usize] == stamp {
+            self.slab[id as usize].as_ref()
         } else {
             None
         }
@@ -261,7 +392,42 @@ impl AdmissionQueue {
     fn iter(&self) -> impl Iterator<Item = &EngineJob> + '_ {
         self.order
             .iter()
-            .filter_map(|&stamp| Self::stamped(&self.slab, stamp))
+            .filter_map(|&(id, stamp)| self.keyed(id, stamp))
+    }
+
+    /// Queued jobs in rank order.  The first call after a push settles
+    /// the pending keys into the run; later calls only read.
+    fn by_service(&self) -> ByService<'_> {
+        if !self.by_service.borrow().pending.is_empty() {
+            self.by_service.borrow_mut().settle(&self.stamps);
+        }
+        ByService {
+            queue: self,
+            keys: Ref::map(self.by_service.borrow(), |order| &order.run[order.head..]),
+            next: 0,
+        }
+    }
+}
+
+/// The iterator behind [`AdmissionQueue::by_service`]: the settled run,
+/// skipping dead keys.
+struct ByService<'a> {
+    queue: &'a AdmissionQueue,
+    keys: Ref<'a, [RankKey]>,
+    next: usize,
+}
+
+impl<'a> Iterator for ByService<'a> {
+    type Item = &'a EngineJob;
+
+    fn next(&mut self) -> Option<&'a EngineJob> {
+        while let Some(&key) = self.keys.get(self.next) {
+            self.next += 1;
+            if let Some(job) = self.queue.keyed(key.id, key.stamp) {
+                return Some(job);
+            }
+        }
+        None
     }
 }
 
@@ -423,7 +589,6 @@ fn drive<T: Tracer + Send>(
     let mut migrations = 0u64;
 
     // Recycled view buffers.
-    let mut queue_views: Vec<QueuedJobView> = Vec::new();
     let mut spans: Vec<NodeSpan> = Vec::new();
     let mut running: Vec<RunningJobView> = Vec::new();
     let mut actions: Vec<SchedAction> = Vec::new();
@@ -463,13 +628,6 @@ fn drive<T: Tracer + Send>(
         }
 
         // 2. Decide.
-        queue_views.clear();
-        queue_views.extend(queue.iter().map(|j| QueuedJobView {
-            id: j.id,
-            arrival: j.arrival,
-            attained_cpu_secs: j.attained,
-            queued_since: j.queued_since,
-        }));
         spans.clear();
         running.clear();
         for node in nodes.iter() {
@@ -481,7 +639,7 @@ fn drive<T: Tracer + Send>(
                 len: running.len() - start,
             });
         }
-        let view = ClusterView::new(t, &queue_views, &spans, &running);
+        let view = ClusterView::new(t, &queue, &spans, &running);
         actions.clear();
         policy.schedule(&view, &mut actions);
         if T::ENABLED {
@@ -621,13 +779,13 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::VecDeque;
 
-    fn engine_job(id: u32) -> EngineJob {
+    fn engine_job(id: u32, attained: f64) -> EngineJob {
         EngineJob {
             id,
             model: ModelId::MnistTorch,
             arrival: SimTime::ZERO,
             work_scale: 1.0,
-            attained: 0.0,
+            attained,
             queued_since: SimTime::ZERO,
         }
     }
@@ -636,44 +794,62 @@ mod tests {
         #[test]
         fn admission_queue_iterates_like_a_vecdeque(
             rounds in prop::collection::vec(
-                prop::collection::vec((0u8..3, 0usize..64), 0..24),
+                prop::collection::vec((0u8..4, 0usize..64, 0u8..3), 0..24),
                 1..12,
             ),
         ) {
             const IDS: usize = 48;
             let mut queue = AdmissionQueue::new(IDS);
-            let mut model: VecDeque<u32> = VecDeque::new();
+            // The queue's FIFO contents with each job's attained service.
+            let mut model: VecDeque<(u32, f64)> = VecDeque::new();
             let mut fresh = 0u32;
             for round in rounds {
                 // Jobs taken earlier in this round, eligible for a re-push
-                // (a preempted job re-enters the queue it just left).
+                // (a preempted job re-enters the queue it just left, with
+                // more service).
                 let mut taken: Vec<u32> = Vec::new();
-                for (op, pick) in round {
+                for (op, pick, level) in round {
+                    // Three service levels make rank ties common.
+                    let attained = f64::from(level) * 7.5;
                     match op {
-                        0 if (fresh as usize) < IDS => {
-                            queue.push_back(engine_job(fresh));
-                            model.push_back(fresh);
-                            fresh += 1;
+                        // One push, or three between two reads.
+                        0 | 3 => {
+                            for _ in 0..if op == 0 { 1 } else { 3 } {
+                                if (fresh as usize) < IDS {
+                                    queue.push_back(engine_job(fresh, attained));
+                                    model.push_back((fresh, attained));
+                                    fresh += 1;
+                                }
+                            }
                         }
                         1 if !model.is_empty() => {
-                            let id = model.remove(pick % model.len()).expect("index in range");
+                            let (id, _) = model.remove(pick % model.len()).expect("index in range");
                             prop_assert_eq!(queue.take(id).map(|j| j.id), Some(id));
                             prop_assert!(queue.take(id).is_none(), "job {} taken twice", id);
                             taken.push(id);
                         }
                         2 if !taken.is_empty() => {
                             let id = taken.swap_remove(pick % taken.len());
-                            queue.push_back(engine_job(id));
-                            model.push_back(id);
+                            queue.push_back(engine_job(id, attained));
+                            model.push_back((id, attained));
                         }
                         _ => {}
                     }
                     let ids: Vec<u32> = queue.iter().map(|j| j.id).collect();
-                    prop_assert_eq!(&ids, &Vec::from(model.clone()));
+                    let want: Vec<u32> = model.iter().map(|&(id, _)| id).collect();
+                    prop_assert_eq!(&ids, &want);
+                    let mut ranked: Vec<(f64, u32)> =
+                        model.iter().map(|&(id, attained)| (attained, id)).collect();
+                    ranked.sort_by(|&a, &b| by_rank(a, b));
+                    let by_service: Vec<(f64, u32)> =
+                        queue.by_service().map(|j| (j.attained, j.id)).collect();
+                    prop_assert_eq!(&by_service, &ranked);
                     prop_assert_eq!(queue.len(), model.len());
                     prop_assert_eq!(queue.is_empty(), model.is_empty());
-                    // Compaction keeps dead stamps at most as many as live ones.
+                    // Compaction keeps dead keys at most as many as live ones.
                     prop_assert!(queue.order.len() <= 2 * queue.len());
+                    let order = queue.by_service.borrow();
+                    prop_assert!(order.run.len() + order.pending.len() <= 2 * queue.len());
                 }
             }
             prop_assert!(queue.take(IDS as u32).is_none(), "ids past the slab are never queued");

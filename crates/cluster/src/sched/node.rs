@@ -6,10 +6,13 @@
 //! event queue draining a fixed plan, the node holds a small slot arena
 //! of running jobs and exposes three verbs to the engine — `admit`,
 //! `preempt`, and `advance_to(barrier)`.  Between barriers the node
-//! integrates its fluid state exactly like the dense path (water-filling
-//! rates, contention efficiency, FlowCon policy ticks at their own
-//! cadence), so per-node physics are identical; only job arrival and
-//! departure are externally driven.
+//! integrates its fluid state with the dense path's equations
+//! (water-filling rates, contention efficiency, FlowCon policy ticks at
+//! their own cadence); only job arrival and departure are externally
+//! driven.  The runs are not identical, though: every barrier splits the
+//! fluid integration, and each split advance draws fresh measurement
+//! noise, so the noise FlowCon reads — and with it the completions —
+//! differ from a dense run of the same jobs.
 //!
 //! `advance_to` is a pure function of the node's own state: no shared
 //! memory, no RNG outside the node's private stream.  That is what makes

@@ -22,7 +22,11 @@
 //! that want duration awareness must estimate it from attained service,
 //! exactly like their real-world counterparts.
 
+use std::cmp::Ordering;
+
 use flowcon_sim::time::{SimDuration, SimTime};
+
+use super::{AdmissionQueue, EngineJob};
 
 /// A job waiting in the global admission queue, as a policy sees it.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,20 +66,26 @@ pub(crate) struct NodeSpan {
 
 /// Read-only cluster snapshot handed to [`ClusterPolicy::schedule`] at
 /// each quantum barrier.
+///
+/// The admission queue is read in place, in either of its two orders:
+/// [`queue`](Self::queue) (FIFO) and
+/// [`queue_by_service`](Self::queue_by_service) (least attained service
+/// first).  Both are lazy, so a discipline pays only for the jobs it
+/// reads: FIFO stops at the first job that finds no slot, Tiresias after
+/// the slot count.
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterView<'a> {
     /// The barrier time at which this decision round runs.
     pub now: SimTime,
-    /// The admission queue in FIFO order (head first).
-    pub queue: &'a [QueuedJobView],
+    queue: &'a AdmissionQueue,
     nodes: &'a [NodeSpan],
     running: &'a [RunningJobView],
 }
 
 impl<'a> ClusterView<'a> {
-    pub(crate) fn new(
+    pub(super) fn new(
         now: SimTime,
-        queue: &'a [QueuedJobView],
+        queue: &'a AdmissionQueue,
         nodes: &'a [NodeSpan],
         running: &'a [RunningJobView],
     ) -> Self {
@@ -85,6 +95,26 @@ impl<'a> ClusterView<'a> {
             nodes,
             running,
         }
+    }
+
+    /// The admission queue in FIFO order, head first.
+    pub fn queue(&self) -> impl Iterator<Item = QueuedJobView> + 'a {
+        self.queue.iter().map(EngineJob::view)
+    }
+
+    /// Number of jobs in the admission queue.
+    pub fn queue_len(&self) -> usize {
+        self.queue.len()
+    }
+
+    /// The admission queue in Tiresias' rank order: least attained
+    /// service first, ties to the lower (older) job id.
+    ///
+    /// The queue keeps this order itself, so reading its head costs
+    /// O(jobs read), plus, on the first read of a barrier, sorting in the
+    /// jobs queued since the last read.
+    pub fn queue_by_service(&self) -> impl Iterator<Item = QueuedJobView> + 'a {
+        self.queue.by_service().map(EngineJob::view)
     }
 
     /// Number of nodes in the cluster.
@@ -318,7 +348,7 @@ impl ClusterPolicy for FifoPolicy {
 
     fn schedule(&mut self, view: &ClusterView<'_>, actions: &mut Vec<SchedAction>) {
         self.free.reset(view);
-        for job in view.queue {
+        for job in view.queue() {
             let Some(node) = self.free.best() else {
                 break;
             };
@@ -342,7 +372,6 @@ impl ClusterPolicy for FifoPolicy {
 pub struct GandivaPolicy {
     slice: SimDuration,
     free: FreeSlotTree,
-    waiting: Vec<u32>,
     /// Running jobs whose slice has expired: `(placed_at, id, node)`.
     expired: Vec<(SimTime, u32, usize)>,
 }
@@ -362,7 +391,6 @@ impl GandivaPolicy {
         Self {
             slice,
             free: FreeSlotTree::default(),
-            waiting: Vec::new(),
             expired: Vec::new(),
         }
     }
@@ -381,23 +409,25 @@ impl ClusterPolicy for GandivaPolicy {
 
     fn schedule(&mut self, view: &ClusterView<'_>, actions: &mut Vec<SchedAction>) {
         self.free.reset(view);
-        self.waiting.clear();
 
-        // 1. Fill free slots in arrival order.
-        for job in view.queue {
-            match self.free.best() {
-                Some(node) => {
-                    actions.push(SchedAction::Place { job: job.id, node });
-                    self.free.take(node);
-                }
-                None => self.waiting.push(job.id),
-            }
+        // 1. Fill free slots in arrival order.  Slots only fill up, so the
+        //    first job that finds none leaves every job behind it waiting.
+        let mut queue = view.queue();
+        let mut blocked = None;
+        for job in queue.by_ref() {
+            let Some(node) = self.free.best() else {
+                blocked = Some(job);
+                break;
+            };
+            actions.push(SchedAction::Place { job: job.id, node });
+            self.free.take(node);
         }
 
         // 2. Rotate: each still-waiting job displaces the longest-held
         //    running job whose slice has expired (oldest placement first,
-        //    lowest id on ties), until the expired jobs run out.
-        if !self.waiting.is_empty() {
+        //    lowest id on ties), until the expired jobs run out.  Waiting
+        //    jobs are read only as far as there are victims.
+        if let Some(head) = blocked {
             self.expired.clear();
             for node in 0..view.node_count() {
                 for r in view.running_on(node) {
@@ -407,15 +437,16 @@ impl ClusterPolicy for GandivaPolicy {
                 }
             }
             self.expired.sort_unstable();
-            for (&job, &(_, victim, node)) in self.waiting.iter().zip(&self.expired) {
+            let waiting = std::iter::once(head).chain(queue);
+            for (&(_, victim, node), job) in self.expired.iter().zip(waiting) {
                 actions.push(SchedAction::Preempt { job: victim });
-                actions.push(SchedAction::Place { job, node });
+                actions.push(SchedAction::Place { job: job.id, node });
             }
         }
 
         // 3. Balance: with no queue pressure, close ≥2-slot occupancy
         //    gaps by migrating the newest placement off the hot node.
-        if view.queue.is_empty() && view.node_count() > 1 {
+        if view.queue_len() == 0 && view.node_count() > 1 {
             let mut hot = 0usize;
             let mut cold = 0usize;
             for node in 1..view.node_count() {
@@ -443,13 +474,6 @@ impl ClusterPolicy for GandivaPolicy {
     }
 }
 
-/// Where a job sits when the Tiresias ranking runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum JobLoc {
-    Queued,
-    Running(usize),
-}
-
 /// Tiresias-style least-attained-service scheduling.
 ///
 /// Every quantum, all jobs (queued and running) are ranked by attained
@@ -458,15 +482,25 @@ enum JobLoc {
 /// outside that set are preempted, queued jobs inside it are placed.
 /// No duration knowledge is used anywhere — short jobs win slots simply
 /// because they have not yet accumulated service.
+///
+/// The ranking reads only the jobs it can act on.  It sorts the running
+/// jobs (at most `total_slots` of them) and merges them with the head of
+/// the queue's own rank order ([`ClusterView::queue_by_service`]),
+/// stopping after `total_slots` winners, so it reads O(slots) jobs
+/// however deep the queue is.
 #[derive(Debug, Default)]
 pub struct TiresiasPolicy {
-    order: Vec<(f64, u32, JobLoc)>,
+    /// Running jobs `(attained, id, node)`, in rank order.
+    running: Vec<(f64, u32, usize)>,
+    /// Queued jobs that won a slot, in rank order.
+    winners: Vec<u32>,
     free: FreeSlotTree,
 }
 
-/// Tiresias rank order: least attained service first, then the older
-/// (lower) job id.  Ids are unique, so no two keys compare equal.
-fn by_rank(a: &(f64, u32, JobLoc), b: &(f64, u32, JobLoc)) -> std::cmp::Ordering {
+/// Tiresias rank order over `(attained service, job id)`: least attained
+/// service first, then the older (lower) job id.  Ids are unique, so no
+/// two jobs compare equal.
+pub(super) fn by_rank(a: (f64, u32), b: (f64, u32)) -> Ordering {
     a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
 }
 
@@ -483,57 +517,54 @@ impl ClusterPolicy for TiresiasPolicy {
     }
 
     fn schedule(&mut self, view: &ClusterView<'_>, actions: &mut Vec<SchedAction>) {
-        self.order.clear();
-        for job in view.queue {
-            self.order
-                .push((job.attained_cpu_secs, job.id, JobLoc::Queued));
-        }
+        self.running.clear();
         for node in 0..view.node_count() {
             for r in view.running_on(node) {
-                self.order
-                    .push((r.attained_cpu_secs, r.id, JobLoc::Running(node)));
+                self.running.push((r.attained_cpu_secs, r.id, node));
+            }
+        }
+        self.running
+            .sort_unstable_by(|a, b| by_rank((a.0, a.1), (b.0, b.1)));
+
+        // Merge the two rank orders until the slots are handed out: the
+        // running jobs ahead of the cut keep their slots, the queued ones
+        // ahead of it win one.
+        self.winners.clear();
+        let mut queued = view.queue_by_service().peekable();
+        let mut kept = 0;
+        for _ in 0..view.total_slots() {
+            let running = self
+                .running
+                .get(kept)
+                .map(|&(attained, id, _)| (attained, id));
+            let queued_first = match (queued.peek(), running) {
+                (Some(q), Some(r)) => by_rank((q.attained_cpu_secs, q.id), r).is_lt(),
+                (Some(_), None) => true,
+                (None, _) => false,
+            };
+            if queued_first {
+                self.winners.extend(queued.next().map(|q| q.id));
+            } else if running.is_some() {
+                kept += 1;
+            } else {
+                break;
             }
         }
 
-        // Split the ranking at the slot count: the first `total` entries
-        // (in any order) deserve the slots.  Only the winners and the
-        // running losers emit actions, so only they are sorted; with
-        // unique keys that reproduces a full sort's actions exactly.
-        let total = view.total_slots().min(self.order.len());
-        if total > 0 && total < self.order.len() {
-            self.order.select_nth_unstable_by(total - 1, by_rank);
-        }
-        let (winners, losers) = self.order.split_at_mut(total);
-        winners.sort_unstable_by(by_rank);
-        let mut evicted = 0;
-        for i in 0..losers.len() {
-            if matches!(losers[i].2, JobLoc::Running(_)) {
-                losers.swap(evicted, i);
-                evicted += 1;
-            }
-        }
-        let evicted = &mut losers[..evicted];
-        evicted.sort_unstable_by(by_rank);
-
-        // Preempt running jobs that lost their slot.
+        // Preempt the running jobs past the cut, then place the queued
+        // winners, each in rank order.
         self.free.reset(view);
-        for &(_, id, loc) in evicted.iter() {
-            if let JobLoc::Running(node) = loc {
-                actions.push(SchedAction::Preempt { job: id });
-                self.free.give(node);
-            }
+        for &(_, id, node) in &self.running[kept..] {
+            actions.push(SchedAction::Preempt { job: id });
+            self.free.give(node);
         }
-
-        // Place queued winners, least-attained first.
-        for &(_, id, loc) in winners.iter() {
-            if loc == JobLoc::Queued {
-                let node = self
-                    .free
-                    .best()
-                    .expect("preemptions freed at least as many slots as queued winners");
-                actions.push(SchedAction::Place { job: id, node });
-                self.free.take(node);
-            }
+        for &id in &self.winners {
+            let node = self
+                .free
+                .best()
+                .expect("preemptions freed at least as many slots as queued winners");
+            actions.push(SchedAction::Place { job: id, node });
+            self.free.take(node);
         }
     }
 }
@@ -541,6 +572,7 @@ impl ClusterPolicy for TiresiasPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flowcon_dl::ModelId;
     use proptest::prelude::*;
 
     /// The linear scan [`FreeSlotTree`] replaced: the node with the most
@@ -559,11 +591,18 @@ mod tests {
         best
     }
 
-    /// The full-sort Tiresias ranking the top-k selection replaced.
+    /// Where a job sits when the full-sort Tiresias ranking runs.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum JobLoc {
+        Queued,
+        Running(usize),
+    }
+
+    /// The full-sort Tiresias ranking the merge with the queue's own rank
+    /// order replaced: every job, queued and running, sorted.
     fn full_sort_tiresias(view: &ClusterView<'_>) -> Vec<SchedAction> {
         let mut order: Vec<(f64, u32, JobLoc)> = view
-            .queue
-            .iter()
+            .queue()
             .map(|j| (j.attained_cpu_secs, j.id, JobLoc::Queued))
             .collect();
         for node in 0..view.node_count() {
@@ -595,6 +634,170 @@ mod tests {
         actions
     }
 
+    /// FIFO placement by a linear scan over the free slots.
+    fn linear_fifo(view: &ClusterView<'_>) -> Vec<SchedAction> {
+        let mut free: Vec<usize> = (0..view.node_count()).map(|n| view.free_slots(n)).collect();
+        let mut actions = Vec::new();
+        for job in view.queue() {
+            let Some(node) = most_free(&free) else {
+                break;
+            };
+            actions.push(SchedAction::Place { job: job.id, node });
+            free[node] -= 1;
+        }
+        actions
+    }
+
+    /// The Gandiva round the bounded read replaced: it collects every
+    /// waiting job, though it pairs only as many as there are expired
+    /// victims.
+    fn collect_all_gandiva(view: &ClusterView<'_>, slice: SimDuration) -> Vec<SchedAction> {
+        let mut free = FreeSlotTree::default();
+        free.reset(view);
+        let mut actions = Vec::new();
+        let mut waiting = Vec::new();
+        for job in view.queue() {
+            match free.best() {
+                Some(node) => {
+                    actions.push(SchedAction::Place { job: job.id, node });
+                    free.take(node);
+                }
+                None => waiting.push(job.id),
+            }
+        }
+        if !waiting.is_empty() {
+            let mut expired = Vec::new();
+            for node in 0..view.node_count() {
+                for r in view.running_on(node) {
+                    if view.now.saturating_since(r.placed_at) >= slice {
+                        expired.push((r.placed_at, r.id, node));
+                    }
+                }
+            }
+            expired.sort_unstable();
+            for (&job, &(_, victim, node)) in waiting.iter().zip(&expired) {
+                actions.push(SchedAction::Preempt { job: victim });
+                actions.push(SchedAction::Place { job, node });
+            }
+        }
+        if view.queue_len() == 0 && view.node_count() > 1 {
+            let mut hot = 0usize;
+            let mut cold = 0usize;
+            for node in 1..view.node_count() {
+                if view.running_on(node).len() > view.running_on(hot).len() {
+                    hot = node;
+                }
+                if view.running_on(node).len() < view.running_on(cold).len() {
+                    cold = node;
+                }
+            }
+            let gap = view.running_on(hot).len() - view.running_on(cold).len();
+            if gap >= GandivaPolicy::IMBALANCE && view.free_slots(cold) > 0 {
+                if let Some(mover) = view
+                    .running_on(hot)
+                    .iter()
+                    .max_by_key(|r| (r.placed_at, r.id))
+                {
+                    actions.push(SchedAction::Migrate {
+                        job: mover.id,
+                        node: cold,
+                    });
+                }
+            }
+        }
+        actions
+    }
+
+    fn engine_job(job: &QueuedJobView) -> EngineJob {
+        EngineJob {
+            id: job.id,
+            model: ModelId::MnistTorch,
+            arrival: job.arrival,
+            work_scale: 1.0,
+            attained: job.attained_cpu_secs,
+            queued_since: job.queued_since,
+        }
+    }
+
+    /// An admission queue holding `jobs`, head first.
+    fn queue_of(jobs: &[QueuedJobView]) -> AdmissionQueue {
+        churned_queue_of(jobs, 0, 0)
+    }
+
+    /// An admission queue holding `jobs`, head first, in a state a run
+    /// reaches: the rank order has settled the first `settled` jobs into
+    /// its sorted run and holds the rest as pending keys, and a job taken
+    /// since then follows each of the first `ghosts` jobs (at its rank,
+    /// one id past every job), leaving dead keys in both orders.
+    fn churned_queue_of(jobs: &[QueuedJobView], settled: usize, ghosts: usize) -> AdmissionQueue {
+        let ids = jobs.iter().map(|j| j.id + 1).max().unwrap_or(0);
+        let ghosts = ghosts.min(jobs.len());
+        let mut queue = AdmissionQueue::new(ids as usize + ghosts);
+        for (i, job) in jobs.iter().enumerate() {
+            queue.push_back(engine_job(job));
+            if i < ghosts {
+                queue.push_back(engine_job(&QueuedJobView {
+                    id: ids + i as u32,
+                    ..*job
+                }));
+            }
+            if i + 1 == settled {
+                queue.by_service().count();
+            }
+        }
+        for i in 0..ghosts {
+            queue.take(ids + i as u32);
+        }
+        queue
+    }
+
+    /// What a view holds: nodes, their running jobs, and the queue.
+    struct Scene {
+        spans: Vec<NodeSpan>,
+        running: Vec<RunningJobView>,
+        queue: Vec<QueuedJobView>,
+    }
+
+    /// Nodes `(slots, busy)`, their running jobs, then `queued` waiting
+    /// jobs.  Ids are a bijection on 16 bits picked by `salt`, so id order
+    /// differs from position order; attained service and placement times
+    /// come from `levels`, a few values, so ties are common.
+    fn scene(nodes: &[(usize, usize)], queued: usize, levels: &[u32], salt: u32) -> Scene {
+        let id = |i: usize| ((i as u32).wrapping_mul(0x9E37_79B1) ^ salt) & 0xFFFF;
+        let level = |i: usize| levels[i % levels.len()];
+        let mut spans = Vec::new();
+        let mut running = Vec::new();
+        for &(slots, busy) in nodes {
+            let len = busy.min(slots);
+            spans.push(NodeSpan {
+                slots,
+                start: running.len(),
+                len,
+            });
+            for _ in 0..len {
+                let i = running.len();
+                running.push(RunningJobView {
+                    id: id(i),
+                    attained_cpu_secs: f64::from(level(i)) * 12.5,
+                    placed_at: SimTime::from_secs(u64::from(level(i + 7)) * 20),
+                });
+            }
+        }
+        let queue = (running.len()..running.len() + queued)
+            .map(|i| QueuedJobView {
+                id: id(i),
+                arrival: SimTime::ZERO,
+                attained_cpu_secs: f64::from(level(i)) * 12.5,
+                queued_since: SimTime::ZERO,
+            })
+            .collect();
+        Scene {
+            spans,
+            running,
+            queue,
+        }
+    }
+
     proptest! {
         #[test]
         fn free_slot_tree_picks_the_linear_scans_node(
@@ -606,9 +809,10 @@ mod tests {
                 .iter()
                 .map(|&f| NodeSpan { slots: 4, start: 0, len: 4 - f })
                 .collect();
+            let empty = AdmissionQueue::new(0);
             let mut tree = FreeSlotTree::default();
-            tree.reset(&ClusterView::new(SimTime::ZERO, &[], &spans[..1], &[]));
-            tree.reset(&ClusterView::new(SimTime::ZERO, &[], &spans, &[]));
+            tree.reset(&ClusterView::new(SimTime::ZERO, &empty, &spans[..1], &[]));
+            tree.reset(&ClusterView::new(SimTime::ZERO, &empty, &spans, &[]));
             let mut free = start.clone();
             prop_assert_eq!(tree.best(), most_free(&free));
             for (pick, up) in steps {
@@ -629,38 +833,69 @@ mod tests {
             nodes in prop::collection::vec((1usize..4, 0usize..4), 1..10),
             queued in 0usize..30,
             service in prop::collection::vec(0u32..5, 64),
-            salt in 0u32..1_000_000,
+            salt in 0u32..1 << 16,
+            settled in 0usize..32,
+            ghosts in 0usize..32,
         ) {
-            // Five service levels make attained-service ties common, and
-            // scrambled ids make id order differ from position order.
-            let id = |i: usize| (i as u32).wrapping_mul(0x9E37_79B1) ^ salt;
-            let attained = |i: usize| f64::from(service[i % service.len()]) * 12.5;
-            let mut spans = Vec::new();
-            let mut running = Vec::new();
-            for &(slots, busy) in &nodes {
-                let len = busy.min(slots);
-                spans.push(NodeSpan { slots, start: running.len(), len });
-                for _ in 0..len {
-                    let i = running.len();
-                    running.push(RunningJobView {
-                        id: id(i),
-                        attained_cpu_secs: attained(i),
-                        placed_at: SimTime::ZERO,
-                    });
-                }
-            }
-            let queue: Vec<QueuedJobView> = (running.len()..running.len() + queued)
-                .map(|i| QueuedJobView {
-                    id: id(i),
-                    arrival: SimTime::ZERO,
-                    attained_cpu_secs: attained(i),
-                    queued_since: SimTime::ZERO,
-                })
-                .collect();
-            let view = ClusterView::new(SimTime::from_secs(100), &queue, &spans, &running);
+            // Five service levels make attained-service ties common.
+            let s = scene(&nodes, queued, &service, salt);
+            let queue = churned_queue_of(&s.queue, settled, ghosts);
+            let view = ClusterView::new(SimTime::from_secs(100), &queue, &s.spans, &s.running);
+            // The view reads the queue in both orders.
+            let fifo: Vec<QueuedJobView> = view.queue().collect();
+            prop_assert_eq!(&fifo, &s.queue);
+            let mut ranked = s.queue.clone();
+            ranked.sort_by(|a, b| by_rank((a.attained_cpu_secs, a.id), (b.attained_cpu_secs, b.id)));
+            let by_service: Vec<QueuedJobView> = view.queue_by_service().collect();
+            prop_assert_eq!(&by_service, &ranked);
+            prop_assert_eq!(view.queue_len(), queued);
             let want = full_sort_tiresias(&view);
             // Twice through one instance: recycled scratch must not leak.
             let mut policy = TiresiasPolicy::new();
+            for _ in 0..2 {
+                let mut actions = Vec::new();
+                policy.schedule(&view, &mut actions);
+                prop_assert_eq!(&actions, &want);
+            }
+        }
+
+        #[test]
+        fn fifo_emits_the_linear_scans_actions(
+            nodes in prop::collection::vec((1usize..4, 0usize..4), 1..10),
+            queued in 0usize..30,
+            salt in 0u32..1 << 16,
+            settled in 0usize..32,
+            ghosts in 0usize..32,
+        ) {
+            let s = scene(&nodes, queued, &[0, 1, 2], salt);
+            let queue = churned_queue_of(&s.queue, settled, ghosts);
+            let view = ClusterView::new(SimTime::from_secs(100), &queue, &s.spans, &s.running);
+            let want = linear_fifo(&view);
+            let mut policy = FifoPolicy::new();
+            for _ in 0..2 {
+                let mut actions = Vec::new();
+                policy.schedule(&view, &mut actions);
+                prop_assert_eq!(&actions, &want);
+            }
+        }
+
+        #[test]
+        fn gandiva_emits_the_collect_all_rounds_actions(
+            nodes in prop::collection::vec((1usize..4, 0usize..4), 1..10),
+            queued in 0usize..30,
+            placed in prop::collection::vec(0u32..6, 16),
+            salt in 0u32..1 << 16,
+            settled in 0usize..32,
+            ghosts in 0usize..32,
+        ) {
+            // Placements 0-100 s before the barrier at 100 s: the 60 s
+            // slice has expired for some running jobs and not for others.
+            let s = scene(&nodes, queued, &placed, salt);
+            let queue = churned_queue_of(&s.queue, settled, ghosts);
+            let view = ClusterView::new(SimTime::from_secs(100), &queue, &s.spans, &s.running);
+            let slice = SimDuration::from_secs(60);
+            let want = collect_all_gandiva(&view, slice);
+            let mut policy = GandivaPolicy::with_slice(slice);
             for _ in 0..2 {
                 let mut actions = Vec::new();
                 policy.schedule(&view, &mut actions);
@@ -688,7 +923,7 @@ mod tests {
 
     #[test]
     fn fifo_places_in_arrival_order_onto_the_freest_node() {
-        let queue = [queued(0, 0.0), queued(1, 0.0), queued(2, 0.0)];
+        let queue = queue_of(&[queued(0, 0.0), queued(1, 0.0), queued(2, 0.0)]);
         let nodes = [
             NodeSpan {
                 slots: 2,
@@ -717,7 +952,7 @@ mod tests {
 
     #[test]
     fn fifo_never_preempts_when_the_cluster_is_full() {
-        let queue = [queued(3, 0.0)];
+        let queue = queue_of(&[queued(3, 0.0)]);
         let nodes = [NodeSpan {
             slots: 1,
             start: 0,
@@ -732,7 +967,7 @@ mod tests {
 
     #[test]
     fn tiresias_evicts_the_most_served_job_for_a_fresh_arrival() {
-        let queue = [queued(5, 0.0)];
+        let queue = queue_of(&[queued(5, 0.0)]);
         let nodes = [NodeSpan {
             slots: 2,
             start: 0,
@@ -753,7 +988,7 @@ mod tests {
 
     #[test]
     fn tiresias_breaks_attained_ties_toward_the_older_job() {
-        let queue = [queued(7, 0.0), queued(2, 0.0)];
+        let queue = queue_of(&[queued(7, 0.0), queued(2, 0.0)]);
         let nodes = [NodeSpan {
             slots: 1,
             start: 0,
@@ -769,7 +1004,7 @@ mod tests {
 
     #[test]
     fn gandiva_rotates_only_after_the_slice_expires() {
-        let queue = [queued(4, 0.0)];
+        let queue = queue_of(&[queued(4, 0.0)]);
         let nodes = [NodeSpan {
             slots: 1,
             start: 0,
@@ -797,7 +1032,7 @@ mod tests {
 
     #[test]
     fn gandiva_migrates_to_close_a_two_slot_gap() {
-        let queue: [QueuedJobView; 0] = [];
+        let queue = queue_of(&[]);
         let nodes = [
             NodeSpan {
                 slots: 2,

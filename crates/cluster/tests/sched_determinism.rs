@@ -192,7 +192,7 @@ impl ClusterPolicy for Thrash {
                 *slots += 1;
             }
         }
-        for job in view.queue {
+        for job in view.queue() {
             if let Some(node) = free.iter().position(|&f| f > 0) {
                 actions.push(SchedAction::Place { job: job.id, node });
                 free[node] -= 1;
@@ -236,6 +236,67 @@ fn preempting_at_the_first_barrier_still_drains_the_workload() {
     for c in &out.completions {
         assert!(c.finished >= c.arrival);
     }
+}
+
+/// Preempts the first running job of every node and places that same job
+/// back on that node in the same round, then fills the free slots in
+/// least-attained-service order.  A job re-placed in the round that
+/// preempted it leaves the queue it just re-entered.
+struct Bounce;
+
+impl ClusterPolicy for Bounce {
+    fn name(&self) -> &'static str {
+        "bounce"
+    }
+
+    fn schedule(&mut self, view: &ClusterView<'_>, actions: &mut Vec<SchedAction>) {
+        let mut free: Vec<usize> = (0..view.node_count()).map(|n| view.free_slots(n)).collect();
+        for node in 0..view.node_count() {
+            if let Some(r) = view.running_on(node).first() {
+                actions.push(SchedAction::Preempt { job: r.id });
+                actions.push(SchedAction::Place { job: r.id, node });
+            }
+        }
+        for job in view.queue_by_service() {
+            let Some(node) = free.iter().position(|&f| f > 0) else {
+                break;
+            };
+            actions.push(SchedAction::Place { job: job.id, node });
+            free[node] -= 1;
+        }
+    }
+}
+
+#[test]
+fn a_job_preempted_and_replaced_in_one_round_still_drains() {
+    let jobs: Vec<_> = WorkloadPlan::random_n(12, 13)
+        .jobs
+        .into_iter()
+        .map(|mut j| {
+            j.work_scale = 0.02;
+            j
+        })
+        .collect();
+    let run = |sequential: bool| {
+        base(3)
+            .plan(WorkloadPlan::new(jobs.clone()))
+            .discipline(Box::new(Bounce))
+            .sequential(sequential)
+            .build()
+            .run()
+    };
+    let seq = run(true);
+    assert_eq!(seq, run(false), "bounce diverged across advance modes");
+    assert_eq!(seq.completed_jobs(), 12);
+    // Some job left and re-took its slot within one barrier.
+    let bounced = seq.decisions.windows(2).any(|w| {
+        matches!(
+            (w[0].action, w[1].action),
+            (SchedAction::Preempt { job: a }, SchedAction::Place { job: b, .. }) if a == b && w[0].at == w[1].at
+        )
+    });
+    assert!(bounced, "no job was preempted and re-placed in one round");
+    assert!(seq.preemptions > 0);
 }
 
 /// Places FIFO, then "migrates" every running job to the node it is

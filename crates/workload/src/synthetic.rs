@@ -47,18 +47,54 @@ pub enum ArrivalProcess {
     },
 }
 
-/// Panics unless `value` is `> 0` (`>= 0` when `zero_ok`) and finite,
+/// The highest arrival rate a process may have, in jobs per second: a
+/// mean gap of one tick of the 1 µs clock.  A faster process stamps most
+/// of its arrivals with the instant before them, so its time advances by
+/// rounding alone, or not at all.
+pub const MAX_RATE: f64 = 1e6;
+
+/// The shortest mean burst or quiet period, in seconds: one clock tick.
+/// A bursty process whose dwells are shorter switches state without
+/// emitting and never reaches its next arrival.
+const MIN_DWELL_SECS: f64 = 1e-6;
+
+/// Fails unless `value` is `> 0` (`>= 0` when `zero_ok`) and finite,
 /// naming the parameter.
-fn check_param(name: &str, value: f64, zero_ok: bool) {
+fn check_param(name: &str, value: f64, zero_ok: bool) -> Result<(), String> {
     let (ok, wants) = if zero_ok {
         (value >= 0.0, ">= 0")
     } else {
         (value > 0.0, "> 0")
     };
-    assert!(
-        ok && value.is_finite(),
-        "{name} must be {wants} and finite, got {value}"
-    );
+    if ok && value.is_finite() {
+        Ok(())
+    } else {
+        Err(format!("{name} must be {wants} and finite, got {value}"))
+    }
+}
+
+/// Fails if the rate `value` is above [`MAX_RATE`], naming the parameter.
+fn check_rate(name: &str, value: f64) -> Result<(), String> {
+    if value <= MAX_RATE {
+        Ok(())
+    } else {
+        Err(format!(
+            "{name} must be at most {MAX_RATE:e} jobs/s (a mean gap of one 1 µs clock tick), \
+             got {value:e}"
+        ))
+    }
+}
+
+/// Fails unless the mean dwell `value` is at least [`MIN_DWELL_SECS`],
+/// naming the parameter.
+fn check_dwell(name: &str, value: f64) -> Result<(), String> {
+    if value >= MIN_DWELL_SECS {
+        Ok(())
+    } else {
+        Err(format!(
+            "{name} must be at least {MIN_DWELL_SECS:e} s (one 1 µs clock tick), got {value:e}"
+        ))
+    }
 }
 
 impl ArrivalProcess {
@@ -88,49 +124,72 @@ impl ArrivalProcess {
         .checked()
     }
 
-    /// `self`, after panicking on a parameter the sampler cannot run with:
-    /// a rate, dwell or period that is not finite or not `> 0` (an off
-    /// rate may be 0), an amplitude outside `[0, 1]`, or a diurnal peak
-    /// `mean_rate · (1 + amplitude)` that overflows.  A non-finite rate
-    /// draws zero-length gaps, so time never advances, and an infinite
-    /// peak never accepts a proposal, so the sampler never returns.
+    /// `self`, after panicking on a parameter the sampler cannot run with
+    /// (see [`ArrivalProcess::validate`]).
     ///
     /// The constructors and [`ArrivalProcess::sampler`] both check, so a
-    /// process written as a literal is refused before it samples.
-    fn checked(self) -> Self {
-        match self {
-            ArrivalProcess::Poisson { rate } => check_param("poisson rate", rate, false),
+    /// process written as a literal is refused before it samples; a
+    /// literal can also be checked where it is built.
+    pub fn checked(self) -> Self {
+        if let Err(msg) = self.validate() {
+            panic!("{msg}");
+        }
+        self
+    }
+
+    /// Why the sampler cannot run this process, if it cannot: a rate,
+    /// dwell or period that is not finite or not `> 0` (an off rate may be
+    /// 0), an amplitude outside `[0, 1]`, a diurnal peak
+    /// `mean_rate · (1 + amplitude)` that overflows, a rate or diurnal
+    /// peak above [`MAX_RATE`], or a mean dwell shorter than one 1 µs
+    /// clock tick.  Each message names the parameter and its bound.
+    ///
+    /// A non-finite rate draws zero-length gaps, so time never advances,
+    /// and a rate above one arrival per 1 µs tick stamps most arrivals
+    /// with the instant of the one before.  An infinite peak never accepts
+    /// a proposal, and dwells shorter than a tick switch state without
+    /// emitting, so the sampler never returns.
+    pub fn validate(&self) -> Result<(), String> {
+        match *self {
+            ArrivalProcess::Poisson { rate } => {
+                check_param("poisson rate", rate, false)?;
+                check_rate("poisson rate", rate)
+            }
             ArrivalProcess::Bursty {
                 rate_on,
                 rate_off,
                 mean_on_secs,
                 mean_off_secs,
             } => {
-                check_param("burst rate", rate_on, false);
-                check_param("off rate", rate_off, true);
-                check_param("mean burst length", mean_on_secs, false);
-                check_param("mean quiet-period length", mean_off_secs, false);
+                check_param("burst rate", rate_on, false)?;
+                check_param("off rate", rate_off, true)?;
+                check_param("mean burst length", mean_on_secs, false)?;
+                check_param("mean quiet-period length", mean_off_secs, false)?;
+                check_rate("burst rate", rate_on)?;
+                check_rate("off rate", rate_off)?;
+                check_dwell("mean burst length", mean_on_secs)?;
+                check_dwell("mean quiet-period length", mean_off_secs)
             }
             ArrivalProcess::Diurnal {
                 mean_rate,
                 amplitude,
                 period_secs,
             } => {
-                check_param("mean rate", mean_rate, false);
-                assert!(
-                    (0.0..=1.0).contains(&amplitude),
-                    "amplitude must be in [0, 1], got {amplitude}"
-                );
-                check_param("period", period_secs, false);
+                check_param("mean rate", mean_rate, false)?;
+                if !(0.0..=1.0).contains(&amplitude) {
+                    return Err(format!("amplitude must be in [0, 1], got {amplitude}"));
+                }
+                check_param("period", period_secs, false)?;
                 let peak = mean_rate * (1.0 + amplitude);
-                assert!(
-                    peak.is_finite(),
-                    "diurnal peak rate mean_rate · (1 + amplitude) overflows: \
-                     {mean_rate} · (1 + {amplitude})"
-                );
+                if !peak.is_finite() {
+                    return Err(format!(
+                        "diurnal peak rate mean_rate · (1 + amplitude) overflows: \
+                         {mean_rate} · (1 + {amplitude})"
+                    ));
+                }
+                check_rate("diurnal peak rate mean_rate · (1 + amplitude)", peak)
             }
         }
-        self
     }
 
     /// Short process name (`poisson`/`bursty`/`diurnal`) for CLIs and
@@ -477,6 +536,86 @@ mod tests {
             period_secs: 3600.0,
         }
         .sampler();
+    }
+
+    // A rate or dwell the 1 µs clock cannot resolve: sampling one would
+    // stamp its arrivals at one instant, or never return.
+
+    #[test]
+    #[should_panic(expected = "poisson rate must be at most 1e6 jobs/s")]
+    fn a_poisson_rate_past_the_clock_is_rejected() {
+        ArrivalProcess::poisson(1e308);
+    }
+
+    #[test]
+    #[should_panic(expected = "poisson rate must be at most 1e6 jobs/s")]
+    fn a_poisson_rate_the_clock_cannot_resolve_is_rejected() {
+        ArrivalProcess::poisson(1e12);
+    }
+
+    #[test]
+    #[should_panic(expected = "burst rate must be at most 1e6 jobs/s")]
+    fn a_burst_rate_past_the_clock_is_rejected() {
+        ArrivalProcess::bursty(2e6, 0.0, 20.0, 40.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "off rate must be at most 1e6 jobs/s")]
+    fn an_off_rate_past_the_clock_is_rejected() {
+        ArrivalProcess::bursty(1.0, 2e6, 20.0, 40.0);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "diurnal peak rate mean_rate · (1 + amplitude) must be at most 1e6 jobs/s"
+    )]
+    fn a_diurnal_peak_past_the_clock_is_rejected() {
+        ArrivalProcess::diurnal(1e308, 0.5, 3600.0);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "diurnal peak rate mean_rate · (1 + amplitude) must be at most 1e6 jobs/s"
+    )]
+    fn a_diurnal_mean_under_the_clock_with_a_peak_past_it_is_rejected() {
+        ArrivalProcess::diurnal(6e5, 1.0, 3600.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "mean burst length must be at least 1e-6 s")]
+    fn a_burst_shorter_than_a_tick_is_rejected() {
+        ArrivalProcess::bursty(1.0, 0.0, 1e-300, 40.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "mean quiet-period length must be at least 1e-6 s")]
+    fn a_quiet_period_shorter_than_a_tick_is_rejected() {
+        ArrivalProcess::bursty(1.0, 0.0, 20.0, 1e-7);
+    }
+
+    #[test]
+    #[should_panic(expected = "poisson rate must be at most 1e6 jobs/s")]
+    fn sampler_rejects_a_literal_rate_past_the_clock() {
+        ArrivalProcess::Poisson { rate: 1e308 }.sampler();
+    }
+
+    #[test]
+    fn one_arrival_per_tick_is_the_fastest_accepted_rate() {
+        // Every bound is inclusive.
+        assert!(
+            ArrivalProcess::bursty(MAX_RATE, MAX_RATE, MIN_DWELL_SECS, MIN_DWELL_SECS)
+                .validate()
+                .is_ok()
+        );
+        assert!(ArrivalProcess::diurnal(MAX_RATE / 2.0, 1.0, 3600.0)
+            .validate()
+            .is_ok());
+        // A million arrivals at one per tick on average span about a
+        // second of process time.
+        let arrivals =
+            ArrivalProcess::poisson(MAX_RATE).sample_arrivals(1_000_000, &mut SimRng::new(5));
+        let span = arrivals.last().expect("arrivals").as_secs_f64();
+        assert!((0.9..1.1).contains(&span), "span {span} s");
     }
 
     #[test]
