@@ -1,4 +1,4 @@
-//! Ablations beyond the paper (see DESIGN.md §4).
+//! Ablations beyond the paper.
 //!
 //! * **back-off** — does disabling the exponential back-off change outcomes
 //!   and how much scheduler work does it add?

@@ -9,8 +9,7 @@
 use crate::experiments::baseline_run;
 use flowcon_core::config::NodeConfig;
 use flowcon_dl::workload::WorkloadPlan;
-use flowcon_dl::{ModelId, ModelSpec, TrainingJob};
-use flowcon_sim::rng::SimRng;
+use flowcon_dl::ModelSpec;
 
 /// One model's normalized progress curve.
 #[derive(Debug, Clone)]
@@ -93,22 +92,6 @@ pub fn time_fraction_to_quality(fig: &Fig1, label: &str, quality: f64) -> Option
         .iter()
         .find(|(_, acc)| *acc >= quality * final_acc)
         .map(|&(t, _)| t)
-}
-
-/// A standalone single-job accuracy curve (no contention), used to sanity
-/// check calibration against the analytic model.
-pub fn solo_curve(model: ModelId, seed: u64) -> Vec<(f64, f64)> {
-    let spec = ModelSpec::of(model);
-    let mut rng = SimRng::new(seed);
-    let job = TrainingJob::new(spec.clone(), &mut rng);
-    let total = flowcon_container::Workload::remaining_cpu_seconds(&job).unwrap();
-    (0..=100)
-        .map(|i| {
-            let x = i as f64 / 100.0;
-            let _ = total;
-            (x, spec.curve.level(x) * spec.final_accuracy)
-        })
-        .collect()
 }
 
 #[cfg(test)]

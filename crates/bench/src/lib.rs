@@ -1,7 +1,8 @@
 //! # flowcon-bench
 //!
 //! The experiment harness: one module per group of figures/tables from the
-//! FlowCon paper's evaluation (§5), plus the ablations listed in DESIGN.md.
+//! FlowCon paper's evaluation (§5), plus the ablations listed in
+//! [`experiments::ablation`].
 //!
 //! Every experiment is a pure function from a seed/parameter set to
 //! structured results, so the `repro` binary and the integration tests

@@ -59,6 +59,10 @@
 //!   modelling checkpoint-restore noise).
 //! * The decision log plus the completion list fully determine a run;
 //!   both are `PartialEq` for bit-compare tests.
+//! * A discipline that leaves jobs queued on an idle cluster, barrier
+//!   after barrier, cannot finish the run: after 1,000,000 such barriers
+//!   in a row the engine panics, naming the discipline, the barrier time
+//!   and the queue length, instead of looping forever.
 
 #![deny(missing_docs)]
 
@@ -86,6 +90,12 @@ use crate::executor::shard_count;
 use crate::policy_kind::PolicyKind;
 use node::NodeSim;
 use policy::{by_rank, NodeSpan};
+
+/// Run-away guard: the most barriers in a row a run may spend with every
+/// node idle, jobs queued and none placed (116 simulated days at the
+/// default 10 s quantum).  The scheduler's counterpart of the worker
+/// simulation's event guard.
+const MAX_STUCK_BARRIERS: u64 = 1_000_000;
 
 /// Tuning knobs of the scheduling engine.
 #[derive(Debug, Clone, Copy)]
@@ -593,6 +603,10 @@ fn drive<T: Tracer + Send>(
     let mut running: Vec<RunningJobView> = Vec::new();
     let mut actions: Vec<SchedAction> = Vec::new();
 
+    // Consecutive barriers in which every node was idle and the
+    // discipline placed none of the queued jobs.
+    let mut stuck_barriers = 0u64;
+
     let mut t = SimTime::ZERO;
     loop {
         // 1. Admit arrivals up to the barrier.
@@ -642,6 +656,20 @@ fn drive<T: Tracer + Send>(
         let view = ClusterView::new(t, &queue, &spans, &running);
         actions.clear();
         policy.schedule(&view, &mut actions);
+        // On an idle cluster the queue is not empty (see above), and only
+        // a placement can make progress.
+        if all_idle && actions.is_empty() {
+            stuck_barriers += 1;
+            assert!(
+                stuck_barriers < MAX_STUCK_BARRIERS,
+                "scheduler stuck: discipline `{}` left {} queued jobs unplaced on an idle \
+                 cluster for {MAX_STUCK_BARRIERS} barriers in a row (barrier t = {t})",
+                policy.name(),
+                queue.len(),
+            );
+        } else {
+            stuck_barriers = 0;
+        }
         if T::ENABLED {
             tracer.span_begin(
                 t,

@@ -19,13 +19,13 @@
 //! the engine's sequential and sharded advance modes bit-identical
 //! (pinned by `crates/cluster/tests/sched_determinism.rs`).
 
-use flowcon_container::{ContainerId, ResourceLimits, UpdateOptions, Workload};
+use flowcon_container::{ContainerId, ResourceLimits};
 use flowcon_core::config::NodeConfig;
 use flowcon_core::metric::GrowthMeasurement;
 use flowcon_core::monitor::MonitorSlot;
 use flowcon_core::policy::{checked_interval, ResourcePolicy};
 use flowcon_dl::{ModelId, ModelSpec, TrainingJob};
-use flowcon_sim::alloc::{waterfill_soft_into, AllocRequest, WaterfillScratch};
+use flowcon_sim::alloc::NodeShares;
 use flowcon_sim::rng::SimRng;
 use flowcon_sim::time::{SimDuration, SimTime};
 use flowcon_sim::trace::{NoopTracer, TraceKind, Tracer};
@@ -119,11 +119,9 @@ pub(crate) struct NodeSim<T: Tracer = NoopTracer> {
     /// Cumulative water-filling invocations (trace counter payload).
     waterfill_runs: u64,
     // Recycled hot-path buffers.
-    alloc: WaterfillScratch,
-    requests: Vec<AllocRequest>,
+    /// Occupied slot indices, aligned with `shares`.
     order: Vec<usize>,
-    rates: Vec<f64>,
-    effs: Vec<f64>,
+    shares: NodeShares,
     measures: Vec<GrowthMeasurement>,
     pool_ids: Vec<ContainerId>,
     updates: Vec<(ContainerId, f64)>,
@@ -155,11 +153,8 @@ impl<T: Tracer> NodeSim<T> {
             tracer,
             trace_id,
             waterfill_runs: 0,
-            alloc: WaterfillScratch::default(),
-            requests: Vec::new(),
             order: Vec::new(),
-            rates: Vec::new(),
-            effs: Vec::new(),
+            shares: NodeShares::new(),
             measures: Vec::new(),
             pool_ids: Vec::new(),
             updates: Vec::new(),
@@ -295,7 +290,7 @@ impl<T: Tracer> NodeSim<T> {
                 let slot = self.slots[idx]
                     .as_ref()
                     .expect("order tracks occupied slots");
-                let speed = self.rates[k] * self.effs[k];
+                let speed = self.shares.rates()[k] * self.shares.efficiencies()[k];
                 if speed > 1e-12 {
                     let eta = slot.remaining() / speed;
                     eta_best = Some(eta_best.map_or(eta, |b: f64| b.min(eta)));
@@ -314,8 +309,8 @@ impl<T: Tracer> NodeSim<T> {
             let dt = target.saturating_since(self.now).as_secs_f64();
             if dt > 0.0 {
                 for (k, &idx) in self.order.iter().enumerate() {
-                    let rate = self.rates[k];
-                    let eff = self.effs[k];
+                    let rate = self.shares.rates()[k];
+                    let eff = self.shares.efficiencies()[k];
                     let slot = self.slots[idx]
                         .as_mut()
                         .expect("order tracks occupied slots");
@@ -364,9 +359,8 @@ impl<T: Tracer> NodeSim<T> {
         self.now = barrier;
     }
 
-    /// Water-fill the node capacity over the occupied slots (identical
-    /// math to the dense worker path: soft limits, then contention
-    /// efficiency per container).
+    /// Share the node capacity over the occupied slots by the dense
+    /// worker path's node-share rule ([`NodeShares`]).
     fn recompute_rates(&mut self) {
         self.waterfill_runs += 1;
         if T::ENABLED {
@@ -378,26 +372,17 @@ impl<T: Tracer> NodeSim<T> {
             );
         }
         self.order.clear();
-        self.requests.clear();
-        for (idx, slot) in self.slots.iter().enumerate() {
-            if let Some(slot) = slot {
-                self.order.push(idx);
-                self.requests.push(AllocRequest {
-                    limit: slot.limits.cpu_limit(),
-                    demand: slot.job.demand(),
-                    weight: 1.0,
-                });
-            }
-        }
-        waterfill_soft_into(&mut self.alloc, self.cfg.capacity, &self.requests);
-        self.rates.clear();
-        self.rates.extend_from_slice(self.alloc.rates());
-        let n = self.order.len();
-        self.effs.clear();
-        self.effs.extend(self.requests.iter().map(|r| {
-            let shaped = r.limit < 0.999;
-            self.cfg.contention.container_efficiency(n, shaped)
-        }));
+        self.order
+            .extend((0..self.slots.len()).filter(|&idx| self.slots[idx].is_some()));
+        let slots = &self.slots;
+        self.shares.recompute(
+            self.cfg.capacity,
+            &self.cfg.contention,
+            self.order.iter().map(|&idx| {
+                let slot = slots[idx].as_ref().expect("order tracks occupied slots");
+                (slot.limits.cpu_limit(), slot.job.demand())
+            }),
+        );
     }
 
     fn rebuild_pool_ids(&mut self) {
@@ -443,8 +428,7 @@ impl<T: Tracer> NodeSim<T> {
             let idx = id.index();
             if idx < self.slots.len() {
                 if let Some(slot) = self.slots[idx].as_mut() {
-                    let opts = UpdateOptions::new().cpus(limit);
-                    slot.limits = opts.apply_to(slot.limits);
+                    slot.limits.set(ResourceKind::Cpu, limit);
                     self.update_calls += 1;
                 }
             }

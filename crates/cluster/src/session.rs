@@ -559,12 +559,19 @@ where
         match self.workload {
             WorkloadSpec::Plan(plan) => {
                 let mut placements = Vec::with_capacity(plan.jobs.len());
-                let per_worker = place_nested(
+                let (flat, offsets) = place_flat(
                     &mut *self.strategy,
                     self.nodes.len(),
                     plan.jobs,
                     |_, target| placements.push(target),
                 );
+                // Split the arena at its offsets, moving each worker's
+                // jobs into that worker's plan.
+                let mut jobs = flat.into_iter();
+                let per_worker = offsets
+                    .windows(2)
+                    .map(|w| jobs.by_ref().take(w[1] - w[0]).collect())
+                    .collect();
                 ClusterOutcome {
                     workers: drive_plan(&self.nodes, self.policy, per_worker, make),
                     placements,
@@ -668,35 +675,12 @@ fn arrival_of(job: &JobRequest) -> sched::ArrivalSpec {
 // Shared placement / drive plumbing (moved here from `Manager`)
 // ---------------------------------------------------------------------------
 
-/// Place every job by moving it into its worker's plan (no per-job
-/// clone), reporting each `(job, worker)` decision through `on_assign`.
-fn place_nested(
-    strategy: &mut dyn PlacementStrategy,
-    workers: usize,
-    jobs: Vec<JobRequest>,
-    mut on_assign: impl FnMut(&JobRequest, usize),
-) -> Vec<Vec<JobRequest>> {
-    let mut loads = vec![WorkerLoad::default(); workers];
-    let mut per_worker: Vec<Vec<JobRequest>> = vec![Vec::new(); workers];
-    for job in jobs {
-        let target = strategy.place(&job, &loads);
-        assert!(
-            target < workers,
-            "strategy returned worker {target} of {workers}"
-        );
-        record_assignment(&mut loads[target], &job);
-        on_assign(&job, target);
-        per_worker[target].push(job);
-    }
-    per_worker
-}
-
-/// Flat (CSR-style) variant of [`place_nested`] for the dense headless
-/// path: instead of one `Vec` per worker — a million allocations at a
-/// million workers — jobs land in a single arena sorted by worker, with
+/// Place every job, reporting each `(job, worker)` decision through
+/// `on_assign`.  Jobs are moved, never cloned, into a single arena sorted
+/// by worker (CSR layout) — not one `Vec` per worker, which would cost a
+/// million allocations at a million workers — with
 /// `offsets[w]..offsets[w + 1]` slicing worker `w`'s jobs.  The sort is
-/// stable, so each worker sees its jobs in exactly the order the nested
-/// layout would give it.
+/// stable, so each worker sees its jobs in plan order.
 fn place_flat(
     strategy: &mut dyn PlacementStrategy,
     workers: usize,

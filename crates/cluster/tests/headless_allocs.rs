@@ -3,16 +3,11 @@
 //! whatever its workload — placed plan, plan source or open-loop stream,
 //! all of which run on the dense path.
 //!
-//! PR 2 measured ~113 allocs/worker on the full-recording path — dominated
-//! by a fresh `Daemon` + `ImageRegistry::with_dl_defaults()` per worker and
-//! the per-job `RunSummary` series.  The session redesign shares one image
-//! registry per cluster, disables the per-container stats window, recycles
-//! the engine's event heap through `WorkerScratch`, moves plan labels
-//! instead of cloning them, and (headless) never schedules sampling events
-//! or clones a label — this test is the wire that keeps it that way.
-//! The dense path (`flowcon_core::dense`) then replaced the per-worker
-//! daemon, pool and monitor objects with arenas recycled per shard, which
-//! halved the budget from the object path's 20.
+//! A worker run on the dense path (`flowcon_core::dense`) keeps every
+//! container's state in arenas recycled per executor shard, moves plan
+//! labels instead of cloning them, and (headless) never schedules a
+//! sampling event or clones a label — this test is the wire that keeps it
+//! that way.
 //!
 //! The budget is asserted on the *marginal* cost between two cluster sizes
 //! so fixed per-run overhead (shard thread spawns, result vectors, the

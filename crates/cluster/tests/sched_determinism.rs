@@ -6,6 +6,8 @@
 //! against drift.  Plus the preemption corners a discipline can reach:
 //! preempting at the very first barrier, migrating a job to the node it
 //! already occupies, and scheduling rounds with an empty admission queue.
+//! A discipline that never places a queued job ends the run with a panic
+//! rather than looping forever.
 
 use flowcon_cluster::{
     ClusterPolicy, ClusterSession, ClusterSessionBuilder, ClusterView, PolicyKind, Sched,
@@ -391,4 +393,28 @@ fn an_empty_workload_runs_no_rounds() {
     assert!(out.decisions.is_empty());
     assert_eq!(out.makespan_secs(), 0.0);
     assert_eq!(out.mean_queueing_delay_secs(), 0.0);
+}
+
+/// Never places anything: its jobs stay queued on an idle cluster.
+struct Hoard;
+
+impl ClusterPolicy for Hoard {
+    fn name(&self) -> &'static str {
+        "hoard"
+    }
+
+    fn schedule(&mut self, _view: &ClusterView<'_>, _actions: &mut Vec<SchedAction>) {}
+}
+
+#[test]
+#[should_panic(expected = "scheduler stuck: discipline `hoard` left 2 queued jobs unplaced")]
+fn a_discipline_that_never_places_a_job_ends_the_run() {
+    // Without the engine's guard this run never ends: the queue is never
+    // empty, so the barrier loop neither breaks nor fast-forwards.
+    base(1)
+        .plan(WorkloadPlan::random_n(2, 5))
+        .discipline(Box::new(Hoard))
+        .sequential(true)
+        .build()
+        .run();
 }

@@ -4,7 +4,8 @@
 //! CPU-seconds, walks its model's convergence curve, and exposes the noisy
 //! evaluation-function value FlowCon's Container Monitor samples.
 
-use flowcon_container::workload::{Workload, WorkloadStatus};
+use flowcon_container::WorkloadStatus;
+use flowcon_sim::resources::ResourceVec;
 use flowcon_sim::rng::{box_muller, SimRng};
 use flowcon_sim::time::SimTime;
 
@@ -27,7 +28,7 @@ pub struct TrainingJob {
     rng: SimRng,
     /// The uniforms of the current measurement's noise, drawn on every
     /// post-warm-up advance and turned into the noisy evaluation value
-    /// only when [`Workload::eval`] reads it.  `None` until warm-up ends.
+    /// only when [`TrainingJob::eval`] reads it.  `None` until warm-up ends.
     noise: Option<(f64, f64)>,
     failed: Option<i32>,
 }
@@ -124,18 +125,22 @@ impl TrainingJob {
         let abs = 0.002 * self.spec.eval.magnitude() * z_abs;
         converged + distance * rel + abs
     }
-}
 
-impl Workload for TrainingJob {
-    fn label(&self) -> &str {
+    /// Human-readable label, e.g. `MNIST (Tensorflow)` or `Job-3`.
+    pub fn label(&self) -> &str {
         &self.label
     }
 
-    fn demand(&self) -> f64 {
+    /// The largest CPU fraction this job can exploit right now.
+    ///
+    /// Real DL jobs rarely scale to a full node (paper Fig. 11, 0–50 s); the
+    /// allocator treats this as a demand ceiling.
+    pub fn demand(&self) -> f64 {
         self.spec.demand
     }
 
-    fn advance(&mut self, _now: SimTime, cpu_seconds: f64) {
+    /// Consume `cpu_seconds` of effective CPU time ending at `now`.
+    pub fn advance(&mut self, _now: SimTime, cpu_seconds: f64) {
         debug_assert!(cpu_seconds >= 0.0);
         self.done = (self.done + cpu_seconds).min(self.total_work);
         if self.progress() >= WARMUP_FRACTION {
@@ -143,11 +148,16 @@ impl Workload for TrainingJob {
         }
     }
 
-    fn eval(&self, _now: SimTime) -> Option<f64> {
+    /// Current value of the job's evaluation function (loss, accuracy, ...).
+    ///
+    /// `None` until warm-up ends: a job still importing data has emitted no
+    /// measurement, and FlowCon must tolerate that.
+    pub fn eval(&self, _now: SimTime) -> Option<f64> {
         self.noise.map(|noise| self.measure(noise))
     }
 
-    fn status(&self) -> WorkloadStatus {
+    /// Completion status.
+    pub fn status(&self) -> WorkloadStatus {
         if let Some(code) = self.failed {
             return WorkloadStatus::Failed(code);
         }
@@ -158,11 +168,17 @@ impl Workload for TrainingJob {
         }
     }
 
-    fn remaining_cpu_seconds(&self) -> Option<f64> {
+    /// Remaining effective CPU-seconds until completion; the node
+    /// simulations project the next completion event from it exactly.
+    pub fn remaining_cpu_seconds(&self) -> Option<f64> {
         Some((self.total_work - self.done).max(0.0))
     }
 
-    fn footprint(&self) -> flowcon_sim::resources::ResourceVec {
+    /// Steady non-CPU resource usage rates while running (memory fraction
+    /// held, block-I/O and network-I/O bandwidth fractions) for the
+    /// Container Monitor's four-resource accounting (§3.2.1).  The CPU
+    /// component is ignored — the allocator decides CPU.
+    pub fn footprint(&self) -> ResourceVec {
         self.spec.footprint
     }
 }

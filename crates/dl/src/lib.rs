@@ -21,8 +21,8 @@
 //! * [`models`] — the calibrated model catalog: the six models of Table 1
 //!   (plus logistic regression from Fig. 1), with per-model total compute,
 //!   demand ceiling, convergence rate and evaluation scale.
-//! * [`job`] — [`job::TrainingJob`], the [`flowcon_container::Workload`]
-//!   implementation driven by allocated CPU-seconds.
+//! * [`job`] — [`job::TrainingJob`], the job a container runs, driven by
+//!   allocated CPU-seconds.
 //! * [`workload`] — experiment workload generators: the paper's fixed
 //!   three-job schedule (§5.3), the five-model random schedule (§5.4) and
 //!   the 10/15-job scalability mixes (§5.5).

@@ -1,7 +1,7 @@
 //! Property-based tests on the DL workload substrate: the invariants the
 //! growth-efficiency metric implicitly assumes.
 
-use flowcon_container::workload::{Workload, WorkloadStatus};
+use flowcon_container::WorkloadStatus;
 use flowcon_dl::models::{ModelSpec, ALL_MODELS};
 use flowcon_dl::TrainingJob;
 use flowcon_sim::rng::SimRng;

@@ -64,15 +64,14 @@
 //! flag is stored only under `R::RECORDS_SAMPLES`, so the headless
 //! instantiation carries none of it.
 
-use flowcon_container::workload::exit_code_for;
-use flowcon_container::{ContainerId, ResourceLimits, UpdateOptions, Workload};
+use flowcon_container::{ContainerId, ResourceLimits};
 use flowcon_dl::models::ModelSpec;
 use flowcon_dl::workload::{JobRequest, WorkloadPlan};
 use flowcon_dl::TrainingJob;
 use flowcon_metrics::sojourn::SojournStats;
 use flowcon_metrics::stream::StreamStats;
 use flowcon_metrics::summary::CompletionStats;
-use flowcon_sim::alloc::{waterfill_soft_into, AllocRequest, WaterfillScratch};
+use flowcon_sim::alloc::NodeShares;
 use flowcon_sim::event::EventQueue;
 use flowcon_sim::rng::SimRng;
 use flowcon_sim::stats::TimeWeighted;
@@ -142,14 +141,8 @@ pub struct DenseScratch {
     exited: Vec<(ContainerId, i32)>,
     /// Ids with fixed rates since the last recompute, in id order.
     rate_ids: Vec<ContainerId>,
-    /// CPU rates aligned with `rate_ids`.
-    rate_vals: Vec<f64>,
-    /// Contention efficiencies aligned with `rate_ids`.
-    efficiencies: Vec<f64>,
-    /// Water-filling scratch.
-    alloc: WaterfillScratch,
-    /// Allocator requests, one per live container in id order.
-    requests: Vec<AllocRequest>,
+    /// CPU rates and contention efficiencies aligned with `rate_ids`.
+    shares: NodeShares,
     /// Growth-measurement buffer (policy reconfigurations and growth
     /// traces; each use consumes it before the next).
     measures: Vec<GrowthMeasurement>,
@@ -177,9 +170,7 @@ impl DenseScratch {
         self.growth_mons.clear();
         self.exited.clear();
         self.rate_ids.clear();
-        self.rate_vals.clear();
-        self.efficiencies.clear();
-        self.requests.clear();
+        self.shares.clear();
         self.measures.clear();
         self.pool_ids.clear();
         self.updates.clear();
@@ -188,13 +179,10 @@ impl DenseScratch {
         self.mons.reserve(max_jobs);
         self.exited.reserve(max_jobs);
         self.rate_ids.reserve(max_jobs);
-        self.rate_vals.reserve(max_jobs);
-        self.efficiencies.reserve(max_jobs);
-        self.requests.reserve(max_jobs);
+        self.shares.reserve(max_jobs);
         self.measures.reserve(max_jobs);
         self.pool_ids.reserve(max_jobs);
         self.updates.reserve(max_jobs);
-        self.alloc.reserve(max_jobs);
     }
 }
 
@@ -634,14 +622,14 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
         let dt = now.saturating_since(self.last_advance).as_secs_f64();
         self.last_advance = now;
         self.s.exited.clear();
-        self.admission.advanced(&self.s.rate_vals, dt);
+        self.admission.advanced(self.s.shares.rates(), dt);
         if dt <= 0.0 || self.s.rate_ids.is_empty() {
             return;
         }
         for i in 0..self.s.rate_ids.len() {
             let id = self.s.rate_ids[i];
-            let rate = self.s.rate_vals[i];
-            let efficiency = self.s.efficiencies[i];
+            let rate = self.s.shares.rates()[i];
+            let efficiency = self.s.shares.efficiencies()[i];
             let slot = id.index();
             if !self.s.slots[slot].runnable {
                 continue;
@@ -650,7 +638,7 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
             usage.set(ResourceKind::Cpu, rate);
             self.s.slots[slot].cumulative += usage.scale(dt);
             self.s.jobs[slot].advance(now, rate * efficiency * dt);
-            if let Some(code) = exit_code_for(self.s.jobs[slot].status()) {
+            if let Some(code) = self.s.jobs[slot].status().exit_code() {
                 self.s.slots[slot].runnable = false;
                 self.s.exited.push((id, code));
                 if R::RECORDS_SAMPLES {
@@ -660,7 +648,8 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
         }
     }
 
-    /// Recompute allocator rates and contention for the live pool.
+    /// Recompute allocator rates and contention for the live pool through
+    /// the node-share rule ([`NodeShares`]).
     ///
     /// Limits are Docker-style **soft caps** (§4.1): a limit bounds the
     /// share a container may claim while others contend, but capacity
@@ -693,23 +682,16 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
             self.samples_changed = true;
         }
         let s = &mut *self.s;
-        s.requests.clear();
-        s.requests.extend(s.pool_ids.iter().map(|id| AllocRequest {
-            limit: s.slots[id.index()].limits.cpu_limit(),
-            demand: s.jobs[id.index()].demand(),
-            weight: 1.0,
-        }));
-        waterfill_soft_into(&mut s.alloc, self.node.capacity, &s.requests);
+        s.shares.recompute(
+            self.node.capacity,
+            &self.node.contention,
+            s.pool_ids.iter().map(|id| {
+                let i = id.index();
+                (s.slots[i].limits.cpu_limit(), s.jobs[i].demand())
+            }),
+        );
         s.rate_ids.clear();
         s.rate_ids.extend_from_slice(&s.pool_ids);
-        s.rate_vals.clear();
-        s.rate_vals.extend_from_slice(s.alloc.rates());
-        let n = s.rate_ids.len();
-        s.efficiencies.clear();
-        s.efficiencies.extend(s.requests.iter().map(|q| {
-            let shaped = q.limit < 0.999;
-            self.node.contention.container_efficiency(n, shaped)
-        }));
     }
 
     /// Project the earliest completion under current rates (none while a
@@ -722,7 +704,7 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
                 return None;
             }
             let remaining = self.s.jobs[slot].remaining_cpu_seconds()?;
-            let speed = self.s.rate_vals[i] * self.s.efficiencies[i];
+            let speed = self.s.shares.rates()[i] * self.s.shares.efficiencies()[i];
             if speed > 1e-12 {
                 let eta = remaining / speed;
                 best = Some(best.map_or(eta, |b| b.min(eta)));
@@ -794,8 +776,7 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
             // `docker update` applies to pool members only.
             let slot = id.index();
             if slot < self.s.slots.len() && self.s.slots[slot].runnable {
-                let opts = UpdateOptions::new().cpus(limit);
-                self.s.slots[slot].limits = opts.apply_to(self.s.slots[slot].limits);
+                self.s.slots[slot].limits.set(ResourceKind::Cpu, limit);
                 self.update_calls += 1;
                 self.rates_stale = true;
             }
@@ -836,12 +817,12 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
 
     /// Each live rate's usage/limit sample, keyed by container.
     ///
-    /// Reads the rates (`rate_ids`, `rate_vals`), each slot's `runnable`
+    /// Reads the rates (`rate_ids`, `shares`), each slot's `runnable`
     /// flag and limit, and each job's label (fixed for its run): whatever
     /// changes one of them sets `samples_changed`.
     fn record_samples(&mut self, now: SimTime) {
         let s = &*self.s;
-        for (&id, &rate) in s.rate_ids.iter().zip(&s.rate_vals) {
+        for (&id, &rate) in s.rate_ids.iter().zip(s.shares.rates()) {
             let slot = &s.slots[id.index()];
             if slot.runnable {
                 self.recorder.record_sample_by_id(
@@ -930,7 +911,7 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
         };
         let job = &mut s.jobs[id.index()];
         job.inject_failure(injection.exit_code);
-        let code = exit_code_for(job.status()).expect("a crashed job has exited");
+        let code = job.status().exit_code().expect("a crashed job has exited");
         s.slots[id.index()].runnable = false;
         s.exited.clear();
         s.exited.push((id, code));

@@ -105,7 +105,8 @@ fn tiny_interval_does_not_spin_the_simulation() {
 #[test]
 fn ideal_node_is_work_conserving_wash() {
     // Without interference, FlowCon and NA makespans must be close: the
-    // fluid system conserves work (DESIGN.md's κ-ablation claim).
+    // fluid system conserves work (the κ sweep of
+    // `flowcon_bench::experiments::ablation`).
     let ideal = NodeConfig {
         contention: ContentionModel::ideal(),
         ..node()

@@ -59,12 +59,12 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 
-use flowcon_container::{ContainerId, Workload, WorkloadStatus};
+use flowcon_container::{ContainerId, WorkloadStatus};
 use flowcon_core::metric::{progress_score, GrowthMeasurement};
 use flowcon_core::policy::ResourcePolicy;
 use flowcon_dl::TrainingJob;
 use flowcon_metrics::summary::{CompletionRecord, RunSummary};
-use flowcon_sim::alloc::{waterfill_soft_into, AllocRequest, WaterfillScratch};
+use flowcon_sim::alloc::NodeShares;
 use flowcon_sim::contention::ContentionModel;
 use flowcon_sim::time::SimTime;
 
@@ -270,7 +270,7 @@ pub struct RtRuntime {
     policy: Box<dyn ResourcePolicy>,
     failures: Vec<RtFailure>,
     chaos: Option<RtChaos>,
-    scratch: WaterfillScratch,
+    shares: NodeShares,
 }
 
 impl RtRuntime {
@@ -281,7 +281,7 @@ impl RtRuntime {
             policy,
             failures: Vec::new(),
             chaos: None,
-            scratch: WaterfillScratch::new(),
+            shares: NodeShares::new(),
         }
     }
 
@@ -510,10 +510,7 @@ impl RtRuntime {
                             label: c.label.clone(),
                             arrival: c.arrival_at,
                             finished: virtual_now(now, dilation),
-                            exit_code: match status {
-                                WorkloadStatus::Failed(code) => code,
-                                _ => 0,
-                            },
+                            exit_code: status.exit_code().unwrap_or(0),
                         });
                         governor_targets
                             .lock()
@@ -598,8 +595,8 @@ impl RtRuntime {
         done_tx: &Sender<ContainerId>,
         governor_targets: &GovernorTargets,
     ) -> RtContainer {
-        let label = Workload::label(&job).to_string();
-        let demand = Workload::demand(&job);
+        let label = job.label().to_string();
+        let demand = job.demand();
         let job = Arc::new(Mutex::new(job));
         let cpu_used = Arc::new(AtomicF64::new(0.0));
         self.spawn_thread(
@@ -772,29 +769,24 @@ impl RtRuntime {
     }
 
     /// Recompute governor rates and contention efficiencies from the
-    /// current limits/demands — the **same** soft-cap water-filling and
-    /// `container_efficiency` inputs the simulated node uses
-    /// (`AllocRequest { limit, demand, weight: 1.0 }` through
-    /// `waterfill_soft_into`), so the two backends share one allocator.
+    /// current limits/demands through the **same** node-share rule the
+    /// simulated nodes use ([`NodeShares`]), so the two backends share one
+    /// allocator; a straggler chaos then throttles its victim's rate.
     fn reshare(&mut self, active: &BTreeMap<ContainerId, RtContainer>) {
         if active.is_empty() {
             return;
         }
-        let requests: Vec<AllocRequest> = active
-            .values()
-            .map(|c| AllocRequest {
-                limit: c.limit,
-                demand: c.demand,
-                weight: 1.0,
-            })
-            .collect();
-        waterfill_soft_into(&mut self.scratch, self.config.capacity_cores, &requests);
-        let n = active.len();
+        self.shares.recompute(
+            self.config.capacity_cores,
+            &self.config.contention,
+            active.values().map(|c| (c.limit, c.demand)),
+        );
         let straggler = match self.chaos {
             Some(RtChaos::Straggler { factor }) => Some(factor.clamp(1e-3, 1.0)),
             _ => None,
         };
-        for (c, &share) in active.values().zip(self.scratch.rates()) {
+        let shares = self.shares.rates().iter().zip(self.shares.efficiencies());
+        for (c, (&share, &eff)) in active.values().zip(shares) {
             let mut granted = share;
             if let Some(factor) = straggler {
                 // Victim: the first-launched container, for determinism.
@@ -803,9 +795,7 @@ impl RtRuntime {
                 }
             }
             c.rate.store(granted);
-            let shaped = c.limit < 0.999;
-            c.eff
-                .store(self.config.contention.container_efficiency(n, shaped));
+            c.eff.store(eff);
         }
     }
 }

@@ -32,6 +32,12 @@
 //! The allocating [`waterfill`] / [`waterfill_soft`] wrappers remain for
 //! callers outside the hot path; they delegate to the exact same core, so
 //! both entry points are bit-identical by construction.
+//!
+//! [`NodeShares`] is the node-share rule every node driver applies on top:
+//! unit-weight soft-limit requests, then per-container contention
+//! efficiency.
+
+use crate::contention::ContentionModel;
 
 /// One runnable container's view of the allocator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -459,6 +465,92 @@ pub fn waterfill_soft_into(
     }
 }
 
+/// A CPU limit below this counts as *shaped*: a policy gave the container
+/// an explicit limit.  A limit of 1.0 (the NA baseline, a fresh job)
+/// competes freely and pays the contention model's jitter tax.
+const SHAPED_BELOW: f64 = 0.999;
+
+/// The node-share rule: how a node's capacity becomes per-container CPU
+/// rates and progress efficiencies.
+///
+/// Each container asks for its soft CPU limit and its demand ceiling at
+/// unit weight; [`waterfill_soft_into`] turns the requests into rates, and
+/// [`ContentionModel::container_efficiency`] gives each container its
+/// efficiency at the node's concurrency, shaped or not.  The dense worker
+/// simulation, the scheduler's node and the real-thread runtime all share
+/// through [`NodeShares::recompute`], so the three cannot drift apart.
+///
+/// The buffers are recycled: a warm recompute performs no heap allocation.
+#[derive(Debug, Default, Clone)]
+pub struct NodeShares {
+    /// One unit-weight request per container, in the caller's order.
+    requests: Vec<AllocRequest>,
+    /// Water-filling scratch; its rates are the shares' rates.
+    alloc: WaterfillScratch,
+    /// Contention efficiencies aligned with the rates.
+    efficiencies: Vec<f64>,
+}
+
+impl NodeShares {
+    /// Empty buffers.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Reserve room for `n` containers (the stage-2 soft buffers still grow
+    /// on first use, as in [`WaterfillScratch::reserve`]).
+    pub fn reserve(&mut self, n: usize) {
+        self.requests.reserve(n.saturating_sub(self.requests.len()));
+        self.efficiencies
+            .reserve(n.saturating_sub(self.efficiencies.len()));
+        self.alloc.reserve(n);
+    }
+
+    /// Forget the last recompute: no rates and no efficiencies until the
+    /// next one (capacities kept).
+    pub fn clear(&mut self) {
+        self.requests.clear();
+        self.alloc.rates.clear();
+        self.efficiencies.clear();
+    }
+
+    /// Share `capacity` over `containers`, each given as its
+    /// `(cpu limit, demand)` in the caller's order; [`NodeShares::rates`]
+    /// and [`NodeShares::efficiencies`] follow that order.
+    pub fn recompute(
+        &mut self,
+        capacity: f64,
+        contention: &ContentionModel,
+        containers: impl IntoIterator<Item = (f64, f64)>,
+    ) {
+        self.requests.clear();
+        self.requests
+            .extend(containers.into_iter().map(|(limit, demand)| AllocRequest {
+                limit,
+                demand,
+                weight: 1.0,
+            }));
+        waterfill_soft_into(&mut self.alloc, capacity, &self.requests);
+        let n = self.requests.len();
+        self.efficiencies.clear();
+        self.efficiencies.extend(
+            self.requests
+                .iter()
+                .map(|q| contention.container_efficiency(n, q.limit < SHAPED_BELOW)),
+        );
+    }
+
+    /// Per-container CPU rates of the last recompute.
+    pub fn rates(&self) -> &[f64] {
+        self.alloc.rates()
+    }
+
+    /// Per-container contention efficiencies of the last recompute.
+    pub fn efficiencies(&self) -> &[f64] {
+        &self.efficiencies
+    }
+}
+
 /// Distribute `capacity` over the requests by weighted progressive filling.
 ///
 /// Compatibility wrapper around [`waterfill_into`]: allocates a fresh
@@ -713,5 +805,24 @@ mod tests {
         assert_eq!(scratch.rates().len(), 2);
         waterfill_into(&mut scratch, 1.0, &[]);
         assert!(scratch.rates().is_empty());
+    }
+
+    // --- the node-share rule ---
+
+    #[test]
+    fn node_shares_are_the_soft_waterfill_and_contention_efficiency() {
+        let contention = ContentionModel::default();
+        let containers = [(0.25, 0.9), (1.0, 0.6), (0.9985, 1.0)];
+        let mut shares = NodeShares::new();
+        shares.recompute(2.0, &contention, containers);
+        let reqs: Vec<AllocRequest> = containers.iter().map(|&(l, d)| req(l, d)).collect();
+        assert_eq!(shares.rates(), waterfill_soft(2.0, &reqs).rates.as_slice());
+        let effs: Vec<f64> = [true, false, true]
+            .iter()
+            .map(|&shaped| contention.container_efficiency(3, shaped))
+            .collect();
+        assert_eq!(shares.efficiencies(), effs.as_slice());
+        shares.clear();
+        assert!(shares.rates().is_empty() && shares.efficiencies().is_empty());
     }
 }

@@ -20,7 +20,9 @@
 //!   resource vectors.
 //! * [`alloc`] — the water-filling processor-sharing allocator that models
 //!   Docker's *soft* CPU limits: a container's limit caps its share, but
-//!   capacity it cannot use is redistributed to others.
+//!   capacity it cannot use is redistributed to others.  On top of it,
+//!   [`alloc::NodeShares`] is the node-share rule every node driver
+//!   applies.
 //! * [`contention`] — the interference model that makes concurrency
 //!   imperfect (the mechanism behind the paper's 1–5% makespan win).
 //! * [`stats`] — time-weighted accumulation for piecewise-constant signals

@@ -1,8 +1,9 @@
 //! Steady-state allocation audit for the hot path.
 //!
 //! A counting global allocator wraps `System`; after warm-up, repeated
-//! `waterfill_into` / `waterfill_soft_into` rounds and a steady-state
-//! event chain on a recycled queue must perform **zero** heap allocations.
+//! `waterfill_into` / `waterfill_soft_into` rounds, node-share recomputes
+//! and a steady-state event chain on a recycled queue must perform
+//! **zero** heap allocations.
 //!
 //! Counting is gated on a thread-local flag so the libtest harness's own
 //! threads (which allocate at will) cannot contaminate the measurement
@@ -12,7 +13,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use flowcon_sim::alloc::{waterfill_into, waterfill_soft_into, AllocRequest, WaterfillScratch};
+use flowcon_sim::alloc::{
+    waterfill_into, waterfill_soft_into, AllocRequest, NodeShares, WaterfillScratch,
+};
+use flowcon_sim::contention::ContentionModel;
 use flowcon_sim::event::EventQueue;
 use flowcon_sim::time::{SimDuration, SimTime};
 
@@ -158,6 +162,22 @@ fn hot_path_is_allocation_free_in_steady_state() {
     assert_eq!(
         soft_allocs, 0,
         "waterfill_soft_into allocated {soft_allocs} times across 500 warm rounds"
+    );
+
+    // --- the node-share rule, limits drifting as under Algorithm 1 ---
+    let contention = ContentionModel::default();
+    let mut shares = NodeShares::new();
+    drifted_requests(&mut reqs, 0);
+    shares.recompute(1.0, &contention, reqs.iter().map(|q| (q.limit, q.demand)));
+    let share_allocs = allocations_during(|| {
+        for round in 1..500usize {
+            drifted_requests(&mut reqs, round);
+            shares.recompute(1.0, &contention, reqs.iter().map(|q| (q.limit, q.demand)));
+        }
+    });
+    assert_eq!(
+        share_allocs, 0,
+        "NodeShares::recompute allocated {share_allocs} times across 499 warm rounds"
     );
 
     // --- event chain on a recycled queue: every pop schedules the next ---
