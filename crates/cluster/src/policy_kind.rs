@@ -44,26 +44,6 @@ impl PolicyKind {
         }
     }
 
-    /// Build a fresh policy instance behind a `Send` box.
-    ///
-    /// The cluster scheduler keeps one live policy per node and moves the
-    /// node sims across executor shards between quanta, so those boxes
-    /// must be `Send` (every built-in policy is plain data).
-    pub fn build_send(&self) -> Box<dyn ResourcePolicy + Send> {
-        match *self {
-            PolicyKind::FlowCon(config) => Box::new(FlowConPolicy::new(config)),
-            PolicyKind::Baseline => Box::new(FairSharePolicy::new()),
-            PolicyKind::StaticEqual => Box::new(StaticEqualPolicy::new()),
-            PolicyKind::QualityProportional {
-                interval_secs,
-                floor,
-            } => Box::new(QualityProportionalPolicy::new(
-                SimDuration::from_secs(interval_secs),
-                floor,
-            )),
-        }
-    }
-
     /// Display name of the built policy.
     pub fn name(&self) -> String {
         self.build().name()

@@ -557,7 +557,7 @@ pub(crate) fn run_sched<T: Tracer + Send>(
         .map(|(i, cfg)| {
             NodeSim::new(
                 *cfg,
-                worker_policy.build_send(),
+                worker_policy.build(),
                 config.slots_per_node,
                 tracer.fork(),
                 i as u32,

@@ -78,7 +78,7 @@ struct Slot {
 
 impl Slot {
     fn remaining(&self) -> f64 {
-        self.job.remaining_cpu_seconds().unwrap_or(0.0)
+        self.job.remaining_cpu_seconds()
     }
 
     fn attained(&self) -> f64 {
@@ -97,7 +97,7 @@ impl Slot {
 /// sequences.
 pub(crate) struct NodeSim<T: Tracer = NoopTracer> {
     cfg: NodeConfig,
-    policy: Box<dyn ResourcePolicy + Send>,
+    policy: Box<dyn ResourcePolicy>,
     rng: SimRng,
     now: SimTime,
     /// Next node-local policy reconfiguration, if one is scheduled.
@@ -130,7 +130,7 @@ pub(crate) struct NodeSim<T: Tracer = NoopTracer> {
 impl<T: Tracer> NodeSim<T> {
     pub(crate) fn new(
         cfg: NodeConfig,
-        policy: Box<dyn ResourcePolicy + Send>,
+        policy: Box<dyn ResourcePolicy>,
         slots: usize,
         tracer: T,
         trace_id: u32,
@@ -204,7 +204,7 @@ impl<T: Tracer> NodeSim<T> {
         // Same RNG protocol as the worker sim's admission: the ±3% work
         // jitter models checkpoint-restore noise on resume.
         let job = TrainingJob::with_label(spec, String::new(), &mut self.rng);
-        let rem = job.remaining_cpu_seconds().unwrap_or(0.0);
+        let rem = job.remaining_cpu_seconds();
         self.slots[idx] = Some(Slot {
             gid,
             model,
@@ -317,7 +317,7 @@ impl<T: Tracer> NodeSim<T> {
                     let mut usage = slot.job.footprint();
                     usage.set(ResourceKind::Cpu, rate);
                     slot.cumulative += usage.scale(dt);
-                    slot.job.advance(target, rate * eff * dt);
+                    slot.job.advance(rate * eff * dt);
                     self.busy_cpu_secs += rate * dt;
                 }
                 self.live_job_secs += self.live as f64 * dt;
@@ -405,7 +405,7 @@ impl<T: Tracer> NodeSim<T> {
             self.measures.push(slot.mon.measure(
                 ContainerId::from_raw(idx as u32),
                 now,
-                slot.job.eval(now),
+                slot.job.eval(),
                 slot.cumulative,
                 slot.limits.cpu_limit(),
             ));
@@ -454,7 +454,7 @@ mod tests {
     fn node(slots: usize) -> NodeSim {
         NodeSim::new(
             NodeConfig::default().with_seed(0xF10C),
-            PolicyKind::FlowCon(FlowConConfig::default()).build_send(),
+            PolicyKind::FlowCon(FlowConConfig::default()).build(),
             slots,
             NoopTracer,
             0,
@@ -630,7 +630,7 @@ mod tests {
             } else {
                 PolicyKind::Baseline
             };
-            let mut sim = NodeSim::new(cfg, policy.build_send(), slots, NoopTracer, 0);
+            let mut sim = NodeSim::new(cfg, policy.build(), slots, NoopTracer, 0);
             // Latest placement time per gid, and the preempted jobs
             // waiting to resume.
             let mut placed_at: Vec<SimTime> = Vec::new();

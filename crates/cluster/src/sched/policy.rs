@@ -143,11 +143,6 @@ impl<'a> ClusterView<'a> {
     pub fn total_slots(&self) -> usize {
         self.nodes.iter().map(|n| n.slots).sum()
     }
-
-    /// Total running jobs across the cluster.
-    pub fn running_total(&self) -> usize {
-        self.running.len()
-    }
 }
 
 /// One scheduling decision, applied by the engine in emission order.

@@ -1,36 +1,13 @@
 //! The cluster front door: one builder covering every run mode.
 //!
-//! [`ClusterSession`] replaces the `Manager::run_*` zoo with a single
-//! fluent surface.  Configure the cluster (`nodes` / `node_configs`,
-//! `policy`, `placement`), pick exactly one workload
-//! (`plan` / `source` / `stream`), optionally switch the mode
-//! (`recorder` for custom observability, `scheduler` for the online
-//! cluster scheduler), then `build().run()`.
-//!
-//! # Migration from the removed `Manager`
-//!
-//! The `Manager` façade shipped one release with its entry points as
-//! `#[deprecated]` shims over this builder (bit-compared against it
-//! while they lived) and has been **removed**.  Every removed entry
-//! point maps onto the builder; `mgr` below stands for the
-//! configuration calls
-//! `ClusterSession::builder().nodes(w, node).policy(kind).placement(strategy)`:
-//!
-//! | Removed | New |
-//! |---|---|
-//! | `Manager::run(&plan)` / `run_owned(plan)` | `mgr.plan(plan).recorder(\|_\| FullRecorder::new()).build().run()` (labels: zip the plan's labels with `placements`) |
-//! | `Manager::run_recorded(plan, make)` | `mgr.plan(plan).recorder(make).build().run()` |
-//! | `Manager::run_headless(plan)` | `mgr.plan(plan).build().run()` (headless is the default mode) |
-//! | `Manager::run_headless_with(plan, queue)` | `mgr.plan(plan).build().run()` (every run uses the one event queue) |
-//! | `Manager::place_headless(plan)` | `mgr.plan(plan).build().place()` |
-//! | `Manager::run_source(&src)` | `mgr.source(&src).build().run()` |
-//! | `Manager::run_source_recorded(&src, make)` | `mgr.source(&src).recorder(make).build().run()` |
-//! | `Manager::run_open_loop(&src, h)` | `mgr.stream(&src, h).build().run()` |
-//! | `Manager::run_open_loop_recorded(&src, h, make)` | `mgr.stream(&src, h).recorder(make).build().run()` |
-//! | `Manager::run_spawn_per_worker(&plan)` | removed — test-only reference loop in `tests/cluster_scale.rs` |
-//!
-//! The online scheduler ([`crate::sched`]) has no `Manager` ancestor; it
-//! is reached the same way: `mgr.plan(plan).scheduler(SchedPolicyKind::Fifo).build().run()`.
+//! [`ClusterSession`] is one fluent surface for every cluster run.
+//! Configure the cluster (`nodes` / `node_configs`, `policy`,
+//! `placement`), pick exactly one workload (`plan` / `source` /
+//! `stream`), optionally switch the mode (`recorder` for custom
+//! observability, `scheduler` for the online cluster scheduler,
+//! [`crate::sched`]), then `build().run()`; a headless plan run can also
+//! stop at `build().place()`.  Outcomes keep per-worker results in worker
+//! order; for a plan workload, `placements` maps each job to its worker.
 
 #![deny(missing_docs)]
 
@@ -352,7 +329,7 @@ impl<'w, T: Tracer> ClusterSessionBuilder<'w, Sched<T>> {
 
 /// A fully configured cluster run, ready to execute; see
 /// [`ClusterSessionBuilder`] for the configuration surface and the module
-/// docs for the `Manager` migration table.
+/// docs for the run modes.
 pub struct ClusterSession<'w, M = Headless> {
     nodes: Vec<NodeConfig>,
     policy: PolicyKind,
@@ -1042,9 +1019,8 @@ mod tests {
 
     #[test]
     fn completion_lookup_spans_workers_via_placements() {
-        // The Manager::run migration note: labels come from zipping the
-        // plan's labels with `placements`, lookups from each worker's
-        // RunSummary.
+        // Labels come from zipping the plan's labels with `placements`,
+        // lookups from each worker's RunSummary.
         let plan = WorkloadPlan::random_n(4, 3);
         let labels: Vec<String> = plan.jobs.iter().map(|j| j.label.clone()).collect();
         let out = base(2)

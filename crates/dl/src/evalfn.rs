@@ -93,12 +93,6 @@ impl EvalFunction {
     pub fn magnitude(&self) -> f64 {
         (self.converged - self.initial).abs()
     }
-
-    /// Normalized quality in `[0, 1]` from a raw value (inverse of
-    /// [`EvalFunction::value_at`]); used when plotting accuracy curves.
-    pub fn quality_of(&self, value: f64) -> f64 {
-        ((value - self.initial) / (self.converged - self.initial)).clamp(0.0, 1.0)
-    }
 }
 
 #[cfg(test)]
@@ -122,15 +116,6 @@ mod tests {
         assert!((mid - 0.51).abs() < 1e-12);
         // Clamps outside [0,1].
         assert_eq!(f.value_at(2.0), f.value_at(1.0));
-    }
-
-    #[test]
-    fn quality_inverts_value() {
-        let f = EvalFunction::new(EvalKind::QuadraticLoss, 2.0, 0.02);
-        for g in [0.0, 0.25, 0.5, 0.99] {
-            let v = f.value_at(g);
-            assert!((f.quality_of(v) - g).abs() < 1e-9);
-        }
     }
 
     #[test]

@@ -7,7 +7,6 @@
 use flowcon_container::WorkloadStatus;
 use flowcon_sim::resources::ResourceVec;
 use flowcon_sim::rng::{box_muller, SimRng};
-use flowcon_sim::time::SimTime;
 
 use crate::models::ModelSpec;
 
@@ -71,11 +70,6 @@ impl TrainingJob {
         }
     }
 
-    /// The model spec this job trains.
-    pub fn spec(&self) -> &ModelSpec {
-        &self.spec
-    }
-
     /// Progress through the job's compute in `[0, 1]`.
     pub fn progress(&self) -> f64 {
         (self.done / self.total_work).min(1.0)
@@ -89,17 +83,6 @@ impl TrainingJob {
         self.spec
             .eval
             .value_at(self.spec.eval_curve().level(self.progress()))
-    }
-
-    /// Normalized model quality in `[0, 1]` (for Fig. 1-style accuracy axes).
-    pub fn quality(&self) -> f64 {
-        self.spec.curve.level(self.progress())
-    }
-
-    /// Accuracy on the paper's Fig. 1 axis: quality scaled by the model's
-    /// final accuracy.
-    pub fn accuracy(&self) -> f64 {
-        self.quality() * self.spec.final_accuracy
     }
 
     /// Inject a crash: the container will exit with `code` on next advance.
@@ -139,8 +122,8 @@ impl TrainingJob {
         self.spec.demand
     }
 
-    /// Consume `cpu_seconds` of effective CPU time ending at `now`.
-    pub fn advance(&mut self, _now: SimTime, cpu_seconds: f64) {
+    /// Consume `cpu_seconds` of effective CPU time.
+    pub fn advance(&mut self, cpu_seconds: f64) {
         debug_assert!(cpu_seconds >= 0.0);
         self.done = (self.done + cpu_seconds).min(self.total_work);
         if self.progress() >= WARMUP_FRACTION {
@@ -152,7 +135,7 @@ impl TrainingJob {
     ///
     /// `None` until warm-up ends: a job still importing data has emitted no
     /// measurement, and FlowCon must tolerate that.
-    pub fn eval(&self, _now: SimTime) -> Option<f64> {
+    pub fn eval(&self) -> Option<f64> {
         self.noise.map(|noise| self.measure(noise))
     }
 
@@ -170,8 +153,8 @@ impl TrainingJob {
 
     /// Remaining effective CPU-seconds until completion; the node
     /// simulations project the next completion event from it exactly.
-    pub fn remaining_cpu_seconds(&self) -> Option<f64> {
-        Some((self.total_work - self.done).max(0.0))
+    pub fn remaining_cpu_seconds(&self) -> f64 {
+        (self.total_work - self.done).max(0.0)
     }
 
     /// Steady non-CPU resource usage rates while running (memory fraction
@@ -196,7 +179,7 @@ mod tests {
     #[test]
     fn fresh_job_has_no_measurement() {
         let j = job(ModelId::MnistTf, 1);
-        assert_eq!(j.eval(SimTime::ZERO), None, "warm-up emits nothing");
+        assert_eq!(j.eval(), None, "warm-up emits nothing");
         assert_eq!(j.status(), WorkloadStatus::Running);
     }
 
@@ -204,9 +187,9 @@ mod tests {
     fn advance_decreases_loss_monotonically_modulo_noise() {
         let mut j = job(ModelId::MnistTorch, 2);
         let mut evals = Vec::new();
-        for step in 1..=50 {
-            j.advance(SimTime::from_secs(step), 2.0);
-            if let Some(e) = j.eval(SimTime::from_secs(step)) {
+        for _ in 0..50 {
+            j.advance(2.0);
+            if let Some(e) = j.eval() {
                 evals.push(e);
             }
         }
@@ -224,32 +207,23 @@ mod tests {
     fn completes_after_total_work() {
         let mut j = job(ModelId::MnistTf, 3);
         let spec_total = ModelSpec::of(ModelId::MnistTf).total_work;
-        let total = j.remaining_cpu_seconds().unwrap();
+        let total = j.remaining_cpu_seconds();
         assert!(
             (total - spec_total).abs() < spec_total * 0.04,
             "jittered total {total} vs spec {spec_total}"
         );
-        j.advance(SimTime::from_secs(100), total + 1.0);
+        j.advance(total + 1.0);
         assert_eq!(j.status(), WorkloadStatus::Finished);
         assert!((j.progress() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn work_jitter_varies_by_instance_but_is_seed_stable() {
-        let a = job(ModelId::Vae, 7).remaining_cpu_seconds().unwrap();
-        let b = job(ModelId::Vae, 8).remaining_cpu_seconds().unwrap();
-        let a2 = job(ModelId::Vae, 7).remaining_cpu_seconds().unwrap();
+        let a = job(ModelId::Vae, 7).remaining_cpu_seconds();
+        let b = job(ModelId::Vae, 8).remaining_cpu_seconds();
+        let a2 = job(ModelId::Vae, 7).remaining_cpu_seconds();
         assert_ne!(a, b, "different seeds jitter differently");
         assert_eq!(a, a2, "same seed reproduces");
-    }
-
-    #[test]
-    fn accuracy_tracks_curve_times_final() {
-        let mut j = job(ModelId::Gru, 4);
-        assert_eq!(j.accuracy(), 0.0);
-        let total = j.remaining_cpu_seconds().unwrap();
-        j.advance(SimTime::from_secs(1), total);
-        assert!((j.accuracy() - 0.932).abs() < 1e-9);
     }
 
     #[test]
@@ -262,9 +236,9 @@ mod tests {
     #[test]
     fn noise_is_small_relative_to_signal() {
         let mut j = job(ModelId::MnistTorch, 6);
-        j.advance(SimTime::from_secs(1), 10.0);
+        j.advance(10.0);
         let truth = j.true_eval();
-        let measured = j.eval(SimTime::from_secs(1)).unwrap();
+        let measured = j.eval().unwrap();
         assert!(
             (measured - truth).abs() < 0.2 * truth.max(0.1),
             "measured {measured} truth {truth}"

@@ -26,7 +26,6 @@
 //! * [`workload`] — experiment workload generators: the paper's fixed
 //!   three-job schedule (§5.3), the five-model random schedule (§5.4) and
 //!   the 10/15-job scalability mixes (§5.5).
-//! * [`trace`] — loss/accuracy trace recording used to regenerate Fig. 1.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -35,7 +34,6 @@ pub mod curve;
 pub mod evalfn;
 pub mod job;
 pub mod models;
-pub mod trace;
 pub mod workload;
 
 pub use curve::ConvergenceCurve;

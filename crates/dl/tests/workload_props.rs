@@ -5,7 +5,6 @@ use flowcon_container::WorkloadStatus;
 use flowcon_dl::models::{ModelSpec, ALL_MODELS};
 use flowcon_dl::TrainingJob;
 use flowcon_sim::rng::SimRng;
-use flowcon_sim::time::SimTime;
 use proptest::prelude::*;
 
 fn arb_model() -> impl Strategy<Value = ModelSpec> {
@@ -66,8 +65,9 @@ fn arb_step() -> impl Strategy<Value = f64> {
 }
 
 proptest! {
-    /// Quality (and hence accuracy) is monotone in consumed compute for
-    /// every catalog model, whatever the step sizes.
+    /// Quality — the model's convergence level at the job's progress, the
+    /// accuracy axis of Fig. 1 — is monotone in consumed compute for every
+    /// catalog model, whatever the step sizes.
     #[test]
     fn quality_is_monotone_in_compute(
         spec in arb_model(),
@@ -75,13 +75,12 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let mut rng = SimRng::new(seed);
-        let mut job = TrainingJob::new(spec, &mut rng);
-        let mut last_quality = job.quality();
-        let mut t = 0u64;
+        let mut job = TrainingJob::new(spec.clone(), &mut rng);
+        let quality = |job: &TrainingJob| spec.curve.level(job.progress());
+        let mut last_quality = quality(&job);
         for step in steps {
-            t += 1;
-            job.advance(SimTime::from_secs(t), step);
-            let q = job.quality();
+            job.advance(step);
+            let q = quality(&job);
             prop_assert!(q >= last_quality - 1e-12, "quality decreased");
             prop_assert!((0.0..=1.0).contains(&q));
             last_quality = q;
@@ -98,7 +97,7 @@ proptest! {
     ) {
         let mut rng = SimRng::new(seed);
         let mut job = TrainingJob::new(spec.clone(), &mut rng);
-        job.advance(SimTime::from_secs(1), consumed);
+        job.advance(consumed);
         let v = job.true_eval();
         let lo = spec.eval.initial.min(spec.eval.converged);
         let hi = spec.eval.initial.max(spec.eval.converged);
@@ -114,8 +113,8 @@ proptest! {
     ) {
         let mut rng = SimRng::new(seed);
         let mut job = TrainingJob::new(spec.clone(), &mut rng);
-        job.advance(SimTime::from_secs(1), consumed);
-        if let Some(e) = job.eval(SimTime::from_secs(1)) {
+        job.advance(consumed);
+        if let Some(e) = job.eval() {
             prop_assert!(e.is_finite());
             let truth = job.true_eval();
             let tol = 0.25 * spec.eval.magnitude().max(0.1);
@@ -133,13 +132,13 @@ proptest! {
     ) {
         let mut rng = SimRng::new(seed);
         let mut job = TrainingJob::new(spec, &mut rng);
-        let total = job.remaining_cpu_seconds().unwrap();
+        let total = job.remaining_cpu_seconds();
         let mut consumed = 0.0;
-        for (i, f) in fractions.iter().enumerate() {
+        for f in &fractions {
             let step = f * total;
-            job.advance(SimTime::from_secs(i as u64 + 1), step);
+            job.advance(step);
             consumed += step;
-            let remaining = job.remaining_cpu_seconds().unwrap();
+            let remaining = job.remaining_cpu_seconds();
             prop_assert!(
                 (remaining - (total - consumed).max(0.0)).abs() < 1e-6,
                 "remaining {remaining}, expected {}",
@@ -177,23 +176,21 @@ proptest! {
         let mut sometimes = TrainingJob::new(spec.clone(), &mut rng);
         let bits = |v: Option<f64>| v.map(f64::to_bits);
         for (i, &(fraction, reads)) in steps.iter().enumerate() {
-            let now = SimTime::from_secs(i as u64);
             let work = fraction * spec.total_work;
             eager.advance(work);
-            every_step.advance(now, work);
-            sometimes.advance(now, work);
+            every_step.advance(work);
+            sometimes.advance(work);
             let want = bits(eager.eval);
-            prop_assert_eq!(bits(every_step.eval(now)), want, "step {}", i);
+            prop_assert_eq!(bits(every_step.eval()), want, "step {}", i);
             for _ in 0..reads {
-                prop_assert_eq!(bits(sometimes.eval(now)), want, "step {} (sparse reads)", i);
+                prop_assert_eq!(bits(sometimes.eval()), want, "step {} (sparse reads)", i);
             }
             prop_assert_eq!(
-                every_step.remaining_cpu_seconds().map(f64::to_bits),
-                Some((eager.total_work - eager.done).max(0.0).to_bits())
+                every_step.remaining_cpu_seconds().to_bits(),
+                (eager.total_work - eager.done).max(0.0).to_bits()
             );
         }
-        let end = SimTime::from_secs(steps.len() as u64);
-        prop_assert_eq!(bits(sometimes.eval(end)), bits(eager.eval));
+        prop_assert_eq!(bits(sometimes.eval()), bits(eager.eval));
     }
 
     /// Two jobs from the same spec and seed are identical; different seeds
@@ -202,9 +199,7 @@ proptest! {
     fn instance_jitter_is_seeded(spec in arb_model(), seed in 0u64..1000) {
         let mk = |s: u64| {
             let mut rng = SimRng::new(s);
-            TrainingJob::new(spec.clone(), &mut rng)
-                .remaining_cpu_seconds()
-                .unwrap()
+            TrainingJob::new(spec.clone(), &mut rng).remaining_cpu_seconds()
         };
         prop_assert_eq!(mk(seed), mk(seed));
         let spread = (mk(seed) - spec.total_work).abs();

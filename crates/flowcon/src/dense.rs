@@ -553,7 +553,7 @@ fn measure_pool(
         out.push(column[i].measure(
             id,
             now,
-            jobs[i].eval(now),
+            jobs[i].eval(),
             slots[i].cumulative,
             slots[i].limits.cpu_limit(),
         ));
@@ -637,7 +637,7 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
             let mut usage = self.s.jobs[slot].footprint();
             usage.set(ResourceKind::Cpu, rate);
             self.s.slots[slot].cumulative += usage.scale(dt);
-            self.s.jobs[slot].advance(now, rate * efficiency * dt);
+            self.s.jobs[slot].advance(rate * efficiency * dt);
             if let Some(code) = self.s.jobs[slot].status().exit_code() {
                 self.s.slots[slot].runnable = false;
                 self.s.exited.push((id, code));
@@ -703,7 +703,7 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
             if !self.s.slots[slot].runnable {
                 return None;
             }
-            let remaining = self.s.jobs[slot].remaining_cpu_seconds()?;
+            let remaining = self.s.jobs[slot].remaining_cpu_seconds();
             let speed = self.s.shares.rates()[i] * self.s.shares.efficiencies()[i];
             if speed > 1e-12 {
                 let eta = remaining / speed;

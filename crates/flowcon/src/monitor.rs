@@ -11,7 +11,8 @@
 //! simulation keeps the slots in columns indexed by container id (one for
 //! the policy's measurements, one for the growth-efficiency traces) and
 //! hands the column a measurement serves to its measure loop; the cluster
-//! scheduler's nodes keep one slot beside each running job.
+//! scheduler's nodes keep one slot beside each running job, and the
+//! real-thread runtime (`flowcon-rt`) one in each container it runs.
 
 use flowcon_container::ContainerId;
 use flowcon_sim::time::SimTime;

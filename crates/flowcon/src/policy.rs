@@ -23,28 +23,12 @@ use crate::listener::Listener;
 use crate::lists::Lists;
 use crate::metric::GrowthMeasurement;
 
-/// What a policy decided at a reconfiguration point.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PolicyDecision {
-    /// New CPU limits to apply (`docker update --cpus`).
-    pub updates: Vec<(ContainerId, f64)>,
-    /// Delay until the next periodic reconfiguration, or `None` for purely
-    /// event-driven policies.
-    pub next_interval: Option<SimDuration>,
-}
-
-impl PolicyDecision {
-    /// No updates, no periodic tick.
-    pub fn none() -> Self {
-        PolicyDecision {
-            updates: Vec::new(),
-            next_interval: None,
-        }
-    }
-}
-
 /// A worker-side resource-configuration policy.
-pub trait ResourcePolicy {
+///
+/// Policies are `Send`: the cluster scheduler moves each node's policy
+/// across executor shards between quanta, and the real-thread backend
+/// runs its policy on the coordinator thread.
+pub trait ResourcePolicy: Send {
     /// Display name used in figures (e.g. `FlowCon-5%-20`, `NA`).
     fn name(&self) -> String;
 
@@ -53,35 +37,24 @@ pub trait ResourcePolicy {
 
     /// Periodic tick or listener interrupt: decide new limits from the
     /// Container Monitor's measurements, writing them into the
-    /// caller-provided `updates` buffer and returning the delay until the
-    /// next periodic reconfiguration.
+    /// caller-provided `updates` buffer (`docker update --cpus`) and
+    /// returning the delay until the next periodic reconfiguration, or
+    /// `None` for a purely event-driven policy.
     ///
     /// `updates` may arrive holding the previous tick's decision (the
     /// worker recycles one buffer across the whole run): implementations
     /// **must** `updates.clear()` before writing, or stale limits would be
     /// re-applied every tick.
     ///
-    /// This is the hot-path entry point: the worker threads one reusable
-    /// buffer through every reconfiguration, so a steady-state call makes
-    /// zero heap allocations (asserted by
-    /// `crates/flowcon/tests/policy_zero_alloc.rs`).
+    /// Every node driver threads one reusable buffer through every
+    /// reconfiguration, so a steady-state call makes zero heap
+    /// allocations (asserted by `crates/flowcon/tests/policy_zero_alloc.rs`).
     fn reconfigure_into(
         &mut self,
         now: SimTime,
         measures: &[GrowthMeasurement],
         updates: &mut Vec<(ContainerId, f64)>,
     ) -> Option<SimDuration>;
-
-    /// Allocating convenience wrapper over
-    /// [`ResourcePolicy::reconfigure_into`] for tests and one-shot callers.
-    fn reconfigure(&mut self, now: SimTime, measures: &[GrowthMeasurement]) -> PolicyDecision {
-        let mut updates = Vec::new();
-        let next_interval = self.reconfigure_into(now, measures, &mut updates);
-        PolicyDecision {
-            updates,
-            next_interval,
-        }
-    }
 
     /// Pool membership changed.  Returns true if the policy wants an
     /// immediate reconfiguration (a listener interrupt).
@@ -352,6 +325,18 @@ mod tests {
         ContainerId::from_raw(raw)
     }
 
+    /// One reconfiguration into a fresh buffer: the updates and the
+    /// interval until the next one.
+    fn decide(
+        p: &mut dyn ResourcePolicy,
+        now: SimTime,
+        measures: &[GrowthMeasurement],
+    ) -> (Vec<(ContainerId, f64)>, Option<SimDuration>) {
+        let mut updates = Vec::new();
+        let next = p.reconfigure_into(now, measures, &mut updates);
+        (updates, next)
+    }
+
     fn measure(raw: u32, growth: Option<f64>, limit: f64) -> GrowthMeasurement {
         GrowthMeasurement {
             id: id(raw),
@@ -377,11 +362,11 @@ mod tests {
         // Two low measurements drive the lone container into CL, then the
         // all-CL branch doubles the interval on each subsequent run.
         let m = |g| vec![measure(1, Some(g), 1.0)];
-        p.reconfigure(SimTime::from_secs(20), &m(0.01)); // NL -> WL
+        decide(&mut p, SimTime::from_secs(20), &m(0.01)); // NL -> WL
         assert_eq!(p.current_interval(), SimDuration::from_secs(20));
-        p.reconfigure(SimTime::from_secs(40), &m(0.01)); // WL -> CL, all-CL
+        decide(&mut p, SimTime::from_secs(40), &m(0.01)); // WL -> CL, all-CL
         assert_eq!(p.current_interval(), SimDuration::from_secs(40));
-        p.reconfigure(SimTime::from_secs(80), &m(0.01));
+        decide(&mut p, SimTime::from_secs(80), &m(0.01));
         assert_eq!(p.current_interval(), SimDuration::from_secs(80));
         // A new container interrupts and resets.
         assert!(p.on_pool_change(SimTime::from_secs(90), &[id(1), id(2)]));
@@ -392,8 +377,12 @@ mod tests {
     fn flowcon_decision_carries_current_interval() {
         let mut p = FlowConPolicy::new(FlowConConfig::with_params(0.05, 30));
         p.on_pool_change(SimTime::ZERO, &[id(1)]);
-        let d = p.reconfigure(SimTime::from_secs(30), &[measure(1, Some(0.5), 1.0)]);
-        assert_eq!(d.next_interval, Some(SimDuration::from_secs(30)));
+        let (_, next) = decide(
+            &mut p,
+            SimTime::from_secs(30),
+            &[measure(1, Some(0.5), 1.0)],
+        );
+        assert_eq!(next, Some(SimDuration::from_secs(30)));
         assert_eq!(p.algorithm_runs(), 1);
     }
 
@@ -418,18 +407,18 @@ mod tests {
         assert_eq!(p.name(), "NA");
         assert_eq!(p.initial_interval(), None);
         assert!(!p.on_pool_change(SimTime::ZERO, &[id(1)]));
-        let d = p.reconfigure(SimTime::ZERO, &[measure(1, Some(0.5), 1.0)]);
-        assert!(d.updates.is_empty());
-        assert_eq!(d.next_interval, None);
+        let (updates, next) = decide(&mut p, SimTime::ZERO, &[measure(1, Some(0.5), 1.0)]);
+        assert!(updates.is_empty());
+        assert_eq!(next, None);
     }
 
     #[test]
     fn static_policy_partitions_equally() {
         let mut p = StaticEqualPolicy::new();
         assert!(p.on_pool_change(SimTime::ZERO, &[id(1), id(2), id(3), id(4)]));
-        let d = p.reconfigure(SimTime::ZERO, &[]);
-        assert_eq!(d.updates.len(), 4);
-        for (_, l) in d.updates {
+        let (updates, _) = decide(&mut p, SimTime::ZERO, &[]);
+        assert_eq!(updates.len(), 4);
+        for (_, l) in updates {
             assert!((l - 0.25).abs() < 1e-12);
         }
     }
@@ -437,7 +426,8 @@ mod tests {
     #[test]
     fn quality_prop_shares_proportional_with_floor() {
         let mut p = QualityProportionalPolicy::new(SimDuration::from_secs(30), 0.05);
-        let d = p.reconfigure(
+        let (updates, _) = decide(
+            &mut p,
             SimTime::ZERO,
             &[
                 measure(1, Some(0.9), 1.0),
@@ -445,7 +435,7 @@ mod tests {
                 measure(3, Some(0.0), 1.0),
             ],
         );
-        let get = |raw| d.updates.iter().find(|(i, _)| *i == id(raw)).unwrap().1;
+        let get = |raw| updates.iter().find(|(i, _)| *i == id(raw)).unwrap().1;
         assert!((get(1) - 0.9).abs() < 1e-9);
         assert!((get(2) - 0.1).abs() < 1e-9);
         assert!((get(3) - 0.05).abs() < 1e-9, "floor binds");

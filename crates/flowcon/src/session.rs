@@ -1,9 +1,8 @@
 //! The one entry point: a fluent, recorder-generic worker session.
 //!
-//! Pre-redesign, the crate's entry surface was a zoo —
-//! `WorkerSim::{new, with_scratch, with_failure, run, run_recycling}`, free
-//! `run_flowcon` / `run_baseline` — every one of which hard-wired a full
-//! [`RunSummary`] into the hot path.  A [`Session`] replaces all of them:
+//! A [`Session`] configures one worker — node, workload, policy, failure
+//! injections — and a recorder that decides what the run keeps, from a
+//! full [`RunSummary`] down to completions only:
 //!
 //! ```
 //! use flowcon_core::config::{FlowConConfig, NodeConfig};
@@ -29,26 +28,6 @@
 //!     .run();
 //! assert_eq!(stats.output.len(), 3);
 //! ```
-//!
-//! # Migration from the removed entry points
-//!
-//! The pre-session entry points shipped one release as `#[deprecated]`
-//! shims (bit-compared against this path while they lived) and have been
-//! **removed**.  If you are updating old code:
-//!
-//! | Removed | New |
-//! |---|---|
-//! | `WorkerSim::new(node, plan, policy)` | `Session::builder().node(node).plan(plan).policy_box(policy).build()` |
-//! | `WorkerSim::with_scratch(n, p, pol, s)` | `… .scratch(s) …` |
-//! | `sim.with_failure(label, at, code)` | `… .failure(label, at, code) …` |
-//! | `sim.run() -> RunResult` | `session.run() -> SessionResult<RunSummary>` (`result.summary` → `result.output`) |
-//! | `RunResult::from(result)` | use the [`SessionResult`] itself |
-//! | `sim.run_recycling()` | `session.run_recycling()` |
-//! | `WorkerScratch` | [`DenseScratch`]: `.scratch(DenseScratch::new())`, handed back by `run_recycling` |
-//! | `.images(arc_registry)` | removed: no image registry takes part in a run |
-//! | `run_flowcon(node, &plan, config)` | `… .policy(FlowConPolicy::new(config)) …` |
-//! | `run_baseline(node, &plan)` | `… .policy(FairSharePolicy::new()) …` |
-//! | always-on `RunSummary` | `.recorder(FullRecorder::new())` (default), [`CompletionsOnly`] |
 //!
 //! Every session runs on the one worker simulation, [`crate::dense`].
 //! The cluster layer builds one session per worker on the sharded

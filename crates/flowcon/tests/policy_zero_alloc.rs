@@ -1,10 +1,9 @@
 //! Steady-state allocation audit for the policy reconfigure path.
 //!
-//! PR 1 made the allocator/engine hot path allocation-free; this pins the
+//! The allocator/engine hot path is allocation-free; this pins the
 //! policy layer: with warm buffers (a reusable updates vector, dense
 //! `Lists` slots), repeated `reconfigure_into` calls must perform **zero**
-//! heap allocations — no `PolicyDecision::updates` Vec churn, no BTreeMap
-//! rebalancing.
+//! heap allocations — no per-call updates `Vec`, no BTreeMap rebalancing.
 //!
 //! Counting is gated on a thread-local flag so the libtest harness's own
 //! threads cannot contaminate the measurement window.

@@ -20,10 +20,20 @@
 //! `thread::sleep` out of the coordination paths for good.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+/// Lock `mutex`, taking the data of a poisoned one as it stands.
+///
+/// A container thread that panics while holding its job or a bucket must
+/// not take the coordinator or the governor down with it, so no lock in
+/// this crate propagates poisoning.  That is sound because every update
+/// made under these locks leaves the data valid at each step: single-field
+/// stores on a bucket, a signal or a job, and `Vec::push`/`retain` on the
+/// governor's targets.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A closable token bucket measured in CPU-microseconds.
 pub struct TokenBucket {
@@ -54,7 +64,7 @@ impl TokenBucket {
 
     /// Deposit budget (governor side), saturating at the burst ceiling.
     pub fn deposit(&self, us: u64) {
-        let mut s = self.state.lock();
+        let mut s = lock(&self.state);
         s.tokens_us = (s.tokens_us + us).min(self.burst_us);
         drop(s);
         self.available.notify_all();
@@ -66,46 +76,26 @@ impl TokenBucket {
     /// before the budget could be satisfied — the container thread's one
     /// exit signal, so the thread needs no shutdown flag to poll.
     pub fn withdraw(&self, us: u64) -> bool {
-        let mut s = self.state.lock();
-        loop {
-            if s.closed {
-                return false;
-            }
-            if s.tokens_us >= us {
-                s.tokens_us -= us;
-                return true;
-            }
-            self.available.wait(&mut s);
+        let mut s = self
+            .available
+            .wait_while(lock(&self.state), |s| !s.closed && s.tokens_us < us)
+            .unwrap_or_else(PoisonError::into_inner);
+        if s.closed {
+            return false;
         }
-    }
-
-    /// Like [`TokenBucket::withdraw`] but gives up after `timeout`.
-    pub fn withdraw_timeout(&self, us: u64, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut s = self.state.lock();
-        loop {
-            if s.closed {
-                return false;
-            }
-            if s.tokens_us >= us {
-                s.tokens_us -= us;
-                return true;
-            }
-            if self.available.wait_until(&mut s, deadline).timed_out() {
-                return false;
-            }
-        }
+        s.tokens_us -= us;
+        true
     }
 
     /// Close the bucket: blocked and future withdrawals return `false`.
     pub fn close(&self) {
-        self.state.lock().closed = true;
+        lock(&self.state).closed = true;
         self.available.notify_all();
     }
 
     /// Current balance (for tests/diagnostics).
     pub fn balance_us(&self) -> u64 {
-        self.state.lock().tokens_us
+        lock(&self.state).tokens_us
     }
 }
 
@@ -174,25 +164,17 @@ impl ShutdownSignal {
 
     /// Flip the flag and wake every waiter immediately.
     pub fn trigger(&self) {
-        *self.down.lock() = true;
+        *lock(&self.down) = true;
         self.cv.notify_all();
-    }
-
-    /// Whether shutdown has been triggered.
-    pub fn is_triggered(&self) -> bool {
-        *self.down.lock()
     }
 
     /// Block for `period` or until triggered; returns `true` on shutdown.
     pub fn wait_period(&self, period: Duration) -> bool {
-        let deadline = Instant::now() + period;
-        let mut down = self.down.lock();
-        while !*down {
-            if self.cv.wait_until(&mut down, deadline).timed_out() {
-                return *down;
-            }
-        }
-        true
+        let (down, _) = self
+            .cv
+            .wait_timeout_while(lock(&self.down), period, |down| !*down)
+            .unwrap_or_else(PoisonError::into_inner);
+        *down
     }
 }
 
@@ -236,6 +218,7 @@ impl AtomicF64 {
 mod tests {
     use super::*;
     use std::thread;
+    use std::time::Instant;
 
     #[test]
     fn deposit_then_withdraw() {
@@ -285,12 +268,6 @@ mod tests {
     }
 
     #[test]
-    fn withdraw_timeout_times_out() {
-        let b = TokenBucket::new(10_000);
-        assert!(!b.withdraw_timeout(1_000, Duration::from_millis(10)));
-    }
-
-    #[test]
     fn refill_math_carries_fractions_exactly() {
         let mut m = RefillMath::new();
         let period = Duration::from_millis(5);
@@ -332,7 +309,6 @@ mod tests {
             started.elapsed() < Duration::from_secs(15),
             "waiter must not sit out the period"
         );
-        assert!(s.is_triggered());
     }
 
     #[test]

@@ -8,10 +8,13 @@
 //! limits (deposit rate ∝ water-filled share), a coordinator thread plays
 //! the Executor/listener roles against wall-clock time, and completions
 //! flow back over a channel.  This closes the "it only works in
-//! simulation" gap: the control loop — measure evaluation functions,
-//! compute growth efficiency, run Algorithm 1, apply limits — is exercised
-//! against genuinely parallel execution with `parking_lot` locks,
-//! `crossbeam` channels and atomics.
+//! simulation" gap: the control loop — measure evaluation functions
+//! through the simulation's Container Monitor
+//! (`flowcon_core::monitor::MonitorSlot`), run Algorithm 1 through
+//! `ResourcePolicy::reconfigure_into`, apply limits — is exercised against
+//! genuinely parallel execution with `std::sync` mutexes, condvars, a
+//! bounded `mpsc` channel and atomics; the crate needs nothing vendored
+//! (`crates/vendor` holds only the tests' `proptest`).
 //!
 //! Scale note: experiments here use *small* jobs (fractions of a CPU-second)
 //! so the test suite stays fast; the machinery is identical at any scale.

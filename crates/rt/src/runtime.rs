@@ -52,23 +52,23 @@
 //! accounting — which is what makes the sim↔rt fidelity harness CI-sized.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
-
 use flowcon_container::{ContainerId, WorkloadStatus};
-use flowcon_core::metric::{progress_score, GrowthMeasurement};
+use flowcon_core::metric::GrowthMeasurement;
+use flowcon_core::monitor::MonitorSlot;
 use flowcon_core::policy::ResourcePolicy;
 use flowcon_dl::TrainingJob;
 use flowcon_metrics::summary::{CompletionRecord, RunSummary};
 use flowcon_sim::alloc::NodeShares;
 use flowcon_sim::contention::ContentionModel;
 use flowcon_sim::time::SimTime;
+use flowcon_sim::ResourceVec;
 
-use crate::governor::{AtomicF64, RefillMath, ShutdownSignal, TokenBucket};
+use crate::governor::{lock, AtomicF64, RefillMath, ShutdownSignal, TokenBucket};
 use crate::kernel::spin_for;
 
 /// One governor refill target: the bucket, its granted rate, and the
@@ -258,10 +258,8 @@ struct RtContainer {
     /// Virtual arrival time.
     arrival_at: SimTime,
     handle: Option<thread::JoinHandle<()>>,
-    // Monitor baseline (virtual time).
-    last_eval: Option<f64>,
-    last_cpu: f64,
-    last_tick: SimTime,
+    /// The Container Monitor's state for this container.
+    mon: MonitorSlot,
 }
 
 /// The runtime: spawn with a policy, feed jobs, collect a [`RunSummary`].
@@ -271,6 +269,9 @@ pub struct RtRuntime {
     failures: Vec<RtFailure>,
     chaos: Option<RtChaos>,
     shares: NodeShares,
+    // Recycled reconfiguration buffers.
+    measures: Vec<GrowthMeasurement>,
+    updates: Vec<(ContainerId, f64)>,
 }
 
 impl RtRuntime {
@@ -282,6 +283,8 @@ impl RtRuntime {
             failures: Vec::new(),
             chaos: None,
             shares: NodeShares::new(),
+            measures: Vec::new(),
+            updates: Vec::new(),
         }
     }
 
@@ -312,7 +315,7 @@ impl RtRuntime {
         let mut summary = RunSummary::new(self.policy.name());
         let dilation = self.config.dilation.max(1e-9);
         let start = Instant::now();
-        let (done_tx, done_rx) = bounded::<ContainerId>(jobs.len().max(1));
+        let (done_tx, done_rx) = sync_channel::<ContainerId>(jobs.len().max(1));
         let shutdown = ShutdownSignal::new();
         let mut ledger = CompletionLedger::new();
         let mut threads_spawned = 0u64;
@@ -355,7 +358,7 @@ impl RtRuntime {
                 // Timed condvar wait: one refill period per iteration,
                 // released immediately by `shutdown.trigger()`.
                 while !shutdown.wait_period(period) {
-                    for t in targets.lock().iter_mut() {
+                    for t in lock(&targets).iter_mut() {
                         let deposit = t.math.deposit_for(t.rate.load(), period);
                         if deposit > 0 {
                             t.bucket.deposit(deposit);
@@ -386,7 +389,6 @@ impl RtRuntime {
                     ledger.launch(),
                     rt_job.job,
                     virtual_now(now, dilation),
-                    start,
                     &done_tx,
                     &governor_targets,
                 );
@@ -404,7 +406,7 @@ impl RtRuntime {
                     .find(|c| c.label == f.label)
                     .or(downed.as_ref().filter(|c| c.label == f.label));
                 if let Some(c) = target {
-                    c.job.lock().inject_failure(f.exit_code);
+                    lock(&c.job).inject_failure(f.exit_code);
                 }
             }
 
@@ -419,14 +421,12 @@ impl RtRuntime {
                         let _ = h.join();
                         threads_joined += 1;
                     }
-                    governor_targets
-                        .lock()
-                        .retain(|t| !Arc::ptr_eq(&t.bucket, &c.bucket));
+                    lock(&governor_targets).retain(|t| !Arc::ptr_eq(&t.bucket, &c.bucket));
                     chaos_kills += 1;
                     // If the job finished on its final quantum the thread
                     // already pushed a completion — keep the container
                     // parked for that message instead of relaunching.
-                    let still_running = c.job.lock().status() == WorkloadStatus::Running;
+                    let still_running = lock(&c.job).status() == WorkloadStatus::Running;
                     if still_running {
                         if let Some(RtChaos::Churn { down, .. }) = self.chaos {
                             churn_restart_at = Some(now + down);
@@ -440,7 +440,7 @@ impl RtRuntime {
             if churn_restart_at.is_some_and(|at| at <= now) {
                 churn_restart_at = None;
                 if let Some(dead) = downed.take() {
-                    let revived = self.relaunch(dead, start, &done_tx, &governor_targets);
+                    let revived = self.relaunch(dead, &done_tx, &governor_targets);
                     threads_spawned += 1;
                     chaos_restarts += 1;
                     active.insert(revived.id, revived);
@@ -505,16 +505,14 @@ impl RtRuntime {
                             let _ = h.join();
                             threads_joined += 1;
                         }
-                        let status = c.job.lock().status();
+                        let status = lock(&c.job).status();
                         summary.completions.push(CompletionRecord {
                             label: c.label.clone(),
                             arrival: c.arrival_at,
                             finished: virtual_now(now, dilation),
                             exit_code: status.exit_code().unwrap_or(0),
                         });
-                        governor_targets
-                            .lock()
-                            .retain(|t| !Arc::ptr_eq(&t.bucket, &c.bucket));
+                        lock(&governor_targets).retain(|t| !Arc::ptr_eq(&t.bucket, &c.bucket));
                     }
                     let ids: Vec<ContainerId> = active.keys().copied().collect();
                     if self.policy.on_pool_change(virtual_now(now, dilation), &ids) {
@@ -553,7 +551,7 @@ impl RtRuntime {
         // container threads (none on the normal path — the loop only exits
         // when every container retired), and join everything.
         shutdown.trigger();
-        for t in governor_targets.lock().iter() {
+        for t in lock(&governor_targets).iter() {
             t.bucket.close();
         }
         for (_, mut c) in std::mem::take(&mut active) {
@@ -591,8 +589,7 @@ impl RtRuntime {
         id: ContainerId,
         job: TrainingJob,
         arrival_at: SimTime,
-        start: Instant,
-        done_tx: &Sender<ContainerId>,
+        done_tx: &SyncSender<ContainerId>,
         governor_targets: &GovernorTargets,
     ) -> RtContainer {
         let label = job.label().to_string();
@@ -606,7 +603,6 @@ impl RtRuntime {
             cpu_used,
             demand,
             arrival_at,
-            start,
             done_tx,
             governor_targets,
         )
@@ -616,8 +612,7 @@ impl RtRuntime {
     fn relaunch(
         &self,
         dead: RtContainer,
-        start: Instant,
-        done_tx: &Sender<ContainerId>,
+        done_tx: &SyncSender<ContainerId>,
         governor_targets: &GovernorTargets,
     ) -> RtContainer {
         let mut revived = self.spawn_thread(
@@ -627,15 +622,12 @@ impl RtRuntime {
             dead.cpu_used,
             dead.demand,
             dead.arrival_at,
-            start,
             done_tx,
             governor_targets,
         );
         // The monitor baseline survives the restart (the job state did).
         revived.limit = dead.limit;
-        revived.last_eval = dead.last_eval;
-        revived.last_cpu = dead.last_cpu;
-        revived.last_tick = dead.last_tick;
+        revived.mon = dead.mon;
         revived
     }
 
@@ -649,8 +641,7 @@ impl RtRuntime {
         cpu_used: Arc<AtomicF64>,
         demand: f64,
         arrival_at: SimTime,
-        start: Instant,
-        done_tx: &Sender<ContainerId>,
+        done_tx: &SyncSender<ContainerId>,
         governor_targets: &GovernorTargets,
     ) -> RtContainer {
         let quantum = self.config.quantum;
@@ -659,7 +650,7 @@ impl RtRuntime {
         let bucket = TokenBucket::new(burst_us.max(1_000));
         let rate = Arc::new(AtomicF64::new(0.0));
         let eff = Arc::new(AtomicF64::new(1.0));
-        governor_targets.lock().push(GovernorTarget {
+        lock(governor_targets).push(GovernorTarget {
             bucket: Arc::clone(&bucket),
             rate: Arc::clone(&rate),
             math: RefillMath::new(),
@@ -682,13 +673,12 @@ impl RtRuntime {
                     }
                     spin_for(quantum);
                     let finished = {
-                        let mut j = job.lock();
-                        let now_virtual = virtual_now(start.elapsed(), dilation);
+                        let mut j = lock(&job);
                         let virtual_cpu = quantum.as_secs_f64() * dilation;
                         // Tokens meter *allocated* CPU; contention taxes
                         // the useful progress extracted from it, exactly
                         // as the fluid node does.
-                        j.advance(now_virtual, virtual_cpu * eff.load());
+                        j.advance(virtual_cpu * eff.load());
                         cpu_used.fetch_add(virtual_cpu);
                         j.status() != WorkloadStatus::Running
                     };
@@ -712,15 +702,14 @@ impl RtRuntime {
             demand,
             arrival_at,
             handle: Some(handle),
-            last_eval: None,
-            last_cpu: 0.0,
-            last_tick: arrival_at,
+            mon: MonitorSlot::UNTRACKED,
         }
     }
 
-    /// Measure + run the policy + apply limits (the Executor's job).
-    /// All timestamps and rates are in virtual (dilated) units, so the
-    /// policy sees the same scales as in the simulation.
+    /// Measure through each container's Container Monitor slot, run the
+    /// policy and apply its limits (the Executor's job).  All timestamps
+    /// and rates are in virtual (dilated) units, so the policy sees the
+    /// same scales as in the simulation.
     fn reconfigure(
         &mut self,
         now: SimTime,
@@ -730,40 +719,28 @@ impl RtRuntime {
         tick: &mut Duration,
         dilation: f64,
     ) {
-        let mut measures = Vec::with_capacity(active.len());
+        self.measures.clear();
         for c in active.values_mut() {
-            let eval_now = c.job.lock().eval(now);
-            let cpu_now = c.cpu_used.load();
-            let dt = (now.as_secs_f64() - c.last_tick.as_secs_f64()).max(0.0);
-            let growth = if dt > 1e-6 {
-                let avg_cpu = (cpu_now - c.last_cpu) / dt;
-                let p = match (eval_now, c.last_eval) {
-                    (Some(e), Some(prev)) => progress_score(e, prev, dt),
-                    _ => None,
-                };
-                c.last_tick = now;
-                c.last_eval = eval_now.or(c.last_eval);
-                c.last_cpu = cpu_now;
-                p.map(|p| (p, avg_cpu))
-            } else {
-                None
-            };
-            measures.push(GrowthMeasurement {
-                id: c.id,
-                progress: growth.map(|(p, _)| p),
-                avg_usage: flowcon_sim::ResourceVec::cpu(growth.map_or(0.0, |(_, a)| a)),
-                cpu_limit: c.limit,
-            });
+            let eval_now = lock(&c.job).eval();
+            self.measures.push(c.mon.measure(
+                c.id,
+                now,
+                eval_now,
+                ResourceVec::cpu(c.cpu_used.load()),
+                c.limit,
+            ));
         }
-        let decision = self.policy.reconfigure(now, &measures);
+        let next_interval = self
+            .policy
+            .reconfigure_into(now, &self.measures, &mut self.updates);
         *algorithm_runs += 1;
-        for (id, limit) in decision.updates {
+        for &(id, limit) in &self.updates {
             if let Some(c) = active.get_mut(&id) {
                 c.limit = limit;
                 *update_calls += 1;
             }
         }
-        if let Some(next) = decision.next_interval {
+        if let Some(next) = next_interval {
             *tick = Duration::from_secs_f64(next.as_secs_f64() / dilation);
         }
     }

@@ -15,26 +15,37 @@
 //!    ledger decisions).
 //! 3. **One shared workload helper** — [`rt_test_workload`] is the single
 //!    source of job sizing; shrinking it to fix one flaky test fixes them
-//!    all identically.
+//!    all identically.  The exception is
+//!    `rt_measures_through_the_container_monitor`, which needs wall time
+//!    at dilation 1 and asserts only logical rules.
 //!
 //! Logical invariants (set equality, join accounting, ledger rejection,
 //! the no-sleep grep) carry the correctness weight; timing asserts only
 //! guard against order-of-magnitude regressions like a shutdown path
 //! sitting out a full refill period.
 
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use flowcon_core::config::NodeConfig;
-use flowcon_core::policy::FairSharePolicy;
+use flowcon_container::ContainerId;
+use flowcon_core::config::{FlowConConfig, NodeConfig};
+use flowcon_core::metric::GrowthMeasurement;
+use flowcon_core::policy::{FairSharePolicy, FlowConPolicy, ResourcePolicy};
 use flowcon_core::session::Session;
+use flowcon_dl::models::{ModelId, ModelSpec};
 use flowcon_dl::workload::WorkloadPlan;
+use flowcon_dl::TrainingJob;
 use flowcon_rt::governor::RefillMath;
-use flowcon_rt::{RtChaos, RtConfig, RtOutcome, RtRuntime, RtSessionBuilder};
+use flowcon_rt::{RtChaos, RtConfig, RtJob, RtOutcome, RtRuntime, RtSessionBuilder};
+use flowcon_sim::rng::SimRng;
+use flowcon_sim::time::{SimDuration, SimTime};
+use flowcon_sim::{ResourceVec, RESOURCE_KINDS};
 use proptest::prelude::*;
 
 /// The one shared tiny workload: `jobs` seeded jobs compressed to
-/// CI-scale wall time by a high dilation.  All integration tests size
-/// their work through here (see the flakiness policy above).
+/// CI-scale wall time by a high dilation.  Integration tests size their
+/// work through here (see the flakiness policy above).
 fn rt_test_workload(jobs: usize, seed: u64) -> RtOutcome {
     rt_test_workload_with(jobs, seed, None)
 }
@@ -161,6 +172,111 @@ fn churn_chaos_kills_restarts_and_still_completes_every_job() {
         "killed and relaunched threads are all joined"
     );
     assert_eq!(outcome.completions_rejected, 0);
+}
+
+/// Every reading rt handed its policy: when, and the measurements.
+type Readings = Arc<Mutex<Vec<(SimTime, Vec<GrowthMeasurement>)>>>;
+
+/// FlowCon, keeping a copy of every measurement rt hands it.
+struct Recording {
+    inner: FlowConPolicy,
+    readings: Readings,
+}
+
+impl ResourcePolicy for Recording {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+
+    fn initial_interval(&self) -> Option<SimDuration> {
+        self.inner.initial_interval()
+    }
+
+    fn reconfigure_into(
+        &mut self,
+        now: SimTime,
+        measures: &[GrowthMeasurement],
+        updates: &mut Vec<(ContainerId, f64)>,
+    ) -> Option<SimDuration> {
+        self.readings.lock().unwrap().push((now, measures.to_vec()));
+        self.inner.reconfigure_into(now, measures, updates)
+    }
+
+    fn on_pool_change(&mut self, now: SimTime, pool_ids: &[ContainerId]) -> bool {
+        self.inner.on_pool_change(now, pool_ids)
+    }
+}
+
+/// rt measures through the simulation's Container Monitor
+/// (`MonitorSlot`): a container's first reading only sets its baseline
+/// (no progress, zero usage), and a reading taken less than 0.1 virtual s
+/// after the container's last fresh reading repeats that reading's
+/// progress and usage bit for bit instead of scoring the short interval.
+///
+/// A 50 ms policy interval without back-off at dilation 1 puts readings
+/// inside that window; [`rt_test_workload`]'s dilation would shrink it to
+/// microseconds of wall time.  The assertions are logical, not timed: they
+/// hold however the host delays the coordinator.
+#[test]
+fn rt_measures_through_the_container_monitor() {
+    let readings: Readings = Arc::default();
+    let policy = Recording {
+        inner: FlowConPolicy::new(FlowConConfig {
+            initial_interval: SimDuration::from_millis(50),
+            backoff: false,
+            ..FlowConConfig::default()
+        }),
+        readings: Arc::clone(&readings),
+    };
+    let job = |label: &str, seed| {
+        let mut spec = ModelSpec::of(ModelId::Gru);
+        spec.total_work = 0.2;
+        RtJob {
+            job: TrainingJob::with_label(spec, label, &mut SimRng::new(seed)),
+            arrival: Duration::ZERO,
+        }
+    };
+    let config = RtConfig {
+        dilation: 1.0,
+        ..RtConfig::default()
+    };
+    let summary = RtRuntime::new(config, Box::new(policy)).run(vec![job("a", 1), job("b", 2)]);
+    assert_eq!(summary.completions.len(), 2);
+
+    let bits = |m: &GrowthMeasurement| {
+        (
+            m.progress.map(f64::to_bits),
+            RESOURCE_KINDS.map(|kind| m.avg_usage.get(kind).to_bits()),
+        )
+    };
+    // Per container: the time and the bits of its last fresh reading.
+    let mut fresh = HashMap::new();
+    let mut repeats = 0;
+    for (now, measures) in readings.lock().unwrap().iter() {
+        for m in measures {
+            match fresh.get(&m.id) {
+                None => {
+                    assert_eq!(m.progress, None, "{:?}'s first reading at {now}", m.id);
+                    assert_eq!(m.avg_usage, ResourceVec::ZERO, "{:?} at {now}", m.id);
+                }
+                Some(&(at, last)) if now.saturating_since(at).as_secs_f64() < 0.1 => {
+                    assert_eq!(
+                        bits(m),
+                        last,
+                        "{:?} at {now} rescored {} s after its reading at {at}",
+                        m.id,
+                        now.saturating_since(at).as_secs_f64()
+                    );
+                    repeats += 1;
+                    continue;
+                }
+                Some(_) => {}
+            }
+            fresh.insert(m.id, (*now, bits(m)));
+        }
+    }
+    assert_eq!(fresh.len(), 2, "both containers were measured");
+    assert!(repeats > 0, "no reading fell inside a 0.1 s window");
 }
 
 proptest! {

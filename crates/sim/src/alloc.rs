@@ -56,15 +56,6 @@ pub struct AllocRequest {
 }
 
 impl AllocRequest {
-    /// A request with the given limit, full demand and unit weight.
-    pub fn with_limit(limit: f64) -> Self {
-        AllocRequest {
-            limit,
-            demand: 1.0,
-            weight: 1.0,
-        }
-    }
-
     /// An unlimited request (the NA baseline) with the given demand ceiling.
     pub fn unlimited(demand: f64) -> Self {
         AllocRequest {

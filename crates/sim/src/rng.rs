@@ -141,11 +141,6 @@ impl SimRng {
         (u, v)
     }
 
-    /// Normal variate with the given mean and standard deviation.
-    pub fn normal_with(&mut self, mean: f64, std_dev: f64) -> f64 {
-        mean + std_dev * self.normal()
-    }
-
     /// Exponential variate with the given rate `lambda`.
     pub fn exponential(&mut self, lambda: f64) -> f64 {
         assert!(lambda > 0.0, "exponential rate must be positive");
@@ -159,12 +154,6 @@ impl SimRng {
             let j = self.below(i as u64 + 1) as usize;
             xs.swap(i, j);
         }
-    }
-
-    /// Pick a uniformly random element of a non-empty slice.
-    pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
-        assert!(!xs.is_empty(), "choose from empty slice");
-        &xs[self.below(xs.len() as u64) as usize]
     }
 }
 

@@ -102,11 +102,6 @@ impl SimDuration {
         self.0 as f64 / MICROS_PER_SEC as f64
     }
 
-    /// True if this is the zero duration.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
     /// Saturating doubling — used by the executor's exponential back-off.
     pub fn saturating_double(self) -> SimDuration {
         SimDuration(self.0.saturating_mul(2))

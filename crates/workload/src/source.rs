@@ -10,7 +10,6 @@
 //! `worker_id`** — so results are identical whether workers run
 //! sequentially, sharded, or in any interleaving.
 
-use flowcon_dl::models::ModelId;
 use flowcon_dl::workload::WorkloadPlan;
 use flowcon_sim::rng::SimRng;
 
@@ -64,11 +63,6 @@ impl TraceSource {
     pub fn workers(&self) -> usize {
         self.workers
     }
-
-    /// Total jobs across all workers.
-    pub fn total_jobs(&self) -> usize {
-        self.bound.len()
-    }
 }
 
 impl PlanSource for TraceSource {
@@ -110,12 +104,6 @@ impl SyntheticSource {
         }
     }
 
-    /// Use an explicit model mix (round-robin over arrivals).
-    pub fn with_models(mut self, models: Vec<ModelId>) -> Self {
-        self.template = self.template.with_models(models);
-        self
-    }
-
     /// Generate label-free plans (no label `String` allocations — the
     /// headless-cluster configuration).
     pub fn unlabeled(mut self) -> Self {
@@ -141,18 +129,12 @@ impl PlanSource for SyntheticSource {
     }
 }
 
-/// Builds every per-worker plan of a source up front (what a source
-/// replaces; kept for tests and for small clusters where materializing is
-/// harmless).
-pub fn materialize<S: PlanSource + ?Sized>(source: &S, workers: usize) -> Vec<WorkloadPlan> {
-    (0..workers).map(|w| source.next_plan(w)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::catalog::TraceCatalog;
     use crate::trace::ArrivalTrace;
+    use flowcon_dl::models::ModelId;
     use flowcon_dl::workload::JobRequest;
     use flowcon_sim::time::SimTime;
 
@@ -166,7 +148,7 @@ mod tests {
     #[test]
     fn trace_slices_partition_the_trace() {
         let source = TraceSource::new(bound_of(23), 4);
-        let plans = materialize(&source, 4);
+        let plans: Vec<WorkloadPlan> = (0..4).map(|w| source.next_plan(w)).collect();
         let total: usize = plans.iter().map(WorkloadPlan::len).sum();
         assert_eq!(total, 23, "every row lands on exactly one worker");
         let mut labels: Vec<String> = plans

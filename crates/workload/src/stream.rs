@@ -214,13 +214,6 @@ impl SyntheticStreamSource {
         }
     }
 
-    /// Use an explicit model mix (assigned to arrivals round-robin).
-    pub fn with_models(mut self, models: Vec<ModelId>) -> Self {
-        assert!(!models.is_empty(), "the model mix cannot be empty");
-        self.models = models;
-        self
-    }
-
     /// Yield label-free jobs (no label `String` allocations — the
     /// headless-cluster configuration).
     pub fn unlabeled(mut self) -> Self {

@@ -336,13 +336,6 @@ impl Synthetic {
         }
     }
 
-    /// Use an explicit model mix (assigned to arrivals round-robin).
-    pub fn with_models(mut self, models: Vec<ModelId>) -> Self {
-        assert!(!models.is_empty(), "the model mix cannot be empty");
-        self.models = models;
-        self
-    }
-
     /// Generate the plan: arrivals from the process, models round-robin,
     /// labels `Job-<k>` in arrival order (the workspace convention).
     pub fn plan(&self) -> WorkloadPlan {
