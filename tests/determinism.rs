@@ -19,7 +19,7 @@ use flowcon_core::session::Session;
 use flowcon_dl::workload::WorkloadPlan;
 use flowcon_metrics::tracelog::chrome_trace_json;
 use flowcon_sim::time::SimTime;
-use flowcon_sim::trace::FlightRecorder;
+use flowcon_sim::trace::{FlightRecorder, TraceKind};
 use flowcon_workload::ArrivalProcess;
 use fnv::Fnv;
 
@@ -208,11 +208,8 @@ fn trace_digest(tracer: &FlightRecorder) -> u64 {
     h.0
 }
 
-#[test]
-fn traced_session_matches_its_golden_digest() {
-    // One recorded FlowCon worker with a crash: every engine advance and
-    // dispatch, job admit/run/complete, reconfigure span and water-fill
-    // counter of the timeline, in order.
+/// One recorded FlowCon worker with a crash, traced.
+fn traced_session() -> FlightRecorder {
     let mut tracer = FlightRecorder::with_capacity(1 << 17);
     let result = Session::builder()
         .node(node(0xD164))
@@ -227,15 +224,11 @@ fn traced_session_matches_its_golden_digest() {
         .iter()
         .find(|c| c.label == "Job-3");
     assert_eq!(crashed.map(|c| c.exit_code), Some(137));
-    let got = trace_digest(&tracer);
-    assert_eq!(
-        got, 0x156f_a033_125d_d536,
-        "traced session drifted: digest {got:#018x}"
-    );
+    tracer
 }
 
-#[test]
-fn traced_stream_session_matches_its_golden_digest() {
+/// One open-loop FlowCon worker with a crash, traced.
+fn traced_stream_session() -> FlightRecorder {
     let source = SyntheticStreamSource::new(ArrivalProcess::poisson(0.01), 0xD5);
     let mut tracer = FlightRecorder::with_capacity(1 << 17);
     let result = Session::builder()
@@ -245,9 +238,52 @@ fn traced_stream_session_matches_its_golden_digest() {
         .build()
         .run_stream_traced(source.stream_for(0), Horizon::jobs(6), &mut tracer);
     assert_eq!(result.stream.completed, 6);
-    let got = trace_digest(&tracer);
+    tracer
+}
+
+#[test]
+fn traced_session_matches_its_golden_digest() {
+    // Every engine advance and dispatch, job admit/run/complete,
+    // reconfigure span and water-fill counter of the timeline, in order.
+    let got = trace_digest(&traced_session());
+    assert_eq!(
+        got, 0x156f_a033_125d_d536,
+        "traced session drifted: digest {got:#018x}"
+    );
+}
+
+#[test]
+fn traced_stream_session_matches_its_golden_digest() {
+    let got = trace_digest(&traced_stream_session());
     assert_eq!(
         got, 0x29f9_dc8e_4959_d46f,
         "traced stream session drifted: digest {got:#018x}"
+    );
+}
+
+/// Both traced timelines without the engine's own records (the
+/// `EngineEvent` instant of each dispatch and the `EngineAdvance` spans
+/// between dispatches): what the worker did, however its events were
+/// dispatched.
+#[test]
+fn traced_timelines_without_engine_records_match_their_golden_digests() {
+    let stripped = |tracer: FlightRecorder| {
+        assert_eq!(tracer.dropped(), 0, "the ring must hold the whole run");
+        let mut events = tracer.events();
+        events.retain(|e| !matches!(e.kind, TraceKind::EngineEvent | TraceKind::EngineAdvance));
+        let mut h = Fnv::new();
+        h.bytes(chrome_trace_json(&events, 0).as_bytes());
+        h.0
+    };
+    let got = [
+        stripped(traced_session()),
+        stripped(traced_stream_session()),
+    ];
+    assert_eq!(
+        got,
+        [0x8716_7c7f_41bb_1668, 0xcb15_c159_0248_866a],
+        "worker timelines drifted: digests {:#018x}, {:#018x}",
+        got[0],
+        got[1]
     );
 }

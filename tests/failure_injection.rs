@@ -11,7 +11,7 @@ use flowcon_core::policy::{FairSharePolicy, FlowConPolicy};
 use flowcon_core::session::{SessionBuilder, SessionResult};
 use flowcon_dl::workload::WorkloadPlan;
 use flowcon_metrics::summary::RunSummary;
-use flowcon_sim::time::SimTime;
+use flowcon_sim::time::{SimDuration, SimTime};
 use fnv::Fnv;
 
 /// Assert a run's completion records and event count against a golden
@@ -146,4 +146,34 @@ fn failure_targeting_unknown_label_is_a_noop() {
     assert_digest(&result, 0x1110_514b_ca10_2dc1, "unknown target");
     assert_eq!(result.output.completions.len(), 3);
     assert!(result.output.completions.iter().all(|c| c.exit_code == 0));
+}
+
+#[test]
+fn unsorted_plan_and_faults_dispatch_by_time_then_listing_order() {
+    // A plan listed latest first, with two jobs at one instant, and faults
+    // listed out of time order, two at one instant: arrivals dispatch in
+    // (time, plan index) order and faults in (time, listing) order.
+    let mut jobs = WorkloadPlan::random_n(8, 0xD6).jobs;
+    jobs[4].arrival = jobs[3].arrival;
+    jobs.reverse();
+    let at = jobs[0].arrival + SimDuration::from_secs(40);
+    let result = flowcon(WorkloadPlan { jobs })
+        .failure("Job-6", at + SimDuration::from_secs(60), 137)
+        .failure("Job-4", at, 139)
+        .failure("Job-2", at, 9)
+        .build()
+        .run();
+    let s = &result.output;
+    assert_eq!(s.completions.len(), 8);
+    let code = |label: &str| {
+        s.completions
+            .iter()
+            .find(|c| c.label == label)
+            .map(|c| c.exit_code)
+    };
+    assert_eq!(
+        (code("Job-2"), code("Job-4"), code("Job-6")),
+        (Some(9), Some(139), Some(137))
+    );
+    assert_digest(&result, 0x5959_b3fb_60a8_0b01, "unsorted plan and faults");
 }
