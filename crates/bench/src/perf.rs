@@ -25,9 +25,8 @@ use flowcon_dl::workload::WorkloadPlan;
 use flowcon_sim::alloc::{
     waterfill, waterfill_into, waterfill_soft_into, AllocRequest, WaterfillScratch,
 };
-use flowcon_sim::event::EventQueue;
 use flowcon_sim::rng::SimRng;
-use flowcon_sim::time::{SimDuration, SimTime};
+use flowcon_sim::time::SimTime;
 use flowcon_sim::trace::FlightRecorder;
 use flowcon_workload::{ArrivalProcess, StreamSource, SyntheticStreamSource};
 
@@ -175,29 +174,6 @@ pub fn requests(n: usize, seed: u64) -> Vec<AllocRequest> {
         .collect()
 }
 
-/// Dispatch a chain of `events` events on a fresh [`EventQueue`], in which
-/// each pop schedules the next event one second later; returns the number
-/// of events popped.
-///
-/// Kept out of line, as the engine loop this row timed before was, so the
-/// code around it in the suite cannot change how the loop compiles (see
-/// BENCHMARKS.md, "One event queue").
-#[inline(never)]
-fn dispatch_chain(events: u64) -> u64 {
-    let mut queue = EventQueue::new();
-    queue.schedule(SimTime::ZERO, ());
-    let mut remaining = events - 1;
-    let mut popped = 0;
-    while let Some((now, ())) = queue.pop() {
-        popped += 1;
-        if remaining > 0 {
-            remaining -= 1;
-            queue.schedule(now + SimDuration::from_secs(1), ());
-        }
-    }
-    popped
-}
-
 /// Run the fixed allocator / engine / policy micro-suite.
 ///
 /// `counter`, when provided, reports the process-wide heap-allocation count
@@ -331,24 +307,6 @@ pub fn run_micro_suite(counter: Option<AllocCounter<'_>>) -> Vec<PerfResult> {
             ));
         });
         push("waterfill/soft_warm/n64", ns, allocs, None);
-    }
-
-    // --- event dispatch throughput on a fresh queue ---
-    {
-        const EVENTS: u64 = 200_000;
-        let ns = time_ns(
-            || {
-                std::hint::black_box(dispatch_chain(std::hint::black_box(EVENTS)));
-            },
-            Duration::from_secs(2),
-        );
-        let events_per_sec = EVENTS as f64 / (ns / 1e9);
-        push(
-            "engine/dispatch_chain/200k",
-            ns / EVENTS as f64,
-            None,
-            Some(events_per_sec),
-        );
     }
 
     // --- policy: Algorithm 1 over a measured worker ---
@@ -1213,7 +1171,7 @@ mod tests {
     fn json_round_trips_through_parse_results() {
         let results = vec![
             result("waterfill/warm/n64", Some(0.0), None),
-            result("engine/dispatch_chain/200k", None, Some(2.3e8)),
+            result("worker/flowcon_fixed_three", None, Some(2.3e8)),
             result("cluster/sharded/w1024", Some(312.5), Some(1.9e7)),
         ];
         let json = to_json(&results, "2026-07-29", "release");
@@ -1262,8 +1220,8 @@ mod tests {
     fn gate_fails_on_doctored_throughput_baseline() {
         // A baseline doctored to claim 10x the real throughput must trip
         // the 25% regression wire.
-        let baseline = vec![result("engine/dispatch_chain/200k", None, Some(2.4e9))];
-        let current = vec![result("engine/dispatch_chain/200k", None, Some(2.4e8))];
+        let baseline = vec![result("worker/flowcon_fixed_three", None, Some(2.4e9))];
+        let current = vec![result("worker/flowcon_fixed_three", None, Some(2.4e8))];
         let violations = check_regression(&current, &baseline);
         assert_eq!(violations.len(), 1);
         assert!(
@@ -1271,7 +1229,7 @@ mod tests {
             "{violations:?}"
         );
         // Within-tolerance noise does not trip it.
-        let ok = vec![result("engine/dispatch_chain/200k", None, Some(1.9e9))];
+        let ok = vec![result("worker/flowcon_fixed_three", None, Some(1.9e9))];
         assert!(check_regression(&ok, &baseline).is_empty());
     }
 

@@ -51,8 +51,19 @@
 //! pool and a map-backed monitor) this module replaced, and are the
 //! reference it is held to.
 //!
-//! Every run pops its events from one recycled binary-heap
-//! [`EventQueue`], ordered by `(when, FIFO sequence)`.
+//! # The agenda
+//!
+//! A worker never has more than one pending event per source, so it
+//! dispatches from a fixed [`Agenda`] of one `(when, seq)` stamp per
+//! source, not from a queue: the plan's next arrival, the stream
+//! lookahead, the policy tick, the completion projection, the sample and
+//! trace ticks, and the next fault.  Arrivals and faults are sorted once,
+//! up front, and walked by a cursor.  Every event goes to the source with
+//! the smallest stamp, so same-time events dispatch in the order they were
+//! scheduled.  A re-armed policy tick or a reprojected completion
+//! overwrites its source's stamp, and the overwritten stamp counts toward
+//! `events_processed` at that moment: the count is the number of events
+//! scheduled, as if every superseded one had been dispatched and ignored.
 //!
 //! # Sample ticks
 //!
@@ -72,7 +83,6 @@ use flowcon_metrics::sojourn::SojournStats;
 use flowcon_metrics::stream::StreamStats;
 use flowcon_metrics::summary::CompletionStats;
 use flowcon_sim::alloc::NodeShares;
-use flowcon_sim::event::EventQueue;
 use flowcon_sim::rng::SimRng;
 use flowcon_sim::stats::TimeWeighted;
 use flowcon_sim::time::{SimDuration, SimTime};
@@ -91,16 +101,150 @@ use crate::worker::{FailureInjection, WorkerEvent, TRACE_INTERVAL};
 /// Run-away guard: no worker run on this model needs more events.
 const MAX_EVENTS: u64 = 50_000_000;
 
-/// The event queue a headless run names.
+/// A name a headless run is given, selecting nothing.
 ///
-/// It selects nothing: every run pops its events from the one
-/// [`EventQueue`].  The type remains only as an argument of
+/// No worker run has an event queue: each dispatches from its agenda (see
+/// the module docs).  The type remains only as an argument of
 /// [`run_headless_dense`] and `PlacedHeadless::run`, so that their
-/// existing callers compile unchanged.
+/// existing callers, the benchmark among them, compile unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueueKind {
-    /// The binary-heap [`EventQueue`], the only one.
+    /// The only value.
     Heap,
+}
+
+/// A pending event's dispatch key: its time, then its sequence number.
+type Stamp = (SimTime, u64);
+
+/// An empty agenda slot, later than every stamp a run makes.
+const IDLE: Stamp = (SimTime::MAX, u64::MAX);
+
+/// The sources of a worker's events, one [`Agenda`] slot each.
+#[derive(Debug, Clone, Copy)]
+enum Source {
+    /// The plan's next arrival, in `(arrival, plan index)` order.
+    Arrival,
+    /// The stream's lookahead job.
+    Stream,
+    /// The Executor's policy tick.
+    Tick,
+    /// The projected next completion.
+    Completion,
+    /// The 1 Hz sample tick.
+    Sample,
+    /// The growth-trace tick.
+    Trace,
+    /// The next fault, in `(at, listing)` order.
+    Failure,
+}
+
+impl Source {
+    /// Every source, in slot order.
+    const ALL: [Source; 7] = [
+        Source::Arrival,
+        Source::Stream,
+        Source::Tick,
+        Source::Completion,
+        Source::Sample,
+        Source::Trace,
+        Source::Failure,
+    ];
+}
+
+/// A worker's pending events: one stamp per [`Source`] (see the module
+/// docs), recycled in the [`DenseScratch`].
+#[derive(Debug, Default)]
+struct Agenda {
+    /// Each source's pending stamp, [`IDLE`] when it has none.
+    next: [Stamp; 7],
+    /// The plan's arrivals as `(arrival, plan index)`, ascending.
+    arrivals: Vec<Stamp>,
+    /// The fault schedule as `(at, seq)`, ascending.
+    failures: Vec<Stamp>,
+    /// Index of the pending arrival in `arrivals`.
+    arrival: usize,
+    /// Index of the pending fault in `failures`.
+    failure: usize,
+    /// The first fault's sequence number.
+    failure_seq: u64,
+    /// The next stamp's sequence number.
+    seq: u64,
+    /// Stamps overwritten or voided before they were dispatched.
+    superseded: u64,
+}
+
+impl Agenda {
+    /// Empty the agenda and stamp the plan's arrivals: the `i`-th job gets
+    /// sequence number `i`.
+    fn reset(&mut self, plan: &[JobRequest]) {
+        self.next = [IDLE; 7];
+        self.arrivals.clear();
+        self.arrivals
+            .extend(plan.iter().zip(0..).map(|(job, seq)| (job.arrival, seq)));
+        self.arrivals.sort_unstable();
+        self.arrival = 0;
+        self.next[Source::Arrival as usize] = self.arrivals.first().copied().unwrap_or(IDLE);
+        self.failures.clear();
+        self.failure = 0;
+        self.seq = plan.len() as u64;
+        self.superseded = 0;
+    }
+
+    /// Stamp the fault schedule, one sequence number per entry in listing
+    /// order.
+    fn stamp_failures(&mut self, failures: &[FailureInjection]) {
+        self.failure_seq = self.seq;
+        self.failures
+            .extend(failures.iter().zip(self.seq..).map(|(f, seq)| (f.at, seq)));
+        self.failures.sort_unstable();
+        self.seq += failures.len() as u64;
+        self.next[Source::Failure as usize] = self.failures.first().copied().unwrap_or(IDLE);
+    }
+
+    /// Stamp `source`'s next event at `when`, superseding a pending one.
+    fn schedule(&mut self, source: Source, when: SimTime) {
+        self.void(source);
+        self.next[source as usize] = (when, self.seq);
+        self.seq += 1;
+    }
+
+    /// Drop `source`'s pending event, if any, as superseded.
+    fn void(&mut self, source: Source) {
+        let slot = &mut self.next[source as usize];
+        if *slot != IDLE {
+            self.superseded += 1;
+            *slot = IDLE;
+        }
+    }
+
+    /// Take the pending event with the smallest stamp.
+    fn pop(&mut self) -> Option<(SimTime, WorkerEvent)> {
+        let k =
+            (1..self.next.len()).fold(0, |k, i| if self.next[i] < self.next[k] { i } else { k });
+        let (when, seq) = self.next[k];
+        if (when, seq) == IDLE {
+            return None;
+        }
+        self.next[k] = IDLE;
+        let event = match Source::ALL[k] {
+            Source::Arrival => {
+                self.arrival += 1;
+                self.next[k] = self.arrivals.get(self.arrival).copied().unwrap_or(IDLE);
+                WorkerEvent::Arrival(seq as usize)
+            }
+            Source::Failure => {
+                self.failure += 1;
+                self.next[k] = self.failures.get(self.failure).copied().unwrap_or(IDLE);
+                WorkerEvent::InjectFailure((seq - self.failure_seq) as usize)
+            }
+            Source::Stream => WorkerEvent::StreamArrival,
+            Source::Tick => WorkerEvent::PolicyTick,
+            Source::Completion => WorkerEvent::CompletionCheck,
+            Source::Sample => WorkerEvent::SampleTick,
+            Source::Trace => WorkerEvent::TraceTick,
+        };
+        Some((when, event))
+    }
 }
 
 /// One container's POD record: creation time, soft limits, the
@@ -151,8 +295,8 @@ pub struct DenseScratch {
     pool_ids: Vec<ContainerId>,
     /// Policy-decision updates buffer.
     updates: Vec<(ContainerId, f64)>,
-    /// Recycled event queue.
-    queue: EventQueue<WorkerEvent>,
+    /// Recycled agenda.
+    agenda: Agenda,
 }
 
 impl DenseScratch {
@@ -186,14 +330,14 @@ impl DenseScratch {
     }
 }
 
-/// Where a run's jobs come from: a plan's queued `Arrival` events, or an
+/// Where a run's jobs come from: a plan's stamped `Arrival` events, or an
 /// open-loop stream.
 ///
 /// Monomorphized: the defaults below compile every stream hook to nothing
 /// for a plan; [`OpenLoop`] adds the stream lookahead and the
 /// steady-state accounting.
 trait Admission {
-    /// The plan's jobs, queued as `Arrival` events before the run starts.
+    /// The plan's jobs, stamped as `Arrival` events before the run starts.
     fn plan(&self) -> &[JobRequest] {
         &[]
     }
@@ -442,7 +586,7 @@ pub(crate) fn run_stream<J: JobStream, R: Recorder, T: Tracer>(
 type Finished<O, A> = (SessionResult<O>, A);
 
 /// The dispatch loop, monomorphized over the admission, the recorder and
-/// the tracer, on the scratch's recycled queue (the scratch must already
+/// the tracer, on the scratch's recycled agenda (the scratch must already
 /// be reset).
 ///
 /// Every worker run enters here, so this is where a node that could
@@ -458,34 +602,24 @@ fn run<A: Admission, R: Recorder, T: Tracer>(
         worker.node.sample_interval > SimDuration::ZERO,
         "NodeConfig::sample_interval must be > 0"
     );
-    let mut queue = std::mem::take(&mut scratch.queue);
-    queue.clear();
-    // Priming order fixes the FIFO sequence numbers that break ties
-    // between same-time events: plan arrivals, the first sample and trace
-    // ticks, the fault schedule, then the stream lookahead.
-    let plan = admission.plan();
-    for (idx, job) in plan.iter().enumerate() {
-        queue.schedule(job.arrival, WorkerEvent::Arrival(idx));
-    }
-    let arrivals_pending = plan.len();
+    let mut agenda = std::mem::take(&mut scratch.agenda);
+    // Priming order fixes the sequence numbers that break ties between
+    // same-time events: plan arrivals, the first sample and trace ticks,
+    // the fault schedule, then the stream lookahead.
+    agenda.reset(admission.plan());
     if R::RECORDS_SAMPLES {
-        queue.schedule(SimTime::ZERO, WorkerEvent::SampleTick);
+        agenda.schedule(Source::Sample, SimTime::ZERO);
     }
     if R::RECORDS_GROWTH {
-        queue.schedule(SimTime::ZERO + TRACE_INTERVAL, WorkerEvent::TraceTick);
+        agenda.schedule(Source::Trace, SimTime::ZERO + TRACE_INTERVAL);
     }
-    for (idx, f) in worker.failures.iter().enumerate() {
-        queue.schedule(f.at, WorkerEvent::InjectFailure(idx));
-    }
+    agenda.stamp_failures(worker.failures);
     let mut sim = DenseSim {
         node: worker.node,
         policy: worker.policy,
         rng: SimRng::new(worker.node.seed),
         now: SimTime::ZERO,
         last_advance: SimTime::ZERO,
-        completion_gen: 0,
-        tick_gen: 0,
-        arrivals_pending,
         rates_stale: true,
         samples_changed: true,
         admission,
@@ -495,16 +629,17 @@ fn run<A: Admission, R: Recorder, T: Tracer>(
         update_calls: 0,
         algorithm_runs: 0,
         waterfill_runs: 0,
-        queue,
+        agenda,
         s: scratch,
     };
     if let Some(at) = sim.admission.pull_next() {
-        sim.queue.schedule(at, WorkerEvent::StreamArrival);
+        sim.agenda.schedule(Source::Stream, at);
     }
-    // Stale-generation events still count toward `events_processed`: they
-    // are popped and dispatched.
-    let mut events_processed: u64 = 0;
-    while let Some((when, event)) = sim.queue.pop() {
+    // Superseded stamps count toward `events_processed` as they are
+    // superseded (see the module docs).
+    let mut dispatched: u64 = 0;
+    while let Some((when, event)) = sim.agenda.pop() {
+        let events_processed = dispatched + sim.agenda.superseded;
         assert!(
             events_processed < MAX_EVENTS,
             "worker run exceeded its budget of {MAX_EVENTS} events at sim time {when}"
@@ -520,7 +655,7 @@ fn run<A: Admission, R: Recorder, T: Tracer>(
                 .instant(when, TraceKind::EngineEvent, events_processed as u32, 0);
         }
         sim.now = when;
-        events_processed += 1;
+        dispatched += 1;
         sim.handle(event);
     }
     let output = sim.recorder.finish(RunMeta {
@@ -530,10 +665,10 @@ fn run<A: Admission, R: Recorder, T: Tracer>(
     });
     let result = SessionResult {
         output,
-        events_processed,
+        events_processed: dispatched + sim.agenda.superseded,
         scheduler_overhead_cpu_secs: sim.algorithm_runs as f64 * sim.node.algo_cost_cpu_secs,
     };
-    sim.s.queue = sim.queue;
+    sim.s.agenda = sim.agenda;
     (result, sim.admission)
 }
 
@@ -567,9 +702,6 @@ struct DenseSim<'a, A, R, T> {
     rng: SimRng,
     now: SimTime,
     last_advance: SimTime,
-    completion_gen: u64,
-    tick_gen: u64,
-    arrivals_pending: usize,
     /// The pool or a limit changed since the rates were last computed.
     rates_stale: bool,
     /// Something a sample reads (the rates, the live set, a limit) changed
@@ -585,7 +717,7 @@ struct DenseSim<'a, A, R, T> {
     /// Rate recomputations so far (the cumulative count behind the
     /// [`TraceKind::Waterfill`] counter events; traced runs only).
     waterfill_runs: u64,
-    queue: EventQueue<WorkerEvent>,
+    agenda: Agenda,
     s: &'a mut DenseScratch,
 }
 
@@ -593,23 +725,24 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
     /// True once every job has arrived (plan and stream) and the pool is
     /// empty.
     fn is_done(&self) -> bool {
-        self.arrivals_pending == 0 && !self.admission.pending() && self.s.pool_ids.is_empty()
+        self.agenda.next[Source::Arrival as usize] == IDLE
+            && !self.admission.pending()
+            && self.s.pool_ids.is_empty()
     }
 
     /// Schedule at an absolute time; causality must hold.
-    fn schedule_at(&mut self, when: SimTime, ev: WorkerEvent) {
+    fn schedule_at(&mut self, when: SimTime, source: Source) {
         assert!(
             when >= self.now,
             "cannot schedule into the past: now={}, when={}",
             self.now,
             when
         );
-        self.queue.schedule(when, ev);
+        self.agenda.schedule(source, when);
     }
 
-    fn schedule_after(&mut self, delay: SimDuration, ev: WorkerEvent) {
-        let when = self.now + delay;
-        self.queue.schedule(when, ev);
+    fn schedule_after(&mut self, delay: SimDuration, source: Source) {
+        self.agenda.schedule(source, self.now + delay);
     }
 
     /// Integrate the fluid state from `last_advance` to `now`; exited
@@ -660,7 +793,8 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
     ///
     /// Rates and efficiencies are a pure function of the live list and its
     /// limits (demands are fixed per job), so they are only rebuilt when
-    /// one of those moved; the completion generation advances either way.
+    /// one of those moved; the pending completion projection is voided
+    /// either way.
     fn recompute_rates(&mut self) {
         if T::ENABLED {
             self.waterfill_runs += 1;
@@ -671,7 +805,7 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
                 self.waterfill_runs as f64,
             );
         }
-        self.completion_gen += 1;
+        self.agenda.void(Source::Completion);
         if !self.rates_stale {
             return;
         }
@@ -788,22 +922,22 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
         next_interval
     }
 
-    /// Reschedule the policy tick after a reconfiguration.
+    /// Reschedule the policy tick after a reconfiguration, superseding a
+    /// pending one.
     fn schedule_tick(&mut self, interval: Option<SimDuration>) {
         let interval = checked_interval(interval);
         if self.is_done() {
             return;
         }
         if let Some(itval) = interval {
-            self.tick_gen += 1;
-            self.schedule_after(itval, WorkerEvent::PolicyTick(self.tick_gen));
+            self.schedule_after(itval, Source::Tick);
         }
     }
 
     /// Schedule the next projected completion check.
     fn schedule_completion(&mut self) {
         if let Some(at) = self.next_completion() {
-            self.schedule_at(at, WorkerEvent::CompletionCheck(self.completion_gen));
+            self.schedule_at(at, Source::Completion);
         }
     }
 
@@ -927,7 +1061,6 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
             WorkerEvent::Arrival(idx) => {
                 self.advance_to(now);
                 let interrupted_by_exit = self.process_exits(now);
-                self.arrivals_pending -= 1;
                 let (spec, label) = self.admission.arrive(idx);
                 self.admit_job(now, spec, label, interrupted_by_exit);
             }
@@ -939,21 +1072,18 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
                 // Schedule the lookahead *before* admitting: admission
                 // consults `is_done` (via tick scheduling), which must
                 // already know whether more arrivals are coming.  The
-                // order also fixes the FIFO sequence numbers that break
-                // ties between same-time events.
+                // order also fixes the sequence numbers that break ties
+                // between same-time events.
                 if let Some(at) = self.admission.pull_next() {
                     assert!(
                         at >= now,
                         "job streams must yield monotone arrivals ({at} after {now})"
                     );
-                    self.schedule_at(at, WorkerEvent::StreamArrival);
+                    self.schedule_at(at, Source::Stream);
                 }
                 self.admit_job(now, job.scaled_spec(), job.label, interrupted_by_exit);
             }
-            WorkerEvent::CompletionCheck(gen) => {
-                if gen != self.completion_gen {
-                    return; // stale projection
-                }
+            WorkerEvent::CompletionCheck => {
                 self.advance_to(now);
                 if self.process_exits(now) {
                     let next = self.run_reconfigure(now);
@@ -962,10 +1092,7 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
                 self.recompute_rates();
                 self.schedule_completion();
             }
-            WorkerEvent::PolicyTick(gen) => {
-                if gen != self.tick_gen {
-                    return; // pre-empted by an interrupt
-                }
+            WorkerEvent::PolicyTick => {
                 self.advance_to(now);
                 let _ = self.process_exits(now); // the tick reconfigures below
                 self.reconfigure_and_reshare(now);
@@ -984,7 +1111,7 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
                     }
                 }
                 if !self.is_done() {
-                    self.schedule_after(self.node.sample_interval, WorkerEvent::SampleTick);
+                    self.schedule_after(self.node.sample_interval, Source::Sample);
                 }
             }
             WorkerEvent::TraceTick if R::RECORDS_GROWTH => {
@@ -996,7 +1123,7 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
                     self.record_growth_traces(now);
                 }
                 if !self.is_done() {
-                    self.schedule_after(TRACE_INTERVAL, WorkerEvent::TraceTick);
+                    self.schedule_after(TRACE_INTERVAL, Source::Trace);
                 }
             }
             WorkerEvent::SampleTick | WorkerEvent::TraceTick => {

@@ -26,18 +26,19 @@ use flowcon_sim::time::{SimDuration, SimTime};
 /// Interval between growth-efficiency trace measurements (Figs. 13–14).
 pub(crate) const TRACE_INTERVAL: SimDuration = SimDuration::from_secs(20);
 
-/// Events driving the worker simulation.
+/// The events a worker simulation dispatches from its agenda, which holds
+/// at most one pending event per source (see [`crate::dense`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum WorkerEvent {
     /// The `idx`-th job of the plan arrives.
     Arrival(usize),
-    /// The pending open-loop streamed job arrives (exactly one such event
-    /// is in flight at a time).
+    /// The pending open-loop streamed job arrives.
     StreamArrival,
-    /// A projected completion; `gen` invalidates stale projections.
-    CompletionCheck(u64),
-    /// The Executor's periodic tick; `gen` invalidates pre-empted ticks.
-    PolicyTick(u64),
+    /// The projected next completion; a reprojection supersedes it.
+    CompletionCheck,
+    /// The Executor's periodic tick; an interrupt that re-arms the
+    /// interval supersedes it.
+    PolicyTick,
     /// 1 Hz usage/limit sampling.
     SampleTick,
     /// Growth-efficiency trace sampling.

@@ -10,8 +10,6 @@
 //!
 //! * [`time`] — a virtual clock measured in integer microseconds, so event
 //!   ordering is total and platform independent.
-//! * [`event`] — the priority event queue with FIFO tie-breaking; the one
-//!   dispatch loop, `flowcon_core::dense`, pops every worker event from it.
 //! * [`rng`] — a from-scratch, splittable xoshiro256++ RNG so every
 //!   experiment is reproducible from a single `u64` seed without external
 //!   dependencies.
@@ -39,7 +37,6 @@
 
 pub mod alloc;
 pub mod contention;
-pub mod event;
 pub mod resources;
 pub mod rng;
 pub mod stats;
@@ -48,7 +45,6 @@ pub mod trace;
 
 pub use alloc::{waterfill, AllocRequest, Allocation};
 pub use contention::ContentionModel;
-pub use event::EventQueue;
 pub use resources::{ResourceKind, ResourceVec, RESOURCE_KINDS};
 pub use rng::SimRng;
 pub use stats::TimeWeighted;

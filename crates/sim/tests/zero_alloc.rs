@@ -1,9 +1,8 @@
 //! Steady-state allocation audit for the hot path.
 //!
 //! A counting global allocator wraps `System`; after warm-up, repeated
-//! `waterfill_into` / `waterfill_soft_into` rounds, node-share recomputes
-//! and a steady-state event chain on a recycled queue must perform
-//! **zero** heap allocations.
+//! `waterfill_into` / `waterfill_soft_into` rounds and node-share
+//! recomputes must perform **zero** heap allocations.
 //!
 //! Counting is gated on a thread-local flag so the libtest harness's own
 //! threads (which allocate at will) cannot contaminate the measurement
@@ -17,8 +16,6 @@ use flowcon_sim::alloc::{
     waterfill_into, waterfill_soft_into, AllocRequest, NodeShares, WaterfillScratch,
 };
 use flowcon_sim::contention::ContentionModel;
-use flowcon_sim::event::EventQueue;
-use flowcon_sim::time::{SimDuration, SimTime};
 
 struct CountingAllocator;
 
@@ -80,24 +77,6 @@ fn drifted_requests(reqs: &mut [AllocRequest], round: usize) {
         let base = 0.05 + 0.9 * (i as f64 + 1.0) / (n + 1.0);
         q.limit = base + 0.0003 * ((round % 7) as f64);
     }
-}
-
-/// Drive a self-rescheduling chain of `events` events on `queue`: each pop
-/// schedules the next event one second later, the steady-state pattern of
-/// a worker run's dispatch loop.  Returns the number of events popped.
-fn run_chain(queue: &mut EventQueue<()>, events: u32) -> u32 {
-    queue.clear();
-    queue.schedule(SimTime::ZERO, ());
-    let mut remaining = events - 1;
-    let mut popped = 0;
-    while let Some((now, ())) = queue.pop() {
-        popped += 1;
-        if remaining > 0 {
-            remaining -= 1;
-            queue.schedule(now + SimDuration::from_secs(1), ());
-        }
-    }
-    popped
 }
 
 #[test]
@@ -178,14 +157,5 @@ fn hot_path_is_allocation_free_in_steady_state() {
     assert_eq!(
         share_allocs, 0,
         "NodeShares::recompute allocated {share_allocs} times across 499 warm rounds"
-    );
-
-    // --- event chain on a recycled queue: every pop schedules the next ---
-    let mut queue = EventQueue::new();
-    assert_eq!(run_chain(&mut queue, 100), 100); // warm-up: the heap grows here
-    let chain_allocs = allocations_during(|| run_chain(&mut queue, 10_000));
-    assert_eq!(
-        chain_allocs, 0,
-        "steady-state event chain allocated {chain_allocs} times"
     );
 }
