@@ -39,13 +39,30 @@ pub enum ConvergenceCurve {
 }
 
 impl ConvergenceCurve {
+    /// The constant that normalizes the curve to `g(1) = 1`: `1 - e^(-k)`
+    /// for the exponential curves, 1 for a power law.  A caller that reads
+    /// one curve often computes it once and calls [`Self::level_with`].
+    pub fn normalizer(&self) -> f64 {
+        match *self {
+            ConvergenceCurve::Exponential { k }
+            | ConvergenceCurve::SteppedExponential { k, .. } => 1.0 - (-k).exp(),
+            ConvergenceCurve::PowerLaw { .. } => 1.0,
+        }
+    }
+
     /// Evaluate the curve at progress `x` (clamped to `[0, 1]`).
     pub fn level(&self, x: f64) -> f64 {
+        self.level_with(x, self.normalizer())
+    }
+
+    /// [`Self::level`] with the curve's [`Self::normalizer`] precomputed;
+    /// the same f64 bit for bit.
+    pub fn level_with(&self, x: f64, normalizer: f64) -> f64 {
         let x = x.clamp(0.0, 1.0);
         match *self {
             ConvergenceCurve::Exponential { k } => {
                 debug_assert!(k > 0.0);
-                (1.0 - (-k * x).exp()) / (1.0 - (-k).exp())
+                (1.0 - (-k * x).exp()) / normalizer
             }
             ConvergenceCurve::PowerLaw { p } => {
                 debug_assert!(p > 0.0 && p <= 1.0);
@@ -61,7 +78,7 @@ impl ConvergenceCurve {
                 let plateau = (x * s).floor() / s;
                 let within = (x * s).fract() / s;
                 let xq = plateau + 0.1 * within;
-                (1.0 - (-k * xq).exp()) / (1.0 - (-k).exp())
+                (1.0 - (-k * xq).exp()) / normalizer
             }
         }
     }
@@ -70,7 +87,7 @@ impl ConvergenceCurve {
     pub fn slope(&self, x: f64) -> f64 {
         let x = x.clamp(0.0, 1.0);
         match *self {
-            ConvergenceCurve::Exponential { k } => k * (-k * x).exp() / (1.0 - (-k).exp()),
+            ConvergenceCurve::Exponential { k } => k * (-k * x).exp() / self.normalizer(),
             ConvergenceCurve::PowerLaw { p } => {
                 if x == 0.0 && p < 1.0 {
                     // The derivative diverges at 0; report a large finite value.
@@ -83,7 +100,7 @@ impl ConvergenceCurve {
                 // Within-plateau slope is 10% of the base exponential's.
                 let s = steps as f64;
                 let plateau = (x * s).floor() / s;
-                0.1 * k * (-k * plateau).exp() / (1.0 - (-k).exp())
+                0.1 * k * (-k * plateau).exp() / self.normalizer()
             }
         }
     }

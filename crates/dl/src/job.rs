@@ -23,6 +23,8 @@ pub struct TrainingJob {
     total_work: f64,
     /// Effective CPU-seconds consumed so far.
     done: f64,
+    /// The evaluation curve's normalizer, computed once per job.
+    normalizer: f64,
     /// Per-instance noise stream.
     rng: SimRng,
     /// The uniforms of the current measurement's noise, drawn on every
@@ -60,6 +62,7 @@ impl TrainingJob {
         let jitter = 1.0 + 0.03 * (2.0 * rng.f64() - 1.0);
         let total_work = spec.total_work * jitter;
         TrainingJob {
+            normalizer: spec.eval_curve().normalizer(),
             spec,
             label: String::new(),
             total_work,
@@ -80,9 +83,11 @@ impl TrainingJob {
     /// Follows the model's *evaluation* convergence curve, which may be
     /// slower than its accuracy curve (see `ModelSpec::eval_curve`).
     pub fn true_eval(&self) -> f64 {
-        self.spec
-            .eval
-            .value_at(self.spec.eval_curve().level(self.progress()))
+        let level = self
+            .spec
+            .eval_curve()
+            .level_with(self.progress(), self.normalizer);
+        self.spec.eval.value_at(level)
     }
 
     /// Inject a crash: the container will exit with `code` on next advance.
