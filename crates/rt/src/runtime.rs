@@ -272,6 +272,7 @@ pub struct RtRuntime {
     // Recycled reconfiguration buffers.
     measures: Vec<GrowthMeasurement>,
     updates: Vec<(ContainerId, f64)>,
+    pool_ids: Vec<ContainerId>,
 }
 
 impl RtRuntime {
@@ -285,6 +286,7 @@ impl RtRuntime {
             shares: NodeShares::new(),
             measures: Vec::new(),
             updates: Vec::new(),
+            pool_ids: Vec::new(),
         }
     }
 
@@ -448,20 +450,17 @@ impl RtRuntime {
                 }
             }
 
-            if pool_changed {
-                let ids: Vec<ContainerId> = active.keys().copied().collect();
-                if self.policy.on_pool_change(virtual_now(now, dilation), &ids) {
-                    self.reconfigure(
-                        virtual_now(now, dilation),
-                        &mut active,
-                        &mut algorithm_runs,
-                        &mut update_calls,
-                        &mut tick,
-                        dilation,
-                    );
-                    next_tick = Instant::now() + tick;
-                }
-                self.reshare(&active);
+            if pool_changed
+                && self.pool_changed(
+                    virtual_now(now, dilation),
+                    &mut active,
+                    &mut algorithm_runs,
+                    &mut update_calls,
+                    &mut tick,
+                    dilation,
+                )
+            {
+                next_tick = Instant::now() + tick;
             }
 
             if pending.is_empty() && active.is_empty() && downed.is_none() {
@@ -514,19 +513,16 @@ impl RtRuntime {
                         });
                         lock(&governor_targets).retain(|t| !Arc::ptr_eq(&t.bucket, &c.bucket));
                     }
-                    let ids: Vec<ContainerId> = active.keys().copied().collect();
-                    if self.policy.on_pool_change(virtual_now(now, dilation), &ids) {
-                        self.reconfigure(
-                            virtual_now(now, dilation),
-                            &mut active,
-                            &mut algorithm_runs,
-                            &mut update_calls,
-                            &mut tick,
-                            dilation,
-                        );
+                    if self.pool_changed(
+                        virtual_now(now, dilation),
+                        &mut active,
+                        &mut algorithm_runs,
+                        &mut update_calls,
+                        &mut tick,
+                        dilation,
+                    ) {
                         next_tick = Instant::now() + tick;
                     }
-                    self.reshare(&active);
                 }
                 Err(RecvTimeoutError::Timeout) => {
                     if Instant::now() >= next_tick {
@@ -704,6 +700,28 @@ impl RtRuntime {
             handle: Some(handle),
             mon: MonitorSlot::UNTRACKED,
         }
+    }
+
+    /// The pool changed: tell the policy (the live ids go through the
+    /// recycled `pool_ids`), reconfigure if it interrupts, and reshare.
+    /// Returns whether it reconfigured, which restarts the tick.
+    fn pool_changed(
+        &mut self,
+        now: SimTime,
+        active: &mut BTreeMap<ContainerId, RtContainer>,
+        algorithm_runs: &mut u64,
+        update_calls: &mut u64,
+        tick: &mut Duration,
+        dilation: f64,
+    ) -> bool {
+        self.pool_ids.clear();
+        self.pool_ids.extend(active.keys().copied());
+        let interrupt = self.policy.on_pool_change(now, &self.pool_ids);
+        if interrupt {
+            self.reconfigure(now, active, algorithm_runs, update_calls, tick, dilation);
+        }
+        self.reshare(active);
+        interrupt
     }
 
     /// Measure through each container's Container Monitor slot, run the
