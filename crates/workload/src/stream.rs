@@ -198,7 +198,6 @@ pub trait StreamSource: Sync {
 #[derive(Debug, Clone)]
 pub struct SyntheticStreamSource {
     process: ArrivalProcess,
-    models: Vec<ModelId>,
     seed: u64,
     labeled: bool,
 }
@@ -208,7 +207,6 @@ impl SyntheticStreamSource {
     pub fn new(process: ArrivalProcess, seed: u64) -> Self {
         SyntheticStreamSource {
             process,
-            models: TABLE1_MODELS.to_vec(),
             seed,
             labeled: true,
         }
@@ -228,9 +226,9 @@ impl SyntheticStreamSource {
 }
 
 impl StreamSource for SyntheticStreamSource {
-    type Stream<'a> = SyntheticStream<'a>;
+    type Stream<'a> = SyntheticStream;
 
-    fn stream_for(&self, worker_id: usize) -> SyntheticStream<'_> {
+    fn stream_for(&self, worker_id: usize) -> SyntheticStream {
         SyntheticStream {
             sampler: self.process.sampler(),
             // The same golden-ratio seed stride SyntheticSource::rng_for
@@ -239,28 +237,26 @@ impl StreamSource for SyntheticStreamSource {
                 self.seed
                     .wrapping_add((worker_id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             ),
-            models: &self.models,
             labeled: self.labeled,
             count: 0,
         }
     }
 }
 
-/// One worker's unbounded synthetic arrival stream (created by
-/// [`SyntheticStreamSource::stream_for`]).
+/// One worker's unbounded synthetic arrival stream over the Table-1 models
+/// round-robin (created by [`SyntheticStreamSource::stream_for`]).
 #[derive(Debug, Clone)]
-pub struct SyntheticStream<'a> {
+pub struct SyntheticStream {
     sampler: ArrivalSampler,
     rng: SimRng,
-    models: &'a [ModelId],
     labeled: bool,
     count: usize,
 }
 
-impl JobStream for SyntheticStream<'_> {
+impl JobStream for SyntheticStream {
     fn next_job(&mut self) -> Option<StreamedJob> {
         let arrival = self.sampler.next_arrival(&mut self.rng);
-        let model = self.models[self.count % self.models.len()];
+        let model = TABLE1_MODELS[self.count % TABLE1_MODELS.len()];
         self.count += 1;
         Some(StreamedJob {
             label: if self.labeled {

@@ -5,7 +5,7 @@
 //! seed is a complete, bit-reproducible description of a workload — the
 //! same contract the rest of the workspace keeps for simulations.
 
-use flowcon_dl::models::{ModelId, TABLE1_MODELS};
+use flowcon_dl::models::TABLE1_MODELS;
 use flowcon_dl::workload::{JobRequest, WorkloadPlan};
 use flowcon_sim::rng::SimRng;
 use flowcon_sim::time::SimTime;
@@ -310,15 +310,13 @@ impl ArrivalSampler {
     }
 }
 
-/// A complete synthetic workload description: process + model mix + size +
-/// seed.  Convertible straight into a `WorkloadPlan`
-/// (`Session::builder().plan(synthetic)`).
+/// A complete synthetic workload description: process + size + seed, over
+/// the Table-1 models assigned to arrivals round-robin.  Convertible
+/// straight into a `WorkloadPlan` (`Session::builder().plan(synthetic)`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Synthetic {
     /// The arrival process.
     pub process: ArrivalProcess,
-    /// Models assigned to arrivals round-robin (defaults to Table 1).
-    pub models: Vec<ModelId>,
     /// Number of jobs to generate.
     pub jobs: usize,
     /// RNG seed; same seed ⇒ same plan, bit for bit.
@@ -330,7 +328,6 @@ impl Synthetic {
     pub fn new(process: ArrivalProcess, jobs: usize, seed: u64) -> Self {
         Synthetic {
             process,
-            models: TABLE1_MODELS.to_vec(),
             jobs,
             seed,
         }
@@ -356,7 +353,7 @@ impl Synthetic {
                     } else {
                         String::new()
                     },
-                    self.models[i % self.models.len()],
+                    TABLE1_MODELS[i % TABLE1_MODELS.len()],
                     arrival,
                 )
             })
