@@ -54,7 +54,7 @@
 //! # The agenda
 //!
 //! A worker never has more than one pending event per source, so it
-//! dispatches from a fixed [`Agenda`] of one `(when, seq)` stamp per
+//! dispatches from a fixed agenda of one `(when, seq)` stamp per
 //! source, not from a queue: the plan's next arrival, the stream
 //! lookahead, the policy tick, the completion projection, the sample and
 //! trace ticks, and the next fault.  Arrivals and faults are sorted once,

@@ -91,7 +91,9 @@ pub struct SessionResult<T> {
     /// [`CompletionStats`](flowcon_metrics::summary::CompletionStats) for
     /// [`CompletionsOnly`](crate::recorder::CompletionsOnly).
     pub output: T,
-    /// Total simulated events processed (performance accounting).
+    /// Simulated events processed (performance accounting): the events
+    /// dispatched plus the stamps superseded before their time, a
+    /// re-armed policy tick or a reprojected completion.
     pub events_processed: u64,
     /// Estimated scheduler overhead in CPU-seconds
     /// (`algorithm_runs × NodeConfig::algo_cost_cpu_secs`).
@@ -105,7 +107,9 @@ pub struct StreamResult<T> {
     /// Whatever the session's [`Recorder`] produced (see
     /// [`SessionResult::output`]).
     pub output: T,
-    /// Total simulated events processed (performance accounting).
+    /// Simulated events processed (performance accounting): the events
+    /// dispatched plus the stamps superseded before their time, a
+    /// re-armed policy tick or a reprojected completion.
     pub events_processed: u64,
     /// Estimated scheduler overhead in CPU-seconds
     /// (`algorithm_runs × NodeConfig::algo_cost_cpu_secs`).
