@@ -113,11 +113,17 @@ pub enum QueueKind {
     Heap,
 }
 
-/// A pending event's dispatch key: its time, then its sequence number.
-type Stamp = (SimTime, u64);
+/// A pending event's dispatch key: its time in µs in the high word, its
+/// sequence number in the low one, so that one integer compare orders
+/// stamps by time, then sequence.
+type Stamp = u128;
 
 /// An empty agenda slot, later than every stamp a run makes.
-const IDLE: Stamp = (SimTime::MAX, u64::MAX);
+const IDLE: Stamp = u128::MAX;
+
+fn stamp(when: SimTime, seq: u64) -> Stamp {
+    (u128::from(when.as_micros()) << 64) | u128::from(seq)
+}
 
 /// The sources of a worker's events, one [`Agenda`] slot each.
 #[derive(Debug, Clone, Copy)]
@@ -157,9 +163,9 @@ impl Source {
 struct Agenda {
     /// Each source's pending stamp, [`IDLE`] when it has none.
     next: [Stamp; 7],
-    /// The plan's arrivals as `(arrival, plan index)`, ascending.
+    /// The plan's arrivals stamped `(arrival, plan index)`, ascending.
     arrivals: Vec<Stamp>,
-    /// The fault schedule as `(at, seq)`, ascending.
+    /// The fault schedule stamped `(at, seq)`, ascending.
     failures: Vec<Stamp>,
     /// Index of the pending arrival in `arrivals`.
     arrival: usize,
@@ -179,8 +185,11 @@ impl Agenda {
     fn reset(&mut self, plan: &[JobRequest]) {
         self.next = [IDLE; 7];
         self.arrivals.clear();
-        self.arrivals
-            .extend(plan.iter().zip(0..).map(|(job, seq)| (job.arrival, seq)));
+        self.arrivals.extend(
+            plan.iter()
+                .zip(0..)
+                .map(|(job, seq)| stamp(job.arrival, seq)),
+        );
         self.arrivals.sort_unstable();
         self.arrival = 0;
         self.next[Source::Arrival as usize] = self.arrivals.first().copied().unwrap_or(IDLE);
@@ -194,8 +203,12 @@ impl Agenda {
     /// order.
     fn stamp_failures(&mut self, failures: &[FailureInjection]) {
         self.failure_seq = self.seq;
-        self.failures
-            .extend(failures.iter().zip(self.seq..).map(|(f, seq)| (f.at, seq)));
+        self.failures.extend(
+            failures
+                .iter()
+                .zip(self.seq..)
+                .map(|(f, seq)| stamp(f.at, seq)),
+        );
         self.failures.sort_unstable();
         self.seq += failures.len() as u64;
         self.next[Source::Failure as usize] = self.failures.first().copied().unwrap_or(IDLE);
@@ -204,7 +217,7 @@ impl Agenda {
     /// Stamp `source`'s next event at `when`, superseding a pending one.
     fn schedule(&mut self, source: Source, when: SimTime) {
         self.void(source);
-        self.next[source as usize] = (when, self.seq);
+        self.next[source as usize] = stamp(when, self.seq);
         self.seq += 1;
     }
 
@@ -221,10 +234,13 @@ impl Agenda {
     fn pop(&mut self) -> Option<(SimTime, WorkerEvent)> {
         let k =
             (1..self.next.len()).fold(0, |k, i| if self.next[i] < self.next[k] { i } else { k });
-        let (when, seq) = self.next[k];
-        if (when, seq) == IDLE {
+        if self.next[k] == IDLE {
             return None;
         }
+        let (when, seq) = (
+            SimTime::from_micros((self.next[k] >> 64) as u64),
+            self.next[k] as u64,
+        );
         self.next[k] = IDLE;
         let event = match Source::ALL[k] {
             Source::Arrival => {
