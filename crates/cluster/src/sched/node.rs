@@ -3,7 +3,7 @@
 //!
 //! Each [`NodeSim`] is the dense worker sim
 //! (`flowcon_core::dense`) reshaped for *online* control: instead of an
-//! event queue draining a fixed plan, the node holds a small slot arena
+//! agenda draining a fixed plan, the node holds a small slot arena
 //! of running jobs and exposes three verbs to the engine — `admit`,
 //! `preempt`, and `advance_to(barrier)`.  Between barriers the node
 //! integrates its fluid state with the dense path's equations

@@ -282,7 +282,7 @@ fn ten_k_worker_trace_replay_stays_within_budget() {
 fn a_fresh_dense_scratch_allocates_nothing() {
     let _window = count_window();
     // Every executor shard and every `Session::run` without `.scratch(..)`
-    // starts from a fresh scratch; its arenas and its event queue grow on
+    // starts from a fresh scratch; its arenas and its agenda grow on
     // first use, so creating one must cost nothing.
     let (allocs, _scratch) = allocs_on_this_thread(flowcon_core::dense::DenseScratch::new);
     assert_eq!(allocs, 0, "DenseScratch::new allocated {allocs} times");

@@ -101,12 +101,12 @@ use crate::worker::{FailureInjection, WorkerEvent, TRACE_INTERVAL};
 /// Run-away guard: no worker run on this model needs more events.
 const MAX_EVENTS: u64 = 50_000_000;
 
-/// A name a headless run is given, selecting nothing.
+/// An argument of [`run_headless_dense`] and `PlacedHeadless::run` that
+/// selects nothing.
 ///
 /// No worker run has an event queue: each dispatches from its agenda (see
-/// the module docs).  The type remains only as an argument of
-/// [`run_headless_dense`] and `PlacedHeadless::run`, so that their
-/// existing callers, the benchmark among them, compile unchanged.
+/// the module docs).  The type remains only so that the existing callers
+/// of those two functions, the benchmark among them, compile unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueueKind {
     /// The only value.

@@ -2,7 +2,7 @@
 //!
 //! The simulation clock counts integer **microseconds** from the start of an
 //! experiment.  Integer time gives a total order (no NaN, no float drift in
-//! comparisons) which keeps the event queue deterministic across platforms,
+//! comparisons) which keeps event dispatch deterministic across platforms,
 //! while one-microsecond resolution is far below anything the FlowCon
 //! executor (intervals of tens of seconds) can observe.
 
