@@ -41,7 +41,7 @@
 //! `--compare` or a headless stream) exit 2 the same way, and `repro`
 //! exits 2 on an unknown experiment name before running any.
 //!
-//! `repro bench` runs the fixed allocator/engine/policy/cluster micro-suite
+//! `repro bench` runs the fixed allocator/worker/policy/cluster micro-suite
 //! and writes a machine-readable `BENCH_<date>.json` (see BENCHMARKS.md).
 //! With `--check` it then compares the fresh results against the given
 //! baseline file and exits non-zero on a regression (the CI perf gate).

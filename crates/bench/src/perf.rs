@@ -1,6 +1,6 @@
 //! The perf micro-suite behind `repro bench`.
 //!
-//! A fixed set of allocator / engine / policy microbenchmarks whose results
+//! A fixed set of allocator / worker / policy microbenchmarks whose results
 //! are written to a machine-readable `BENCH_<date>.json`, populating the
 //! repository's performance trajectory.  Every future optimisation PR is
 //! judged against the numbers this suite produced before it.
@@ -174,7 +174,7 @@ pub fn requests(n: usize, seed: u64) -> Vec<AllocRequest> {
         .collect()
 }
 
-/// Run the fixed allocator / engine / policy micro-suite.
+/// Run the fixed allocator / worker / policy micro-suite.
 ///
 /// `counter`, when provided, reports the process-wide heap-allocation count
 /// (monotone); allocation rates are attributed to the allocator benches.
