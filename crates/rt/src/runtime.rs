@@ -273,6 +273,10 @@ pub struct RtRuntime {
     measures: Vec<GrowthMeasurement>,
     updates: Vec<(ContainerId, f64)>,
     pool_ids: Vec<ContainerId>,
+    // The run's executor interval (wall) and counters.
+    tick: Duration,
+    algorithm_runs: u64,
+    update_calls: u64,
 }
 
 impl RtRuntime {
@@ -287,6 +291,9 @@ impl RtRuntime {
             measures: Vec::new(),
             updates: Vec::new(),
             pool_ids: Vec::new(),
+            tick: Duration::ZERO,
+            algorithm_runs: 0,
+            update_calls: 0,
         }
     }
 
@@ -370,14 +377,12 @@ impl RtRuntime {
             })
         };
 
-        let mut tick: Duration = self
+        self.tick = self
             .policy
             .initial_interval()
             .map(|d| Duration::from_secs_f64(d.as_secs_f64() / dilation))
             .unwrap_or(self.config.default_tick);
-        let mut next_tick = start + tick;
-        let mut algorithm_runs = 0u64;
-        let mut update_calls = 0u64;
+        let mut next_tick = start + self.tick;
 
         loop {
             // 1. Process every due timed obligation: arrivals, fault
@@ -450,17 +455,9 @@ impl RtRuntime {
                 }
             }
 
-            if pool_changed
-                && self.pool_changed(
-                    virtual_now(now, dilation),
-                    &mut active,
-                    &mut algorithm_runs,
-                    &mut update_calls,
-                    &mut tick,
-                    dilation,
-                )
+            if pool_changed && self.pool_changed(virtual_now(now, dilation), &mut active, dilation)
             {
-                next_tick = Instant::now() + tick;
+                next_tick = Instant::now() + self.tick;
             }
 
             if pending.is_empty() && active.is_empty() && downed.is_none() {
@@ -513,30 +510,16 @@ impl RtRuntime {
                         });
                         lock(&governor_targets).retain(|t| !Arc::ptr_eq(&t.bucket, &c.bucket));
                     }
-                    if self.pool_changed(
-                        virtual_now(now, dilation),
-                        &mut active,
-                        &mut algorithm_runs,
-                        &mut update_calls,
-                        &mut tick,
-                        dilation,
-                    ) {
-                        next_tick = Instant::now() + tick;
+                    if self.pool_changed(virtual_now(now, dilation), &mut active, dilation) {
+                        next_tick = Instant::now() + self.tick;
                     }
                 }
                 Err(RecvTimeoutError::Timeout) => {
                     if Instant::now() >= next_tick {
                         let now = start.elapsed();
-                        self.reconfigure(
-                            virtual_now(now, dilation),
-                            &mut active,
-                            &mut algorithm_runs,
-                            &mut update_calls,
-                            &mut tick,
-                            dilation,
-                        );
+                        self.reconfigure(virtual_now(now, dilation), &mut active, dilation);
                         self.reshare(&active);
-                        next_tick = Instant::now() + tick;
+                        next_tick = Instant::now() + self.tick;
                     }
                 }
                 Err(RecvTimeoutError::Disconnected) => break,
@@ -566,8 +549,8 @@ impl RtRuntime {
         let _ = governor.join();
         threads_joined += 1;
 
-        summary.algorithm_runs = algorithm_runs;
-        summary.update_calls = update_calls;
+        summary.algorithm_runs = self.algorithm_runs;
+        summary.update_calls = self.update_calls;
         debug_assert_eq!(threads_spawned, threads_joined, "thread leak");
         RtOutcome {
             summary,
@@ -709,16 +692,13 @@ impl RtRuntime {
         &mut self,
         now: SimTime,
         active: &mut BTreeMap<ContainerId, RtContainer>,
-        algorithm_runs: &mut u64,
-        update_calls: &mut u64,
-        tick: &mut Duration,
         dilation: f64,
     ) -> bool {
         self.pool_ids.clear();
         self.pool_ids.extend(active.keys().copied());
         let interrupt = self.policy.on_pool_change(now, &self.pool_ids);
         if interrupt {
-            self.reconfigure(now, active, algorithm_runs, update_calls, tick, dilation);
+            self.reconfigure(now, active, dilation);
         }
         self.reshare(active);
         interrupt
@@ -732,9 +712,6 @@ impl RtRuntime {
         &mut self,
         now: SimTime,
         active: &mut BTreeMap<ContainerId, RtContainer>,
-        algorithm_runs: &mut u64,
-        update_calls: &mut u64,
-        tick: &mut Duration,
         dilation: f64,
     ) {
         self.measures.clear();
@@ -751,15 +728,15 @@ impl RtRuntime {
         let next_interval = self
             .policy
             .reconfigure_into(now, &self.measures, &mut self.updates);
-        *algorithm_runs += 1;
+        self.algorithm_runs += 1;
         for &(id, limit) in &self.updates {
             if let Some(c) = active.get_mut(&id) {
                 c.limit = limit;
-                *update_calls += 1;
+                self.update_calls += 1;
             }
         }
         if let Some(next) = next_interval {
-            *tick = Duration::from_secs_f64(next.as_secs_f64() / dilation);
+            self.tick = Duration::from_secs_f64(next.as_secs_f64() / dilation);
         }
     }
 
