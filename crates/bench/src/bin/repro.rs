@@ -853,7 +853,8 @@ fn peak_rss_mib() -> String {
 /// `repro profile [--workers N] [--jobs J] [--seed S]`: the
 /// density harness — one headless cluster run clocked per stage (plan
 /// build, placement, simulation), with allocation counts from the counting
-/// allocator and peak RSS from the kernel.
+/// allocator and the kernel's peak RSS as each stage ends, so a run shows
+/// which stage holds the memory.
 ///
 /// Defaults match `repro cluster --headless` (2 jobs/worker, the committed
 /// bench seeds) at 100k workers, so the printed numbers line up with the
@@ -880,6 +881,7 @@ fn run_profile(args: &Args) {
     let (a0, t0) = (allocs(), Instant::now());
     let plan = WorkloadPlan::random_n(jobs, seed);
     let (plan_secs, plan_allocs) = (t0.elapsed().as_secs_f64(), allocs() - a0);
+    let plan_rss = peak_rss_mib();
 
     // Session construction (the per-worker NodeConfig vector) is part of
     // standing the cluster up, so it bills the placement stage.
@@ -892,37 +894,47 @@ fn run_profile(args: &Args) {
         .build()
         .place();
     let (place_secs, place_allocs) = (t1.elapsed().as_secs_f64(), allocs() - a1);
+    let place_rss = peak_rss_mib();
 
     let (a2, t2) = (allocs(), Instant::now());
     let run = placed.run(QueueKind::Heap);
     let (sim_secs, sim_allocs) = (t2.elapsed().as_secs_f64(), allocs() - a2);
     COUNTING.store(false, Ordering::Relaxed);
+    let sim_rss = peak_rss_mib();
 
     let per_worker = |n: u64| n as f64 / workers as f64;
     let stage_rows: Vec<Vec<String>> = [
-        ("plan build", plan_secs, plan_allocs),
-        ("placement", place_secs, place_allocs),
-        ("simulation", sim_secs, sim_allocs),
+        ("plan build", plan_secs, plan_allocs, plan_rss),
+        ("placement", place_secs, place_allocs, place_rss),
+        ("simulation", sim_secs, sim_allocs, sim_rss.clone()),
         (
             "total",
             plan_secs + place_secs + sim_secs,
             plan_allocs + place_allocs + sim_allocs,
+            sim_rss,
         ),
     ]
-    .iter()
-    .map(|&(name, secs, a)| {
+    .into_iter()
+    .map(|(name, secs, a, rss)| {
         vec![
             name.to_string(),
             format!("{:.1}", secs * 1e3),
             a.to_string(),
             format!("{:.2}", per_worker(a)),
+            rss,
         ]
     })
     .collect();
     print!(
         "{}",
         text_table(
-            &["stage", "time (ms)", "allocs", "allocs/worker"],
+            &[
+                "stage",
+                "time (ms)",
+                "allocs",
+                "allocs/worker",
+                "peak RSS (MiB)"
+            ],
             &stage_rows
         )
     );

@@ -60,10 +60,10 @@ pub fn baseline_run(node: NodeConfig, plan: &WorkloadPlan) -> SessionResult<RunS
 /// Parameter sweeps (Figs. 3–6 sweep five itval values × several α) are
 /// embarrassingly parallel: each cell is an independent deterministic
 /// simulation.  Delegates to the sharded cluster executor
-/// ([`flowcon_cluster::executor::map_bounded`]) — the shared-cursor pool
-/// born here was generalized into that module — so parallelism stays
-/// bounded by [`std::thread::available_parallelism`]: a 100-cell sweep on
-/// an 8-way machine spawns 8 threads, not 100.
+/// ([`flowcon_cluster::executor::map_bounded`]), whose threads claim the
+/// cells in blocks, so parallelism stays bounded by
+/// [`std::thread::available_parallelism`]: a 100-cell sweep on an 8-way
+/// machine spawns 8 threads, not 100.
 pub fn parallel_map<T, O, F>(inputs: Vec<T>, f: F) -> Vec<O>
 where
     T: Send,

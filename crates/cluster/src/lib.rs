@@ -12,9 +12,11 @@
 //!   configure workers uniformly.
 //! * [`placement`] — placement strategies (round-robin, spread, least
 //!   loaded by submitted work) used when the manager assigns a job.
-//! * [`executor`] — the sharded executor: a bounded shared-cursor pool
-//!   with per-shard reusable state, so 1000-worker clusters run on
-//!   `available_parallelism` OS threads.
+//! * [`executor`] — the sharded executor: `available_parallelism` OS
+//!   threads claim blocks of workers under one lock, each with reusable
+//!   per-shard state, and fill their results in place — no per-worker
+//!   cell or mutex.  Inputs are either moved ([`executor::map_sharded`])
+//!   or addressed by index ([`executor::map_indexed`]).
 //! * [`session`] — the front door: one builder covering closed plans,
 //!   streamed plan sources, open-loop job streams, pluggable recorders,
 //!   and the online scheduler (it replaced the `Manager` façade; see its

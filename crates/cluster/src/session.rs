@@ -441,22 +441,34 @@ impl<'w> ClusterSession<'w, Headless> {
     /// recorders — the [`Recorded`] mode with `|_| CompletionsOnly::new()`.
     pub fn run(self) -> ClusterOutcome<CompletionStats> {
         let policy = self.policy;
+        let nodes = &self.nodes[..];
         match self.workload {
             WorkloadSpec::Plan(_) => self.place().run(QueueKind::Heap),
             WorkloadSpec::Source(source) => ClusterOutcome {
-                workers: drive_dense(&self.nodes, |scratch, idx, node| {
+                workers: executor::map_indexed(nodes.len(), DenseScratch::new, |scratch, idx| {
                     let plan = source.next_plan(idx);
-                    run_headless_dense(node, &plan.jobs, policy.build(), QueueKind::Heap, scratch)
+                    let policy = policy.build();
+                    run_headless_dense(nodes[idx], &plan.jobs, policy, QueueKind::Heap, scratch)
                 }),
                 placements: Vec::new(),
                 streams: Vec::new(),
                 tails: Vec::new(),
             },
             WorkloadSpec::Stream(source, horizon) => {
-                split_stream(drive_dense(&self.nodes, |scratch, idx, node| {
-                    let stream = source.dyn_stream_for(idx);
-                    run_stream_dense(node, stream, horizon, policy.build(), scratch)
-                }))
+                // The open-loop drive keeps its `(index, node)` copy of
+                // the nodes: without that transient buffer glibc trims the
+                // heap top between benchmark reps, and `open_loop`'s setup
+                // time then measures the page faults of regrowing it, not
+                // this code (ROADMAP item 3).
+                let work: Vec<(usize, NodeConfig)> = nodes.iter().copied().enumerate().collect();
+                split_stream(executor::map_sharded(
+                    work,
+                    DenseScratch::new,
+                    |scratch, (idx, node)| {
+                        let stream = source.dyn_stream_for(idx);
+                        run_stream_dense(node, stream, horizon, policy.build(), scratch)
+                    },
+                ))
             }
         }
     }
@@ -509,11 +521,10 @@ impl PlacedHeadless {
     /// headless path.  `_queue` selects nothing (see [`QueueKind`]).
     pub fn run(self, _queue: QueueKind) -> ClusterOutcome<CompletionStats> {
         let policy = self.policy;
-        let flat = &self.flat[..];
-        let offsets = &self.offsets[..];
-        let workers = drive_dense(&self.nodes, |scratch, idx, node| {
+        let (nodes, flat, offsets) = (&self.nodes[..], &self.flat[..], &self.offsets[..]);
+        let workers = executor::map_indexed(nodes.len(), DenseScratch::new, |scratch, idx| {
             let jobs = &flat[offsets[idx]..offsets[idx + 1]];
-            run_headless_dense(node, jobs, policy.build(), QueueKind::Heap, scratch)
+            run_headless_dense(nodes[idx], jobs, policy.build(), QueueKind::Heap, scratch)
         });
         ClusterOutcome {
             workers,
@@ -728,7 +739,7 @@ where
 /// [`drive_plan`] off a streaming [`PlanSource`]: each shard pulls the
 /// plan of the worker it is about to simulate, so at no point do all
 /// per-worker plans exist at once.  Recorded mode only; headless sources
-/// run through [`drive_dense`].
+/// call [`run_headless_dense`] directly.
 fn drive_source<R, F>(
     nodes: &[NodeConfig],
     policy: PolicyKind,
@@ -740,10 +751,9 @@ where
     R::Output: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let work: Vec<(usize, NodeConfig)> = nodes.iter().copied().enumerate().collect();
-    executor::map_sharded(work, DenseScratch::new, |scratch, (idx, node)| {
+    executor::map_indexed(nodes.len(), DenseScratch::new, |scratch, idx| {
         let session = Session::builder()
-            .node(node)
+            .node(nodes[idx])
             .plan(source.next_plan(idx))
             .policy_box(policy.build())
             .recorder(make(idx))
@@ -757,7 +767,7 @@ where
 
 /// The open-loop drive: every worker pulls its own stream off `source`
 /// and admits arrivals until `horizon` trips, then drains.  Recorded mode
-/// only; headless streams run through [`drive_dense`].
+/// only; headless streams call [`run_stream_dense`] directly.
 fn drive_stream<R, F>(
     nodes: &[NodeConfig],
     policy: PolicyKind,
@@ -770,10 +780,9 @@ where
     R::Output: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let work: Vec<(usize, NodeConfig)> = nodes.iter().copied().enumerate().collect();
-    executor::map_sharded(work, DenseScratch::new, |scratch, (idx, node)| {
+    executor::map_indexed(nodes.len(), DenseScratch::new, |scratch, idx| {
         let session = Session::builder()
-            .node(node)
+            .node(nodes[idx])
             .policy_box(policy.build())
             .recorder(make(idx))
             .scratch(std::mem::take(scratch))
@@ -781,19 +790,6 @@ where
         let (result, recycled) = session.run_stream_recycling(source.dyn_stream_for(idx), horizon);
         *scratch = recycled;
         result
-    })
-}
-
-/// Drive every worker through the dense headless path on the sharded
-/// executor: `run(scratch, worker, node)` with one [`DenseScratch`] per
-/// shard, recycled across every worker that shard simulates.
-fn drive_dense<O: Send>(
-    nodes: &[NodeConfig],
-    run: impl Fn(&mut DenseScratch, usize, NodeConfig) -> O + Sync,
-) -> Vec<O> {
-    let work: Vec<(usize, NodeConfig)> = nodes.iter().copied().enumerate().collect();
-    executor::map_sharded(work, DenseScratch::new, |scratch, (idx, node)| {
-        run(scratch, idx, node)
     })
 }
 

@@ -12,7 +12,9 @@
 //! The budget is asserted on the *marginal* cost between two cluster sizes
 //! so fixed per-run overhead (shard thread spawns, result vectors, the
 //! allocator's warm-up) cancels out; counting is process-wide because the
-//! executor's shard threads do the actual work.  The scheduler tests run
+//! executor's shard threads do the actual work.  The same window also
+//! keeps the high-water mark of live heap bytes, so the marginal *peak*
+//! bytes of a worker are budgeted too.  The scheduler tests run
 //! `.sequential(true)`, so all of their work happens on the test's own
 //! thread and they count only that thread: the test harness's other
 //! threads allocate at will and must not bill an exact comparison.
@@ -53,10 +55,28 @@ struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static COUNTING: AtomicBool = AtomicBool::new(false);
+/// Live heap bytes, process-wide, whether counting or not.
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
+/// The most [`LIVE_BYTES`] reached inside the count window.
+static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     /// Allocations by this thread inside [`allocs_on_this_thread`].
     static THREAD_ALLOCATIONS: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+/// Move [`LIVE_BYTES`] from `freed` bytes to `taken` bytes, and raise
+/// [`PEAK_BYTES`] to it inside the count window.
+fn track_live(taken: usize, freed: usize) {
+    let (taken, freed) = (taken as u64, freed as u64);
+    let live = if taken >= freed {
+        LIVE_BYTES.fetch_add(taken - freed, Ordering::Relaxed) + (taken - freed)
+    } else {
+        LIVE_BYTES.fetch_sub(freed - taken, Ordering::Relaxed) - (freed - taken)
+    };
+    if COUNTING.load(Ordering::Relaxed) {
+        PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+    }
 }
 
 fn count_if_enabled() {
@@ -81,22 +101,37 @@ fn allocs_on_this_thread<R>(f: impl FnOnce() -> R) -> (u64, R) {
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_if_enabled();
+        track_live(layout.size(), 0);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count_if_enabled();
+        track_live(layout.size(), 0);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_if_enabled();
+        track_live(new_size, layout.size());
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track_live(0, layout.size());
         System.dealloc(ptr, layout)
     }
+}
+
+/// Open the count window's peak at the live bytes of now, run `f`, and
+/// return how far the live bytes rose above that start inside `f`.
+fn peak_bytes_of<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let start = LIVE_BYTES.load(Ordering::Relaxed);
+    PEAK_BYTES.store(start, Ordering::Relaxed);
+    COUNTING.store(true, Ordering::Relaxed);
+    let out = f();
+    COUNTING.store(false, Ordering::Relaxed);
+    (PEAK_BYTES.load(Ordering::Relaxed) - start, out)
 }
 
 #[global_allocator]
@@ -302,6 +337,52 @@ fn headless_memory_is_o_completions() {
     assert_eq!(run.placements.len(), workers * 2);
     let retained: usize = run.workers.iter().map(|w| w.output.completions.len()).sum();
     assert_eq!(retained, workers * 2);
+    // Each worker reserves exactly the completions its placed jobs make.
+    for (w, r) in run.workers.iter().enumerate() {
+        let completions = &r.output.completions;
+        assert_eq!(
+            completions.capacity(),
+            completions.len(),
+            "worker {w} reserved {} completion records for {} jobs",
+            completions.capacity(),
+            completions.len()
+        );
+    }
+}
+
+/// The ceiling on the marginal peak heap bytes of one placed headless
+/// worker with 2 jobs: its node, its two jobs and their placements, the
+/// placement offsets and the sort's pairs, and its result with two
+/// completion records.  The executor's per-worker input cell and result
+/// mutex, an `(index, node)` copy of every node and a four-record
+/// completion reserve read 352 B/worker here; without them it is 224.
+const PEAK_BYTES_PER_WORKER_BUDGET: f64 = 288.0;
+
+#[test]
+fn headless_peak_heap_per_worker_stays_within_budget() {
+    let _window = count_window();
+    const SMALL: usize = 2_000;
+    const LARGE: usize = 20_000;
+    let small_plan = WorkloadPlan::random_n(SMALL * 2, 0xC1A5);
+    let large_plan = WorkloadPlan::random_n(LARGE * 2, 0xC1A5);
+    base(SMALL).plan(small_plan.clone()).build().run(); // warm-up
+
+    let peak_of = |workers: usize, plan: WorkloadPlan| {
+        let (peak, run) = peak_bytes_of(|| base(workers).plan(plan).build().run());
+        assert_eq!(run.completed_jobs(), workers * 2, "jobs conserved");
+        peak
+    };
+    let small = peak_of(SMALL, small_plan);
+    let large = peak_of(LARGE, large_plan);
+
+    let marginal = large.saturating_sub(small) as f64 / (LARGE - SMALL) as f64;
+    eprintln!("placed headless marginal peak heap: {marginal:.1} B/worker");
+    assert!(
+        marginal <= PEAK_BYTES_PER_WORKER_BUDGET,
+        "placed headless marginal peak heap {marginal:.1} B/worker exceeds the \
+         {PEAK_BYTES_PER_WORKER_BUDGET} B budget ({small} B at {SMALL} workers, \
+         {large} B at {LARGE})"
+    );
 }
 
 /// This thread's allocations in one sequential FIFO scheduler run: the

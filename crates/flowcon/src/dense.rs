@@ -490,11 +490,15 @@ pub(crate) struct Worker<'f, R> {
 
 impl Worker<'_, CompletionsOnly> {
     /// A headless worker: completions only, no faults.
-    fn headless(node: NodeConfig, policy: Box<dyn ResourcePolicy>) -> Self {
+    fn headless(
+        node: NodeConfig,
+        policy: Box<dyn ResourcePolicy>,
+        recorder: CompletionsOnly,
+    ) -> Self {
         Worker {
             node,
             policy,
-            recorder: CompletionsOnly::new(),
+            recorder,
             failures: &[],
         }
     }
@@ -507,7 +511,9 @@ impl Worker<'_, CompletionsOnly> {
 /// the headless recorder never reads them — so the slice is borrowed, not
 /// consumed.  Returns exactly what
 /// `Session::builder()...recorder(CompletionsOnly::new()).run()` returns
-/// for the same inputs.  `_queue` selects nothing (see [`QueueKind`]).
+/// for the same inputs, with room reserved for exactly `plan.len()`
+/// completions (every placed job completes once).  `_queue` selects
+/// nothing (see [`QueueKind`]).
 pub fn run_headless_dense(
     node: NodeConfig,
     plan: &[JobRequest],
@@ -516,7 +522,8 @@ pub fn run_headless_dense(
     scratch: &mut DenseScratch,
 ) -> SessionResult<CompletionStats> {
     scratch.reset_for(plan.len());
-    let worker = Worker::headless(node, policy);
+    let recorder = CompletionsOnly::with_capacity(plan.len());
+    let worker = Worker::headless(node, policy, recorder);
     run(worker, Placed(plan), &mut NoopTracer, scratch).0
 }
 
@@ -537,7 +544,7 @@ pub fn run_stream_dense<J: JobStream>(
     policy: Box<dyn ResourcePolicy>,
     scratch: &mut DenseScratch,
 ) -> StreamResult<CompletionStats> {
-    let worker = Worker::headless(node, policy);
+    let worker = Worker::headless(node, policy, CompletionsOnly::new());
     run_stream(worker, stream, horizon, &mut NoopTracer, scratch)
 }
 

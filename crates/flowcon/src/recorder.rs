@@ -347,6 +347,18 @@ impl CompletionsOnly {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// A headless recorder with room for exactly `completions` records —
+    /// a placed plan of `n` jobs completes exactly `n`, so its record
+    /// vector never grows past what it holds.
+    pub fn with_capacity(completions: usize) -> Self {
+        CompletionsOnly {
+            stats: CompletionStats {
+                completions: Vec::with_capacity(completions),
+                ..CompletionStats::default()
+            },
+        }
+    }
 }
 
 impl Recorder for CompletionsOnly {
