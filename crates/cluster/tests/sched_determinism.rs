@@ -146,6 +146,51 @@ fn run_traced(kind: SchedPolicyKind, sequential: bool) -> (SchedOutcome, FlightR
         .run_traced()
 }
 
+/// One word-stream digest of a traced run: every recorded event (time in
+/// µs, phase, kind, both payloads and the value's bits), the recorder's
+/// drop count and the run's [`fingerprint`].
+fn timeline_digest(out: &SchedOutcome, rec: &FlightRecorder) -> u64 {
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    for e in rec.iter() {
+        h.word(e.at.as_micros());
+        h.word(e.phase as u64);
+        h.word(e.kind as u64);
+        h.word(u64::from(e.a));
+        h.word(u64::from(e.b));
+        h.word(e.value.to_bits());
+    }
+    h.word(rec.dropped());
+    h.word(fingerprint(out));
+    h.0
+}
+
+#[test]
+fn traced_timelines_match_their_golden_digests() {
+    // Digests of the traced 4-node x 24-job run per discipline: the merged
+    // timeline, engine and node events interleaved as the engine absorbs
+    // each node's fork after the advance.  A changed digest means a
+    // changed timeline or schedule.
+    let golden = [
+        (SchedPolicyKind::Fifo, 0x1f15_9e1a_a24b_dea7),
+        (SchedPolicyKind::Gandiva, 0x7fc4_18bb_fb71_8aa0),
+        (SchedPolicyKind::Tiresias, 0x3769_f7c4_5f80_0538),
+    ];
+    for (kind, want) in golden {
+        for sequential in [true, false] {
+            let (out, rec) = run_traced(kind, sequential);
+            assert_eq!(rec.dropped(), 0, "{} dropped events", kind.name());
+            assert!(!rec.is_empty(), "{} recorded nothing", kind.name());
+            let got = timeline_digest(&out, &rec);
+            assert_eq!(
+                got,
+                want,
+                "{} (sequential: {sequential}) timeline drifted: digest {got:#018x}",
+                kind.name()
+            );
+        }
+    }
+}
+
 #[test]
 fn traced_timelines_are_bit_identical_across_advance_modes() {
     // The flight-recorder merge (per-node forks absorbed in node-index
