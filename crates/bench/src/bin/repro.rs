@@ -13,13 +13,13 @@
 //!              [--policy {flowcon,na}] [--headless] [--hints] [--trace-out PATH]
 //! repro sched [--policy {fifo,gandiva,tiresias}] [--compare]
 //!             [--workers N] [--jobs J] [--seed S] [--quantum SECS]
-//!             [--slots K] [--sequential] [--trace-out PATH]
+//!             [--slots K] [--trace-out PATH]
 //! repro frontier [--policy {fifo,gandiva,tiresias}] [--compare]
 //!                [--workers N] [--jobs J] [--seed S] [--quantum SECS]
 //!                [--slots K] [--rates R1,R2,...] [--emit PATH]
 //! repro timeline [--policy {fifo,gandiva,tiresias}] [--workers N] [--jobs J]
-//!                [--seed S] [--quantum SECS] [--slots K] [--sequential]
-//!                [--capacity N] [--out PATH] [--summary]
+//!                [--seed S] [--quantum SECS] [--slots K] [--capacity N]
+//!                [--out PATH] [--summary]
 //! repro fidelity [--workers N] [--jobs J] [--seed S] [--dilation D]
 //!                [--chaos {straggler,churn}] [--emit PATH]
 //!
@@ -92,7 +92,7 @@
 //! prints the per-policy comparison table (makespan, mean queueing delay,
 //! preemptions, migrations, utilization, and p50/p95/p99 sojourn and
 //! queue-wait tails from the quantile sketches).  Runs are deterministic:
-//! same `--seed` ⇒ bit-identical decision log, sharded or `--sequential`.
+//! same `--seed` ⇒ bit-identical decision log.
 //!
 //! `repro frontier` is the capacity-planning sweep: per policy, it feeds
 //! the online scheduler a cluster-wide Poisson arrival stream and climbs
@@ -112,7 +112,7 @@
 //! The JSON goes to stdout unless `--out PATH`; `--summary` adds a
 //! per-kind event-count table (on stderr when the JSON owns stdout, so
 //! the document stays pipeable).  Exports are deterministic: the same
-//! seed produces byte-identical JSON, sharded or `--sequential`.
+//! seed produces byte-identical JSON.
 //! `repro sched --trace-out PATH` (single policy only) and `repro stream
 //! --trace-out PATH` (single-worker full-observability runs) write the
 //! same format alongside their normal tables.
@@ -346,7 +346,6 @@ const COMMANDS: &[Command] = &[
             SEED,
             QUANTUM,
             SLOTS,
-            switch("--sequential"),
             path("--trace-out"),
         ],
         run_sched,
@@ -381,7 +380,6 @@ const COMMANDS: &[Command] = &[
             SEED,
             QUANTUM,
             SLOTS,
-            switch("--sequential"),
             Flag("--capacity", Takes::Count(u64::MAX)),
             path("--out"),
             switch("--summary"),
@@ -1131,7 +1129,6 @@ fn run_sched(args: &Args) {
     let seed = args.get("--seed").unwrap_or(perf::CLUSTER_BENCH_PLAN_SEED);
     let slots = args.get("--slots").unwrap_or(2);
     let quantum = args.get("--quantum").unwrap_or(10.0);
-    let sequential = args.has("--sequential");
     let compare = args.has("--compare");
     let trace_out = args.text("--trace-out");
     if trace_out.is_some() && compare {
@@ -1157,8 +1154,7 @@ fn run_sched(args: &Args) {
                 .plan(plan.clone())
                 .scheduler(kind)
                 .quantum(SimDuration::from_secs_f64(quantum))
-                .slots_per_node(slots)
-                .sequential(sequential);
+                .slots_per_node(slots);
             let out = match trace_out {
                 None => builder.build().run(),
                 Some(path) => {
@@ -1349,7 +1345,6 @@ fn run_timeline(args: &Args) {
         .scheduler(kind)
         .quantum(SimDuration::from_secs_f64(quantum))
         .slots_per_node(slots)
-        .sequential(args.has("--sequential"))
         .tracer(FlightRecorder::with_capacity(capacity))
         .build()
         .run_traced();

@@ -118,6 +118,13 @@ fn compare_still_checks_the_policy() {
 }
 
 #[test]
+fn removed_flags_are_rejected() {
+    for cmd in ["sched", "timeline"] {
+        assert_usage_error(&[cmd, "--sequential"], "--sequential");
+    }
+}
+
+#[test]
 fn rejected_names_name_their_flag() {
     assert_usage_error(&["fidelity", "--chaos", "bogus"], "--chaos");
 }

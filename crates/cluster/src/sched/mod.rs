@@ -18,14 +18,15 @@
 //!    and running node-local FlowCon reconfigurations at their own
 //!    cadence.
 //!
-//! Step 3 is embarrassingly parallel: each `NodeSim` advance is
-//! a pure function of that node's state, so the engine can run it
-//! sequentially or spread over shard threads and get bit-identical
-//! results — the same determinism contract the closed-loop cluster path
-//! has, pinned by `crates/cluster/tests/sched_determinism.rs`.  The
-//! shard threads are spawned once per run: at each barrier every shard
-//! receives a contiguous chunk of nodes over a channel while the engine
-//! thread advances the first chunk itself.
+//! The engine advances the nodes itself, in node-index order, on the
+//! thread that called the run: a scheduled run spawns no thread.  Each
+//! `NodeSim` advance is a pure function of that node's state, so the
+//! order changes nothing but the merge of the nodes' trace events, which
+//! is fixed by node index (pinned, with every discipline's decision log
+//! and timeline, by `crates/cluster/tests/sched_determinism.rs`).
+//! Shard threads for the advance did not pay for their handoff on a
+//! two-core host at any cluster size measured (BENCHMARKS.md "The
+//! scheduler advances its nodes on the engine thread").
 //!
 //! # Per-barrier cost
 //!
@@ -75,8 +76,6 @@ pub use policy::{
 };
 
 use std::cell::{Ref, RefCell};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::thread::Scope;
 
 use flowcon_core::config::NodeConfig;
 use flowcon_dl::ModelId;
@@ -86,7 +85,6 @@ use flowcon_metrics::summary::{makespan_over, Completion};
 use flowcon_sim::time::{SimDuration, SimTime};
 use flowcon_sim::trace::{TraceKind, Tracer};
 
-use crate::executor::shard_count;
 use crate::policy_kind::PolicyKind;
 use node::NodeSim;
 use policy::{by_rank, NodeSpan};
@@ -105,10 +103,6 @@ pub struct SchedConfig {
     /// Concurrent job slots per node (FlowCon shares the node's capacity
     /// among the jobs in its slots).
     pub slots_per_node: usize,
-    /// Advance nodes on the caller's thread instead of the run's shard
-    /// threads.  Results are bit-identical either way; the sequential
-    /// mode exists for determinism tests and tiny clusters.
-    pub sequential: bool,
 }
 
 impl Default for SchedConfig {
@@ -116,7 +110,6 @@ impl Default for SchedConfig {
         Self {
             quantum: SimDuration::from_secs(10),
             slots_per_node: 2,
-            sequential: false,
         }
     }
 }
@@ -441,93 +434,6 @@ impl<'a> Iterator for ByService<'a> {
     }
 }
 
-/// The run's nodes in contiguous chunks.  Chunk 0 is advanced on the
-/// engine thread and chunk `k > 0` by the shard thread behind `lanes[k - 1]`,
-/// which lives for the whole run; a sequential run has one chunk and no
-/// shards.
-struct ShardedNodes<T: Tracer> {
-    chunks: Vec<Vec<NodeSim<T>>>,
-    /// Nodes per chunk (the last chunk may hold fewer).
-    per: usize,
-    lanes: Vec<Lane<T>>,
-}
-
-/// A shard thread's channel pair: a chunk goes out with its barrier and
-/// comes back advanced.  Both channels are bounded, so sending never
-/// allocates.
-struct Lane<T: Tracer> {
-    out: SyncSender<(Vec<NodeSim<T>>, SimTime)>,
-    back: Receiver<Vec<NodeSim<T>>>,
-}
-
-impl<T: Tracer + Send> ShardedNodes<T> {
-    /// Split `nodes` into at most `shards` chunks and spawn one thread in
-    /// `scope` per chunk after the first.  The threads exit once `self` is
-    /// dropped.
-    fn new<'scope>(nodes: Vec<NodeSim<T>>, shards: usize, scope: &'scope Scope<'scope, '_>) -> Self
-    where
-        T: 'scope,
-    {
-        let per = nodes.len().div_ceil(shards);
-        let mut rest = nodes.into_iter();
-        let mut chunks = Vec::new();
-        loop {
-            let chunk: Vec<NodeSim<T>> = rest.by_ref().take(per).collect();
-            if chunk.is_empty() {
-                break;
-            }
-            chunks.push(chunk);
-        }
-        let lanes = (1..chunks.len())
-            .map(|_| {
-                let (out, inbox) = sync_channel::<(Vec<NodeSim<T>>, SimTime)>(1);
-                let (done, back) = sync_channel(1);
-                scope.spawn(move || {
-                    for (mut chunk, barrier) in inbox {
-                        for node in &mut chunk {
-                            node.advance_to(barrier);
-                        }
-                        if done.send(chunk).is_err() {
-                            return;
-                        }
-                    }
-                });
-                Lane { out, back }
-            })
-            .collect();
-        Self { chunks, per, lanes }
-    }
-
-    fn node_mut(&mut self, i: usize) -> &mut NodeSim<T> {
-        &mut self.chunks[i / self.per][i % self.per]
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &NodeSim<T>> {
-        self.chunks.iter().flatten()
-    }
-
-    fn iter_mut(&mut self) -> impl Iterator<Item = &mut NodeSim<T>> {
-        self.chunks.iter_mut().flatten()
-    }
-
-    /// Advance every node to `barrier`: the shards take their chunks while
-    /// this thread advances chunk 0, then the chunks come home in order.
-    fn advance_to(&mut self, barrier: SimTime) {
-        let (own, shipped) = self.chunks.split_at_mut(1);
-        for (lane, chunk) in self.lanes.iter().zip(shipped.iter_mut()) {
-            lane.out
-                .send((std::mem::take(chunk), barrier))
-                .expect("shard thread exited early");
-        }
-        for node in &mut own[0] {
-            node.advance_to(barrier);
-        }
-        for (lane, chunk) in self.lanes.iter().zip(shipped.iter_mut()) {
-            *chunk = lane.back.recv().expect("shard thread panicked");
-        }
-    }
-}
-
 /// Run the scheduling engine to completion over a materialized arrival
 /// list (already sorted by arrival time).
 ///
@@ -535,10 +441,10 @@ impl<T: Tracer + Send> ShardedNodes<T> {
 /// [`TraceKind::SchedBarrier`] span per decision barrier, one instant
 /// per applied [`SchedAction`], cluster-level job run/complete spans,
 /// and queue-depth counters.  Node-local events (policy reconfigures,
-/// water-filling counters) land in per-node forked recorders that are
-/// drained back in node-index order at every barrier, so sharded and
-/// sequential traced runs produce identical merged sequences.
-pub(crate) fn run_sched<T: Tracer + Send>(
+/// water-filling counters) land in per-node forked recorders, each
+/// drained back right after its node advances, so a barrier's node events
+/// follow its engine records in node-index order.
+pub(crate) fn run_sched<T: Tracer>(
     node_cfgs: &[NodeConfig],
     worker_policy: PolicyKind,
     policy: Box<dyn ClusterPolicy>,
@@ -564,22 +470,13 @@ pub(crate) fn run_sched<T: Tracer + Send>(
             )
         })
         .collect();
-    let shards = if config.sequential {
-        1
-    } else {
-        shard_count(nodes.len())
-    };
-    std::thread::scope(|scope| {
-        let nodes = ShardedNodes::new(nodes, shards, scope);
-        drive(node_cfgs, nodes, policy, config.quantum, &arrivals, tracer)
-    })
+    drive(node_cfgs, nodes, policy, config.quantum, &arrivals, tracer)
 }
 
-/// The barrier loop of [`run_sched`], over nodes already spread across
-/// the run's shard threads.
-fn drive<T: Tracer + Send>(
+/// The barrier loop of [`run_sched`].
+fn drive<T: Tracer>(
     node_cfgs: &[NodeConfig],
-    mut nodes: ShardedNodes<T>,
+    mut nodes: Vec<NodeSim<T>>,
     mut policy: Box<dyn ClusterPolicy>,
     quantum: SimDuration,
     arrivals: &[ArrivalSpec],
@@ -635,7 +532,7 @@ fn drive<T: Tracer + Send>(
             while t < upcoming {
                 t += quantum;
             }
-            for node in nodes.iter_mut() {
+            for node in &mut nodes {
                 node.advance_to(t);
             }
             continue;
@@ -644,7 +541,7 @@ fn drive<T: Tracer + Send>(
         // 2. Decide.
         spans.clear();
         running.clear();
-        for node in nodes.iter() {
+        for node in &nodes {
             let start = running.len();
             node.fill_views(&mut running);
             spans.push(NodeSpan {
@@ -688,9 +585,7 @@ fn drive<T: Tracer + Send>(
                     total_queue_wait_secs += wait;
                     tails.queue_wait.insert(wait);
                     location[j.id as usize] = Some(node);
-                    nodes
-                        .node_mut(node)
-                        .admit(j.id, j.model, j.work_scale, j.arrival, j.attained);
+                    nodes[node].admit(j.id, j.model, j.work_scale, j.arrival, j.attained);
                     if T::ENABLED {
                         tracer.instant(t, TraceKind::SchedPlace, job, node as u32);
                         tracer.span_begin(t, TraceKind::JobRun, job, node as u32);
@@ -700,7 +595,7 @@ fn drive<T: Tracer + Send>(
                     let at = location[job as usize]
                         .take()
                         .expect("Preempt must target a running job");
-                    let p = nodes.node_mut(at).preempt(job);
+                    let p = nodes[at].preempt(job);
                     preemptions += 1;
                     queue.push_back(EngineJob {
                         id: job,
@@ -720,8 +615,8 @@ fn drive<T: Tracer + Send>(
                     if at == node {
                         continue; // logged no-op
                     }
-                    let p = nodes.node_mut(at).preempt(job);
-                    nodes.node_mut(node).admit(
+                    let p = nodes[at].preempt(job);
+                    nodes[node].admit(
                         job,
                         p.model,
                         p.remaining_scale,
@@ -743,15 +638,14 @@ fn drive<T: Tracer + Send>(
             tracer.counter(t, TraceKind::QueueDepth, 0, queue.len() as f64);
         }
 
-        // 3. Advance every node to the next barrier — on this thread or
-        //    spread over the shard threads, bit-identically.
+        // 3. Advance every node to the next barrier, in node-index order.
         let barrier = t + quantum;
-        nodes.advance_to(barrier);
         for (ni, node) in nodes.iter_mut().enumerate() {
+            node.advance_to(barrier);
             if T::ENABLED {
-                // Merge this node's per-shard recorder in node-index
-                // order — the stable sort that makes sharded ≡
-                // sequential.
+                // The node's own events, from this barrier's actions and
+                // its advance, follow the engine's records for the
+                // barrier.
                 tracer.absorb(&mut node.tracer);
             }
             for c in node.completions.drain(..) {
@@ -895,7 +789,7 @@ mod tests {
             .collect()
     }
 
-    fn run(kind: SchedPolicyKind, workers: usize, seed: u64, sequential: bool) -> SchedOutcome {
+    fn run(kind: SchedPolicyKind, workers: usize, seed: u64) -> SchedOutcome {
         let plan = WorkloadPlan::random_n(12, seed);
         let cfgs: Vec<NodeConfig> = (0..workers)
             .map(|i| NodeConfig::default().with_seed(0xF10C + i as u64))
@@ -904,10 +798,7 @@ mod tests {
             &cfgs,
             PolicyKind::FlowCon(FlowConConfig::default()),
             kind.build(),
-            SchedConfig {
-                sequential,
-                ..SchedConfig::default()
-            },
+            SchedConfig::default(),
             arrivals_of(&plan),
             &mut flowcon_sim::trace::NoopTracer,
         )
@@ -916,7 +807,7 @@ mod tests {
     #[test]
     fn every_policy_drains_the_whole_workload() {
         for kind in SchedPolicyKind::ALL {
-            let out = run(kind, 3, 42, true);
+            let out = run(kind, 3, 42);
             assert_eq!(out.completed_jobs(), 12, "{} lost jobs", out.policy);
             assert_eq!(out.stream.submitted, 12);
             assert!(out.makespan_secs() > 0.0);
@@ -960,15 +851,6 @@ mod tests {
         assert_eq!(out.completed_jobs(), 6);
         assert!(out.mean_queueing_delay_secs() > 0.0);
         assert_eq!(out.preemptions, 0, "FIFO never preempts");
-    }
-
-    #[test]
-    fn sequential_and_sharded_advance_are_bit_identical() {
-        for kind in SchedPolicyKind::ALL {
-            let seq = run(kind, 4, 11, true);
-            let shard = run(kind, 4, 11, false);
-            assert_eq!(seq, shard, "{} diverged across advance modes", kind.name());
-        }
     }
 
     #[test]

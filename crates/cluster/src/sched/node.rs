@@ -15,9 +15,9 @@
 //! differ from a dense run of the same jobs.
 //!
 //! `advance_to` is a pure function of the node's own state: no shared
-//! memory, no RNG outside the node's private stream.  That is what makes
-//! the engine's sequential and sharded advance modes bit-identical
-//! (pinned by `crates/cluster/tests/sched_determinism.rs`).
+//! memory, no RNG outside the node's private stream.  The engine advances
+//! its nodes one after another on its own thread, and only the merge of
+//! their trace events depends on that order.
 
 use flowcon_container::{ContainerId, ResourceLimits};
 use flowcon_core::config::NodeConfig;
@@ -89,12 +89,11 @@ impl Slot {
 /// One node of the scheduled cluster: slot arena + node-local FlowCon
 /// policy + private RNG, advanced barrier-to-barrier by the engine.
 ///
-/// Each node owns a **per-shard flight recorder** (`tracer`, forked from
-/// the run's tracer): node-local events recorded during a parallel
-/// `advance_to` are a pure function of the node's own state, and the
-/// engine drains them back in node-index order at every barrier — which
-/// is why sharded and sequential traced runs merge to identical
-/// sequences.
+/// Each node owns a **forked recorder** (`tracer`, forked from the run's
+/// tracer).  It holds the node's events from the barrier's `admit` and
+/// `preempt` calls and from its `advance_to`, and the engine drains it
+/// right after the node advances, so those events follow the barrier's
+/// engine records (placements, queue depth) in the merged timeline.
 pub(crate) struct NodeSim<T: Tracer = NoopTracer> {
     cfg: NodeConfig,
     policy: Box<dyn ResourcePolicy>,

@@ -285,10 +285,10 @@ impl<'w, T: Tracer> ClusterSessionBuilder<'w, Sched<T>> {
         self
     }
 
-    /// Advance nodes on the caller's thread instead of the sharded
-    /// executor (bit-identical either way; for determinism tests).
-    pub fn sequential(mut self, sequential: bool) -> Self {
-        self.mode.config.sequential = sequential;
+    /// Selects nothing: the engine always advances its nodes on the
+    /// thread that runs the session.  The method remains only so that
+    /// its existing callers, the benchmark among them, compile unchanged.
+    pub fn sequential(self, _sequential: bool) -> Self {
         self
     }
 
@@ -302,11 +302,10 @@ impl<'w, T: Tracer> ClusterSessionBuilder<'w, Sched<T>> {
 
     /// Trace the run through `tracer` — e.g. a
     /// [`FlightRecorder`](flowcon_sim::trace::FlightRecorder) — instead of
-    /// the default no-op.  Per-node shards are forked off this tracer and
-    /// drained back in node order at every barrier, so the merged timeline
-    /// is identical whether nodes advance sharded or
-    /// [`sequential`](ClusterSessionBuilder::sequential).  Retrieve the
-    /// tracer with [`ClusterSession::run_traced`].
+    /// the default no-op.  Every node records into a fork of this tracer,
+    /// drained back in node order at every barrier after the node
+    /// advances; every event is recorded on the thread that runs the
+    /// session.  Retrieve the tracer with [`ClusterSession::run_traced`].
     pub fn tracer<T2: Tracer>(self, tracer: T2) -> ClusterSessionBuilder<'w, Sched<T2>> {
         ClusterSessionBuilder {
             nodes: self.nodes,
@@ -584,15 +583,16 @@ where
     }
 }
 
-impl<'w, T: Tracer + Send> ClusterSession<'w, Sched<T>> {
+impl<'w, T: Tracer> ClusterSession<'w, Sched<T>> {
     /// Run the online scheduler: the workload becomes one cluster-wide
     /// arrival stream, and the configured discipline makes live
     /// queueing/placement/preemption decisions at every quantum barrier.
     ///
-    /// A `plan` workload contributes its jobs directly; a `source`
-    /// contributes `next_plan(0)` (the scheduler owns placement, so only
-    /// one shared plan is meaningful); a `stream` contributes worker 0's
-    /// stream pulled up to the horizon, which must be bounded.
+    /// A `plan` workload contributes its jobs directly; a `stream`
+    /// contributes worker 0's stream pulled up to the horizon, which must
+    /// be bounded.  A per-worker `source` panics: the scheduler owns
+    /// placement, and a source hands out one slice per worker, not the
+    /// cluster's workload.
     pub fn run(self) -> SchedOutcome {
         self.run_traced().0
     }
@@ -610,9 +610,10 @@ impl<'w, T: Tracer + Send> ClusterSession<'w, Sched<T>> {
         } = self;
         let mut arrivals: Vec<sched::ArrivalSpec> = match workload {
             WorkloadSpec::Plan(plan) => plan.jobs.iter().map(arrival_of).collect(),
-            WorkloadSpec::Source(source) => {
-                source.next_plan(0).jobs.iter().map(arrival_of).collect()
-            }
+            WorkloadSpec::Source(_) => panic!(
+                "the scheduler takes one cluster-wide workload, a plan or a bounded \
+                 stream, not a per-worker plan source"
+            ),
             WorkloadSpec::Stream(source, horizon) => {
                 assert!(
                     horizon.is_bounded(),
@@ -947,7 +948,6 @@ mod tests {
             .nodes(2, node)
             .plan(WorkloadPlan::random_n(4, 1))
             .scheduler(SchedPolicyKind::Fifo)
-            .sequential(true)
             .build()
             .run();
     }
@@ -963,6 +963,20 @@ mod tests {
     #[should_panic(expected = "NodeConfig::capacity must be finite and > 0")]
     fn scheduler_rejects_a_node_with_nan_capacity() {
         schedule_on_capacity(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "a plan or a bounded stream, not a per-worker plan source")]
+    fn scheduler_refuses_a_per_worker_plan_source() {
+        use flowcon_workload::{BoundTrace, TraceSource};
+        // Each of the 3 workers' slices holds 4 of the 12 jobs; feeding the
+        // scheduler one slice would lose the other 8.
+        let source = TraceSource::new(BoundTrace::from_plan(WorkloadPlan::random_n(12, 5)), 3);
+        let _ = base(3)
+            .source(&source)
+            .scheduler(SchedPolicyKind::Fifo)
+            .build()
+            .run();
     }
 
     #[test]

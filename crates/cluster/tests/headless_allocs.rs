@@ -14,10 +14,10 @@
 //! allocator's warm-up) cancels out; counting is process-wide because the
 //! executor's shard threads do the actual work.  The same window also
 //! keeps the high-water mark of live heap bytes, so the marginal *peak*
-//! bytes of a worker are budgeted too.  The scheduler tests run
-//! `.sequential(true)`, so all of their work happens on the test's own
-//! thread and they count only that thread: the test harness's other
-//! threads allocate at will and must not bill an exact comparison.
+//! bytes of a worker are budgeted too.  A scheduled run does all of its
+//! work on the thread that runs it, so the scheduler tests count only the
+//! test's own thread: the test harness's other threads allocate at will
+//! and must not bill an exact comparison.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -385,7 +385,7 @@ fn headless_peak_heap_per_worker_stays_within_budget() {
     );
 }
 
-/// This thread's allocations in one sequential FIFO scheduler run: the
+/// This thread's allocations in one FIFO scheduler run: the
 /// engine's per-quantum decision loop recycles its view buffers and each
 /// node recycles its measurement/waterfill scratch, so the cost must
 /// scale with the *jobs* (admissions, decisions, completions — plus the
@@ -398,7 +398,6 @@ fn allocs_of_sched_run(jobs: usize) -> u64 {
             .policy(PolicyKind::FlowCon(FlowConConfig::default()))
             .plan(WorkloadPlan::random_n(jobs, 0xC1A5))
             .scheduler(SchedPolicyKind::Fifo)
-            .sequential(true)
             .build()
             .run()
     });
@@ -435,17 +434,13 @@ fn warm_sketch_inserts_are_allocation_free() {
 
 /// Like [`allocs_of_sched_run`], but with an explicit tracer `T` threaded
 /// through `run_traced` (the counter stops before the recorder is read).
-fn allocs_of_traced_sched_run<T: flowcon_sim::trace::Tracer + Send>(
-    jobs: usize,
-    tracer: T,
-) -> (u64, T) {
+fn allocs_of_traced_sched_run<T: flowcon_sim::trace::Tracer>(jobs: usize, tracer: T) -> (u64, T) {
     let (allocs, (out, tracer)) = allocs_on_this_thread(|| {
         ClusterSession::builder()
             .nodes(4, NodeConfig::default().with_seed(0xF10C))
             .policy(PolicyKind::FlowCon(FlowConConfig::default()))
             .plan(WorkloadPlan::random_n(jobs, 0xC1A5))
             .scheduler(SchedPolicyKind::Fifo)
-            .sequential(true)
             .tracer(tracer)
             .build()
             .run_traced()

@@ -1,9 +1,9 @@
-//! Determinism and edge cases of the online cluster scheduler
-//! (ISSUE-7 satellite): same seed + same trace ⇒ bit-identical decision
-//! log and completion list, whether node advances run sequentially or on
-//! the run's shard threads, and across repeated runs — for every built-in
-//! discipline, with golden digests pinning each discipline's schedule
-//! against drift.  Plus the preemption corners a discipline can reach:
+//! Determinism and edge cases of the online cluster scheduler.  The same
+//! seed and trace give a bit-identical decision log, completion list and
+//! traced timeline across repeated runs, for every built-in discipline,
+//! with golden digests pinning each discipline's schedule and timeline
+//! against drift; every trace event is recorded on the thread that runs
+//! the session.  Plus the preemption corners a discipline can reach:
 //! preempting at the very first barrier, migrating a job to the node it
 //! already occupies, and scheduling rounds with an empty admission queue.
 //! A discipline that never places a queued job ends the run with a panic
@@ -16,7 +16,8 @@ use flowcon_cluster::{
 use flowcon_core::config::{FlowConConfig, NodeConfig};
 use flowcon_dl::workload::WorkloadPlan;
 use flowcon_sim::time::SimTime;
-use flowcon_sim::trace::FlightRecorder;
+use flowcon_sim::trace::{FlightRecorder, TraceEvent, TraceKind, Tracer};
+use std::thread::ThreadId;
 
 fn base(workers: usize) -> ClusterSessionBuilder<'static, Sched> {
     ClusterSession::builder()
@@ -25,25 +26,12 @@ fn base(workers: usize) -> ClusterSessionBuilder<'static, Sched> {
         .scheduler(SchedPolicyKind::Fifo)
 }
 
-fn run(kind: SchedPolicyKind, sequential: bool) -> SchedOutcome {
+fn run(kind: SchedPolicyKind) -> SchedOutcome {
     base(4)
         .plan(WorkloadPlan::random_n(24, 0xC1A5))
         .scheduler(kind)
-        .sequential(sequential)
         .build()
         .run()
-}
-
-#[test]
-fn decision_logs_are_bit_identical_across_advance_modes() {
-    for kind in SchedPolicyKind::ALL {
-        let seq = run(kind, true);
-        let shard = run(kind, false);
-        // `SchedOutcome` is PartialEq over the decision log, the exact
-        // completion times, and the stream accounting — full bit-compare.
-        assert_eq!(seq, shard, "{} diverged across advance modes", kind.name());
-        assert_eq!(seq.completed_jobs(), 24, "{} lost jobs", kind.name());
-    }
 }
 
 /// FNV-1a over the little-endian bytes of a stream of words.
@@ -108,39 +96,37 @@ fn decision_logs_match_their_golden_digests() {
         (SchedPolicyKind::Tiresias, 0xd5b6_3e07_0465_5312),
     ];
     for (kind, want) in golden {
-        for sequential in [true, false] {
-            let out = base(64)
-                .plan(WorkloadPlan::random_n(4096, 0xC1A5))
-                .scheduler(kind)
-                .sequential(sequential)
-                .build()
-                .run();
-            assert_eq!(out.completed_jobs(), 4096, "{} lost jobs", kind.name());
-            let got = fingerprint(&out);
-            assert_eq!(
-                got,
-                want,
-                "{} (sequential: {sequential}) schedule drifted: digest {got:#018x}",
-                kind.name()
-            );
-        }
+        let out = base(64)
+            .plan(WorkloadPlan::random_n(4096, 0xC1A5))
+            .scheduler(kind)
+            .build()
+            .run();
+        assert_eq!(out.completed_jobs(), 4096, "{} lost jobs", kind.name());
+        let got = fingerprint(&out);
+        assert_eq!(
+            got,
+            want,
+            "{} schedule drifted: digest {got:#018x}",
+            kind.name()
+        );
     }
 }
 
 #[test]
 fn repeated_runs_are_bit_identical() {
     for kind in SchedPolicyKind::ALL {
-        let a = run(kind, false);
-        let b = run(kind, false);
-        assert_eq!(a, b, "{} is not reproducible", kind.name());
+        let a = run(kind);
+        // `SchedOutcome` is PartialEq over the decision log, the exact
+        // completion times, and the stream accounting — full bit-compare.
+        assert_eq!(a, run(kind), "{} is not reproducible", kind.name());
+        assert_eq!(a.completed_jobs(), 24, "{} lost jobs", kind.name());
     }
 }
 
-fn run_traced(kind: SchedPolicyKind, sequential: bool) -> (SchedOutcome, FlightRecorder) {
+fn run_traced(kind: SchedPolicyKind) -> (SchedOutcome, FlightRecorder) {
     base(4)
         .plan(WorkloadPlan::random_n(24, 0xC1A5))
         .scheduler(kind)
-        .sequential(sequential)
         .tracer(FlightRecorder::with_capacity(1 << 14))
         .build()
         .run_traced()
@@ -176,47 +162,74 @@ fn traced_timelines_match_their_golden_digests() {
         (SchedPolicyKind::Tiresias, 0x3769_f7c4_5f80_0538),
     ];
     for (kind, want) in golden {
-        for sequential in [true, false] {
-            let (out, rec) = run_traced(kind, sequential);
-            assert_eq!(rec.dropped(), 0, "{} dropped events", kind.name());
-            assert!(!rec.is_empty(), "{} recorded nothing", kind.name());
-            let got = timeline_digest(&out, &rec);
-            assert_eq!(
-                got,
-                want,
-                "{} (sequential: {sequential}) timeline drifted: digest {got:#018x}",
-                kind.name()
-            );
+        let (out, rec) = run_traced(kind);
+        assert_eq!(rec.dropped(), 0, "{} dropped events", kind.name());
+        assert!(!rec.is_empty(), "{} recorded nothing", kind.name());
+        let got = timeline_digest(&out, &rec);
+        assert_eq!(
+            got,
+            want,
+            "{} timeline drifted: digest {got:#018x}",
+            kind.name()
+        );
+    }
+}
+
+/// A flight recorder that remembers the thread it was built on and
+/// refuses an event recorded on any other.  Its forks keep that thread.
+struct SameThread {
+    inner: FlightRecorder,
+    home: ThreadId,
+}
+
+impl Tracer for SameThread {
+    const ENABLED: bool = true;
+
+    fn record(&mut self, event: TraceEvent) {
+        assert_eq!(
+            std::thread::current().id(),
+            self.home,
+            "{event:?} recorded off the thread that started the run"
+        );
+        self.inner.record(event);
+    }
+
+    fn fork(&self) -> Self {
+        SameThread {
+            inner: self.inner.fork(),
+            home: self.home,
         }
+    }
+
+    fn absorb(&mut self, other: &mut Self) {
+        self.inner.absorb(&mut other.inner);
     }
 }
 
 #[test]
-fn traced_timelines_are_bit_identical_across_advance_modes() {
-    // The flight-recorder merge (per-node forks absorbed in node-index
-    // order at each barrier) must make the sharded run's timeline — down
-    // to the exported Chrome JSON byte stream — identical to the
-    // sequential run's, for every built-in discipline.
+fn a_scheduled_run_records_every_event_on_the_calling_thread() {
+    const NODES: u32 = 256;
     for kind in SchedPolicyKind::ALL {
-        let (seq_out, seq_rec) = run_traced(kind, true);
-        let (shard_out, shard_rec) = run_traced(kind, false);
-        assert_eq!(seq_out, shard_out, "{} outcome diverged", kind.name());
-        assert_eq!(seq_rec.dropped(), 0, "{} dropped events", kind.name());
-        assert_eq!(shard_rec.dropped(), 0, "{} dropped events", kind.name());
-        let seq_events = seq_rec.events();
-        let shard_events = shard_rec.events();
-        assert!(!seq_events.is_empty(), "{} recorded nothing", kind.name());
-        assert_eq!(
-            seq_events,
-            shard_events,
-            "{} timeline diverged across advance modes",
-            kind.name()
-        );
-        assert_eq!(
-            flowcon_metrics::tracelog::chrome_trace_json(&seq_events, seq_rec.dropped()),
-            flowcon_metrics::tracelog::chrome_trace_json(&shard_events, shard_rec.dropped()),
-            "{} exported JSON diverged",
-            kind.name()
+        let tracer = SameThread {
+            inner: FlightRecorder::with_capacity(1 << 18),
+            home: std::thread::current().id(),
+        };
+        let (out, rec) = base(NODES as usize)
+            .plan(WorkloadPlan::random_n(1024, 0xC1A5))
+            .scheduler(kind)
+            .tracer(tracer)
+            .build()
+            .run_traced();
+        assert_eq!(out.completed_jobs(), 1024, "{} lost jobs", kind.name());
+        assert_eq!(rec.inner.dropped(), 0, "{} dropped events", kind.name());
+        // The last node reconfigured, so every node's events were checked.
+        assert!(
+            rec.inner
+                .iter()
+                .any(|e| e.kind == TraceKind::Reconfigure && e.b == NODES - 1),
+            "{}: node {} never reconfigured",
+            kind.name(),
+            NODES - 1
         );
     }
 }
@@ -267,7 +280,6 @@ fn preempting_at_the_first_barrier_still_drains_the_workload() {
     let out = base(2)
         .plan(WorkloadPlan::new(jobs))
         .discipline(Box::new(Thrash))
-        .sequential(true)
         .build()
         .run();
     assert_eq!(out.policy, "thrash");
@@ -324,26 +336,21 @@ fn a_job_preempted_and_replaced_in_one_round_still_drains() {
             j
         })
         .collect();
-    let run = |sequential: bool| {
-        base(3)
-            .plan(WorkloadPlan::new(jobs.clone()))
-            .discipline(Box::new(Bounce))
-            .sequential(sequential)
-            .build()
-            .run()
-    };
-    let seq = run(true);
-    assert_eq!(seq, run(false), "bounce diverged across advance modes");
-    assert_eq!(seq.completed_jobs(), 12);
+    let out = base(3)
+        .plan(WorkloadPlan::new(jobs))
+        .discipline(Box::new(Bounce))
+        .build()
+        .run();
+    assert_eq!(out.completed_jobs(), 12);
     // Some job left and re-took its slot within one barrier.
-    let bounced = seq.decisions.windows(2).any(|w| {
+    let bounced = out.decisions.windows(2).any(|w| {
         matches!(
             (w[0].action, w[1].action),
             (SchedAction::Preempt { job: a }, SchedAction::Place { job: b, .. }) if a == b && w[0].at == w[1].at
         )
     });
     assert!(bounced, "no job was preempted and re-placed in one round");
-    assert!(seq.preemptions > 0);
+    assert!(out.preemptions > 0);
 }
 
 /// Places FIFO, then "migrates" every running job to the node it is
@@ -375,10 +382,9 @@ fn migrating_to_the_same_node_is_a_logged_no_op() {
         .discipline(Box::new(SelfMigrate {
             inner: SchedPolicyKind::Fifo.build(),
         }))
-        .sequential(true)
         .build()
         .run();
-    let clean = base(3).plan(plan).sequential(true).build().run();
+    let clean = base(3).plan(plan).build().run();
 
     // Same-node migrations are logged but never applied.
     assert_eq!(noisy.migrations, 0);
@@ -409,11 +415,7 @@ fn an_empty_admission_queue_round_makes_no_decisions() {
     jobs[0].work_scale = 0.02;
     jobs[1].arrival = SimTime::from_secs(500_000);
     jobs[1].work_scale = 0.02;
-    let out = base(2)
-        .plan(WorkloadPlan::new(jobs))
-        .sequential(true)
-        .build()
-        .run();
+    let out = base(2).plan(WorkloadPlan::new(jobs)).build().run();
     assert_eq!(out.completed_jobs(), 2);
     assert_eq!(
         out.decisions.len(),
@@ -429,11 +431,7 @@ fn an_empty_admission_queue_round_makes_no_decisions() {
 
 #[test]
 fn an_empty_workload_runs_no_rounds() {
-    let out = base(2)
-        .plan(WorkloadPlan::new(Vec::new()))
-        .sequential(true)
-        .build()
-        .run();
+    let out = base(2).plan(WorkloadPlan::new(Vec::new())).build().run();
     assert_eq!(out.completed_jobs(), 0);
     assert!(out.decisions.is_empty());
     assert_eq!(out.makespan_secs(), 0.0);
@@ -459,7 +457,6 @@ fn a_discipline_that_never_places_a_job_ends_the_run() {
     base(1)
         .plan(WorkloadPlan::random_n(2, 5))
         .discipline(Box::new(Hoard))
-        .sequential(true)
         .build()
         .run();
 }
