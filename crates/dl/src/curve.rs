@@ -104,21 +104,6 @@ impl ConvergenceCurve {
             }
         }
     }
-
-    /// Progress at which the curve first reaches `level` (bisection).
-    pub fn progress_for_level(&self, level: f64) -> f64 {
-        let target = level.clamp(0.0, 1.0);
-        let (mut lo, mut hi) = (0.0f64, 1.0f64);
-        for _ in 0..64 {
-            let mid = 0.5 * (lo + hi);
-            if self.level(mid) < target {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        0.5 * (lo + hi)
-    }
 }
 
 #[cfg(test)]
@@ -178,33 +163,6 @@ mod tests {
             let x = i as f64 / 10.0;
             assert!((c.level(x) - x).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn progress_for_level_inverts_level() {
-        // Exact inversion only holds for continuous curves; the stepped
-        // curve jumps, so bisection lands on a plateau boundary and the
-        // residual can be up to one step height.
-        for c in [
-            ConvergenceCurve::Exponential { k: 24.0 },
-            ConvergenceCurve::Exponential { k: 3.0 },
-            ConvergenceCurve::PowerLaw { p: 1.0 },
-        ] {
-            for target in [0.1, 0.5, 0.9, 0.968] {
-                let x = c.progress_for_level(target);
-                assert!(
-                    (c.level(x) - target).abs() < 1e-3,
-                    "{c:?}: level({x}) = {} != {target}",
-                    c.level(x)
-                );
-            }
-        }
-        // The stepped curve still brackets the target monotonically.
-        let c = ConvergenceCurve::SteppedExponential { k: 8.0, steps: 5 };
-        let x = c.progress_for_level(0.5);
-        let eps = 1e-6;
-        assert!(c.level((x - eps).max(0.0)) <= 0.5 + 1e-9);
-        assert!(c.level((x + eps).min(1.0)) >= 0.5 - 0.3, "within a step");
     }
 
     #[test]

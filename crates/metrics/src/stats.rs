@@ -44,14 +44,6 @@ pub fn max(xs: &[f64]) -> Option<f64> {
         .fold(None, |acc, x| Some(acc.map_or(x, |m: f64| m.max(x))))
 }
 
-/// Geometric mean of strictly positive values; `None` otherwise.
-pub fn geo_mean(xs: &[f64]) -> Option<f64> {
-    if xs.is_empty() || xs.iter().any(|&x| x <= 0.0) {
-        return None;
-    }
-    Some((xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,13 +73,5 @@ mod tests {
         assert_eq!(min(&xs), Some(-1.0));
         assert_eq!(max(&xs), Some(4.0));
         assert_eq!(min(&[]), None);
-    }
-
-    #[test]
-    fn geometric_mean() {
-        let xs = [1.0, 4.0, 16.0];
-        assert!((geo_mean(&xs).unwrap() - 4.0).abs() < 1e-12);
-        assert_eq!(geo_mean(&[1.0, 0.0]), None);
-        assert_eq!(geo_mean(&[]), None);
     }
 }

@@ -111,12 +111,6 @@ impl SimRng {
         (m >> 64) as u64
     }
 
-    /// Uniform integer in `[lo, hi]` inclusive.
-    pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi, "range_u64: lo {lo} > hi {hi}");
-        lo + self.below(hi - lo + 1)
-    }
-
     /// Standard normal variate (Box–Muller, cached pair).
     pub fn normal(&mut self) -> f64 {
         if let Some(z) = self.spare_normal.take() {
@@ -146,14 +140,6 @@ impl SimRng {
         assert!(lambda > 0.0, "exponential rate must be positive");
         let u = 1.0 - self.f64();
         -u.ln() / lambda
-    }
-
-    /// Fisher–Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            xs.swap(i, j);
-        }
     }
 }
 
@@ -227,20 +213,6 @@ mod tests {
     }
 
     #[test]
-    fn range_u64_inclusive() {
-        let mut r = SimRng::new(9);
-        let mut saw_lo = false;
-        let mut saw_hi = false;
-        for _ in 0..10_000 {
-            let x = r.range_u64(3, 5);
-            assert!((3..=5).contains(&x));
-            saw_lo |= x == 3;
-            saw_hi |= x == 5;
-        }
-        assert!(saw_lo && saw_hi);
-    }
-
-    #[test]
     fn normal_moments() {
         let mut r = SimRng::new(13);
         let n = 200_000;
@@ -257,16 +229,6 @@ mod tests {
         let n = 200_000;
         let mean: f64 = (0..n).map(|_| r.exponential(2.0)).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = SimRng::new(23);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

@@ -40,16 +40,6 @@ impl TimeWeighted {
         self.area
     }
 
-    /// The time-weighted mean over a window of `duration_secs` seconds
-    /// (zero for an empty window).
-    pub fn mean_over(&self, duration_secs: f64) -> f64 {
-        if duration_secs > 0.0 {
-            self.area / duration_secs
-        } else {
-            0.0
-        }
-    }
-
     /// Reset to zero (for accumulator reuse across runs).
     pub fn reset(&mut self) {
         self.area = 0.0;
@@ -67,7 +57,6 @@ mod tests {
         acc.accumulate(0.5, 4.0); // 2
         acc.accumulate(0.0, 100.0); // idle contributes nothing
         assert!((acc.area() - 22.0).abs() < 1e-12);
-        assert!((acc.mean_over(114.0) - 22.0 / 114.0).abs() < 1e-12);
     }
 
     #[test]
@@ -76,7 +65,6 @@ mod tests {
         acc.accumulate(5.0, 0.0);
         acc.accumulate(5.0, -1.0);
         assert_eq!(acc.area(), 0.0);
-        assert_eq!(acc.mean_over(0.0), 0.0, "empty window has mean 0");
     }
 
     #[test]
