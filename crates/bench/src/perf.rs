@@ -944,14 +944,15 @@ pub const ZERO_ALLOC_PREFIXES: [&str; 4] = [
 pub const EVENTS_REGRESSION_TOLERANCE: f64 = 0.25;
 
 /// Benchmark-name prefixes excluded from the **relative** events/s check:
-/// cluster throughput (closed `cluster/` rows, the scheduler `sched/` row,
-/// the open-loop `stream/open_loop/` row, and the `frontier/` capacity
-/// sweep, whose rungs are scheduler runs) scales with the runner's
-/// *core count* (the sharded executor uses `available_parallelism`
-/// threads), so a baseline committed from an 8-core box would permanently
-/// fail a 4-vCPU CI runner on unchanged code.  `trace/` joins the
-/// list because its headline rows (`trace/noop/`, `trace/flight/`) are
-/// sharded scheduler runs.  These rows stay gated by presence and —
+/// cluster throughput (closed `cluster/` rows and the open-loop
+/// `stream/open_loop/` row) scales with the runner's *core count* (the
+/// sharded executor uses `available_parallelism` threads), so a baseline
+/// committed from an 8-core box would permanently fail a 4-vCPU CI runner
+/// on unchanged code.  The scheduler rows (`sched/`, the `frontier/`
+/// capacity sweep, whose rungs are scheduler runs, and `trace/`'s
+/// headline rows `trace/noop/` and `trace/flight/`) advanced their nodes
+/// on shard threads when the committed baselines were taken, and stay
+/// excluded until a baseline is re-taken.  These rows stay gated by presence and —
 /// where measured — by their machine-independent allocs/worker figure
 /// (see [`ALLOCS_REGRESSION_TOLERANCE`]).
 ///

@@ -24,8 +24,8 @@
 //! order changes nothing but the merge of the nodes' trace events, which
 //! is fixed by node index (pinned, with every discipline's decision log
 //! and timeline, by `crates/cluster/tests/sched_determinism.rs`).
-//! Shard threads for the advance did not pay for their handoff on a
-//! two-core host at any cluster size measured (BENCHMARKS.md "The
+//! Shard threads for the advance were not measurably faster on a
+//! two-core host at any cluster size tried (BENCHMARKS.md "The
 //! scheduler advances its nodes on the engine thread").
 //!
 //! # Per-barrier cost

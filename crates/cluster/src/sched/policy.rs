@@ -6,7 +6,7 @@
 //! migrate).  The engine applies the actions in order and logs each one,
 //! so a policy is a pure decision function of the view plus its own
 //! internal state — which is exactly what makes decision logs
-//! bit-comparable across runs and shard counts.
+//! bit-comparable across runs.
 //!
 //! Three disciplines ship with the crate:
 //!
