@@ -447,7 +447,7 @@ impl<'a> Iterator for ByService<'a> {
 pub(crate) fn run_sched<T: Tracer>(
     node_cfgs: &[NodeConfig],
     worker_policy: PolicyKind,
-    policy: Box<dyn ClusterPolicy>,
+    mut policy: Box<dyn ClusterPolicy>,
     config: SchedConfig,
     arrivals: Vec<ArrivalSpec>,
     tracer: &mut T,
@@ -457,7 +457,8 @@ pub(crate) fn run_sched<T: Tracer>(
         config.quantum > SimDuration::ZERO,
         "the scheduler quantum must be positive"
     );
-    let nodes: Vec<NodeSim<T>> = node_cfgs
+    let quantum = config.quantum;
+    let mut nodes: Vec<NodeSim<T>> = node_cfgs
         .iter()
         .enumerate()
         .map(|(i, cfg)| {
@@ -470,18 +471,6 @@ pub(crate) fn run_sched<T: Tracer>(
             )
         })
         .collect();
-    drive(node_cfgs, nodes, policy, config.quantum, &arrivals, tracer)
-}
-
-/// The barrier loop of [`run_sched`].
-fn drive<T: Tracer>(
-    node_cfgs: &[NodeConfig],
-    mut nodes: Vec<NodeSim<T>>,
-    mut policy: Box<dyn ClusterPolicy>,
-    quantum: SimDuration,
-    arrivals: &[ArrivalSpec],
-    tracer: &mut T,
-) -> SchedOutcome {
     let mut queue = AdmissionQueue::new(arrivals.len());
     // gid → node currently running the job (None: queued or done).
     let mut location: Vec<Option<usize>> = vec![None; arrivals.len()];
