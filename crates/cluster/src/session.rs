@@ -207,7 +207,9 @@ impl<'w, M> ClusterSessionBuilder<'w, M> {
 
     /// Drive the cluster from a streaming [`PlanSource`]: each executor
     /// shard pulls `source.next_plan(worker)` for the worker it is about
-    /// to simulate, so no per-worker plans ever exist at once.
+    /// to simulate, so no per-worker plans ever exist at once.  The
+    /// [`Sched`] mode refuses it: the scheduler takes one cluster-wide
+    /// workload.
     pub fn source(mut self, source: &'w dyn PlanSource) -> Self {
         self.workload = WorkloadSpec::Source(source);
         self
