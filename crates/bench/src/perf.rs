@@ -952,9 +952,9 @@ pub const EVENTS_REGRESSION_TOLERANCE: f64 = 0.25;
 /// capacity sweep, whose rungs are scheduler runs, and `trace/`'s
 /// headline rows `trace/noop/` and `trace/flight/`) advanced their nodes
 /// on shard threads when the committed baselines were taken, and stay
-/// excluded until a baseline is re-taken.  These rows stay gated by presence and —
-/// where measured — by their machine-independent allocs/worker figure
-/// (see [`ALLOCS_REGRESSION_TOLERANCE`]).
+/// excluded until a baseline is re-taken.  These rows stay gated by
+/// presence and — where measured — by their machine-independent
+/// allocs/worker figure (see [`ALLOCS_REGRESSION_TOLERANCE`]).
 ///
 /// `rt/` rows are **no longer excluded**: since the push-based rewrite,
 /// the tiny rt bench's wall time is set by token-bucket rates and timer
