@@ -33,10 +33,6 @@ use flowcon_sim::{ResourceKind, ResourceVec};
 
 use super::policy::RunningJobView;
 
-/// Remaining work at or below this is "finished" — keeps the inner
-/// advance loop from chasing femtosecond tails.
-const EPS_REMAINING: f64 = 1e-9;
-
 /// A job completion observed by a node mid-quantum, at its exact time.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct NodeCompletion {
@@ -323,12 +319,13 @@ impl<T: Tracer> NodeSim<T> {
             }
             self.now = target;
 
-            // Collect exact-time completions.
+            // Collect exact-time completions: a job is done when its exit
+            // status says so, as on the worker path.
             let mut exited = false;
             for idx in 0..self.slots.len() {
                 let done = self.slots[idx]
                     .as_ref()
-                    .is_some_and(|s| s.remaining() <= EPS_REMAINING);
+                    .is_some_and(|s| s.job.status().exit_code().is_some());
                 if done {
                     let slot = self.slots[idx].take().expect("occupancy checked above");
                     self.live -= 1;
