@@ -678,7 +678,7 @@ pub(crate) fn run_sched<T: Tracer>(
         submitted: arrivals.len(),
         preemptions,
         migrations,
-        algorithm_runs: nodes.iter().map(|n| n.algorithm_runs).sum(),
+        algorithm_runs: nodes.iter().map(NodeSim::algorithm_runs).sum(),
     }
 }
 

@@ -1,35 +1,33 @@
 //! The pausable node-local FlowCon simulation driven by the scheduler's
 //! quantum barriers.
 //!
-//! Each [`NodeSim`] is the dense worker sim
-//! (`flowcon_core::dense`) reshaped for *online* control: instead of an
-//! agenda draining a fixed plan, the node holds a small slot arena
-//! of running jobs and exposes three verbs to the engine — `admit`,
-//! `preempt`, and `advance_to(barrier)`.  Between barriers the node
-//! integrates its fluid state with the dense path's equations
-//! (water-filling rates, contention efficiency, FlowCon policy ticks at
-//! their own cadence); only job arrival and departure are externally
-//! driven.  The runs are not identical, though: every barrier splits the
-//! fluid integration, and each split advance draws fresh measurement
-//! noise, so the noise FlowCon reads — and with it the completions —
-//! differ from a dense run of the same jobs.
+//! Each [`NodeSim`] is the worker simulation's node kernel
+//! (`flowcon_core::kernel::NodeKernel`) advanced to barriers: instead of
+//! an agenda draining a fixed plan, the node holds a fixed number of job
+//! slots and exposes three verbs to the engine — `admit`, `preempt`, and
+//! `advance_to(barrier)`.  Between barriers the kernel integrates the
+//! node's fluid state (water-filling rates, contention efficiency) and
+//! FlowCon ticks at its own cadence; only job arrival and departure are
+//! externally driven.  Beside the kernel the node keeps what only the
+//! scheduler reads: each slot's job id, model, arrival, placement time and
+//! earlier service, its busy and live integrals, its completions and its
+//! tracer fork.  The runs are not identical to the worker's, though: every
+//! barrier splits the fluid integration, and each split advance draws
+//! fresh measurement noise, so the noise FlowCon reads — and with it the
+//! completions — differ from a dense run of the same jobs.
 //!
 //! `advance_to` is a pure function of the node's own state: no shared
 //! memory, no RNG outside the node's private stream.  The engine advances
 //! its nodes one after another on its own thread, and only the merge of
 //! their trace events depends on that order.
 
-use flowcon_container::{ContainerId, ResourceLimits};
+use flowcon_container::ContainerId;
 use flowcon_core::config::NodeConfig;
-use flowcon_core::metric::GrowthMeasurement;
-use flowcon_core::monitor::MonitorSlot;
+use flowcon_core::kernel::NodeKernel;
 use flowcon_core::policy::{checked_interval, ResourcePolicy};
-use flowcon_dl::{ModelId, ModelSpec, TrainingJob};
-use flowcon_sim::alloc::NodeShares;
-use flowcon_sim::rng::SimRng;
-use flowcon_sim::time::{SimDuration, SimTime};
-use flowcon_sim::trace::{NoopTracer, TraceKind, Tracer};
-use flowcon_sim::{ResourceKind, ResourceVec};
+use flowcon_dl::{ModelId, ModelSpec};
+use flowcon_sim::time::SimTime;
+use flowcon_sim::trace::{NoopTracer, Tracer};
 
 use super::policy::RunningJobView;
 
@@ -55,35 +53,31 @@ pub(crate) struct PreemptedJob {
     pub(crate) arrival: SimTime,
 }
 
-/// One occupied job slot.  The slot index is the container id the
-/// node-local `ResourcePolicy` sees.
-#[derive(Debug)]
-struct Slot {
+/// The scheduler's record of the job in one occupied slot; the slot index
+/// is the container id the kernel and the node-local `ResourcePolicy`
+/// see.
+#[derive(Debug, Clone, Copy)]
+struct Placed {
     gid: u32,
     model: ModelId,
-    job: TrainingJob,
-    limits: ResourceLimits,
     arrival: SimTime,
     placed_at: SimTime,
+    /// The job's remaining work when it was placed here.
     rem_at_place: f64,
+    /// Service attained in earlier placements.
     base_attained: f64,
-    cumulative: ResourceVec,
-    /// The Container Monitor's state for this job.
-    mon: MonitorSlot,
 }
 
-impl Slot {
-    fn remaining(&self) -> f64 {
-        self.job.remaining_cpu_seconds()
-    }
-
-    fn attained(&self) -> f64 {
-        self.base_attained + (self.rem_at_place - self.remaining()).max(0.0)
+impl Placed {
+    /// Service attained across all placements, with `remaining` work left.
+    fn attained(&self, remaining: f64) -> f64 {
+        self.base_attained + (self.rem_at_place - remaining).max(0.0)
     }
 }
 
-/// One node of the scheduled cluster: slot arena + node-local FlowCon
-/// policy + private RNG, advanced barrier-to-barrier by the engine.
+/// One node of the scheduled cluster: a [`NodeKernel`] with one slot per
+/// job the node may run, plus the node-local FlowCon policy, advanced
+/// barrier-to-barrier by the engine.
 ///
 /// Each node owns a **forked recorder** (`tracer`, forked from the run's
 /// tracer).  It holds the node's events from the barrier's `admit` and
@@ -91,35 +85,22 @@ impl Slot {
 /// right after the node advances, so those events follow the barrier's
 /// engine records (placements, queue depth) in the merged timeline.
 pub(crate) struct NodeSim<T: Tracer = NoopTracer> {
-    cfg: NodeConfig,
+    kernel: NodeKernel,
     policy: Box<dyn ResourcePolicy>,
-    rng: SimRng,
-    now: SimTime,
     /// Next node-local policy reconfiguration, if one is scheduled.
     next_tick: Option<SimTime>,
-    slots: Vec<Option<Slot>>,
-    live: usize,
+    /// One entry per slot: the job placed there, if any.
+    placed: Vec<Option<Placed>>,
     /// ∫ allocated CPU rate dt (for utilization).
     pub(crate) busy_cpu_secs: f64,
     /// ∫ live jobs dt (for mean queue depth).
     pub(crate) live_job_secs: f64,
-    pub(crate) algorithm_runs: u64,
-    pub(crate) update_calls: u64,
     /// Completions since the engine last drained them, in time order.
     pub(crate) completions: Vec<NodeCompletion>,
     /// Per-node flight recorder, drained by the engine at each barrier.
     pub(crate) tracer: T,
     /// This node's index, stamped into its trace events.
     trace_id: u32,
-    /// Cumulative water-filling invocations (trace counter payload).
-    waterfill_runs: u64,
-    // Recycled hot-path buffers.
-    /// Occupied slot indices, aligned with `shares`.
-    order: Vec<usize>,
-    shares: NodeShares,
-    measures: Vec<GrowthMeasurement>,
-    pool_ids: Vec<ContainerId>,
-    updates: Vec<(ContainerId, f64)>,
 }
 
 impl<T: Tracer> NodeSim<T> {
@@ -133,44 +114,39 @@ impl<T: Tracer> NodeSim<T> {
         assert!(slots > 0, "a node needs at least one job slot");
         cfg.assert_usable_capacity();
         Self {
-            cfg,
+            kernel: NodeKernel::new(cfg),
             policy,
-            rng: SimRng::new(cfg.seed),
-            now: SimTime::ZERO,
             next_tick: None,
-            slots: (0..slots).map(|_| None).collect(),
-            live: 0,
+            placed: vec![None; slots],
             busy_cpu_secs: 0.0,
             live_job_secs: 0.0,
-            algorithm_runs: 0,
-            update_calls: 0,
             completions: Vec::new(),
             tracer,
             trace_id,
-            waterfill_runs: 0,
-            order: Vec::new(),
-            shares: NodeShares::new(),
-            measures: Vec::new(),
-            pool_ids: Vec::new(),
-            updates: Vec::new(),
         }
     }
 
     pub(crate) fn slot_count(&self) -> usize {
-        self.slots.len()
+        self.placed.len()
     }
 
     pub(crate) fn is_idle(&self) -> bool {
-        self.live == 0
+        self.kernel.live().is_empty()
+    }
+
+    /// Policy rounds this node has run.
+    pub(crate) fn algorithm_runs(&self) -> u64 {
+        self.kernel.algorithm_runs()
     }
 
     /// Append one [`RunningJobView`] per occupied slot, in slot order.
     pub(crate) fn fill_views(&self, out: &mut Vec<RunningJobView>) {
-        for slot in self.slots.iter().flatten() {
+        for &id in self.kernel.live() {
+            let p = self.placed[id.index()].expect("live slots hold a placed job");
             out.push(RunningJobView {
-                id: slot.gid,
-                attained_cpu_secs: slot.attained(),
-                placed_at: slot.placed_at,
+                id: p.gid,
+                attained_cpu_secs: p.attained(self.kernel.job(id).remaining_cpu_seconds()),
+                placed_at: p.placed_at,
             });
         }
     }
@@ -189,253 +165,122 @@ impl<T: Tracer> NodeSim<T> {
         arrival: SimTime,
         base_attained: f64,
     ) {
-        let now = self.now;
         let idx = self
-            .slots
+            .placed
             .iter()
-            .position(|s| s.is_none())
+            .position(Option::is_none)
             .expect("scheduler placed a job on a full node");
+        let id = ContainerId::from_raw(idx as u32);
+        // Same admission as the worker sim's: the ±3% work jitter models
+        // checkpoint-restore noise on resume.
         let spec = ModelSpec::of(model).scaled_by(work_scale);
-        // Same RNG protocol as the worker sim's admission: the ±3% work
-        // jitter models checkpoint-restore noise on resume.
-        let job = TrainingJob::with_label(spec, String::new(), &mut self.rng);
-        let rem = job.remaining_cpu_seconds();
-        self.slots[idx] = Some(Slot {
+        self.kernel.admit(id, spec, String::new());
+        let now = self.kernel.now();
+        self.placed[idx] = Some(Placed {
             gid,
             model,
-            job,
-            limits: ResourceLimits::unlimited(),
             arrival,
             placed_at: now,
-            rem_at_place: rem,
+            rem_at_place: self.kernel.job(id).remaining_cpu_seconds(),
             base_attained,
-            cumulative: ResourceVec::ZERO,
-            mon: MonitorSlot::UNTRACKED,
         });
-        self.live += 1;
-
-        self.rebuild_pool_ids();
-        let pool_ids = std::mem::take(&mut self.pool_ids);
-        let interrupt = self.policy.on_pool_change(now, &pool_ids);
-        self.pool_ids = pool_ids;
+        let interrupt = self.policy.on_pool_change(now, self.kernel.live());
         if interrupt {
-            self.reconfigure(now);
-        } else if self.live == 1 {
+            self.reconfigure();
+        } else if self.kernel.live().len() == 1 {
             self.next_tick = checked_interval(self.policy.initial_interval()).map(|d| now + d);
         }
     }
 
     /// Checkpoint a running job out of its slot.
     pub(crate) fn preempt(&mut self, gid: u32) -> PreemptedJob {
-        let now = self.now;
         let idx = self
-            .slots
+            .placed
             .iter()
-            .position(|s| s.as_ref().is_some_and(|s| s.gid == gid))
+            .position(|p| p.is_some_and(|p| p.gid == gid))
             .expect("scheduler preempted a job this node does not run");
-        let slot = self.slots[idx]
+        let p = self.placed[idx]
             .take()
             .expect("slot occupancy checked above");
-        self.live -= 1;
-
-        let rem = slot.remaining();
-        let total = ModelSpec::of(slot.model).total_work;
+        let id = ContainerId::from_raw(idx as u32);
+        let rem = self.kernel.job(id).remaining_cpu_seconds();
+        let total = ModelSpec::of(p.model).total_work;
         let out = PreemptedJob {
-            model: slot.model,
+            model: p.model,
             remaining_scale: (rem / total).max(f64::MIN_POSITIVE),
-            attained_cpu_secs: slot.attained(),
-            arrival: slot.arrival,
+            attained_cpu_secs: p.attained(rem),
+            arrival: p.arrival,
         };
-
-        self.rebuild_pool_ids();
-        let pool_ids = std::mem::take(&mut self.pool_ids);
-        let interrupt = self.policy.on_pool_change(now, &pool_ids);
-        self.pool_ids = pool_ids;
-        if self.live == 0 {
-            self.next_tick = None;
-        } else if interrupt {
-            self.reconfigure(now);
-        }
+        self.kernel.retire(id);
+        self.pool_changed();
         out
     }
 
-    /// Integrate the node's fluid state forward to `barrier`, completing
-    /// jobs at their exact finish times and running policy ticks at
-    /// their own cadence.  Pure in the node's own state.
+    /// Advance the kernel to `barrier`, stopping at each policy tick and
+    /// each projected completion (reprojected at every stop), so jobs
+    /// complete at their exact finish times and policy ticks run at their
+    /// own cadence.  Pure in the node's own state.
     pub(crate) fn advance_to(&mut self, barrier: SimTime) {
-        debug_assert!(barrier >= self.now, "barrier in the past");
-        while self.now < barrier {
-            if self.live == 0 {
-                break;
-            }
-            self.recompute_rates();
-
-            // Next stop: the barrier, the policy tick, or the earliest
-            // projected completion (with the worker sim's 1 µs margin so
-            // integration strictly crosses the finish line).
+        debug_assert!(barrier >= self.kernel.now(), "barrier in the past");
+        while self.kernel.now() < barrier && !self.is_idle() {
+            self.kernel.reshare(&mut self.tracer, self.trace_id);
             let mut target = barrier;
             if let Some(tick) = self.next_tick {
-                if tick < target {
-                    target = tick;
-                }
+                target = target.min(tick);
             }
-            let window = barrier.saturating_since(self.now).as_secs_f64();
-            let mut eta_best: Option<f64> = None;
-            for (k, &idx) in self.order.iter().enumerate() {
-                let slot = self.slots[idx]
-                    .as_ref()
-                    .expect("order tracks occupied slots");
-                let speed = self.shares.rates()[k] * self.shares.efficiencies()[k];
-                if speed > 1e-12 {
-                    let eta = slot.remaining() / speed;
-                    eta_best = Some(eta_best.map_or(eta, |b: f64| b.min(eta)));
-                }
+            if let Some(at) = self.kernel.next_completion() {
+                target = target.min(at);
             }
-            if let Some(eta) = eta_best {
-                if eta <= window {
-                    let at =
-                        self.now + SimDuration::from_secs_f64(eta) + SimDuration::from_micros(1);
-                    if at < target {
-                        target = at;
-                    }
-                }
-            }
-
-            let dt = target.saturating_since(self.now).as_secs_f64();
+            let live = self.kernel.live().len();
+            let dt = self.kernel.step_to(target);
             if dt > 0.0 {
-                for (k, &idx) in self.order.iter().enumerate() {
-                    let rate = self.shares.rates()[k];
-                    let eff = self.shares.efficiencies()[k];
-                    let slot = self.slots[idx]
-                        .as_mut()
-                        .expect("order tracks occupied slots");
-                    let mut usage = slot.job.footprint();
-                    usage.set(ResourceKind::Cpu, rate);
-                    slot.cumulative += usage.scale(dt);
-                    slot.job.advance(rate * eff * dt);
+                for &rate in self.kernel.rates() {
                     self.busy_cpu_secs += rate * dt;
                 }
-                self.live_job_secs += self.live as f64 * dt;
+                self.live_job_secs += live as f64 * dt;
             }
-            self.now = target;
-
-            // Collect exact-time completions: a job is done when its exit
-            // status says so, as on the worker path.
-            let mut exited = false;
-            for idx in 0..self.slots.len() {
-                let done = self.slots[idx]
-                    .as_ref()
-                    .is_some_and(|s| s.job.status().exit_code().is_some());
-                if done {
-                    let slot = self.slots[idx].take().expect("occupancy checked above");
-                    self.live -= 1;
-                    exited = true;
+            let now = self.kernel.now();
+            if !self.kernel.exited().is_empty() {
+                for &(id, _) in self.kernel.exited() {
+                    let p = self.placed[id.index()]
+                        .take()
+                        .expect("live slots hold a placed job");
                     self.completions.push(NodeCompletion {
-                        gid: slot.gid,
-                        arrival: slot.arrival,
-                        finished: self.now,
+                        gid: p.gid,
+                        arrival: p.arrival,
+                        finished: now,
                     });
                 }
+                self.kernel.release_exited();
+                self.pool_changed();
             }
-            if exited {
-                self.rebuild_pool_ids();
-                let pool_ids = std::mem::take(&mut self.pool_ids);
-                let interrupt = self.policy.on_pool_change(self.now, &pool_ids);
-                self.pool_ids = pool_ids;
-                if self.live == 0 {
-                    self.next_tick = None;
-                } else if interrupt {
-                    self.reconfigure(self.now);
-                }
-            }
-            if self.next_tick.is_some_and(|tick| tick <= self.now) && self.live > 0 {
-                self.reconfigure(self.now);
+            if self.next_tick.is_some_and(|tick| tick <= now) && !self.is_idle() {
+                self.reconfigure();
             }
         }
-        self.now = barrier;
+        // An idle node only moves its clock.
+        self.kernel.step_to(barrier);
     }
 
-    /// Share the node capacity over the occupied slots by the dense
-    /// worker path's node-share rule ([`NodeShares`]).
-    fn recompute_rates(&mut self) {
-        self.waterfill_runs += 1;
-        if T::ENABLED {
-            self.tracer.counter(
-                self.now,
-                TraceKind::Waterfill,
-                self.trace_id,
-                self.waterfill_runs as f64,
-            );
-        }
-        self.order.clear();
-        self.order
-            .extend((0..self.slots.len()).filter(|&idx| self.slots[idx].is_some()));
-        let slots = &self.slots;
-        self.shares.recompute(
-            self.cfg.capacity,
-            &self.cfg.contention,
-            self.order.iter().map(|&idx| {
-                let slot = slots[idx].as_ref().expect("order tracks occupied slots");
-                (slot.limits.cpu_limit(), slot.job.demand())
-            }),
-        );
-    }
-
-    fn rebuild_pool_ids(&mut self) {
-        self.pool_ids.clear();
-        for (idx, slot) in self.slots.iter().enumerate() {
-            if slot.is_some() {
-                self.pool_ids.push(ContainerId::from_raw(idx as u32));
-            }
-        }
-    }
-
-    /// Measure every running job through its Container Monitor slot, in
-    /// slot order.
-    fn measure_into(&mut self, now: SimTime) {
-        self.measures.clear();
-        for (idx, slot) in self.slots.iter_mut().enumerate() {
-            let Some(slot) = slot else {
-                continue;
-            };
-            self.measures.push(slot.mon.measure(
-                ContainerId::from_raw(idx as u32),
-                now,
-                slot.job.eval(),
-                slot.cumulative,
-                slot.limits.cpu_limit(),
-            ));
+    /// Tell the policy the pool changed: an emptied node drops its tick,
+    /// and an interrupt reconfigures at once.
+    fn pool_changed(&mut self) {
+        let interrupt = self
+            .policy
+            .on_pool_change(self.kernel.now(), self.kernel.live());
+        if self.is_idle() {
+            self.next_tick = None;
+        } else if interrupt {
+            self.reconfigure();
         }
     }
 
     /// Run one node-local policy reconfiguration and reschedule its tick.
-    fn reconfigure(&mut self, now: SimTime) {
-        if T::ENABLED {
-            self.tracer
-                .span_begin(now, TraceKind::Reconfigure, self.live as u32, self.trace_id);
-        }
-        self.measure_into(now);
-        self.updates.clear();
-        let measures = std::mem::take(&mut self.measures);
-        let mut updates = std::mem::take(&mut self.updates);
-        let next = self.policy.reconfigure_into(now, &measures, &mut updates);
-        self.algorithm_runs += 1;
-        for &(id, limit) in updates.iter() {
-            let idx = id.index();
-            if idx < self.slots.len() {
-                if let Some(slot) = self.slots[idx].as_mut() {
-                    slot.limits.set(ResourceKind::Cpu, limit);
-                    self.update_calls += 1;
-                }
-            }
-        }
-        self.measures = measures;
-        self.updates = updates;
-        self.next_tick = checked_interval(next).map(|d| now + d);
-        if T::ENABLED {
-            self.tracer
-                .span_end(now, TraceKind::Reconfigure, self.live as u32, self.trace_id);
-        }
+    fn reconfigure(&mut self) {
+        let next = self
+            .kernel
+            .reconfigure(self.policy.as_mut(), &mut self.tracer, self.trace_id);
+        self.next_tick = checked_interval(next).map(|d| self.kernel.now() + d);
     }
 }
 
@@ -444,7 +289,9 @@ mod tests {
     use super::*;
     use crate::policy_kind::PolicyKind;
     use flowcon_core::config::FlowConConfig;
+    use flowcon_core::metric::GrowthMeasurement;
     use flowcon_dl::models::ALL_MODELS;
+    use flowcon_sim::time::SimDuration;
     use proptest::prelude::*;
 
     fn node(slots: usize) -> NodeSim {
@@ -508,7 +355,7 @@ mod tests {
                     .map(|c| (c.gid, c.finished))
                     .collect::<Vec<_>>(),
                 sim.busy_cpu_secs.to_bits(),
-                sim.algorithm_runs,
+                sim.algorithm_runs(),
             )
         };
         assert_eq!(run(), run());
@@ -601,10 +448,13 @@ mod tests {
 
     /// `(gid, remaining work)` of every running job, in slot order.
     fn remaining_by_gid<T: Tracer>(sim: &NodeSim<T>) -> Vec<(u32, f64)> {
-        sim.slots
+        sim.kernel
+            .live()
             .iter()
-            .flatten()
-            .map(|s| (s.gid, s.remaining()))
+            .map(|&id| {
+                let p = sim.placed[id.index()].expect("live slots hold a placed job");
+                (p.gid, sim.kernel.job(id).remaining_cpu_seconds())
+            })
             .collect()
     }
 
@@ -632,13 +482,14 @@ mod tests {
             let mut placed_at: Vec<SimTime> = Vec::new();
             let mut parked: Vec<(u32, PreemptedJob)> = Vec::new();
             for (op, pick, scale, secs) in ops {
-                let full = sim.live == sim.slot_count();
+                let now = sim.kernel.now();
+                let full = sim.kernel.live().len() == sim.slot_count();
                 match op {
                     0 if !full => {
                         let gid = placed_at.len() as u32;
                         let model = ALL_MODELS[pick % ALL_MODELS.len()];
-                        sim.admit(gid, model, scale, sim.now, 0.0);
-                        placed_at.push(sim.now);
+                        sim.admit(gid, model, scale, now, 0.0);
+                        placed_at.push(now);
                     }
                     1 if !sim.is_idle() => {
                         let running = remaining_by_gid(&sim);
@@ -654,7 +505,7 @@ mod tests {
                             job.arrival,
                             job.attained_cpu_secs,
                         );
-                        placed_at[gid as usize] = sim.now;
+                        placed_at[gid as usize] = now;
                         let mut views = Vec::new();
                         sim.fill_views(&mut views);
                         let view = views.iter().find(|v| v.id == gid).expect("resumed job runs");
@@ -670,7 +521,7 @@ mod tests {
                     _ => {
                         let before = remaining_by_gid(&sim);
                         sim.completions.clear();
-                        sim.advance_to(sim.now + SimDuration::from_secs(secs));
+                        sim.advance_to(now + SimDuration::from_secs(secs));
                         for (gid, left) in remaining_by_gid(&sim) {
                             if let Some(&(_, had)) = before.iter().find(|&&(g, _)| g == gid) {
                                 prop_assert!(left <= had, "job {} grew from {} to {}", gid, had, left);
@@ -678,22 +529,22 @@ mod tests {
                         }
                         for c in &sim.completions {
                             prop_assert!(
-                                c.finished >= placed_at[c.gid as usize] && c.finished <= sim.now,
+                                c.finished >= placed_at[c.gid as usize] && c.finished <= sim.kernel.now(),
                                 "job {} completed at {} outside [{}, {}]",
                                 c.gid,
                                 c.finished,
                                 placed_at[c.gid as usize],
-                                sim.now
+                                sim.kernel.now()
                             );
                         }
                     }
                 }
-                let ceiling = capacity * sim.now.as_secs_f64();
+                let ceiling = capacity * sim.kernel.now().as_secs_f64();
                 prop_assert!(
                     sim.busy_cpu_secs <= ceiling * (1.0 + 1e-12),
                     "{} busy cpu-s over {} s on capacity {}",
                     sim.busy_cpu_secs,
-                    sim.now.as_secs_f64(),
+                    sim.kernel.now().as_secs_f64(),
                     capacity
                 );
             }

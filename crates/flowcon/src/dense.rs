@@ -1,17 +1,18 @@
-//! The worker simulation: one node over dense, structure-of-arrays state.
+//! The worker simulation: one node driven from event to event.
 //!
 //! Every worker run goes through this module — recorded, traced and
 //! failure-injected [`Session`](crate::session::Session)s as well as the
-//! million-worker headless cluster path.  Container ids are sequential
-//! `u32`s (see `flowcon_container::id`), so *the id is the array index*:
-//! one `TrainingJob` arena plus POD slot columns (the container record and
-//! the Container Monitor's `MonitorSlot`) hold all per-container
-//! state, with no per-container object.  The
-//! columns live in a [`DenseScratch`] owned by the caller — one per
-//! executor shard — and are recycled across every worker that shard
-//! drives, so a steady-state headless worker run performs only the
-//! allocations its policy and completion stats need (budgeted well under
-//! 10 per worker by `crates/cluster/tests/headless_allocs.rs`).
+//! million-worker headless cluster path.  The node's physics is a
+//! [`NodeKernel`] (see [`crate::kernel`]): the job arena indexed by
+//! container id, the live list, the shares, the fluid step, the completion
+//! projection and the policy round.  This module drives it: the agenda,
+//! admission, the recorder and tracer calls, the growth-trace monitor
+//! column and fault injection.  The kernel lives in a [`DenseScratch`]
+//! owned by the caller — one per executor shard — and is recycled across
+//! every worker that shard drives, so a steady-state headless worker run
+//! performs only the allocations its policy and completion stats need
+//! (budgeted well under 10 per worker by
+//! `crates/cluster/tests/headless_allocs.rs`).
 //!
 //! # Plans, streams and sessions
 //!
@@ -30,14 +31,12 @@
 //! growth-trace monitor column is never filled, and every tracer site
 //! compiles away.
 //!
-//! # The live list
+//! # Container ids
 //!
-//! Ids only grow, and exited slots stay in the arena until the worker
-//! ends.  The pool is therefore kept as an explicit ascending list of live
-//! ids (`DenseScratch::pool_ids`): admission pushes, exits `retain` the
-//! runnable slots, and the allocator inputs, the monitor and the listener
-//! all iterate the list — O(live) per event however many jobs a stream has
-//! admitted.
+//! Container ids are sequential `u32`s (see `flowcon_container::id`): each
+//! admission takes the arena's next index, and exited slots stay in the
+//! arena until the worker ends.  The kernel's ascending live list keeps
+//! every per-event pass O(live) however many jobs a stream has admitted.
 //!
 //! # Bit-identity
 //!
@@ -75,22 +74,18 @@
 //! flag is stored only under `R::RECORDS_SAMPLES`, so the headless
 //! instantiation carries none of it.
 
-use flowcon_container::{ContainerId, ResourceLimits};
 use flowcon_dl::models::ModelSpec;
 use flowcon_dl::workload::{JobRequest, WorkloadPlan};
-use flowcon_dl::TrainingJob;
 use flowcon_metrics::sojourn::SojournStats;
 use flowcon_metrics::stream::StreamStats;
 use flowcon_metrics::summary::CompletionStats;
-use flowcon_sim::alloc::NodeShares;
-use flowcon_sim::rng::SimRng;
 use flowcon_sim::stats::TimeWeighted;
 use flowcon_sim::time::{SimDuration, SimTime};
 use flowcon_sim::trace::{NoopTracer, TraceKind, Tracer};
-use flowcon_sim::{ResourceKind, ResourceVec};
 use flowcon_workload::stream::{Horizon, JobStream, StreamedJob};
 
 use crate::config::NodeConfig;
+use crate::kernel::NodeKernel;
 use crate::metric::GrowthMeasurement;
 use crate::monitor::MonitorSlot;
 use crate::policy::{checked_interval, ResourcePolicy};
@@ -263,23 +258,6 @@ impl Agenda {
     }
 }
 
-/// One container's POD record: creation time, soft limits, the
-/// resource-time integral the monitor reads, and pool membership.
-///
-/// Kept `Copy` and cache-line-small on purpose — `slot_records_stay_pod`
-/// asserts the size so a refactor cannot silently fatten the arena.
-#[derive(Debug, Clone, Copy)]
-struct ContainerSlot {
-    /// Arrival/creation time (completion records need it).
-    created_at: SimTime,
-    /// Soft limits, updated by `docker update`-style policy decisions.
-    limits: ResourceLimits,
-    /// Cumulative resource-time integral (the monitor's usage source).
-    cumulative: ResourceVec,
-    /// Still in the pool (running); cleared on exit.
-    runnable: bool,
-}
-
 /// The recycled arenas and hot-path buffers of the worker simulation.
 ///
 /// One per executor shard (or per [`Session`](crate::session::Session));
@@ -287,30 +265,14 @@ struct ContainerSlot {
 /// growth amortizes to zero across a cluster run.
 #[derive(Debug, Default)]
 pub struct DenseScratch {
-    /// Job arena: index == raw container id.  Each job carries its label,
-    /// moved out of the plan or stream (empty on the headless plan path).
-    jobs: Vec<TrainingJob>,
-    /// Container records, parallel to `jobs`.
-    slots: Vec<ContainerSlot>,
-    /// The policy monitor's column, parallel to `jobs`.
-    mons: Vec<MonitorSlot>,
-    /// The growth-trace monitor's column, parallel to `jobs` when the
-    /// recorder records growth traces, empty otherwise.
+    /// The node's physics.  Each job carries its label, moved out of the
+    /// plan or stream (empty on the headless plan path).
+    kernel: NodeKernel,
+    /// The growth-trace monitor's column, parallel to the kernel's arena
+    /// when the recorder records growth traces, empty otherwise.
     growth_mons: Vec<MonitorSlot>,
-    /// `(id, exit code)` of containers that exited in the current step.
-    exited: Vec<(ContainerId, i32)>,
-    /// Ids with fixed rates since the last recompute, in id order.
-    rate_ids: Vec<ContainerId>,
-    /// CPU rates and contention efficiencies aligned with `rate_ids`.
-    shares: NodeShares,
-    /// Growth-measurement buffer (policy reconfigurations and growth
-    /// traces; each use consumes it before the next).
-    measures: Vec<GrowthMeasurement>,
-    /// The live pool: ids of `runnable` slots in ascending order, pushed
-    /// on admission and retained on exit (see the module docs).
-    pool_ids: Vec<ContainerId>,
-    /// Policy-decision updates buffer.
-    updates: Vec<(ContainerId, f64)>,
+    /// The growth traces' measurement buffer.
+    growth: Vec<GrowthMeasurement>,
     /// Recycled agenda.
     agenda: Agenda,
 }
@@ -319,30 +281,6 @@ impl DenseScratch {
     /// Fresh scratch with empty arenas.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Clear every arena and buffer (capacities kept) and pre-size for a
-    /// worker admitting up to `max_jobs` containers.
-    fn reset_for(&mut self, max_jobs: usize) {
-        self.jobs.clear();
-        self.slots.clear();
-        self.mons.clear();
-        self.growth_mons.clear();
-        self.exited.clear();
-        self.rate_ids.clear();
-        self.shares.clear();
-        self.measures.clear();
-        self.pool_ids.clear();
-        self.updates.clear();
-        self.jobs.reserve(max_jobs);
-        self.slots.reserve(max_jobs);
-        self.mons.reserve(max_jobs);
-        self.exited.reserve(max_jobs);
-        self.rate_ids.reserve(max_jobs);
-        self.shares.reserve(max_jobs);
-        self.measures.reserve(max_jobs);
-        self.pool_ids.reserve(max_jobs);
-        self.updates.reserve(max_jobs);
     }
 }
 
@@ -521,7 +459,6 @@ pub fn run_headless_dense(
     _queue: QueueKind,
     scratch: &mut DenseScratch,
 ) -> SessionResult<CompletionStats> {
-    scratch.reset_for(plan.len());
     let recorder = CompletionsOnly::with_capacity(plan.len());
     let worker = Worker::headless(node, policy, recorder);
     run(worker, Placed(plan), &mut NoopTracer, scratch).0
@@ -555,7 +492,6 @@ pub(crate) fn run_plan<R: Recorder, T: Tracer>(
     tracer: &mut T,
     scratch: &mut DenseScratch,
 ) -> SessionResult<R::Output> {
-    scratch.reset_for(plan.len());
     run(worker, Owned(plan), tracer, scratch).0
 }
 
@@ -573,7 +509,6 @@ pub(crate) fn run_stream<J: JobStream, R: Recorder, T: Tracer>(
         "an open-loop run needs a horizon (until and/or max jobs) — \
          an unbounded stream would never terminate"
     );
-    scratch.reset_for(0);
     let capacity = worker.node.capacity;
     let open = OpenLoop {
         stream,
@@ -609,8 +544,7 @@ pub(crate) fn run_stream<J: JobStream, R: Recorder, T: Tracer>(
 type Finished<O, A> = (SessionResult<O>, A);
 
 /// The dispatch loop, monomorphized over the admission, the recorder and
-/// the tracer, on the scratch's recycled agenda (the scratch must already
-/// be reset).
+/// the tracer, on the scratch's recycled kernel and agenda.
 ///
 /// Every worker run enters here, so this is where a node that could
 /// never finish a job is refused.
@@ -625,6 +559,8 @@ fn run<A: Admission, R: Recorder, T: Tracer>(
         worker.node.sample_interval > SimDuration::ZERO,
         "NodeConfig::sample_interval must be > 0"
     );
+    scratch.kernel.reset(worker.node, admission.plan().len());
+    scratch.growth_mons.clear();
     let mut agenda = std::mem::take(&mut scratch.agenda);
     // Priming order fixes the sequence numbers that break ties between
     // same-time events: plan arrivals, the first sample and trace ticks,
@@ -640,18 +576,12 @@ fn run<A: Admission, R: Recorder, T: Tracer>(
     let mut sim = DenseSim {
         node: worker.node,
         policy: worker.policy,
-        rng: SimRng::new(worker.node.seed),
         now: SimTime::ZERO,
-        last_advance: SimTime::ZERO,
-        rates_stale: true,
         samples_changed: true,
         admission,
         recorder: worker.recorder,
         tracer,
         failures: worker.failures,
-        update_calls: 0,
-        algorithm_runs: 0,
-        waterfill_runs: 0,
         agenda,
         s: scratch,
     };
@@ -681,52 +611,26 @@ fn run<A: Admission, R: Recorder, T: Tracer>(
         dispatched += 1;
         sim.handle(event);
     }
+    let algorithm_runs = sim.s.kernel.algorithm_runs();
     let output = sim.recorder.finish(RunMeta {
         policy: sim.policy.as_ref(),
-        algorithm_runs: sim.algorithm_runs,
-        update_calls: sim.update_calls,
+        algorithm_runs,
+        update_calls: sim.s.kernel.update_calls(),
     });
     let result = SessionResult {
         output,
         events_processed: dispatched + sim.agenda.superseded,
-        scheduler_overhead_cpu_secs: sim.algorithm_runs as f64 * sim.node.algo_cost_cpu_secs,
+        scheduler_overhead_cpu_secs: algorithm_runs as f64 * sim.node.algo_cost_cpu_secs,
     };
     sim.s.agenda = sim.agenda;
     (result, sim.admission)
-}
-
-/// Measure every container of `pool` against its slot in `column`, the
-/// monitor column the measurement serves, into `out`.
-fn measure_pool(
-    now: SimTime,
-    pool: &[ContainerId],
-    jobs: &[TrainingJob],
-    slots: &[ContainerSlot],
-    column: &mut [MonitorSlot],
-    out: &mut Vec<GrowthMeasurement>,
-) {
-    out.clear();
-    for &id in pool {
-        let i = id.index();
-        out.push(column[i].measure(
-            id,
-            now,
-            jobs[i].eval(),
-            slots[i].cumulative,
-            slots[i].limits.cpu_limit(),
-        ));
-    }
 }
 
 /// One worker simulation over borrowed dense state.
 struct DenseSim<'a, A, R, T> {
     node: NodeConfig,
     policy: Box<dyn ResourcePolicy>,
-    rng: SimRng,
     now: SimTime,
-    last_advance: SimTime,
-    /// The pool or a limit changed since the rates were last computed.
-    rates_stale: bool,
     /// Something a sample reads (the rates, the live set, a limit) changed
     /// since the last sample tick; stored only when the recorder takes
     /// samples.
@@ -735,11 +639,6 @@ struct DenseSim<'a, A, R, T> {
     recorder: R,
     tracer: &'a mut T,
     failures: &'a [FailureInjection],
-    update_calls: u64,
-    algorithm_runs: u64,
-    /// Rate recomputations so far (the cumulative count behind the
-    /// [`TraceKind::Waterfill`] counter events; traced runs only).
-    waterfill_runs: u64,
     agenda: Agenda,
     s: &'a mut DenseScratch,
 }
@@ -750,7 +649,7 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
     fn is_done(&self) -> bool {
         self.agenda.next[Source::Arrival as usize] == IDLE
             && !self.admission.pending()
-            && self.s.pool_ids.is_empty()
+            && self.s.kernel.live().is_empty()
     }
 
     /// Schedule at an absolute time; causality must hold.
@@ -768,181 +667,58 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
         self.agenda.schedule(source, self.now + delay);
     }
 
-    /// Integrate the fluid state from `last_advance` to `now`; exited
-    /// containers land in `s.exited`.
-    ///
-    /// Each container's raw CPU occupancy (its rate) goes into its
-    /// resource-time integral, as `docker stats` would account it; useful
-    /// progress is the rate times its contention efficiency.
+    /// Step the kernel to `now`; exited containers land in its exit list.
     fn advance_to(&mut self, now: SimTime) {
-        let dt = now.saturating_since(self.last_advance).as_secs_f64();
-        self.last_advance = now;
-        self.s.exited.clear();
-        self.admission.advanced(self.s.shares.rates(), dt);
-        if dt <= 0.0 || self.s.rate_ids.is_empty() {
-            return;
-        }
-        for i in 0..self.s.rate_ids.len() {
-            let id = self.s.rate_ids[i];
-            let rate = self.s.shares.rates()[i];
-            let efficiency = self.s.shares.efficiencies()[i];
-            let slot = id.index();
-            if !self.s.slots[slot].runnable {
-                continue;
-            }
-            let mut usage = self.s.jobs[slot].footprint();
-            usage.set(ResourceKind::Cpu, rate);
-            self.s.slots[slot].cumulative += usage.scale(dt);
-            self.s.jobs[slot].advance(rate * efficiency * dt);
-            if let Some(code) = self.s.jobs[slot].status().exit_code() {
-                self.s.slots[slot].runnable = false;
-                self.s.exited.push((id, code));
-                if R::RECORDS_SAMPLES {
-                    self.samples_changed = true;
-                }
-            }
+        let dt = self.s.kernel.step_to(now);
+        self.admission.advanced(self.s.kernel.rates(), dt);
+        if R::RECORDS_SAMPLES && !self.s.kernel.exited().is_empty() {
+            self.samples_changed = true;
         }
     }
 
-    /// Recompute allocator rates and contention for the live pool through
-    /// the node-share rule ([`NodeShares`]).
-    ///
-    /// Limits are Docker-style **soft caps** (§4.1): a limit bounds the
-    /// share a container may claim while others contend, but capacity
-    /// that would otherwise idle is redistributed up to demand.  A
-    /// container is "shaped" when a policy gave it an explicit limit; free
-    /// competitors (limit 1.0, i.e. NA and fresh jobs) pay the jitter tax
-    /// on top of the shared contention factor.
-    ///
-    /// Rates and efficiencies are a pure function of the live list and its
-    /// limits (demands are fixed per job), so they are only rebuilt when
-    /// one of those moved; the pending completion projection is voided
-    /// either way.
+    /// Reshare the node if the live list or a limit moved, voiding the
+    /// pending completion projection either way.
     fn recompute_rates(&mut self) {
-        if T::ENABLED {
-            self.waterfill_runs += 1;
-            self.tracer.counter(
-                self.last_advance,
-                TraceKind::Waterfill,
-                0,
-                self.waterfill_runs as f64,
-            );
-        }
         self.agenda.void(Source::Completion);
-        if !self.rates_stale {
-            return;
-        }
-        self.rates_stale = false;
-        if R::RECORDS_SAMPLES {
-            // Every limit update marks the rates stale, so this covers
+        if self.s.kernel.reshare(self.tracer, 0) && R::RECORDS_SAMPLES {
+            // Every limit update marks the kernel stale, so this covers
             // limits too.
             self.samples_changed = true;
         }
-        let s = &mut *self.s;
-        s.shares.recompute(
-            self.node.capacity,
-            &self.node.contention,
-            s.pool_ids.iter().map(|id| {
-                let i = id.index();
-                (s.slots[i].limits.cpu_limit(), s.jobs[i].demand())
-            }),
-        );
-        s.rate_ids.clear();
-        s.rate_ids.extend_from_slice(&s.pool_ids);
     }
 
-    /// Project the earliest completion under current rates (none while a
-    /// rate id has left the pool: the next recompute reprojects).
-    fn next_completion(&self) -> Option<SimTime> {
-        let mut best: Option<f64> = None;
-        for i in 0..self.s.rate_ids.len() {
-            let slot = self.s.rate_ids[i].index();
-            if !self.s.slots[slot].runnable {
-                return None;
-            }
-            let remaining = self.s.jobs[slot].remaining_cpu_seconds();
-            let speed = self.s.shares.rates()[i] * self.s.shares.efficiencies()[i];
-            if speed > 1e-12 {
-                let eta = remaining / speed;
-                best = Some(best.map_or(eta, |b| b.min(eta)));
-            }
-        }
-        best.map(|eta| {
-            // One microsecond of margin so the projected event lands
-            // strictly after the workload's exact finish (it clamps).
-            self.last_advance + SimDuration::from_secs_f64(eta) + SimDuration::from_micros(1)
-        })
-    }
-
-    /// Handle the exits in `s.exited`: record completions, drop the exited
+    /// Handle the kernel's exits: record completions, release the exited
     /// ids from the live list, and notify the policy (returning whether it
     /// wants an immediate reconfiguration).
     fn process_exits(&mut self, now: SimTime) -> bool {
-        if self.s.exited.is_empty() {
+        let s = &mut *self.s;
+        if s.kernel.exited().is_empty() {
             return false;
         }
-        for k in 0..self.s.exited.len() {
-            let (id, code) = self.s.exited[k];
-            let i = id.index();
-            self.s.mons[i].forget();
+        for &(id, code) in s.kernel.exited() {
             if R::RECORDS_GROWTH {
-                self.s.growth_mons[i].forget();
+                s.growth_mons[id.index()].forget();
             }
             if T::ENABLED {
                 self.tracer.span_end(now, TraceKind::JobRun, id.as_raw(), 0);
                 self.tracer
                     .instant(now, TraceKind::JobComplete, id.as_raw(), code as u32);
             }
-            let created_at = self.s.slots[i].created_at;
+            let created_at = s.kernel.created_at(id);
             self.admission.exited(created_at, now);
             self.recorder
-                .record_completion(self.s.jobs[i].label(), created_at, now, code);
+                .record_completion(s.kernel.job(id).label(), created_at, now, code);
         }
-        let s = &mut *self.s;
-        s.pool_ids.retain(|id| s.slots[id.index()].runnable);
-        self.rates_stale = true;
-        self.policy.on_pool_change(now, &self.s.pool_ids)
+        s.kernel.release_exited();
+        self.policy.on_pool_change(now, s.kernel.live())
     }
 
     /// Run the policy (Executor tick or listener interrupt), apply its
     /// updates, and return its next interval.
-    fn run_reconfigure(&mut self, now: SimTime) -> Option<SimDuration> {
-        if T::ENABLED {
-            let live = self.s.pool_ids.len() as u32;
-            self.tracer.span_begin(now, TraceKind::Reconfigure, live, 0);
-        }
-        let s = &mut *self.s;
-        measure_pool(
-            now,
-            &s.pool_ids,
-            &s.jobs,
-            &s.slots,
-            &mut s.mons,
-            &mut s.measures,
-        );
-        // Policies must clear the recycled buffer themselves; this
-        // belt-and-suspenders clear keeps a non-conforming external policy
-        // from re-applying last tick's limits.
-        s.updates.clear();
-        let next_interval = self
-            .policy
-            .reconfigure_into(now, &s.measures, &mut s.updates);
-        self.algorithm_runs += 1;
-        for k in 0..self.s.updates.len() {
-            let (id, limit) = self.s.updates[k];
-            // `docker update` applies to pool members only.
-            let slot = id.index();
-            if slot < self.s.slots.len() && self.s.slots[slot].runnable {
-                self.s.slots[slot].limits.set(ResourceKind::Cpu, limit);
-                self.update_calls += 1;
-                self.rates_stale = true;
-            }
-        }
-        if T::ENABLED {
-            let live = self.s.pool_ids.len() as u32;
-            self.tracer.span_end(now, TraceKind::Reconfigure, live, 0);
-        }
-        next_interval
+    fn run_reconfigure(&mut self) -> Option<SimDuration> {
+        self.s
+            .kernel
+            .reconfigure(self.policy.as_mut(), self.tracer, 0)
     }
 
     /// Reschedule the policy tick after a reconfiguration, superseding a
@@ -959,14 +735,14 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
 
     /// Schedule the next projected completion check.
     fn schedule_completion(&mut self) {
-        if let Some(at) = self.next_completion() {
+        if let Some(at) = self.s.kernel.next_completion() {
             self.schedule_at(at, Source::Completion);
         }
     }
 
     /// Reconfigure, then reshare and reproject.
-    fn reconfigure_and_reshare(&mut self, now: SimTime) {
-        let next = self.run_reconfigure(now);
+    fn reconfigure_and_reshare(&mut self) {
+        let next = self.run_reconfigure();
         self.schedule_tick(next);
         self.recompute_rates();
         self.schedule_completion();
@@ -974,34 +750,25 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
 
     /// Each live rate's usage/limit sample, keyed by container.
     ///
-    /// Reads the rates (`rate_ids`, `shares`), each slot's `runnable`
-    /// flag and limit, and each job's label (fixed for its run): whatever
+    /// Reads the rates of the last reshare, the live list, each live
+    /// job's limit, and each job's label (fixed for its run): whatever
     /// changes one of them sets `samples_changed`.
     fn record_samples(&mut self, now: SimTime) {
-        let s = &*self.s;
-        for (&id, &rate) in s.rate_ids.iter().zip(s.shares.rates()) {
-            let slot = &s.slots[id.index()];
-            if slot.runnable {
-                self.recorder.record_sample_by_id(
-                    now,
-                    id,
-                    s.jobs[id.index()].label(),
-                    rate,
-                    slot.limits.cpu_limit(),
-                );
-            }
+        let k = &self.s.kernel;
+        for (id, rate) in k.live_rates() {
+            self.recorder
+                .record_sample_by_id(now, id, k.job(id).label(), rate, k.cpu_limit(id));
         }
     }
 
     /// Each live container's growth efficiency, once it has one.
     fn record_growth_traces(&mut self, now: SimTime) {
         let s = &mut *self.s;
-        let column = &mut s.growth_mons;
-        measure_pool(now, &s.pool_ids, &s.jobs, &s.slots, column, &mut s.measures);
-        for m in &s.measures {
+        s.kernel.measure_into(&mut s.growth_mons, &mut s.growth);
+        for m in &s.growth {
             if let Some(g) = m.growth() {
                 self.recorder
-                    .record_growth(now, s.jobs[m.id.index()].label(), g);
+                    .record_growth(now, s.kernel.job(m.id).label(), g);
             }
         }
     }
@@ -1016,22 +783,12 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
         label: String,
         interrupted_by_exit: bool,
     ) {
-        let job = TrainingJob::with_label(spec, label, &mut self.rng);
-        let id = ContainerId::from_raw(self.s.jobs.len() as u32);
-        self.s.jobs.push(job);
-        self.s.slots.push(ContainerSlot {
-            created_at: now,
-            limits: ResourceLimits::unlimited(),
-            cumulative: ResourceVec::ZERO,
-            runnable: true,
-        });
-        self.s.mons.push(MonitorSlot::UNTRACKED);
+        // Ids only grow: each job takes the arena's next slot.
+        let id = self.s.kernel.fresh_id();
+        self.s.kernel.admit(id, spec, label);
         if R::RECORDS_GROWTH {
             self.s.growth_mons.push(MonitorSlot::UNTRACKED);
         }
-        // Ids only grow, so pushing keeps the live list ascending.
-        self.s.pool_ids.push(id);
-        self.rates_stale = true;
         if T::ENABLED {
             self.tracer
                 .instant(now, TraceKind::JobAdmit, id.as_raw(), 0);
@@ -1039,11 +796,11 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
                 .span_begin(now, TraceKind::JobRun, id.as_raw(), 0);
         }
 
-        let interrupt = self.policy.on_pool_change(now, &self.s.pool_ids);
+        let interrupt = self.policy.on_pool_change(now, self.s.kernel.live());
         if interrupt || interrupted_by_exit {
-            let next = self.run_reconfigure(now);
+            let next = self.run_reconfigure();
             self.schedule_tick(next);
-        } else if self.s.pool_ids.len() == 1 {
+        } else if self.s.kernel.live().len() == 1 {
             // The first job under a tick-less policy still needs the
             // executor chain started (if the policy has one).
             let initial = self.policy.initial_interval();
@@ -1057,21 +814,16 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
     fn inject_failure(&mut self, now: SimTime, idx: usize) -> bool {
         let failures = self.failures;
         let injection = &failures[idx];
-        let s = &mut *self.s;
-        let target = s
-            .pool_ids
+        let k = &mut self.s.kernel;
+        let target = k
+            .live()
             .iter()
             .copied()
-            .find(|id| s.jobs[id.index()].label() == injection.label);
+            .find(|&id| k.job(id).label() == injection.label);
         let Some(id) = target else {
             return false;
         };
-        let job = &mut s.jobs[id.index()];
-        job.inject_failure(injection.exit_code);
-        let code = job.status().exit_code().expect("a crashed job has exited");
-        s.slots[id.index()].runnable = false;
-        s.exited.clear();
-        s.exited.push((id, code));
+        k.crash(id, injection.exit_code);
         if R::RECORDS_SAMPLES {
             self.samples_changed = true;
         }
@@ -1109,7 +861,7 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
             WorkerEvent::CompletionCheck => {
                 self.advance_to(now);
                 if self.process_exits(now) {
-                    let next = self.run_reconfigure(now);
+                    let next = self.run_reconfigure();
                     self.schedule_tick(next);
                 }
                 self.recompute_rates();
@@ -1118,14 +870,14 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
             WorkerEvent::PolicyTick => {
                 self.advance_to(now);
                 let _ = self.process_exits(now); // the tick reconfigures below
-                self.reconfigure_and_reshare(now);
+                self.reconfigure_and_reshare();
             }
             // Ticks are scheduled only for recorders that take them; the
             // guards let every other recorder compile both arms away.
             WorkerEvent::SampleTick if R::RECORDS_SAMPLES => {
                 self.advance_to(now);
                 if self.process_exits(now) {
-                    self.reconfigure_and_reshare(now);
+                    self.reconfigure_and_reshare();
                 }
                 if self.samples_changed || !self.recorder.repeat_samples(now) {
                     self.samples_changed = false;
@@ -1140,7 +892,7 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
             WorkerEvent::TraceTick if R::RECORDS_GROWTH => {
                 self.advance_to(now);
                 if self.process_exits(now) {
-                    self.reconfigure_and_reshare(now);
+                    self.reconfigure_and_reshare();
                 }
                 if self.recorder.growth_tick(now) {
                     self.record_growth_traces(now);
@@ -1157,7 +909,7 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
                 let mut interrupt = self.process_exits(now);
                 interrupt |= self.inject_failure(now, idx);
                 if interrupt {
-                    let next = self.run_reconfigure(now);
+                    let next = self.run_reconfigure();
                     self.schedule_tick(next);
                 }
                 self.recompute_rates();
@@ -1294,8 +1046,8 @@ mod tests {
     fn slot_records_stay_pod() {
         // The arenas are the density story: a fatter record is a silent
         // memory regression at a million workers.
-        assert_eq!(std::mem::size_of::<ContainerSlot>(), 80);
+        assert_eq!(std::mem::size_of::<crate::kernel::ContainerSlot>(), 80);
         assert_eq!(std::mem::size_of::<MonitorSlot>(), 112);
-        assert_eq!(std::mem::size_of::<ContainerId>(), 4);
+        assert_eq!(std::mem::size_of::<flowcon_container::ContainerId>(), 4);
     }
 }

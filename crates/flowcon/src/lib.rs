@@ -40,6 +40,7 @@
 pub mod algorithm;
 pub mod config;
 pub mod dense;
+pub mod kernel;
 pub mod listener;
 pub mod lists;
 pub mod metric;
