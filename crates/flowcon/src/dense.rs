@@ -676,17 +676,6 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
         }
     }
 
-    /// Reshare the node if the live list or a limit moved, voiding the
-    /// pending completion projection either way.
-    fn recompute_rates(&mut self) {
-        self.agenda.void(Source::Completion);
-        if self.s.kernel.reshare(self.tracer, 0) && R::RECORDS_SAMPLES {
-            // Every limit update marks the kernel stale, so this covers
-            // limits too.
-            self.samples_changed = true;
-        }
-    }
-
     /// Handle the kernel's exits: record completions, release the exited
     /// ids from the live list, and notify the policy (returning whether it
     /// wants an immediate reconfiguration).
@@ -713,14 +702,6 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
         self.policy.on_pool_change(now, s.kernel.live())
     }
 
-    /// Run the policy (Executor tick or listener interrupt), apply its
-    /// updates, and return its next interval.
-    fn run_reconfigure(&mut self) -> Option<SimDuration> {
-        self.s
-            .kernel
-            .reconfigure(self.policy.as_mut(), self.tracer, 0)
-    }
-
     /// Reschedule the policy tick after a reconfiguration, superseding a
     /// pending one.
     fn schedule_tick(&mut self, interval: Option<SimDuration>) {
@@ -733,19 +714,27 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
         }
     }
 
-    /// Schedule the next projected completion check.
-    fn schedule_completion(&mut self) {
+    /// Run the policy (Executor tick or listener interrupt) if
+    /// `reconfigure`, then reshare the node if the live list or a limit
+    /// moved and reproject the next completion, superseding the pending
+    /// projection either way.
+    fn settle(&mut self, reconfigure: bool) {
+        if reconfigure {
+            let next = self
+                .s
+                .kernel
+                .reconfigure(self.policy.as_mut(), self.tracer, 0);
+            self.schedule_tick(next);
+        }
+        self.agenda.void(Source::Completion);
+        if self.s.kernel.reshare(self.tracer, 0) && R::RECORDS_SAMPLES {
+            // Every limit update marks the kernel stale, so this covers
+            // limits too.
+            self.samples_changed = true;
+        }
         if let Some(at) = self.s.kernel.next_completion() {
             self.schedule_at(at, Source::Completion);
         }
-    }
-
-    /// Reconfigure, then reshare and reproject.
-    fn reconfigure_and_reshare(&mut self) {
-        let next = self.run_reconfigure();
-        self.schedule_tick(next);
-        self.recompute_rates();
-        self.schedule_completion();
     }
 
     /// Each live rate's usage/limit sample, keyed by container.
@@ -755,9 +744,9 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
     /// changes one of them sets `samples_changed`.
     fn record_samples(&mut self, now: SimTime) {
         let k = &self.s.kernel;
-        for (id, rate) in k.live_rates() {
+        for (id, rate, limit) in k.live_rates() {
             self.recorder
-                .record_sample_by_id(now, id, k.job(id).label(), rate, k.cpu_limit(id));
+                .record_sample_by_id(now, id, k.job(id).label(), rate, limit);
         }
     }
 
@@ -774,13 +763,12 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
     }
 
     /// Admit one job into the pool at `now` and run the arrival protocol:
-    /// notify the policy, start (or pre-empt) the executor chain, recompute
-    /// rates, and reproject the next completion.
+    /// notify the policy, start (or pre-empt) the executor chain, reshare,
+    /// and reproject the next completion.
     fn admit_job(
         &mut self,
         now: SimTime,
-        spec: ModelSpec,
-        label: String,
+        (spec, label): (ModelSpec, String),
         interrupted_by_exit: bool,
     ) {
         // Ids only grow: each job takes the arena's next slot.
@@ -796,18 +784,15 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
                 .span_begin(now, TraceKind::JobRun, id.as_raw(), 0);
         }
 
-        let interrupt = self.policy.on_pool_change(now, self.s.kernel.live());
-        if interrupt || interrupted_by_exit {
-            let next = self.run_reconfigure();
-            self.schedule_tick(next);
-        } else if self.s.kernel.live().len() == 1 {
+        let interrupt =
+            self.policy.on_pool_change(now, self.s.kernel.live()) || interrupted_by_exit;
+        if !interrupt && self.s.kernel.live().len() == 1 {
             // The first job under a tick-less policy still needs the
             // executor chain started (if the policy has one).
             let initial = self.policy.initial_interval();
             self.schedule_tick(initial);
         }
-        self.recompute_rates();
-        self.schedule_completion();
+        self.settle(interrupt);
     }
 
     /// Crash the first live container labelled as the `idx`-th fault says.
@@ -830,20 +815,21 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
         self.process_exits(now)
     }
 
+    /// Dispatch one event: step the node to it, hand the exits it finds
+    /// to the policy (which may ask for an interrupt), then run the
+    /// event's own protocol.
     fn handle(&mut self, event: WorkerEvent) {
         let now = self.now;
+        self.advance_to(now);
+        let interrupt = self.process_exits(now);
         match event {
             WorkerEvent::Arrival(idx) => {
-                self.advance_to(now);
-                let interrupted_by_exit = self.process_exits(now);
-                let (spec, label) = self.admission.arrive(idx);
-                self.admit_job(now, spec, label, interrupted_by_exit);
+                let job = self.admission.arrive(idx);
+                self.admit_job(now, job, interrupt);
             }
             WorkerEvent::StreamArrival => {
                 let job = self.admission.take();
                 debug_assert!(job.arrival == now, "stream arrival fired off schedule");
-                self.advance_to(now);
-                let interrupted_by_exit = self.process_exits(now);
                 // Schedule the lookahead *before* admitting: admission
                 // consults `is_done` (via tick scheduling), which must
                 // already know whether more arrivals are coming.  The
@@ -856,28 +842,16 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
                     );
                     self.schedule_at(at, Source::Stream);
                 }
-                self.admit_job(now, job.scaled_spec(), job.label, interrupted_by_exit);
+                self.admit_job(now, (job.scaled_spec(), job.label), interrupt);
             }
-            WorkerEvent::CompletionCheck => {
-                self.advance_to(now);
-                if self.process_exits(now) {
-                    let next = self.run_reconfigure();
-                    self.schedule_tick(next);
-                }
-                self.recompute_rates();
-                self.schedule_completion();
-            }
-            WorkerEvent::PolicyTick => {
-                self.advance_to(now);
-                let _ = self.process_exits(now); // the tick reconfigures below
-                self.reconfigure_and_reshare();
-            }
+            WorkerEvent::CompletionCheck => self.settle(interrupt),
+            // The tick reconfigures whatever the exits asked for.
+            WorkerEvent::PolicyTick => self.settle(true),
             // Ticks are scheduled only for recorders that take them; the
             // guards let every other recorder compile both arms away.
             WorkerEvent::SampleTick if R::RECORDS_SAMPLES => {
-                self.advance_to(now);
-                if self.process_exits(now) {
-                    self.reconfigure_and_reshare();
+                if interrupt {
+                    self.settle(true);
                 }
                 if self.samples_changed || !self.recorder.repeat_samples(now) {
                     self.samples_changed = false;
@@ -890,9 +864,8 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
                 }
             }
             WorkerEvent::TraceTick if R::RECORDS_GROWTH => {
-                self.advance_to(now);
-                if self.process_exits(now) {
-                    self.reconfigure_and_reshare();
+                if interrupt {
+                    self.settle(true);
                 }
                 if self.recorder.growth_tick(now) {
                     self.record_growth_traces(now);
@@ -905,15 +878,8 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
                 unreachable!("this recorder takes no sample or trace ticks")
             }
             WorkerEvent::InjectFailure(idx) => {
-                self.advance_to(now);
-                let mut interrupt = self.process_exits(now);
-                interrupt |= self.inject_failure(now, idx);
-                if interrupt {
-                    let next = self.run_reconfigure();
-                    self.schedule_tick(next);
-                }
-                self.recompute_rates();
-                self.schedule_completion();
+                let crashed = self.inject_failure(now, idx);
+                self.settle(interrupt | crashed);
             }
         }
     }

@@ -38,7 +38,9 @@
 //! every per-event pass is O(live).  The rates of the last reshare stay
 //! aligned with the live list *as it was then*: a job that has left since
 //! keeps its entry (the step skips it) until the next reshare, which runs
-//! only when the live list or a limit changed since the last one.
+//! only when the live list or a limit changed since the last one.  Reusing
+//! a vacated slot drops them, so a job never runs at its predecessor's
+//! rate.
 //!
 //! # Time
 //!
@@ -156,32 +158,27 @@ impl NodeKernel {
     /// Empty the kernel for a fresh run of `node` (capacities kept), with
     /// room for `max_jobs` containers.
     pub fn reset(&mut self, node: NodeConfig, max_jobs: usize) {
-        self.capacity = node.capacity;
-        self.contention = node.contention;
-        self.rng = SimRng::new(node.seed);
-        self.now = SimTime::ZERO;
-        self.jobs.clear();
-        self.slots.clear();
-        self.mons.clear();
-        self.live.clear();
-        self.exited.clear();
-        self.rate_ids.clear();
-        self.shares.clear();
-        self.stale = true;
-        self.measures.clear();
-        self.updates.clear();
-        self.algorithm_runs = 0;
-        self.update_calls = 0;
-        self.waterfill_runs = 0;
-        self.jobs.reserve(max_jobs);
-        self.slots.reserve(max_jobs);
-        self.mons.reserve(max_jobs);
-        self.live.reserve(max_jobs);
-        self.exited.reserve(max_jobs);
-        self.rate_ids.reserve(max_jobs);
-        self.shares.reserve(max_jobs);
-        self.measures.reserve(max_jobs);
-        self.updates.reserve(max_jobs);
+        fn recycled<T>(buffer: &mut Vec<T>, n: usize) -> Vec<T> {
+            let mut buffer = std::mem::take(buffer);
+            buffer.clear();
+            buffer.reserve(n);
+            buffer
+        }
+        let mut shares = std::mem::take(&mut self.shares);
+        shares.clear();
+        shares.reserve(max_jobs);
+        *self = NodeKernel {
+            jobs: recycled(&mut self.jobs, max_jobs),
+            slots: recycled(&mut self.slots, max_jobs),
+            mons: recycled(&mut self.mons, max_jobs),
+            live: recycled(&mut self.live, max_jobs),
+            exited: recycled(&mut self.exited, max_jobs),
+            rate_ids: recycled(&mut self.rate_ids, max_jobs),
+            shares,
+            measures: recycled(&mut self.measures, max_jobs),
+            updates: recycled(&mut self.updates, max_jobs),
+            ..NodeKernel::new(node)
+        };
     }
 
     /// The time the fluid state describes.
@@ -246,6 +243,10 @@ impl NodeKernel {
             self.jobs[i] = job;
             self.slots[i] = slot;
             self.mons[i] = MonitorSlot::UNTRACKED;
+            // The slot's last rate belonged to the job that left it: drop
+            // the shares, so nothing runs until the next reshare.
+            self.rate_ids.clear();
+            self.shares.clear();
         }
         match self.live.last() {
             Some(&last) if last > id => {
@@ -353,20 +354,13 @@ impl NodeKernel {
         self.shares.rates()
     }
 
-    /// `(id, rate)` of each job of the last reshare that is still live, in
-    /// id order.
-    pub fn live_rates(&self) -> impl Iterator<Item = (ContainerId, f64)> + '_ {
-        self.rate_ids
-            .iter()
-            .zip(self.shares.rates())
-            .filter(|(id, _)| self.slots[id.index()].runnable)
-            .map(|(&id, &rate)| (id, rate))
-    }
-
-    /// The CPU limit of the job in slot `id`.
-    #[inline]
-    pub fn cpu_limit(&self, id: ContainerId) -> f64 {
-        self.slots[id.index()].limits.cpu_limit()
+    /// `(id, rate, cpu limit)` of each job of the last reshare that is
+    /// still live, in id order.
+    pub fn live_rates(&self) -> impl Iterator<Item = (ContainerId, f64, f64)> + '_ {
+        (self.rate_ids.iter().zip(self.shares.rates())).filter_map(|(&id, &rate)| {
+            let slot = &self.slots[id.index()];
+            slot.runnable.then(|| (id, rate, slot.limits.cpu_limit()))
+        })
     }
 
     /// Project the earliest completion under the current rates, 1 µs past
@@ -501,5 +495,98 @@ fn measure(
             slots[i].cumulative,
             slots[i].limits.cpu_limit(),
         ));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use flowcon_dl::models::ALL_MODELS;
+    use flowcon_sim::trace::NoopTracer;
+    use proptest::prelude::*;
+
+    /// `(id, remaining work)` of every live job.
+    fn remaining(kernel: &NodeKernel) -> Vec<(ContainerId, f64)> {
+        let live = kernel.live().iter();
+        live.map(|&id| (id, kernel.job(id).remaining_cpu_seconds()))
+            .collect()
+    }
+
+    /// Step to `to` and take the exits off the live list, returning them;
+    /// each must have finished its work.
+    fn step(kernel: &mut NodeKernel, to: SimTime) -> Vec<ContainerId> {
+        kernel.step_to(to);
+        let exited: Vec<_> = kernel.exited().iter().map(|&(id, _)| id).collect();
+        for &(id, code) in kernel.exited() {
+            assert_eq!(code, 0, "container {id} exited with {code}");
+            assert_eq!(kernel.job(id).remaining_cpu_seconds(), 0.0);
+        }
+        kernel.release_exited();
+        exited
+    }
+
+    /// Reshare; the rates must fit in the capacity.
+    fn reshare(kernel: &mut NodeKernel, capacity: f64) {
+        kernel.reshare(&mut NoopTracer, 0);
+        let total: f64 = kernel.rates().iter().sum();
+        assert!(
+            total <= capacity * (1.0 + 1e-12),
+            "{total} cpu shared on capacity {capacity}"
+        );
+    }
+
+    proptest! {
+        /// The kernel's physics on random admit / retire / step / reshare
+        /// sequences, with ids taken at the arena's end or from vacated
+        /// slots: the shared rates never exceed the capacity, no job's
+        /// remaining work grows, and a step to the projected completion
+        /// exits a job while a step to just before it exits none.
+        #[test]
+        fn kernel_physics_hold_under_random_sequences(
+            capacity in 0.25f64..4.0,
+            ops in prop::collection::vec((0u8..5, 0usize..64, 0.05f64..1.0, 1u64..400), 1..64),
+        ) {
+            let node = NodeConfig { capacity, ..NodeConfig::default() };
+            let mut kernel = NodeKernel::new(node);
+            for (op, pick, scale, secs) in ops {
+                let before = remaining(&kernel);
+                match op {
+                    0 => {
+                        let free: Vec<ContainerId> = (0..kernel.fresh_id().as_raw())
+                            .map(ContainerId::from_raw)
+                            .filter(|id| !kernel.live().contains(id))
+                            .chain([kernel.fresh_id()])
+                            .collect();
+                        let spec = ModelSpec::of(ALL_MODELS[pick % ALL_MODELS.len()]);
+                        kernel.admit(free[pick % free.len()], spec.scaled_by(scale), String::new());
+                    }
+                    1 if !kernel.live().is_empty() => {
+                        kernel.retire(kernel.live()[pick % kernel.live().len()]);
+                    }
+                    2 => {
+                        let to = kernel.now() + SimDuration::from_secs(secs);
+                        step(&mut kernel, to);
+                    }
+                    3 => reshare(&mut kernel, capacity),
+                    _ => {
+                        reshare(&mut kernel, capacity);
+                        if let Some(at) = kernel.next_completion() {
+                            let early = SimTime::from_micros(at.as_micros().saturating_sub(2));
+                            if early > kernel.now() {
+                                let exited = step(&mut kernel, early);
+                                prop_assert!(exited.is_empty(), "{:?} exited before {}", exited, at);
+                            }
+                            let exited = step(&mut kernel, at);
+                            prop_assert!(!exited.is_empty(), "no job exited at its projection {}", at);
+                        }
+                    }
+                }
+                for (id, left) in remaining(&kernel) {
+                    if let Some(&(_, had)) = before.iter().find(|&&(b, _)| b == id) {
+                        prop_assert!(left <= had, "container {} grew from {} to {}", id, had, left);
+                    }
+                }
+            }
+        }
     }
 }
