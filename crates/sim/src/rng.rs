@@ -92,25 +92,6 @@ impl SimRng {
         lo + (hi - lo) * self.f64()
     }
 
-    /// Uniform integer in `[0, n)`.  `n` must be nonzero.
-    ///
-    /// Uses Lemire's multiply-shift rejection method to avoid modulo bias.
-    pub fn below(&mut self, n: u64) -> u64 {
-        assert!(n > 0, "below(0) is meaningless");
-        let mut x = self.next_u64();
-        let mut m = (x as u128) * (n as u128);
-        let mut l = m as u64;
-        if l < n {
-            let t = n.wrapping_neg() % n;
-            while l < t {
-                x = self.next_u64();
-                m = (x as u128) * (n as u128);
-                l = m as u64;
-            }
-        }
-        (m >> 64) as u64
-    }
-
     /// Standard normal variate (Box–Muller, cached pair).
     pub fn normal(&mut self) -> f64 {
         if let Some(z) = self.spare_normal.take() {
@@ -201,18 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn below_is_unbiased_enough_and_in_range() {
-        let mut r = SimRng::new(5);
-        let mut counts = [0u32; 7];
-        for _ in 0..70_000 {
-            counts[r.below(7) as usize] += 1;
-        }
-        for &c in &counts {
-            assert!((8_000..12_000).contains(&c), "bucket count {c}");
-        }
-    }
-
-    #[test]
     fn normal_moments() {
         let mut r = SimRng::new(13);
         let n = 200_000;
@@ -229,11 +198,5 @@ mod tests {
         let n = 200_000;
         let mean: f64 = (0..n).map(|_| r.exponential(2.0)).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
-    }
-
-    #[test]
-    #[should_panic(expected = "below(0)")]
-    fn below_zero_panics() {
-        SimRng::new(0).below(0);
     }
 }
