@@ -673,11 +673,10 @@ pub fn run_micro_suite(counter: Option<AllocCounter<'_>>) -> Vec<PerfResult> {
     // `repro sched --compare` at bench scale: 1024 jobs queued/placed/
     // preempted across a 64-node cluster by the global manager, one row
     // per discipline run back to back (the CLI's --compare shape).  The
-    // op is admission + decision rounds + quantum-barrier advances, so
-    // events/s tracks core count like every other sharded row — the
-    // `sched/` prefix is excluded from the relative throughput gate and
-    // the row is held by presence (and wall time in the json for eyeball
-    // comparisons across disciplines).
+    // op is admission + decision rounds + quantum-barrier advances, all on
+    // the calling thread.  The row reports no events/s, so the relative
+    // throughput check never reads it: it is held by presence (and wall
+    // time in the json for eyeball comparisons across disciplines).
     {
         let nodes = 64usize;
         let jobs = 1024usize;
@@ -711,8 +710,8 @@ pub fn run_micro_suite(counter: Option<AllocCounter<'_>>) -> Vec<PerfResult> {
     // layer), `trace/flight/` re-runs it through a preallocated
     // `FlightRecorder`.  Comparing the pair in the json is the standing
     // evidence that the abstraction is free and that recording costs only
-    // its ring writes.  Sharded rounds make both rows core-count
-    // dependent, so `trace/` is excluded from the relative events/s gate.
+    // its ring writes.  Neither row reports events/s, so both are held by
+    // presence.
     {
         let nodes = 256usize;
         let jobs = 1024usize;
@@ -783,9 +782,8 @@ pub fn run_micro_suite(counter: Option<AllocCounter<'_>>) -> Vec<PerfResult> {
     // A bench-scale `repro frontier --policy fifo --workers 256`: four
     // geometric rungs bracketing the stability frontier, each a
     // deterministic 512-job scheduler run with tails recorded in the
-    // sojourn/queue-wait sketches.  Sharded rounds inside each rung make
-    // wall time core-count-dependent, so `frontier/` is excluded from the
-    // relative events/s gate; the row is held by presence.
+    // sojourn/queue-wait sketches.  The row reports no events/s, so it is
+    // held by presence.
     {
         use crate::experiments::frontier;
         let config = frontier::FrontierConfig {
@@ -810,9 +808,9 @@ pub fn run_micro_suite(counter: Option<AllocCounter<'_>>) -> Vec<PerfResult> {
     // --- rt: real threads under the token-bucket governor ---
     // A tiny wall-clock run (two ~40 ms jobs, FlowCon reconfiguring every
     // 100 ms) so real-thread mode is regression-gated beside the sim rows.
-    // events/s here is *completions per wall second* and depends on the
-    // machine's clock, so `rt/` rows are presence-gated only (excluded
-    // from the relative throughput check like `cluster/`).
+    // events/s here is *completions per wall second*, set by token-bucket
+    // rates and timer periods, so the row is gated on it like the worker
+    // rows (see [`THROUGHPUT_GATE_EXCLUDE_PREFIXES`]).
     {
         use flowcon_rt::{RtConfig, RtJob, RtRuntime};
         use flowcon_sim::time::SimDuration as SimDur;
@@ -944,17 +942,19 @@ pub const ZERO_ALLOC_PREFIXES: [&str; 4] = [
 pub const EVENTS_REGRESSION_TOLERANCE: f64 = 0.25;
 
 /// Benchmark-name prefixes excluded from the **relative** events/s check:
-/// cluster throughput (closed `cluster/` rows and the open-loop
-/// `stream/open_loop/` row) scales with the runner's *core count* (the
-/// sharded executor uses `available_parallelism` threads), so a baseline
-/// committed from an 8-core box would permanently fail a 4-vCPU CI runner
-/// on unchanged code.  The scheduler rows (`sched/`, the `frontier/`
-/// capacity sweep, whose rungs are scheduler runs, and `trace/`'s
-/// headline rows `trace/noop/` and `trace/flight/`) advanced their nodes
-/// on shard threads when the committed baselines were taken, and stay
-/// excluded until a baseline is re-taken.  These rows stay gated by
-/// presence and — where measured — by their machine-independent
+/// the two families that run on the sharded executor.  Their throughput
+/// (closed `cluster/` rows and the open-loop `stream/open_loop/` row)
+/// scales with the runner's *core count* (the executor uses
+/// `available_parallelism` threads), so a baseline committed from an
+/// 8-core box would permanently fail a 4-vCPU CI runner on unchanged code.
+/// These rows stay gated by presence and by their machine-independent
 /// allocs/worker figure (see [`ALLOCS_REGRESSION_TOLERANCE`]).
+///
+/// The scheduler rows (`sched/`, the `frontier/` sweep and the
+/// `trace/noop/` and `trace/flight/` pair) run on one thread and report
+/// no events/s, so the relative check never reads them and they are held
+/// by presence.  Every other `trace/` row runs one worker and is gated
+/// like the `worker/` rows.
 ///
 /// `rt/` rows are **no longer excluded**: since the push-based rewrite,
 /// the tiny rt bench's wall time is set by token-bucket rates and timer
@@ -962,13 +962,7 @@ pub const EVENTS_REGRESSION_TOLERANCE: f64 = 0.25;
 /// completions per wall second is a property of the coordination code,
 /// not of the host's clock speed — a real regression there means the
 /// governor or completion path got slower.
-pub const THROUGHPUT_GATE_EXCLUDE_PREFIXES: [&str; 5] = [
-    "cluster/",
-    "sched/",
-    "stream/open_loop/",
-    "frontier/",
-    "trace/",
-];
+pub const THROUGHPUT_GATE_EXCLUDE_PREFIXES: [&str; 2] = ["cluster/", "stream/open_loop/"];
 
 /// Maximum tolerated relative growth of `allocs_per_op` vs the baseline
 /// (25%), applied to every row measuring allocations in both runs (with a
@@ -1254,6 +1248,20 @@ mod tests {
         let baseline = vec![result("stream/session/poisson_j10", None, Some(6.0e6))];
         let regressed = vec![result("stream/session/poisson_j10", None, Some(3.0e6))];
         assert_eq!(check_regression(&regressed, &baseline).len(), 1);
+    }
+
+    #[test]
+    fn gate_holds_single_worker_trace_rows_to_their_throughput() {
+        // A trace replay runs one worker, like `worker/` rows: 30% below
+        // its baseline fails the gate.
+        let baseline = vec![result("trace/replay/paper_flowcon", None, Some(5.8e6))];
+        let current = vec![result("trace/replay/paper_flowcon", None, Some(4.06e6))];
+        let violations = check_regression(&current, &baseline);
+        assert_eq!(violations.len(), 1);
+        assert!(
+            violations[0].contains("events/s regressed"),
+            "{violations:?}"
+        );
     }
 
     #[test]
