@@ -19,8 +19,7 @@
 //!   or addressed by index ([`executor::map_indexed`]).
 //! * [`session`] — the front door: one builder covering closed plans,
 //!   streamed plan sources, open-loop job streams, pluggable recorders,
-//!   and the online scheduler (it replaced the `Manager` façade; see its
-//!   migration table).
+//!   and the online scheduler.
 //! * [`sched`] — the cluster-wide online scheduler: a global admission
 //!   queue, pluggable disciplines ([`FifoPolicy`], [`GandivaPolicy`],
 //!   [`TiresiasPolicy`]), and node-local FlowCon sims advancing between

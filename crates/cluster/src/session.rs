@@ -82,8 +82,8 @@ impl<S: StreamSource> DynStreamSource for S {
 enum NodeSet {
     /// No `.nodes()` / `.node_configs()` call yet.
     Unset,
-    /// `workers` copies of one template, each re-seeded so workloads
-    /// don't correlate (the same stride `Manager::new` used).
+    /// `workers` copies of one template, worker `i` re-seeded to
+    /// `seed + i · 0x9E37_79B9` so workloads don't correlate.
     Uniform { workers: usize, node: NodeConfig },
     /// Heterogeneous nodes, used verbatim.
     Explicit(Vec<NodeConfig>),
@@ -262,7 +262,7 @@ impl<'w, M> ClusterSessionBuilder<'w, M> {
     /// Materialize the node set and freeze the configuration.
     ///
     /// Panics if no nodes were configured (`a cluster needs at least one
-    /// worker`), matching `Manager::new`.
+    /// worker`).
     pub fn build(self) -> ClusterSession<'w, M> {
         ClusterSession {
             nodes: self.nodes.materialize(),
@@ -663,7 +663,7 @@ fn arrival_of(job: &JobRequest) -> sched::ArrivalSpec {
 }
 
 // ---------------------------------------------------------------------------
-// Shared placement / drive plumbing (moved here from `Manager`)
+// Shared placement / drive plumbing
 // ---------------------------------------------------------------------------
 
 /// Place every job, reporting each `(job, worker)` decision through

@@ -3,8 +3,7 @@
 //! The bounded pool must change *how* worker simulations are driven, never
 //! *what* they compute: job conservation and makespan monotonicity must
 //! hold at hundreds of workers, and the sharded path must be bit-identical
-//! to a naive thread-per-worker reference loop (kept here as a test-only
-//! helper since `Manager::run_spawn_per_worker` was removed).
+//! to a naive thread-per-worker reference loop (`spawn_per_worker` below).
 
 use flowcon_cluster::{ClusterSession, PolicyKind, Spread};
 use flowcon_core::config::{FlowConConfig, NodeConfig};

@@ -22,15 +22,16 @@
 //! ([`policy::FairSharePolicy`], "NA") and two ablation policies.
 //! [`dense`] is the deterministic fluid simulation of one worker node
 //! that every experiment runs on ([`worker`] names its events and
-//! faults).
+//! faults).  Its node physics — the job arena, the shares, the fluid step,
+//! the completion projection and the policy round — is a
+//! [`kernel::NodeKernel`], which the cluster scheduler's nodes
+//! (`flowcon-cluster`) run too.
 //!
 //! Entry point: [`session::Session::builder`] — a fluent builder over node,
 //! plan, policy, failure injections, and a pluggable
 //! [`recorder::Recorder`] that decides at compile time what the run
 //! observes (full paper traces or headless completions-only).
-//! It is the *only* entry point: the historical `WorkerSim` constructors
-//! shipped one release as deprecated shims and have been removed (see the
-//! migration table in [`session`]).  Closed (plan-driven) runs go through
+//! It is the *only* entry point.  Closed (plan-driven) runs go through
 //! [`session::Session::run`]; **open-loop** runs — jobs streaming in while
 //! the policy reconfigures — through [`session::Session::run_stream`].
 

@@ -7,12 +7,13 @@
 //! (cumulative CPU-seconds delta / elapsed time — what `docker stats`
 //! integration would yield).
 //!
-//! The state is one plain [`MonitorSlot`] per container.  The worker
-//! simulation keeps the slots in columns indexed by container id (one for
-//! the policy's measurements, one for the growth-efficiency traces) and
-//! hands the column a measurement serves to its measure loop; the cluster
-//! scheduler's nodes keep one slot beside each running job, and the
-//! real-thread runtime (`flowcon-rt`) one in each container it runs.
+//! The state is one plain [`MonitorSlot`] per container.  The node kernel
+//! ([`crate::kernel`]), which the worker simulation and the cluster
+//! scheduler's nodes both run, keeps the policy's slots in a column
+//! indexed by container id; the worker keeps a second column for the
+//! growth-efficiency traces and hands it to the kernel's measure loop.
+//! The real-thread runtime (`flowcon-rt`) keeps one slot in each
+//! container it runs.
 
 use flowcon_container::ContainerId;
 use flowcon_sim::time::SimTime;

@@ -1,6 +1,6 @@
-//! Integration tests pinning the paper's headline claims (the "shape"
-//! criteria from DESIGN.md).  These are the tests that say "the
-//! reproduction reproduces".
+//! Integration tests pinning the paper's headline claims (the §5 "shape"
+//! criteria, each checked on the default seed).  These are the tests that
+//! say "the reproduction reproduces".
 
 use flowcon_bench::experiments::{
     baseline_run, default_node, fig1, fixed, flowcon_run, random, scale, DEFAULT_SEED,
