@@ -521,7 +521,8 @@ mod tests {
                     _ => {
                         let before = remaining_by_gid(&sim);
                         sim.completions.clear();
-                        sim.advance_to(now + SimDuration::from_secs(secs));
+                        let end = now + SimDuration::from_secs(secs);
+                        sim.advance_to(end);
                         for (gid, left) in remaining_by_gid(&sim) {
                             if let Some(&(_, had)) = before.iter().find(|&&(g, _)| g == gid) {
                                 prop_assert!(left <= had, "job {} grew from {} to {}", gid, had, left);
@@ -529,12 +530,12 @@ mod tests {
                         }
                         for c in &sim.completions {
                             prop_assert!(
-                                c.finished >= placed_at[c.gid as usize] && c.finished <= sim.kernel.now(),
+                                c.finished >= placed_at[c.gid as usize] && c.finished <= end,
                                 "job {} completed at {} outside [{}, {}]",
                                 c.gid,
                                 c.finished,
                                 placed_at[c.gid as usize],
-                                sim.kernel.now()
+                                end
                             );
                         }
                     }

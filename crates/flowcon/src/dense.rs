@@ -3,10 +3,9 @@
 //! Every worker run goes through this module — recorded, traced and
 //! failure-injected [`Session`](crate::session::Session)s as well as the
 //! million-worker headless cluster path.  The node's physics is a
-//! [`NodeKernel`] (see [`crate::kernel`]): the job arena indexed by
-//! container id, the live list, the shares, the fluid step, the completion
-//! projection and the policy round.  This module drives it: the agenda,
-//! admission, the recorder and tracer calls, the growth-trace monitor
+//! [`NodeKernel`] (see [`crate::kernel`]); this module drives it: the
+//! agenda, admission (each job takes the arena's next container id, so
+//! ids only grow), the recorder and tracer calls, the growth-trace monitor
 //! column and fault injection.  The kernel lives in a [`DenseScratch`]
 //! owned by the caller — one per executor shard — and is recycled across
 //! every worker that shard drives, so a steady-state headless worker run
@@ -19,7 +18,7 @@
 //! One dispatch loop serves every workload shape.  [`run_headless_dense`]
 //! runs a placed plan: every job's arrival is queued up front.
 //! [`run_stream_dense`] runs **open-loop**: it pulls one job ahead of the
-//! clock from a [`JobStream`] (a single scheduled `StreamArrival`), admits
+//! clock from a [`JobStream`] (a single scheduled stream arrival), admits
 //! jobs until the [`Horizon`] trips, drains, and returns [`StreamStats`]
 //! and sojourn tails beside the completions.  `Session::run*` drives the
 //! same loop with the session's [`Recorder`], [`Tracer`] and failure
@@ -30,13 +29,6 @@
 //! [`NoopTracer`] the sample and trace ticks are never scheduled, the
 //! growth-trace monitor column is never filled, and every tracer site
 //! compiles away.
-//!
-//! # Container ids
-//!
-//! Container ids are sequential `u32`s (see `flowcon_container::id`): each
-//! admission takes the arena's next index, and exited slots stay in the
-//! arena until the worker ends.  The kernel's ascending live list keeps
-//! every per-event pass O(live) however many jobs a stream has admitted.
 //!
 //! # Bit-identity
 //!
@@ -91,7 +83,7 @@ use crate::monitor::MonitorSlot;
 use crate::policy::{checked_interval, ResourcePolicy};
 use crate::recorder::{CompletionsOnly, Recorder, RunMeta};
 use crate::session::{SessionResult, StreamResult};
-use crate::worker::{FailureInjection, WorkerEvent, TRACE_INTERVAL};
+use crate::worker::{FailureInjection, TRACE_INTERVAL};
 
 /// Run-away guard: no worker run on this model needs more events.
 const MAX_EVENTS: u64 = 50_000_000;
@@ -120,18 +112,20 @@ fn stamp(when: SimTime, seq: u64) -> Stamp {
     (u128::from(when.as_micros()) << 64) | u128::from(seq)
 }
 
-/// The sources of a worker's events, one [`Agenda`] slot each.
+/// The sources of a worker's events, one [`Agenda`] slot each (see
+/// [`crate::worker`] for what each event does).
 #[derive(Debug, Clone, Copy)]
 enum Source {
     /// The plan's next arrival, in `(arrival, plan index)` order.
     Arrival,
     /// The stream's lookahead job.
     Stream,
-    /// The Executor's policy tick.
+    /// The Executor's policy tick; an interrupt that re-arms the interval
+    /// supersedes it.
     Tick,
-    /// The projected next completion.
+    /// The projected next completion; a reprojection supersedes it.
     Completion,
-    /// The 1 Hz sample tick.
+    /// The 1 Hz usage/limit sample tick.
     Sample,
     /// The growth-trace tick.
     Trace,
@@ -225,8 +219,9 @@ impl Agenda {
         }
     }
 
-    /// Take the pending event with the smallest stamp.
-    fn pop(&mut self) -> Option<(SimTime, WorkerEvent)> {
+    /// Take the pending event with the smallest stamp: its time, its
+    /// source, and for an arrival or a fault its plan or listing index.
+    fn pop(&mut self) -> Option<(SimTime, Source, usize)> {
         let k =
             (1..self.next.len()).fold(0, |k, i| if self.next[i] < self.next[k] { i } else { k });
         if self.next[k] == IDLE {
@@ -237,24 +232,21 @@ impl Agenda {
             self.next[k] as u64,
         );
         self.next[k] = IDLE;
-        let event = match Source::ALL[k] {
+        let source = Source::ALL[k];
+        let idx = match source {
             Source::Arrival => {
                 self.arrival += 1;
                 self.next[k] = self.arrivals.get(self.arrival).copied().unwrap_or(IDLE);
-                WorkerEvent::Arrival(seq as usize)
+                seq
             }
             Source::Failure => {
                 self.failure += 1;
                 self.next[k] = self.failures.get(self.failure).copied().unwrap_or(IDLE);
-                WorkerEvent::InjectFailure((seq - self.failure_seq) as usize)
+                seq - self.failure_seq
             }
-            Source::Stream => WorkerEvent::StreamArrival,
-            Source::Tick => WorkerEvent::PolicyTick,
-            Source::Completion => WorkerEvent::CompletionCheck,
-            Source::Sample => WorkerEvent::SampleTick,
-            Source::Trace => WorkerEvent::TraceTick,
+            _ => 0,
         };
-        Some((when, event))
+        Some((when, source, idx as usize))
     }
 }
 
@@ -313,7 +305,7 @@ trait Admission {
         None
     }
 
-    /// Take the job whose `StreamArrival` is firing, counting it as
+    /// Take the job whose stream arrival is firing, counting it as
     /// submitted.
     fn take(&mut self) -> StreamedJob {
         unreachable!("stream arrivals are only scheduled by an open-loop run")
@@ -360,7 +352,7 @@ impl Admission for Owned {
 struct OpenLoop<J> {
     stream: J,
     horizon: Horizon,
-    /// The job whose `StreamArrival` is scheduled.
+    /// The job whose stream arrival is scheduled.
     pending: Option<StreamedJob>,
     submitted: u64,
     exits: u64,
@@ -591,7 +583,7 @@ fn run<A: Admission, R: Recorder, T: Tracer>(
     // Superseded stamps count toward `events_processed` as they are
     // superseded (see the module docs).
     let mut dispatched: u64 = 0;
-    while let Some((when, event)) = sim.agenda.pop() {
+    while let Some((when, source, idx)) = sim.agenda.pop() {
         let events_processed = dispatched + sim.agenda.superseded;
         assert!(
             events_processed < MAX_EVENTS,
@@ -609,7 +601,7 @@ fn run<A: Admission, R: Recorder, T: Tracer>(
         }
         sim.now = when;
         dispatched += 1;
-        sim.handle(event);
+        sim.handle(source, idx);
     }
     let algorithm_runs = sim.s.kernel.algorithm_runs();
     let output = sim.recorder.finish(RunMeta {
@@ -815,19 +807,20 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
         self.process_exits(now)
     }
 
-    /// Dispatch one event: step the node to it, hand the exits it finds
-    /// to the policy (which may ask for an interrupt), then run the
-    /// event's own protocol.
-    fn handle(&mut self, event: WorkerEvent) {
+    /// Dispatch one event of `source` (`idx` indexes an arrival's plan or
+    /// a fault's listing): step the node to it, hand the exits it finds to
+    /// the policy (which may ask for an interrupt), then run the event's
+    /// own protocol.
+    fn handle(&mut self, source: Source, idx: usize) {
         let now = self.now;
         self.advance_to(now);
         let interrupt = self.process_exits(now);
-        match event {
-            WorkerEvent::Arrival(idx) => {
+        match source {
+            Source::Arrival => {
                 let job = self.admission.arrive(idx);
                 self.admit_job(now, job, interrupt);
             }
-            WorkerEvent::StreamArrival => {
+            Source::Stream => {
                 let job = self.admission.take();
                 debug_assert!(job.arrival == now, "stream arrival fired off schedule");
                 // Schedule the lookahead *before* admitting: admission
@@ -844,12 +837,12 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
                 }
                 self.admit_job(now, (job.scaled_spec(), job.label), interrupt);
             }
-            WorkerEvent::CompletionCheck => self.settle(interrupt),
+            Source::Completion => self.settle(interrupt),
             // The tick reconfigures whatever the exits asked for.
-            WorkerEvent::PolicyTick => self.settle(true),
+            Source::Tick => self.settle(true),
             // Ticks are scheduled only for recorders that take them; the
             // guards let every other recorder compile both arms away.
-            WorkerEvent::SampleTick if R::RECORDS_SAMPLES => {
+            Source::Sample if R::RECORDS_SAMPLES => {
                 if interrupt {
                     self.settle(true);
                 }
@@ -863,7 +856,7 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
                     self.schedule_after(self.node.sample_interval, Source::Sample);
                 }
             }
-            WorkerEvent::TraceTick if R::RECORDS_GROWTH => {
+            Source::Trace if R::RECORDS_GROWTH => {
                 if interrupt {
                     self.settle(true);
                 }
@@ -874,10 +867,10 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
                     self.schedule_after(TRACE_INTERVAL, Source::Trace);
                 }
             }
-            WorkerEvent::SampleTick | WorkerEvent::TraceTick => {
+            Source::Sample | Source::Trace => {
                 unreachable!("this recorder takes no sample or trace ticks")
             }
-            WorkerEvent::InjectFailure(idx) => {
+            Source::Failure => {
                 let crashed = self.inject_failure(now, idx);
                 self.settle(interrupt | crashed);
             }

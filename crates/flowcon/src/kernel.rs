@@ -1,55 +1,28 @@
 //! The node kernel: one node's physics, shared by both node drivers.
 //!
-//! A [`NodeKernel`] holds everything a node's fluid state is made of and
-//! every rule that moves it: the job arena, the live list, the node-share
-//! rule's output, the fluid step, the completion projection, the Container
-//! Monitor's column, and Algorithm 1's measure → decide → `docker update`
-//! round.  Two drivers run it:
+//! A [`NodeKernel`] holds a node's fluid state and every rule that moves
+//! it: the job arena, the ascending live list, the node shares, the fluid
+//! step, the completion projection, the Container Monitor's column and
+//! Algorithm 1's measure → decide → `docker update` round.  The worker
+//! simulation ([`crate::dense`]) steps it from event to event of its
+//! agenda; the cluster scheduler's `NodeSim` steps it from stop to stop
+//! between quantum barriers.  Neither computes a rate, moves work or
+//! measures a container itself.  They still read different noise for the
+//! same jobs: every barrier splits the integration, and each split advance
+//! draws fresh measurement noise.
 //!
-//! * the worker simulation ([`crate::dense`]) steps it from event to event
-//!   of its agenda, one kernel per executor shard recycled across the
-//!   workers that shard drives;
-//! * the cluster scheduler's `NodeSim` (`flowcon-cluster`) steps it from
-//!   stop to stop between the engine's quantum barriers, admitting and
-//!   preempting jobs at each barrier.
+//! Container ids are array indices, and the driver picks each: the worker
+//! admits at the arena's end ([`NodeKernel::fresh_id`]), the scheduled
+//! node at its lowest vacated slot, because FlowCon's lists iterate in id
+//! order.  A job that leaves keeps its slot, not runnable, until an
+//! admission overwrites it.
 //!
-//! Neither driver computes a rate, moves a job's work or measures a
-//! container itself, so the two cannot drift apart.  They are still not
-//! the same run: every barrier splits the integration, and each split
-//! advance draws fresh measurement noise, so a scheduled node and a worker
-//! given the same jobs read different noise.
-//!
-//! # The arena
-//!
-//! Container ids are array indices: the jobs, their POD slot records
-//! (creation time, limits, resource-time integral, liveness) and the
-//! monitor column are parallel vectors indexed by [`ContainerId::index`].
-//! The driver picks each id.  The worker admits at the arena's end
-//! ([`NodeKernel::fresh_id`]), so its ids only grow;
-//! the scheduled node reuses its lowest vacated slot, because FlowCon's
-//! lists iterate in id order and a growing id would reorder what
-//! Algorithm 1 sees.  A job that leaves keeps its slot, marked not
-//! runnable, until a later admission overwrites it or the arena is reset.
-//!
-//! # The live list and the shares
-//!
-//! The ids of the runnable slots are kept in one ascending list: the
-//! share rule, the measurements and the policy's pool all read it, so
-//! every per-event pass is O(live).  The rates of the last reshare stay
-//! aligned with the live list *as it was then*: a job that has left since
-//! keeps its entry (the step skips it) until the next reshare, which runs
-//! only when the live list or a limit changed since the last one.  Reusing
-//! a vacated slot drops them, so a job never runs at its predecessor's
-//! rate.
-//!
-//! # Time
-//!
-//! The kernel's clock is the time its fluid state describes.  [`step_to`]
-//! integrates every live job at its current rate up to a later time and
-//! collects the jobs whose exit status says they are done; admissions,
-//! measurements and the projection all happen at the clock.
-//!
-//! [`step_to`]: NodeKernel::step_to
+//! The rates of the last reshare stay aligned with the live list *as it
+//! was then*: a job that has left keeps its entry (the step skips it)
+//! until the next reshare, which recomputes only when the live list or a
+//! limit changed.  Reusing a vacated slot drops them, so no job runs at its
+//! predecessor's rate.  Admissions, measurements and the projection all
+//! happen at the kernel's clock, the time its fluid state describes.
 
 use flowcon_container::{ContainerId, ResourceLimits};
 use flowcon_dl::models::ModelSpec;
@@ -67,19 +40,17 @@ use crate::monitor::MonitorSlot;
 use crate::policy::ResourcePolicy;
 
 /// One container's POD record: creation time, soft limits, the
-/// resource-time integral the monitor reads, and pool membership.
-///
-/// Kept `Copy` and cache-line-small on purpose — `slot_records_stay_pod`
-/// asserts the size so a refactor cannot silently fatten the arena.
+/// resource-time integral the monitor reads, and pool membership.  Kept
+/// `Copy` and small on purpose — `slot_records_stay_pod` asserts its size
+/// so a refactor cannot silently fatten the arena.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ContainerSlot {
-    /// Arrival/creation time (completion records need it).
     created_at: SimTime,
-    /// Soft limits, updated by `docker update`-style policy decisions.
+    /// Soft limits, set by `docker update`-style policy decisions.
     limits: ResourceLimits,
-    /// Cumulative resource-time integral (the monitor's usage source).
+    /// The monitor's usage source.
     cumulative: ResourceVec,
-    /// Still in the pool (running); cleared when the job leaves.
+    /// Still in the pool; cleared when the job leaves.
     runnable: bool,
 }
 
@@ -87,11 +58,9 @@ pub(crate) struct ContainerSlot {
 /// docs).
 #[derive(Debug)]
 pub struct NodeKernel {
-    /// The capacity the node shares.
     capacity: f64,
-    /// The node's interference model.
     contention: ContentionModel,
-    /// The node's RNG: each admitted job splits its own noise stream off it.
+    /// Each admitted job splits its own noise stream off it.
     rng: SimRng,
     /// The time the fluid state describes.
     now: SimTime,
@@ -103,25 +72,19 @@ pub struct NodeKernel {
     mons: Vec<MonitorSlot>,
     /// Ids of the runnable slots, ascending.
     live: Vec<ContainerId>,
-    /// `(id, exit code)` of the jobs that left in the last step (or
-    /// crash) and are still on the live list.
     exited: Vec<(ContainerId, i32)>,
     /// The live list as of the last reshare, aligned with `shares`.
     rate_ids: Vec<ContainerId>,
-    /// CPU rates and contention efficiencies of the last reshare.
     shares: NodeShares,
     /// The live list or a limit changed since the last reshare.
     stale: bool,
-    /// Measurement buffer of the policy round.
+    /// The policy round's recycled buffers.
     measures: Vec<GrowthMeasurement>,
-    /// Limit updates buffer of the policy round.
     updates: Vec<(ContainerId, f64)>,
-    /// Policy rounds run.
     algorithm_runs: u64,
     /// Limit updates applied to live jobs.
     update_calls: u64,
-    /// Reshares requested (the cumulative count behind the
-    /// [`TraceKind::Waterfill`] counter events).
+    /// Reshares requested (the [`TraceKind::Waterfill`] counter).
     waterfill_runs: u64,
 }
 
@@ -283,8 +246,8 @@ impl NodeKernel {
         self.exited.push((id, code));
     }
 
-    /// The jobs that left in the last step (or crash), `(id, exit code)`
-    /// in live order; they stay on the live list until
+    /// `(id, exit code)` of the jobs that left in the last step (or
+    /// crash), in live order, still listed live until
     /// [`NodeKernel::release_exited`].
     #[inline]
     pub fn exited(&self) -> &[(ContainerId, i32)] {
@@ -308,17 +271,10 @@ impl NodeKernel {
     }
 
     /// Share the capacity over the live list by the node-share rule
-    /// ([`NodeShares`]) if the list or a limit changed since the last
-    /// reshare; returns whether it did.
-    ///
-    /// Limits are Docker-style **soft caps** (§4.1): a limit bounds the
-    /// share a container may claim while others contend, but capacity
-    /// that would otherwise idle is redistributed up to demand.  Rates and
-    /// efficiencies are a pure function of the live list and its limits
-    /// (demands are fixed per job), so an unchanged node keeps them.
-    /// Every call counts as one water-fill on a traced run's
-    /// [`TraceKind::Waterfill`] counter, stamped at the clock with
-    /// `trace_id`.
+    /// ([`NodeShares`], Docker-style soft limits) if the list or a limit
+    /// changed since the last reshare, and return whether it did: the
+    /// shares are a pure function of both.  Every call bumps a traced
+    /// run's [`TraceKind::Waterfill`] counter, stamped with `trace_id`.
     #[inline]
     pub fn reshare<T: Tracer>(&mut self, tracer: &mut T, trace_id: u32) -> bool {
         self.waterfill_runs += 1;
@@ -364,9 +320,8 @@ impl NodeKernel {
     }
 
     /// Project the earliest completion under the current rates, 1 µs past
-    /// the exact finish so the step that reaches it crosses the finish
-    /// line; none while a job of the last reshare has left (the next
-    /// reshare reprojects).
+    /// the exact finish so the step to it crosses the line; none while a
+    /// job of the last reshare has left (the next reshare reprojects).
     #[inline]
     pub fn next_completion(&self) -> Option<SimTime> {
         let mut best: Option<f64> = None;
@@ -387,11 +342,9 @@ impl NodeKernel {
 
     /// Integrate every live job from the clock to `to` at the rates of the
     /// last reshare and return the step in seconds; the jobs whose exit
-    /// status says they are done land in [`NodeKernel::exited`].
-    ///
-    /// Each container's raw CPU occupancy (its rate) goes into its
-    /// resource-time integral, as `docker stats` would account it; useful
-    /// progress is the rate times its contention efficiency.
+    /// status says they are done land in [`NodeKernel::exited`].  A job's
+    /// rate goes into its resource-time integral, as `docker stats` would
+    /// account it; its progress is the rate times its efficiency.
     #[inline]
     pub fn step_to(&mut self, to: SimTime) -> f64 {
         debug_assert!(to >= self.now, "step into the past");
@@ -428,12 +381,10 @@ impl NodeKernel {
     }
 
     /// One policy round at the clock: measure the live jobs through the
-    /// Container Monitor, let `policy` decide, and apply its limits to the
-    /// jobs still live (`docker update` applies to pool members only).
-    /// Returns the policy's next interval.
-    ///
-    /// A traced run brackets the round in a [`TraceKind::Reconfigure`]
-    /// span whose payload is the live count and `trace_id`.
+    /// Container Monitor, let `policy` decide, and apply its limits to live
+    /// jobs (`docker update` applies to pool members only).  Returns the
+    /// policy's next interval.  A traced run brackets the round in a
+    /// [`TraceKind::Reconfigure`] span of the live count and `trace_id`.
     pub fn reconfigure<T: Tracer>(
         &mut self,
         policy: &mut dyn ResourcePolicy,
@@ -505,34 +456,17 @@ mod tests {
     use flowcon_sim::trace::NoopTracer;
     use proptest::prelude::*;
 
-    /// `(id, remaining work)` of every live job.
-    fn remaining(kernel: &NodeKernel) -> Vec<(ContainerId, f64)> {
-        let live = kernel.live().iter();
-        live.map(|&id| (id, kernel.job(id).remaining_cpu_seconds()))
-            .collect()
-    }
-
-    /// Step to `to` and take the exits off the live list, returning them;
-    /// each must have finished its work.
-    fn step(kernel: &mut NodeKernel, to: SimTime) -> Vec<ContainerId> {
+    /// Step to `to` and release the exits, each of which must have done all
+    /// its work; returns how many there were.
+    fn step(kernel: &mut NodeKernel, to: SimTime) -> usize {
         kernel.step_to(to);
-        let exited: Vec<_> = kernel.exited().iter().map(|&(id, _)| id).collect();
         for &(id, code) in kernel.exited() {
-            assert_eq!(code, 0, "container {id} exited with {code}");
-            assert_eq!(kernel.job(id).remaining_cpu_seconds(), 0.0);
+            let left = kernel.job(id).remaining_cpu_seconds();
+            assert_eq!((code, left), (0, 0.0), "container {id} exited");
         }
+        let exits = kernel.exited().len();
         kernel.release_exited();
-        exited
-    }
-
-    /// Reshare; the rates must fit in the capacity.
-    fn reshare(kernel: &mut NodeKernel, capacity: f64) {
-        kernel.reshare(&mut NoopTracer, 0);
-        let total: f64 = kernel.rates().iter().sum();
-        assert!(
-            total <= capacity * (1.0 + 1e-12),
-            "{total} cpu shared on capacity {capacity}"
-        );
+        exits
     }
 
     proptest! {
@@ -540,49 +474,50 @@ mod tests {
         /// sequences, with ids taken at the arena's end or from vacated
         /// slots: the shared rates never exceed the capacity, no job's
         /// remaining work grows, and a step to the projected completion
-        /// exits a job while a step to just before it exits none.
+        /// exits a job while a step to 2 µs before it exits none.
         #[test]
         fn kernel_physics_hold_under_random_sequences(
             capacity in 0.25f64..4.0,
             ops in prop::collection::vec((0u8..5, 0usize..64, 0.05f64..1.0, 1u64..400), 1..64),
         ) {
-            let node = NodeConfig { capacity, ..NodeConfig::default() };
-            let mut kernel = NodeKernel::new(node);
+            let mut kernel = NodeKernel::new(NodeConfig { capacity, ..NodeConfig::default() });
             for (op, pick, scale, secs) in ops {
-                let before = remaining(&kernel);
+                let live = kernel.live().to_vec();
+                let before: Vec<f64> =
+                    live.iter().map(|&id| kernel.job(id).remaining_cpu_seconds()).collect();
+                if op >= 3 {
+                    kernel.reshare(&mut NoopTracer, 0);
+                    let total: f64 = kernel.rates().iter().sum();
+                    prop_assert!(total <= capacity * (1.0 + 1e-12), "{} > {}", total, capacity);
+                }
                 match op {
                     0 => {
-                        let free: Vec<ContainerId> = (0..kernel.fresh_id().as_raw())
+                        let free: Vec<ContainerId> = (0..=kernel.fresh_id().as_raw())
                             .map(ContainerId::from_raw)
-                            .filter(|id| !kernel.live().contains(id))
-                            .chain([kernel.fresh_id()])
+                            .filter(|id| !live.contains(id))
                             .collect();
                         let spec = ModelSpec::of(ALL_MODELS[pick % ALL_MODELS.len()]);
                         kernel.admit(free[pick % free.len()], spec.scaled_by(scale), String::new());
                     }
-                    1 if !kernel.live().is_empty() => {
-                        kernel.retire(kernel.live()[pick % kernel.live().len()]);
-                    }
+                    1 if !live.is_empty() => kernel.retire(live[pick % live.len()]),
                     2 => {
                         let to = kernel.now() + SimDuration::from_secs(secs);
                         step(&mut kernel, to);
                     }
-                    3 => reshare(&mut kernel, capacity),
-                    _ => {
-                        reshare(&mut kernel, capacity);
+                    4 => {
                         if let Some(at) = kernel.next_completion() {
                             let early = SimTime::from_micros(at.as_micros().saturating_sub(2));
                             if early > kernel.now() {
-                                let exited = step(&mut kernel, early);
-                                prop_assert!(exited.is_empty(), "{:?} exited before {}", exited, at);
+                                prop_assert_eq!(step(&mut kernel, early), 0, "exit before {}", at);
                             }
-                            let exited = step(&mut kernel, at);
-                            prop_assert!(!exited.is_empty(), "no job exited at its projection {}", at);
+                            prop_assert!(step(&mut kernel, at) > 0, "no exit at {}", at);
                         }
                     }
+                    _ => {}
                 }
-                for (id, left) in remaining(&kernel) {
-                    if let Some(&(_, had)) = before.iter().find(|&&(b, _)| b == id) {
+                for (id, had) in live.into_iter().zip(before) {
+                    if kernel.live().contains(&id) {
+                        let left = kernel.job(id).remaining_cpu_seconds();
                         prop_assert!(left <= had, "container {} grew from {} to {}", id, had, left);
                     }
                 }

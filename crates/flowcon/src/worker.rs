@@ -26,27 +26,6 @@ use flowcon_sim::time::{SimDuration, SimTime};
 /// Interval between growth-efficiency trace measurements (Figs. 13–14).
 pub(crate) const TRACE_INTERVAL: SimDuration = SimDuration::from_secs(20);
 
-/// The events a worker simulation dispatches from its agenda, which holds
-/// at most one pending event per source (see [`crate::dense`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum WorkerEvent {
-    /// The `idx`-th job of the plan arrives.
-    Arrival(usize),
-    /// The pending open-loop streamed job arrives.
-    StreamArrival,
-    /// The projected next completion; a reprojection supersedes it.
-    CompletionCheck,
-    /// The Executor's periodic tick; an interrupt that re-arms the
-    /// interval supersedes it.
-    PolicyTick,
-    /// 1 Hz usage/limit sampling.
-    SampleTick,
-    /// Growth-efficiency trace sampling.
-    TraceTick,
-    /// Fault injection: crash the `idx`-th entry of the failure schedule.
-    InjectFailure(usize),
-}
-
 /// A scheduled fault: crash the job with `label` at `at` with `exit_code`.
 #[derive(Debug, Clone)]
 pub struct FailureInjection {
