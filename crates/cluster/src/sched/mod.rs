@@ -574,7 +574,7 @@ pub(crate) fn run_sched<T: Tracer>(
                     total_queue_wait_secs += wait;
                     tails.queue_wait.insert(wait);
                     location[j.id as usize] = Some(node);
-                    nodes[node].admit(j.id, j.model, j.work_scale, j.arrival, j.attained);
+                    nodes[node].admit(&j);
                     if T::ENABLED {
                         tracer.instant(t, TraceKind::SchedPlace, job, node as u32);
                         tracer.span_begin(t, TraceKind::JobRun, job, node as u32);
@@ -584,16 +584,10 @@ pub(crate) fn run_sched<T: Tracer>(
                     let at = location[job as usize]
                         .take()
                         .expect("Preempt must target a running job");
-                    let p = nodes[at].preempt(job);
+                    // The nodes' clocks stand at the barrier, so the job is
+                    // queued as of `t`.
+                    queue.push_back(nodes[at].preempt(job));
                     preemptions += 1;
-                    queue.push_back(EngineJob {
-                        id: job,
-                        model: p.model,
-                        arrival: p.arrival,
-                        work_scale: p.remaining_scale,
-                        attained: p.attained_cpu_secs,
-                        queued_since: t,
-                    });
                     if T::ENABLED {
                         tracer.instant(t, TraceKind::SchedPreempt, job, at as u32);
                         tracer.span_end(t, TraceKind::JobRun, job, at as u32);
@@ -604,14 +598,8 @@ pub(crate) fn run_sched<T: Tracer>(
                     if at == node {
                         continue; // logged no-op
                     }
-                    let p = nodes[at].preempt(job);
-                    nodes[node].admit(
-                        job,
-                        p.model,
-                        p.remaining_scale,
-                        p.arrival,
-                        p.attained_cpu_secs,
-                    );
+                    let j = nodes[at].preempt(job);
+                    nodes[node].admit(&j);
                     location[job as usize] = Some(node);
                     migrations += 1;
                     if T::ENABLED {

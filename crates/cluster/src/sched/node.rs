@@ -30,6 +30,7 @@ use flowcon_sim::time::SimTime;
 use flowcon_sim::trace::{NoopTracer, Tracer};
 
 use super::policy::RunningJobView;
+use super::EngineJob;
 
 /// A job completion observed by a node mid-quantum, at its exact time.
 #[derive(Debug, Clone, Copy)]
@@ -37,20 +38,6 @@ pub(crate) struct NodeCompletion {
     pub(crate) gid: u32,
     pub(crate) arrival: SimTime,
     pub(crate) finished: SimTime,
-}
-
-/// What `preempt` hands back to the engine: enough to requeue and later
-/// resume the job elsewhere.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PreemptedJob {
-    pub(crate) model: ModelId,
-    /// Remaining work as a fraction of the catalog total (becomes the
-    /// resumed job's `work_scale`).
-    pub(crate) remaining_scale: f64,
-    /// Total effective CPU-seconds attained across all placements.
-    pub(crate) attained_cpu_secs: f64,
-    /// Original submission time.
-    pub(crate) arrival: SimTime,
 }
 
 /// The scheduler's record of the job in one occupied slot; the slot index
@@ -151,20 +138,13 @@ impl<T: Tracer> NodeSim<T> {
         }
     }
 
-    /// Admit a job into the lowest free slot at the node's current time.
+    /// Admit `job` into the lowest free slot at the node's current time.
     ///
-    /// `work_scale` is relative to the catalog spec (1.0 for a fresh
-    /// job, the remaining fraction for a resumed one); `base_attained`
+    /// Its `work_scale` is relative to the catalog spec (1.0 for a fresh
+    /// job, the remaining fraction for a resumed one), and `attained`
     /// carries service from earlier placements.  Panics if the node is
     /// full — the engine validates placements before applying them.
-    pub(crate) fn admit(
-        &mut self,
-        gid: u32,
-        model: ModelId,
-        work_scale: f64,
-        arrival: SimTime,
-        base_attained: f64,
-    ) {
+    pub(crate) fn admit(&mut self, job: &EngineJob) {
         let idx = self
             .placed
             .iter()
@@ -173,16 +153,16 @@ impl<T: Tracer> NodeSim<T> {
         let id = ContainerId::from_raw(idx as u32);
         // Same admission as the worker sim's: the ±3% work jitter models
         // checkpoint-restore noise on resume.
-        let spec = ModelSpec::of(model).scaled_by(work_scale);
+        let spec = ModelSpec::of(job.model).scaled_by(job.work_scale);
         self.kernel.admit(id, spec, String::new());
         let now = self.kernel.now();
         self.placed[idx] = Some(Placed {
-            gid,
-            model,
-            arrival,
+            gid: job.id,
+            model: job.model,
+            arrival: job.arrival,
             placed_at: now,
             rem_at_place: self.kernel.job(id).remaining_cpu_seconds(),
-            base_attained,
+            base_attained: job.attained,
         });
         let interrupt = self.policy.on_pool_change(now, self.kernel.live());
         if interrupt {
@@ -192,8 +172,10 @@ impl<T: Tracer> NodeSim<T> {
         }
     }
 
-    /// Checkpoint a running job out of its slot.
-    pub(crate) fn preempt(&mut self, gid: u32) -> PreemptedJob {
+    /// Checkpoint a running job out of its slot and hand it back queued
+    /// as of now: its remaining work as a fraction of the catalog total
+    /// becomes its `work_scale`, and it keeps the service it attained.
+    pub(crate) fn preempt(&mut self, gid: u32) -> EngineJob {
         let idx = self
             .placed
             .iter()
@@ -205,11 +187,13 @@ impl<T: Tracer> NodeSim<T> {
         let id = ContainerId::from_raw(idx as u32);
         let rem = self.kernel.job(id).remaining_cpu_seconds();
         let total = ModelSpec::of(p.model).total_work;
-        let out = PreemptedJob {
+        let out = EngineJob {
+            id: gid,
             model: p.model,
-            remaining_scale: (rem / total).max(f64::MIN_POSITIVE),
-            attained_cpu_secs: p.attained(rem),
             arrival: p.arrival,
+            work_scale: (rem / total).max(f64::MIN_POSITIVE),
+            attained: p.attained(rem),
+            queued_since: self.kernel.now(),
         };
         self.kernel.retire(id);
         self.pool_changed();
@@ -294,6 +278,18 @@ mod tests {
     use flowcon_sim::time::SimDuration;
     use proptest::prelude::*;
 
+    /// A job of `model` arriving at `arrival`, never placed before.
+    fn job(id: u32, model: ModelId, work_scale: f64, arrival: SimTime) -> EngineJob {
+        EngineJob {
+            id,
+            model,
+            arrival,
+            work_scale,
+            attained: 0.0,
+            queued_since: arrival,
+        }
+    }
+
     fn node(slots: usize) -> NodeSim {
         NodeSim::new(
             NodeConfig::default().with_seed(0xF10C),
@@ -307,7 +303,7 @@ mod tests {
     #[test]
     fn an_admitted_job_runs_to_completion_mid_quantum() {
         let mut sim = node(2);
-        sim.admit(0, ModelId::MnistTorch, 0.05, SimTime::ZERO, 0.0);
+        sim.admit(&job(0, ModelId::MnistTorch, 0.05, SimTime::ZERO));
         assert!(!sim.is_idle());
         // A heavily scaled-down job finishes well inside a huge barrier.
         sim.advance_to(SimTime::from_secs(100_000));
@@ -323,19 +319,16 @@ mod tests {
     #[test]
     fn preempt_returns_remaining_work_and_attained_service() {
         let mut sim = node(1);
-        sim.admit(7, ModelId::MnistTorch, 1.0, SimTime::from_secs(3), 0.0);
+        sim.admit(&job(7, ModelId::MnistTorch, 1.0, SimTime::from_secs(3)));
         sim.advance_to(SimTime::from_secs(50));
         let p = sim.preempt(7);
         assert!(sim.is_idle());
         assert_eq!(p.arrival, SimTime::from_secs(3));
-        assert!(
-            p.attained_cpu_secs > 0.0,
-            "50 s of solo running attains service"
-        );
-        assert!(p.remaining_scale > 0.0 && p.remaining_scale < 1.1);
+        assert!(p.attained > 0.0, "50 s of solo running attains service");
+        assert!(p.work_scale > 0.0 && p.work_scale < 1.1);
         // Attained + remaining ≈ the jittered total (±3%).
         let total = ModelSpec::of(ModelId::MnistTorch).total_work;
-        let recon = p.attained_cpu_secs + p.remaining_scale * total;
+        let recon = p.attained + p.work_scale * total;
         assert!(
             (recon / total - 1.0).abs() < 0.05,
             "recon={recon} total={total}"
@@ -346,8 +339,8 @@ mod tests {
     fn advance_is_deterministic_for_the_same_inputs() {
         let run = || {
             let mut sim = node(2);
-            sim.admit(0, ModelId::MnistTorch, 0.2, SimTime::ZERO, 0.0);
-            sim.admit(1, ModelId::Vae, 0.1, SimTime::ZERO, 0.0);
+            sim.admit(&job(0, ModelId::MnistTorch, 0.2, SimTime::ZERO));
+            sim.admit(&job(1, ModelId::Vae, 0.1, SimTime::ZERO));
             sim.advance_to(SimTime::from_secs(200_000));
             (
                 sim.completions
@@ -426,7 +419,7 @@ mod tests {
                     NoopTracer,
                     0,
                 );
-                sim.admit(0, ModelId::MnistTorch, 1.0, SimTime::ZERO, 0.0);
+                sim.admit(&job(0, ModelId::MnistTorch, 1.0, SimTime::ZERO));
                 sim.advance_to(SimTime::from_secs(100_000));
             });
             assert!(
@@ -480,7 +473,7 @@ mod tests {
             // Latest placement time per gid, and the preempted jobs
             // waiting to resume.
             let mut placed_at: Vec<SimTime> = Vec::new();
-            let mut parked: Vec<(u32, PreemptedJob)> = Vec::new();
+            let mut parked: Vec<EngineJob> = Vec::new();
             for (op, pick, scale, secs) in ops {
                 let now = sim.kernel.now();
                 let full = sim.kernel.live().len() == sim.slot_count();
@@ -488,34 +481,29 @@ mod tests {
                     0 if !full => {
                         let gid = placed_at.len() as u32;
                         let model = ALL_MODELS[pick % ALL_MODELS.len()];
-                        sim.admit(gid, model, scale, now, 0.0);
+                        sim.admit(&job(gid, model, scale, now));
                         placed_at.push(now);
                     }
                     1 if !sim.is_idle() => {
                         let running = remaining_by_gid(&sim);
                         let gid = running[pick % running.len()].0;
-                        parked.push((gid, sim.preempt(gid)));
+                        parked.push(sim.preempt(gid));
                     }
                     2 if !full && !parked.is_empty() => {
-                        let (gid, job) = parked.swap_remove(pick % parked.len());
-                        sim.admit(
-                            gid,
-                            job.model,
-                            job.remaining_scale,
-                            job.arrival,
-                            job.attained_cpu_secs,
-                        );
+                        let job = parked.swap_remove(pick % parked.len());
+                        let gid = job.id;
+                        sim.admit(&job);
                         placed_at[gid as usize] = now;
                         let mut views = Vec::new();
                         sim.fill_views(&mut views);
                         let view = views.iter().find(|v| v.id == gid).expect("resumed job runs");
                         prop_assert_eq!(
                             view.attained_cpu_secs.to_bits(),
-                            job.attained_cpu_secs.to_bits(),
+                            job.attained.to_bits(),
                             "job {} resumed with {} cpu-s attained, preempted with {}",
                             gid,
                             view.attained_cpu_secs,
-                            job.attained_cpu_secs
+                            job.attained
                         );
                     }
                     _ => {

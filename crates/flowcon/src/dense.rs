@@ -531,10 +531,6 @@ pub(crate) fn run_stream<J: JobStream, R: Recorder, T: Tracer>(
     }
 }
 
-/// A finished run: the session result and the admission state it ended
-/// with.
-type Finished<O, A> = (SessionResult<O>, A);
-
 /// The dispatch loop, monomorphized over the admission, the recorder and
 /// the tracer, on the scratch's recycled kernel and agenda.
 ///
@@ -545,7 +541,7 @@ fn run<A: Admission, R: Recorder, T: Tracer>(
     admission: A,
     tracer: &mut T,
     scratch: &mut DenseScratch,
-) -> Finished<R::Output, A> {
+) -> (SessionResult<R::Output>, A) {
     worker.node.assert_usable_capacity();
     assert!(
         worker.node.sample_interval > SimDuration::ZERO,
@@ -659,22 +655,17 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
         self.agenda.schedule(source, self.now + delay);
     }
 
-    /// Step the kernel to `now`; exited containers land in its exit list.
-    fn advance_to(&mut self, now: SimTime) {
-        let dt = self.s.kernel.step_to(now);
-        self.admission.advanced(self.s.kernel.rates(), dt);
-        if R::RECORDS_SAMPLES && !self.s.kernel.exited().is_empty() {
-            self.samples_changed = true;
-        }
-    }
-
-    /// Handle the kernel's exits: record completions, release the exited
-    /// ids from the live list, and notify the policy (returning whether it
-    /// wants an immediate reconfiguration).
+    /// Handle the kernel's exits: mark the samples changed, record
+    /// completions, release the exited ids from the live list, and notify
+    /// the policy (returning whether it wants an immediate
+    /// reconfiguration).
     fn process_exits(&mut self, now: SimTime) -> bool {
         let s = &mut *self.s;
         if s.kernel.exited().is_empty() {
             return false;
+        }
+        if R::RECORDS_SAMPLES {
+            self.samples_changed = true;
         }
         for &(id, code) in s.kernel.exited() {
             if R::RECORDS_GROWTH {
@@ -801,9 +792,6 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
             return false;
         };
         k.crash(id, injection.exit_code);
-        if R::RECORDS_SAMPLES {
-            self.samples_changed = true;
-        }
         self.process_exits(now)
     }
 
@@ -813,7 +801,8 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
     /// own protocol.
     fn handle(&mut self, source: Source, idx: usize) {
         let now = self.now;
-        self.advance_to(now);
+        let dt = self.s.kernel.step_to(now);
+        self.admission.advanced(self.s.kernel.rates(), dt);
         let interrupt = self.process_exits(now);
         match source {
             Source::Arrival => {

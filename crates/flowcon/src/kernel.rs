@@ -145,31 +145,26 @@ impl NodeKernel {
     }
 
     /// The time the fluid state describes.
-    #[inline]
     pub fn now(&self) -> SimTime {
         self.now
     }
 
     /// The live jobs' ids, ascending: the pool a policy sees.
-    #[inline]
     pub fn live(&self) -> &[ContainerId] {
         &self.live
     }
 
     /// The job in slot `id` (live or not).
-    #[inline]
     pub fn job(&self, id: ContainerId) -> &TrainingJob {
         &self.jobs[id.index()]
     }
 
     /// When the job in slot `id` was admitted.
-    #[inline]
     pub fn created_at(&self, id: ContainerId) -> SimTime {
         self.slots[id.index()].created_at
     }
 
     /// The id one past the arena's end, where an admission grows it.
-    #[inline]
     pub fn fresh_id(&self) -> ContainerId {
         ContainerId::from_raw(self.jobs.len() as u32)
     }
@@ -249,7 +244,6 @@ impl NodeKernel {
     /// `(id, exit code)` of the jobs that left in the last step (or
     /// crash), in live order, still listed live until
     /// [`NodeKernel::release_exited`].
-    #[inline]
     pub fn exited(&self) -> &[(ContainerId, i32)] {
         &self.exited
     }
@@ -305,7 +299,6 @@ impl NodeKernel {
     }
 
     /// The CPU rates of the last reshare, one per job live then.
-    #[inline]
     pub fn rates(&self) -> &[f64] {
         self.shares.rates()
     }
