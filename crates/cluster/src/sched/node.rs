@@ -216,7 +216,7 @@ impl<T: Tracer> NodeSim<T> {
                 target = target.min(at);
             }
             let live = self.kernel.live().len();
-            let dt = self.kernel.step_to(target);
+            let dt = self.kernel.step_to(target).dt;
             if dt > 0.0 {
                 for &rate in self.kernel.rates() {
                     self.busy_cpu_secs += rate * dt;

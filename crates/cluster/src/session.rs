@@ -476,26 +476,20 @@ impl<'w> ClusterSession<'w, Headless> {
 
     /// Place the plan's jobs without simulating anything yet — the
     /// headless run split at its stage boundary so `repro profile` can
-    /// clock placement and simulation separately.
+    /// clock placement and simulation separately.  The jobs stay where
+    /// the plan put them; placement only groups their indices by worker.
     ///
     /// Panics unless the workload is a materialized plan.
     pub fn place(mut self) -> PlacedHeadless {
         let WorkloadSpec::Plan(plan) = self.workload else {
             panic!("place() requires a materialized plan workload");
         };
-        let mut placements = Vec::with_capacity(plan.jobs.len());
-        let (flat, offsets) = place_flat(
-            &mut *self.strategy,
-            self.nodes.len(),
-            plan.jobs,
-            |_, target| placements.push(target),
-        );
+        let placed = place_flat(&mut *self.strategy, self.nodes.len(), &plan.jobs);
         PlacedHeadless {
             nodes: self.nodes,
             policy: self.policy,
-            flat,
-            offsets,
-            placements,
+            jobs: plan.jobs,
+            placed,
         }
     }
 }
@@ -505,34 +499,51 @@ impl<'w> ClusterSession<'w, Headless> {
 /// Produced by [`ClusterSession::place`]; [`PlacedHeadless::run`] drives
 /// the dense per-worker simulations.  Splitting the run at this boundary
 /// exists for profiling (`repro profile` clocks the two stages
-/// separately).
+/// separately).  It holds the plan's jobs where the plan put them and,
+/// per worker, the indices of that worker's jobs.
 #[derive(Debug)]
 pub struct PlacedHeadless {
     nodes: Vec<NodeConfig>,
     policy: PolicyKind,
-    /// All jobs in one arena, sorted by worker (CSR layout).
-    flat: Vec<JobRequest>,
-    /// `offsets[w]..offsets[w + 1]` slices worker `w`'s jobs out of `flat`.
-    offsets: Vec<usize>,
-    placements: Vec<usize>,
+    /// The plan's jobs, in plan order.
+    jobs: Vec<JobRequest>,
+    placed: Placement,
 }
 
 impl PlacedHeadless {
     /// Simulate every worker on the sharded executor through the dense
-    /// headless path.  `_queue` selects nothing (see [`QueueKind`]).
+    /// headless path.  Each executor shard gathers the jobs of the worker
+    /// it is about to simulate, without their labels (headless admission
+    /// reads none), into a buffer it recycles beside its [`DenseScratch`].
+    /// `_queue` selects nothing (see [`QueueKind`]).
     pub fn run(self, _queue: QueueKind) -> ClusterOutcome<CompletionStats> {
         let policy = self.policy;
-        let (nodes, flat, offsets) = (&self.nodes[..], &self.flat[..], &self.offsets[..]);
-        let workers = executor::map_indexed(nodes.len(), DenseScratch::new, |scratch, idx| {
-            let jobs = &flat[offsets[idx]..offsets[idx + 1]];
-            run_headless_dense(nodes[idx], jobs, policy.build(), QueueKind::Heap, scratch)
-        });
+        let (nodes, jobs, placed) = (&self.nodes[..], &self.jobs[..], &self.placed);
+        let workers = executor::map_indexed(
+            nodes.len(),
+            || (DenseScratch::new(), Vec::new()),
+            |(scratch, mine), idx| {
+                mine.clear();
+                mine.extend(placed.of(idx).iter().map(|&i| unlabeled(&jobs[i as usize])));
+                run_headless_dense(nodes[idx], mine, policy.build(), QueueKind::Heap, scratch)
+            },
+        );
         ClusterOutcome {
             workers,
-            placements: self.placements,
+            placements: self.placed.placements,
             streams: Vec::new(),
             tails: Vec::new(),
         }
+    }
+}
+
+/// A copy of `job` with an empty label, which allocates nothing.
+fn unlabeled(job: &JobRequest) -> JobRequest {
+    JobRequest {
+        label: String::new(),
+        model: job.model,
+        arrival: job.arrival,
+        work_scale: job.work_scale,
     }
 }
 
@@ -546,24 +557,29 @@ where
     pub fn run(mut self) -> ClusterOutcome<R::Output> {
         let make = &self.mode.make;
         match self.workload {
-            WorkloadSpec::Plan(plan) => {
-                let mut placements = Vec::with_capacity(plan.jobs.len());
-                let (flat, offsets) = place_flat(
-                    &mut *self.strategy,
-                    self.nodes.len(),
-                    plan.jobs,
-                    |_, target| placements.push(target),
-                );
-                // Split the arena at its offsets, moving each worker's
-                // jobs into that worker's plan.
-                let mut jobs = flat.into_iter();
-                let per_worker = offsets
-                    .windows(2)
-                    .map(|w| jobs.by_ref().take(w[1] - w[0]).collect())
+            WorkloadSpec::Plan(mut plan) => {
+                let placed = place_flat(&mut *self.strategy, self.nodes.len(), &plan.jobs);
+                // Move each worker's jobs, labels included, out of the plan
+                // into that worker's list.
+                let per_worker = (0..self.nodes.len())
+                    .map(|w| {
+                        placed
+                            .of(w)
+                            .iter()
+                            .map(|&i| {
+                                let job = &mut plan.jobs[i as usize];
+                                JobRequest {
+                                    label: std::mem::take(&mut job.label),
+                                    ..unlabeled(job)
+                                }
+                            })
+                            .collect()
+                    })
                     .collect();
+                drop(plan);
                 ClusterOutcome {
                     workers: drive_plan(&self.nodes, self.policy, per_worker, make),
-                    placements,
+                    placements: placed.placements,
                     streams: Vec::new(),
                     tails: Vec::new(),
                 }
@@ -666,45 +682,79 @@ fn arrival_of(job: &JobRequest) -> sched::ArrivalSpec {
 // Shared placement / drive plumbing
 // ---------------------------------------------------------------------------
 
-/// Place every job, reporting each `(job, worker)` decision through
-/// `on_assign`.  Jobs are moved, never cloned, into a single arena sorted
-/// by worker (CSR layout) — not one `Vec` per worker, which would cost a
-/// million allocations at a million workers — with
-/// `offsets[w]..offsets[w + 1]` slicing worker `w`'s jobs.  The sort is
-/// stable, so each worker sees its jobs in plan order.
+/// A plan's placement: each job's worker, and the plan's indices grouped
+/// by worker in one array (compressed sparse rows) — not one `Vec` per
+/// worker, which would cost a million allocations at a million workers.
+#[derive(Debug)]
+struct Placement {
+    /// Worker index of each job, in plan order.
+    placements: Vec<usize>,
+    /// Plan indices by worker, each worker's in plan order.
+    order: Vec<u32>,
+    /// `order[offsets[w]..offsets[w + 1]]` are worker `w`'s jobs.
+    offsets: Vec<usize>,
+}
+
+impl Placement {
+    /// The plan indices of worker `w`'s jobs, in plan order.
+    fn of(&self, w: usize) -> &[u32] {
+        &self.order[self.offsets[w]..self.offsets[w + 1]]
+    }
+}
+
+/// Place every job of `jobs` with `strategy`, in plan order, then scatter
+/// the plan's indices into their workers' rows by counting sort, which
+/// keeps each worker's jobs in plan order.  The jobs themselves are
+/// neither moved nor copied.
+///
+/// Panics if the plan holds more than `u32::MAX` jobs.
 fn place_flat(
     strategy: &mut dyn PlacementStrategy,
     workers: usize,
-    jobs: Vec<JobRequest>,
-    mut on_assign: impl FnMut(&JobRequest, usize),
-) -> (Vec<JobRequest>, Vec<usize>) {
+    jobs: &[JobRequest],
+) -> Placement {
+    let len = u32::try_from(jobs.len()).expect("a placed plan holds at most u32::MAX jobs");
     let mut loads = vec![WorkerLoad::default(); workers];
-    let mut tagged: Vec<(usize, JobRequest)> = Vec::with_capacity(jobs.len());
-    for job in jobs {
-        let target = strategy.place(&job, &loads);
-        assert!(
-            target < workers,
-            "strategy returned worker {target} of {workers}"
-        );
-        record_assignment(&mut loads[target], &job);
-        on_assign(&job, target);
-        tagged.push((target, job));
+    let placements: Vec<usize> = jobs
+        .iter()
+        .map(|job| {
+            let target = strategy.place(job, &loads);
+            assert!(
+                target < workers,
+                "strategy returned worker {target} of {workers}"
+            );
+            record_assignment(&mut loads[target], job);
+            target
+        })
+        .collect();
+    // `offsets[w + 1]` starts at worker `w`'s first slot and is its write
+    // cursor, so the scatter leaves it at the row's end, which is where
+    // the next worker's row starts.
+    let mut offsets = Vec::with_capacity(workers + 1);
+    offsets.push(0);
+    let mut start = 0;
+    for load in loads {
+        offsets.push(start);
+        start += load.jobs_assigned;
     }
-    tagged.sort_by_key(|&(target, _)| target);
-    let mut offsets = vec![0usize; workers + 1];
-    for &(target, _) in &tagged {
-        offsets[target + 1] += 1;
+    let mut order = vec![0u32; jobs.len()];
+    for (i, &target) in (0..len).zip(&placements) {
+        let cursor = &mut offsets[target + 1];
+        order[*cursor] = i;
+        *cursor += 1;
     }
-    for i in 0..workers {
-        offsets[i + 1] += offsets[i];
+    Placement {
+        placements,
+        order,
+        offsets,
     }
-    let flat = tagged.into_iter().map(|(_, job)| job).collect();
-    (flat, offsets)
 }
 
 /// Drive one session per worker on the sharded executor: at most
 /// `available_parallelism` OS threads, each recycling one
-/// [`DenseScratch`] across the worker sessions it processes.
+/// [`DenseScratch`] across the worker sessions it processes.  Each worker
+/// runs its jobs in the order they were placed, ties in arrival included,
+/// as the headless path does.
 fn drive_plan<R, F>(
     nodes: &[NodeConfig],
     policy: PolicyKind,
@@ -724,11 +774,9 @@ where
         .map(|(idx, (node, jobs))| (idx, node, jobs))
         .collect();
     executor::map_sharded(work, DenseScratch::new, |scratch, (idx, node, jobs)| {
-        // The per-worker job lists are already in arrival order, so
-        // WorkloadPlan::new's sort is a no-op pass.
         let session = Session::builder()
             .node(node)
-            .plan(WorkloadPlan::new(jobs))
+            .plan(WorkloadPlan { jobs })
             .policy_box(policy.build())
             .recorder(make(idx))
             .scratch(std::mem::take(scratch))
@@ -886,6 +934,90 @@ mod tests {
         for w in &out.workers {
             assert_eq!(w.output.policy, "FlowCon-5%-20");
         }
+    }
+
+    /// The layout `place_flat` replaced: every job tagged with its worker
+    /// and stable-sorted by it.  Returns the placements and each worker's
+    /// jobs.
+    fn tagged_sort_reference(
+        strategy: &mut dyn PlacementStrategy,
+        workers: usize,
+        jobs: &[JobRequest],
+    ) -> (Vec<usize>, Vec<Vec<JobRequest>>) {
+        let mut loads = vec![WorkerLoad::default(); workers];
+        let mut tagged: Vec<(usize, JobRequest)> = Vec::new();
+        for job in jobs {
+            let target = strategy.place(job, &loads);
+            record_assignment(&mut loads[target], job);
+            tagged.push((target, job.clone()));
+        }
+        let placements = tagged.iter().map(|&(target, _)| target).collect();
+        tagged.sort_by_key(|&(target, _)| target);
+        let mut per_worker = vec![Vec::new(); workers];
+        for (target, job) in tagged {
+            per_worker[target].push(job);
+        }
+        (placements, per_worker)
+    }
+
+    #[test]
+    fn index_placement_equals_the_tagged_stable_sort() {
+        use crate::placement::LeastLoaded;
+        type Make = fn() -> Box<dyn PlacementStrategy>;
+        let strategies: [(&str, Make); 3] = [
+            ("round-robin", || Box::new(RoundRobin::default())),
+            ("spread", || Box::new(Spread)),
+            ("least-loaded", || Box::new(LeastLoaded)),
+        ];
+        // More workers than jobs, counts that do not divide, and an empty
+        // plan.
+        for (workers, jobs) in [(1, 0), (1, 9), (7, 3), (3, 10), (5, 64), (16, 1000)] {
+            let plan = WorkloadPlan::random_n(jobs, 3);
+            for (name, make) in strategies {
+                let (placements, per_worker) =
+                    tagged_sort_reference(&mut *make(), workers, &plan.jobs);
+                let placed = place_flat(&mut *make(), workers, &plan.jobs);
+                let what = format!("{name}, {jobs} jobs on {workers} workers");
+                assert_eq!(placed.placements, placements, "{what}: placements");
+                assert_eq!(placed.offsets.len(), workers + 1, "{what}: offsets");
+                for (w, expected) in per_worker.iter().enumerate() {
+                    let got: Vec<JobRequest> = placed
+                        .of(w)
+                        .iter()
+                        .map(|&i| plan.jobs[i as usize].clone())
+                        .collect();
+                    assert_eq!(&got, expected, "{what}: worker {w}'s jobs");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn recorded_plan_runs_ties_in_placed_order_like_headless() {
+        use flowcon_dl::models::ModelId;
+        use flowcon_sim::time::SimTime;
+        // Two jobs arrive in the same microsecond.  Sorting them by label
+        // would run `Job-10` before `Job-9`; both modes must keep the
+        // placed order.
+        let plan = WorkloadPlan {
+            jobs: vec![
+                JobRequest::new("Job-9", ModelId::Vae, SimTime::from_secs(5)),
+                JobRequest::new("Job-10", ModelId::Gru, SimTime::from_secs(5)),
+                JobRequest::new("Job-11", ModelId::MnistTf, SimTime::from_secs(40)),
+            ],
+        };
+        let fc = || base(1).policy(PolicyKind::FlowCon(FlowConConfig::default()));
+        let headless = fc().plan(plan.clone()).build().run();
+        let recorded = fc()
+            .plan(plan)
+            .recorder(|_| CompletionsOnly::new())
+            .build()
+            .run();
+        let (h, r) = (&headless.workers[0], &recorded.workers[0]);
+        assert_eq!(h.output.completions, r.output.completions, "completions");
+        assert_eq!(h.events_processed, r.events_processed, "events");
+        assert_eq!(h.output.algorithm_runs, r.output.algorithm_runs, "runs");
+        assert_eq!(h.output.update_calls, r.output.update_calls, "updates");
     }
 
     #[test]

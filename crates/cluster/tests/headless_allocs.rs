@@ -351,11 +351,13 @@ fn headless_memory_is_o_completions() {
 }
 
 /// The ceiling on the marginal peak heap bytes of one placed headless
-/// worker with 2 jobs: its node, its two jobs and their placements, the
-/// placement offsets and the sort's pairs, and its result with two
-/// completion records.  The executor's per-worker input cell and result
-/// mutex, an `(index, node)` copy of every node and a four-record
-/// completion reserve read 352 B/worker here; without them it is 224.
+/// worker with 2 jobs: its node, its two jobs' placements and plan
+/// indices, the placement offsets, and its result with two completion
+/// records (the plan's jobs are built before the window and stay where
+/// they are).  The executor's per-worker input cell and result mutex, an
+/// `(index, node)` copy of every node and a four-record completion
+/// reserve read 352 B/worker here; without them, a placement that copied
+/// and sorted the jobs read 224, and placement by index reads 200.
 const PEAK_BYTES_PER_WORKER_BUDGET: f64 = 288.0;
 
 #[test]

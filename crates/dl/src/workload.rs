@@ -9,6 +9,8 @@
 //! * **Scalability** (§5.5): 10 or 15 jobs sampled from the catalog, random
 //!   arrivals in 0–200 s.
 
+use std::fmt::Write;
+
 use flowcon_sim::rng::SimRng;
 use flowcon_sim::time::SimTime;
 
@@ -123,26 +125,30 @@ impl WorkloadPlan {
     /// §5.5's scalability mixes: `n` jobs drawn round-robin from Table 1's
     /// models, random arrivals in `[0, 200)` s, labelled in arrival order.
     pub fn random_n(n: usize, seed: u64) -> Self {
-        let models: Vec<ModelId> = (0..n)
-            .map(|i| TABLE1_MODELS[i % TABLE1_MODELS.len()])
-            .collect();
-        Self::random_from(&models, seed)
+        Self::random_by(n, |i| TABLE1_MODELS[i % TABLE1_MODELS.len()], seed)
     }
 
     /// Random arrivals for an explicit model list, labelled `Job-<k>` by
     /// arrival order (the paper's convention: "the responsible jobs are
     /// marked as 1, 2, 3, 4 and 5").
     pub fn random_from(models: &[ModelId], seed: u64) -> Self {
+        Self::random_by(models.len(), |i| models[i], seed)
+    }
+
+    /// `n` jobs, the `i`-th of model `model(i)`, each drawing its arrival
+    /// in input order, listed by arrival with ties in input order.
+    ///
+    /// Sorting `(arrival, input index)` pairs, all distinct, gives a
+    /// stable sort's order without its scratch buffer.
+    fn random_by(n: usize, model: impl Fn(usize) -> ModelId, seed: u64) -> Self {
         let mut rng = SimRng::new(seed);
-        let mut arrivals: Vec<(SimTime, ModelId)> = models
-            .iter()
-            .map(|&m| (SimTime::from_secs_f64(rng.range_f64(0.0, 200.0)), m))
+        let mut arrivals: Vec<(SimTime, usize)> = (0..n)
+            .map(|i| (SimTime::from_secs_f64(rng.range_f64(0.0, 200.0)), i))
             .collect();
-        arrivals.sort_by_key(|&(t, _)| t);
-        let jobs = arrivals
-            .into_iter()
-            .enumerate()
-            .map(|(i, (arrival, model))| JobRequest::new(format!("Job-{}", i + 1), model, arrival))
+        arrivals.sort_unstable();
+        let jobs = (1..)
+            .zip(arrivals)
+            .map(|(k, (arrival, i))| JobRequest::new(job_label(k), model(i), arrival))
             .collect();
         WorkloadPlan { jobs }
     }
@@ -165,9 +171,75 @@ impl WorkloadPlan {
     }
 }
 
+/// `Job-<k>` in one exact-capacity allocation (`format!` guesses eight
+/// bytes and grows once past four digits).
+fn job_label(k: usize) -> String {
+    let digits = k.checked_ilog10().map_or(1, |d| d as usize + 1);
+    let mut label = String::with_capacity("Job-".len() + digits);
+    write!(label, "Job-{k}").expect("writing to a String cannot fail");
+    label
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The generator `random_from` replaced: a stable sort of
+    /// `(arrival, model)` pairs and `format!` labels.
+    fn stable_sort_reference(models: &[ModelId], seed: u64) -> WorkloadPlan {
+        let mut rng = SimRng::new(seed);
+        let mut arrivals: Vec<(SimTime, ModelId)> = models
+            .iter()
+            .map(|&m| (SimTime::from_secs_f64(rng.range_f64(0.0, 200.0)), m))
+            .collect();
+        arrivals.sort_by_key(|&(t, _)| t);
+        let jobs = arrivals
+            .into_iter()
+            .enumerate()
+            .map(|(i, (arrival, model))| JobRequest::new(format!("Job-{}", i + 1), model, arrival))
+            .collect();
+        WorkloadPlan { jobs }
+    }
+
+    #[test]
+    fn random_plans_equal_the_stable_sort_reference() {
+        for n in [0, 1, 5, 15, 1000, 100_000] {
+            let models: Vec<ModelId> = (0..n)
+                .map(|i| TABLE1_MODELS[i % TABLE1_MODELS.len()])
+                .collect();
+            let reversed: Vec<ModelId> = models.iter().rev().copied().collect();
+            for seed in [0, 11, 42] {
+                let plan = WorkloadPlan::random_n(n, seed);
+                assert!(
+                    plan == stable_sort_reference(&models, seed),
+                    "random_n({n}, {seed}) diverged from the stable sort"
+                );
+                assert!(
+                    WorkloadPlan::random_from(&reversed, seed)
+                        == stable_sort_reference(&reversed, seed),
+                    "random_from over {n} reversed models, seed {seed}, diverged"
+                );
+            }
+        }
+        // Ties must be exercised: two models arriving in the same
+        // microsecond keep their input order only if the sort is stable.
+        let plan = WorkloadPlan::random_n(100_000, 11);
+        let ties = plan
+            .jobs
+            .windows(2)
+            .filter(|w| w[0].arrival == w[1].arrival)
+            .count();
+        assert!(ties > 0, "no tied arrivals at 100k jobs, seed 11");
+    }
+
+    #[test]
+    fn job_labels_take_exactly_their_length() {
+        for k in [1, 9, 10, 99, 100, 12_345, 2_000_000, usize::MAX] {
+            let label = job_label(k);
+            assert_eq!(label, format!("Job-{k}"));
+            assert_eq!(label.capacity(), label.len(), "{label}");
+        }
+    }
 
     #[test]
     fn fixed_three_matches_section_5_3() {

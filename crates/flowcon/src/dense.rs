@@ -77,7 +77,7 @@ use flowcon_sim::trace::{NoopTracer, TraceKind, Tracer};
 use flowcon_workload::stream::{Horizon, JobStream, StreamedJob};
 
 use crate::config::NodeConfig;
-use crate::kernel::NodeKernel;
+use crate::kernel::{NodeKernel, Step};
 use crate::metric::GrowthMeasurement;
 use crate::monitor::MonitorSlot;
 use crate::policy::{checked_interval, ResourcePolicy};
@@ -311,8 +311,8 @@ trait Admission {
         unreachable!("stream arrivals are only scheduled by an open-loop run")
     }
 
-    /// One fluid step: the current `rates` held for `dt` seconds.
-    fn advanced(&mut self, _rates: &[f64], _dt: f64) {}
+    /// One fluid step of the node, as the kernel integrated it.
+    fn advanced(&mut self, _step: Step) {}
 
     /// A container admitted at `created_at` exited at `now`.
     fn exited(&mut self, _created_at: SimTime, _now: SimTime) {}
@@ -358,9 +358,11 @@ struct OpenLoop<J> {
     exits: u64,
     /// When the latest container exited (the drain point).
     last_exit: SimTime,
-    /// `∫ Σrates · dt`, the utilization numerator.
+    /// `∫ Σrates · dt` over the jobs each step advanced, the utilization
+    /// numerator.
     busy: TimeWeighted,
-    /// `∫ pool size · dt`, the mean-queue-depth numerator.
+    /// `∫ pool size · dt` over the same jobs, the mean-queue-depth
+    /// numerator.
     queue: TimeWeighted,
     /// Sojourn and queue-wait tails.  On one fluid node every pool member
     /// holds a rate from its admission event on, so queue-wait is always
@@ -392,12 +394,14 @@ impl<J: JobStream> Admission for OpenLoop<J> {
         self.pending.take().expect("a streamed arrival is pending")
     }
 
-    /// `rates` only change at a recompute, so each step contributes one
-    /// rectangle to each integral.
-    fn advanced(&mut self, rates: &[f64], dt: f64) {
-        if dt > 0.0 {
-            self.busy.accumulate(rates.iter().sum(), dt);
-            self.queue.accumulate(rates.len() as f64, dt);
+    /// Rates only change at a reshare, so each step contributes one
+    /// rectangle to each integral: the rates and the count of the jobs it
+    /// advanced.  A job that left since the last reshare (at a sample tick,
+    /// under a policy that does not interrupt on exits) adds nothing.
+    fn advanced(&mut self, step: Step) {
+        if step.dt > 0.0 {
+            self.busy.accumulate(step.cpu, step.dt);
+            self.queue.accumulate(step.jobs as f64, step.dt);
         }
     }
 
@@ -801,8 +805,8 @@ impl<A: Admission, R: Recorder, T: Tracer> DenseSim<'_, A, R, T> {
     /// own protocol.
     fn handle(&mut self, source: Source, idx: usize) {
         let now = self.now;
-        let dt = self.s.kernel.step_to(now);
-        self.admission.advanced(self.s.kernel.rates(), dt);
+        let step = self.s.kernel.step_to(now);
+        self.admission.advanced(step);
         let interrupt = self.process_exits(now);
         match source {
             Source::Arrival => {
@@ -988,6 +992,55 @@ mod tests {
         assert_eq!(result.events_processed, 0);
         assert_eq!(result.output.len(), 0);
         assert_eq!(result.output.algorithm_runs, 0);
+    }
+
+    #[test]
+    fn open_loop_areas_stop_at_each_exit() {
+        use crate::recorder::FullRecorder;
+        use crate::session::Session;
+        use flowcon_dl::models::ModelId;
+        // Under the NA baseline an exit found at a sample tick does not
+        // reshare, so the exited job's rate stays listed until the
+        // completion stamp fires; it must not count as busy or queued.
+        let node = NodeConfig {
+            sample_interval: SimDuration::from_micros(1),
+            ..NodeConfig::default()
+        };
+        for model in [
+            ModelId::Vae,
+            ModelId::Gru,
+            ModelId::MnistTf,
+            ModelId::LstmCfc,
+        ] {
+            for scale in [1e-7, 2e-7, 3e-7, 5e-7, 7e-7, 1e-6] {
+                let mut job = Some(StreamedJob {
+                    label: "Job-1".into(),
+                    model,
+                    arrival: SimTime::from_micros(3),
+                    work_scale: scale,
+                });
+                let r = Session::builder()
+                    .node(node)
+                    .policy(FairSharePolicy::new())
+                    .recorder(FullRecorder::new())
+                    .build()
+                    .run_stream(move || job.take(), Horizon::jobs(1));
+                let c = &r.output.completions[0];
+                let secs = c.finished.saturating_since(c.arrival).as_secs_f64();
+                let demand = ModelSpec::of(model).demand;
+                let what = format!("{model:?} at work scale {scale}");
+                assert!(
+                    r.stream.busy_cpu_secs <= demand * secs * (1.0 + 1e-12),
+                    "{what}: {} busy CPU-s over a {secs} s run at demand {demand}",
+                    r.stream.busy_cpu_secs
+                );
+                assert!(
+                    r.stream.queue_job_secs <= secs * (1.0 + 1e-12),
+                    "{what}: {} queued job-s over a {secs} s run",
+                    r.stream.queue_job_secs
+                );
+            }
+        }
     }
 
     #[test]

@@ -54,6 +54,19 @@ pub(crate) struct ContainerSlot {
     runnable: bool,
 }
 
+/// What one [`NodeKernel::step_to`] integrated.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Step {
+    /// The step's length in seconds.
+    pub dt: f64,
+    /// The summed CPU rate of the jobs it advanced: those live at its
+    /// start, in the order of the last reshare.  Zero for a step of no
+    /// length.
+    pub cpu: f64,
+    /// How many jobs it advanced.
+    pub jobs: usize,
+}
+
 /// One node's fluid state and the rules that move it (see the module
 /// docs).
 #[derive(Debug)]
@@ -334,19 +347,24 @@ impl NodeKernel {
     }
 
     /// Integrate every live job from the clock to `to` at the rates of the
-    /// last reshare and return the step in seconds; the jobs whose exit
-    /// status says they are done land in [`NodeKernel::exited`].  A job's
-    /// rate goes into its resource-time integral, as `docker stats` would
-    /// account it; its progress is the rate times its efficiency.
+    /// last reshare and report what the step integrated; the jobs whose
+    /// exit status says they are done land in [`NodeKernel::exited`].  A
+    /// job's rate goes into its resource-time integral, as `docker stats`
+    /// would account it; its progress is the rate times its efficiency.
     #[inline]
-    pub fn step_to(&mut self, to: SimTime) -> f64 {
+    pub fn step_to(&mut self, to: SimTime) -> Step {
         debug_assert!(to >= self.now, "step into the past");
-        let dt = to.saturating_since(self.now).as_secs_f64();
+        let mut step = Step {
+            dt: to.saturating_since(self.now).as_secs_f64(),
+            cpu: 0.0,
+            jobs: 0,
+        };
         self.now = to;
         self.exited.clear();
-        if dt <= 0.0 || self.rate_ids.is_empty() {
-            return dt;
+        if step.dt <= 0.0 || self.rate_ids.is_empty() {
+            return step;
         }
+        let dt = step.dt;
         for i in 0..self.rate_ids.len() {
             let id = self.rate_ids[i];
             let rate = self.shares.rates()[i];
@@ -355,6 +373,8 @@ impl NodeKernel {
             if !self.slots[slot].runnable {
                 continue;
             }
+            step.cpu += rate;
+            step.jobs += 1;
             let mut usage = self.jobs[slot].footprint();
             usage.set(ResourceKind::Cpu, rate);
             self.slots[slot].cumulative += usage.scale(dt);
@@ -364,7 +384,7 @@ impl NodeKernel {
                 self.exited.push((id, code));
             }
         }
-        dt
+        step
     }
 
     /// Measure every live job at the clock against its slot in `column`, a
