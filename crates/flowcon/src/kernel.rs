@@ -55,7 +55,7 @@ pub(crate) struct ContainerSlot {
 }
 
 /// What one [`NodeKernel::step_to`] integrated.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct Step {
     /// The step's length in seconds.
     pub dt: f64,
